@@ -9,9 +9,9 @@ walk matrix block-diagonalizes it; the upper-left block is exactly the vertex
 transition matrix of the hypergraph walk, which is what makes the lift a
 useful consistency check.
 
-The alternating walk is 2-periodic, so its stationary distribution is taken
-in the Cesaro / eigenvector sense: the left eigenvector at eigenvalue 1,
-normalized to total mass 1, which puts mass 1/2 on each side.
+The alternating walk is 2-periodic but irreducible, so it has exactly one
+stationary distribution, with mass 1/2 on each side; it is computed by
+``spectral.stationary_distribution`` like any other chain's.
 """
 
 from __future__ import annotations
@@ -31,42 +31,37 @@ __all__ = [
     "two_step",
     "bipartite_laplacian",
     "two_step_laplacian",
+    "mu2_of_assignment",
     "bipartite_connectivity",
     "bipartite_bundle",
 ]
 
 
-def _blocks(energies: np.ndarray, assignment: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    m = spectral._edvw(np.asarray(energies), np.asarray(assignment))
-    return m.W, m.R
-
-
 def bipartite_adjacency(inst: ProblemInstance) -> np.ndarray:
     """(N+K) x (N+K) adjacency with W and R^T off-diagonal blocks."""
-    W, R = _blocks(inst.energies, inst.assignment)
-    n, k = W.shape
+    m = spectral.edvw_matrices(inst.energies, inst.assignment)
+    n, k = m.W.shape
     A = np.zeros((n + k, n + k))
-    A[:n, n:] = W
-    A[n:, :n] = R.T
+    A[:n, n:] = m.W
+    A[n:, :n] = m.R.T
     return A
 
 
-def _transition_from_blocks(W: np.ndarray, R: np.ndarray) -> np.ndarray:
-    n, k = W.shape
-    d_v = W.sum(axis=1)
-    d_e = R.sum(axis=0)
-    if np.any(d_v == 0) or np.any(d_e == 0):
+def _lift_transition(energies: np.ndarray, assignment: np.ndarray) -> np.ndarray:
+    """Row-stochastic walk on the stacked agents and tasks of an assignment."""
+    m = spectral.edvw_matrices(np.asarray(energies), np.asarray(assignment))
+    if np.any(m.d_v == 0) or np.any(m.d_e == 0):
         raise ValueError("bipartite walk needs positive degrees on both sides")
+    n, k = m.W.shape
     P = np.zeros((n + k, n + k))
-    P[:n, n:] = W / d_v[:, np.newaxis]
-    P[n:, :n] = (R / d_e[np.newaxis, :]).T
+    P[:n, n:] = m.W / m.d_v[:, np.newaxis]
+    P[n:, :n] = (m.R / m.d_e[np.newaxis, :]).T
     return P
 
 
 def bipartite_transition(inst: ProblemInstance) -> np.ndarray:
     """Row-stochastic walk matrix on the stacked agent/task vertex set."""
-    W, R = _blocks(inst.energies, inst.assignment)
-    return _transition_from_blocks(W, R)
+    return _lift_transition(inst.energies, inst.assignment)
 
 
 def two_step(P_b: np.ndarray) -> np.ndarray:
@@ -74,25 +69,9 @@ def two_step(P_b: np.ndarray) -> np.ndarray:
     return P_b @ P_b
 
 
-def _eigenvector_stationary(P: np.ndarray) -> np.ndarray:
-    """Left eigenvector at eigenvalue 1, sum-normalized.
-
-    Works for periodic chains too, where the power method would oscillate.
-    """
-    evals, evecs = np.linalg.eig(P.T)
-    idx = int(np.argmin(np.abs(evals - 1.0)))
-    if abs(evals[idx] - 1.0) > 1e-6:
-        raise ValueError("chain has no eigenvalue at 1")
-    pi = np.real(evecs[:, idx])
-    pi = pi / pi.sum()
-    pi = np.clip(pi, 0.0, None)
-    return pi / pi.sum()
-
-
 def bipartite_laplacian(P_b: np.ndarray) -> np.ndarray:
-    """Laplacian of the alternating walk under its eigenvector stationary."""
-    pi = _eigenvector_stationary(P_b)
-    return spectral.laplacian(P_b, pi)
+    """Laplacian of the alternating walk under its stationary distribution."""
+    return spectral.laplacian(P_b, spectral.stationary_distribution(P_b))
 
 
 def two_step_laplacian(P_star: np.ndarray, n_agents: int) -> np.ndarray:
@@ -113,18 +92,23 @@ def two_step_laplacian(P_star: np.ndarray, n_agents: int) -> np.ndarray:
     pi = np.concatenate(
         [
             0.5 * spectral.stationary_distribution(upper),
-            0.5 * _eigenvector_stationary(lower),
+            0.5 * spectral.stationary_distribution(lower),
         ]
     )
     return spectral.laplacian(P_star, pi)
+
+
+def mu2_of_assignment(energies: np.ndarray, assignment: np.ndarray) -> float:
+    """Alternating-walk mu2 of an assignment; connectivity is the caller's job."""
+    L = bipartite_laplacian(_lift_transition(energies, assignment))
+    return float(spectral.spectrum(L)[1])
 
 
 def bipartite_connectivity(inst: ProblemInstance) -> float:
     """Second-smallest eigenvalue of the alternating-walk Laplacian."""
     if not is_connected(inst):
         raise DisconnectedError("bipartite connectivity needs a connected instance")
-    L = bipartite_laplacian(bipartite_transition(inst))
-    return float(spectral.spectrum(L)[1])
+    return mu2_of_assignment(inst.energies, inst.assignment)
 
 
 @dataclass(frozen=True)
@@ -144,7 +128,7 @@ def bipartite_bundle(inst: ProblemInstance) -> BipartiteBundle:
         raise DisconnectedError("bipartite bundle needs a connected instance")
     A = bipartite_adjacency(inst)
     P_b = bipartite_transition(inst)
-    pi_b = _eigenvector_stationary(P_b)
+    pi_b = spectral.stationary_distribution(P_b)
     L_b = spectral.laplacian(P_b, pi_b)
     P_star = two_step(P_b)
     L_star = two_step_laplacian(P_star, inst.n_agents)

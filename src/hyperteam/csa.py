@@ -160,13 +160,8 @@ def _evaluate_full(
     if not _candidate_connected(assignment, active):
         return -math.inf, math.nan, e_tilde
     sub = assignment[active]
-    if params.objective == "bipartite":
-        L = bipartite.bipartite_laplacian(
-            bipartite._transition_from_blocks(*bipartite._blocks(inst.energies, sub))
-        )
-        mu2 = float(spectral.spectrum(L)[1])
-    else:
-        mu2 = spectral.mu2_of_assignment(inst.energies, sub)
+    objective = bipartite if params.objective == "bipartite" else spectral
+    mu2 = objective.mu2_of_assignment(inst.energies, sub)
     overrun = np.maximum(assignment.sum(axis=1) - inst.budgets, 0)
     penalty = (
         mu2

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .instance import ProblemInstance, co_membership_graph
+from .instance import ProblemInstance
 from .seeds import substream
 
 __all__ = [
@@ -78,10 +78,10 @@ def patch(
 
     Rings are breadth-first layers of the co-membership graph of the damaged
     (post-removal, pre-patch) assignment, seeded by the surviving members of
-    the short task; the ring structure stays fixed while spare budgets are
-    consumed. Tasks are treated in descending-shortfall order, ties by index.
-    ``unit_cost`` maps ring index to the cost of one recruited unit and
-    defaults to ring + 1.
+    the short task and stepped on the damaged incidence, fixed while spare
+    budgets are consumed. Tasks are treated in descending-shortfall order,
+    ties by index. ``unit_cost`` maps ring index to the cost of one recruited
+    unit and defaults to ring + 1.
     """
     cost_of = unit_cost or (lambda ring: float(ring + 1))
     removed = tuple(int(r) for r in removed)
@@ -95,7 +95,6 @@ def patch(
     spare = budgets - damaged.sum(axis=1)
     if np.any(spare < 0):
         raise ValueError("assignment exceeds a surviving budget")
-    adjacency = co_membership_graph(damaged)
     incidence = damaged > 0
     shortfall = inst.energies - damaged.sum(axis=0)
 
@@ -122,7 +121,8 @@ def patch(
                     break
             if need == 0:
                 break
-            next_frontier = (adjacency[frontier].any(axis=0)) & ~visited
+            tasks = incidence[frontier].any(axis=0)
+            next_frontier = incidence[:, tasks].any(axis=1) & ~visited
             visited |= next_frontier
             frontier = next_frontier
             ring += 1

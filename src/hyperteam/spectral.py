@@ -24,11 +24,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DegreeError, DisconnectedError
-from .instance import ProblemInstance, bipartite_components, is_connected
+from .instance import ProblemInstance, bipartite_components
 
 __all__ = [
     "EDVWMatrices",
     "SpectralBundle",
+    "edvw_matrices",
     "build_matrices",
     "transition_matrix",
     "stationary_distribution",
@@ -41,7 +42,7 @@ __all__ = [
 ]
 
 # Above this size the stationary solver switches from a dense
-# eigendecomposition to power iteration.
+# eigendecomposition to a linear solve.
 _DENSE_LIMIT = 512
 
 
@@ -61,7 +62,8 @@ class EDVWMatrices:
     d_e: np.ndarray
 
 
-def _edvw(energies: np.ndarray, assignment: np.ndarray) -> EDVWMatrices:
+def edvw_matrices(energies: np.ndarray, assignment: np.ndarray) -> EDVWMatrices:
+    """Weight matrices and degrees of an assignment's hypergraph, unchecked."""
     incidence = assignment > 0
     W = incidence * energies[np.newaxis, :].astype(np.float64)
     R = assignment.astype(np.float64)
@@ -72,7 +74,7 @@ def _edvw(energies: np.ndarray, assignment: np.ndarray) -> EDVWMatrices:
 
 def build_matrices(inst: ProblemInstance) -> EDVWMatrices:
     """Weight matrices and degree vectors for an instance's hypergraph."""
-    m = _edvw(inst.energies, inst.assignment)
+    m = edvw_matrices(inst.energies, inst.assignment)
     if np.any(m.d_v == 0):
         i = int(np.flatnonzero(m.d_v == 0)[0])
         raise DegreeError(f"agent {inst.agent_ids[i]!r} belongs to no task")
@@ -104,31 +106,49 @@ def _stationary_dense(P: np.ndarray) -> np.ndarray:
     return pi / pi.sum()
 
 
-def _stationary_power(P: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
-    n = P.shape[0]
-    pi = np.full(n, 1.0 / n)
-    for _ in range(max_iter):
-        nxt = pi @ P
-        nxt /= nxt.sum()
-        if np.abs(nxt - pi).sum() < tol:
-            return nxt
-        pi = nxt
-    raise ConvergenceError(f"power iteration did not converge in {max_iter} steps")
+def _irreducible(P: np.ndarray) -> bool:
+    """Whether state 0 reaches every state and every state reaches state 0."""
+    for step in (P > 0, P.T > 0):
+        seen = frontier = np.arange(len(P)) == 0
+        while frontier.any():
+            frontier = step[frontier].any(axis=0) & ~seen
+            seen = seen | frontier
+        if not seen.all():
+            return False
+    return True
 
 
-def stationary_distribution(
-    P: np.ndarray, *, tol: float = 1e-12, max_iter: int = 10**6
-) -> np.ndarray:
-    """Stationary distribution of a row-stochastic, irreducible, aperiodic chain.
+def stationary_distribution(P: np.ndarray) -> np.ndarray:
+    """Stationary distribution of a row-stochastic, irreducible chain.
 
-    Dense eigendecomposition up to size 512, power iteration beyond that.
+    Periodic chains such as the bipartite lift are fine. Up to size 512: the
+    eigenvector of P^T at eigenvalue 1 (dense ``eig``). Beyond: one normalized
+    linear solve, which raises ``ConvergenceError`` on a reducible chain, a
+    singular system, mass below -1e-9 or a residual |pi P - pi|_1 above 1e-9.
     """
     P = np.asarray(P, dtype=np.float64)
     if P.ndim != 2 or P.shape[0] != P.shape[1]:
         raise ValueError("P must be square")
-    if P.shape[0] <= _DENSE_LIMIT:
+    n = P.shape[0]
+    if n <= _DENSE_LIMIT:
         return _stationary_dense(P)
-    return _stationary_power(P, tol, max_iter)
+    # a reducible chain may solve to a plausible mix of its closed classes
+    if not _irreducible(P):
+        raise ConvergenceError("chain is reducible; no unique stationary distribution")
+    A = P.T - np.eye(n)
+    A[-1, :] = 1.0  # the last balance equation becomes sum(pi) = 1
+    rhs = np.zeros(n)
+    rhs[-1] = 1.0
+    try:
+        pi = np.linalg.solve(A, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError("singular stationary system") from exc
+    if np.min(pi) < -1e-9:
+        raise ConvergenceError("stationary solution has negative mass")
+    residual = float(np.abs(pi @ P - pi).sum())
+    if not residual <= 1e-9:
+        raise ConvergenceError(f"stationary residual {residual:.3g} above 1e-9")
+    return pi
 
 
 def laplacian(P: np.ndarray, pi: np.ndarray) -> np.ndarray:
@@ -177,7 +197,7 @@ class SpectralBundle:
 
 
 def _bundle_parts(energies: np.ndarray, assignment: np.ndarray):
-    m = _edvw(energies, assignment)
+    m = edvw_matrices(energies, assignment)
     P = transition_matrix(m)
     pi = stationary_distribution(P)
     L = laplacian(P, pi)

@@ -105,6 +105,21 @@ def random_connected_instance(
     raise RuntimeError("could not draw a connected instance")
 
 
+def eig_stationary(P: np.ndarray) -> np.ndarray:
+    """Dense-eig stationary oracle: the left eigenvector of P at eigenvalue 1.
+
+    Taken at every size and normalized to sum 1, so it checks the package's
+    linear solve above its dense size limit. The chain must have a simple
+    eigenvalue 1; a periodic chain's eigenvalue -1 is two away and never
+    picked.
+    """
+    evals, evecs = np.linalg.eig(np.asarray(P, dtype=np.float64).T)
+    idx = int(np.argmin(np.abs(evals - 1.0)))
+    assert abs(evals[idx] - 1.0) < 1e-9, "no eigenvalue at 1"
+    pi = np.real(evecs[:, idx])
+    return pi / pi.sum()
+
+
 def toy_path(name: str) -> str:
     return str(resources.files("hyperteam.data") / f"{name}.json")
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import make_instance, random_connected_instance
+from conftest import eig_stationary, make_instance, random_connected_instance
 from hyperteam.bipartite import (
     bipartite_adjacency,
     bipartite_bundle,
@@ -88,6 +88,15 @@ def test_bipartite_laplacian_shape_and_kernel():
         assert np.allclose(L, L.T, atol=1e-12)
         assert np.allclose(L @ np.ones(size), 0.0, atol=1e-10)
         assert spectrum(L)[0] >= -1e-10
+
+
+def test_bipartite_laplacian_above_dense_limit():
+    # the periodic lift of 480 agents and 40 tasks takes the linear solve
+    inst = random_connected_instance(np.random.default_rng(61), 480, 40, max_weight=1)
+    P = bipartite_transition(inst)
+    L = bipartite_laplacian(P)
+    assert np.abs(L - laplacian(P, eig_stationary(P))).max() <= 1e-12
+    assert np.abs(L @ np.ones(len(P))).max() <= 1e-12
 
 
 def test_two_step_laplacian_agent_block_halves_the_hypergraph():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import make_instance, random_connected_instance
-from hyperteam.instance import ProblemInstance
+from hyperteam.instance import ProblemInstance, co_membership_graph
 from hyperteam.resilience import attack_experiment, gain, patch, remove_agents
 
 
@@ -39,6 +39,65 @@ def test_remove_agents_guards():
         remove_agents(a, [0, 0])
     with pytest.raises(ValueError):
         remove_agents(a, [0, 1, 2])
+
+
+def _patch_oracle(inst, damaged, removed):
+    """Ring BFS on the agent co-membership matrix of the damaged assignment.
+
+    The package steps each ring on the incidence instead; this is the dense
+    formulation it replaced. Returns (patched, cost, unsatisfied).
+    """
+    removed_mask = np.zeros(inst.n_agents, dtype=bool)
+    removed_mask[list(removed)] = True
+    spare = np.where(removed_mask, 0, inst.budgets) - damaged.sum(axis=1)
+    adjacency = co_membership_graph(damaged)
+    incidence = damaged > 0
+    shortfall = inst.energies - damaged.sum(axis=0)
+    patched = damaged.copy()
+    cost = 0.0
+    for k in sorted(range(inst.n_tasks), key=lambda k: (-int(shortfall[k]), k)):
+        need = int(shortfall[k])
+        visited = incidence[:, k].copy()
+        frontier = visited.copy()
+        ring = 0
+        while need > 0 and frontier.any():
+            for agent in np.flatnonzero(frontier):
+                take = int(min(spare[agent], need))
+                if take > 0:
+                    spare[agent] -= take
+                    patched[agent, k] += take
+                    cost += take * float(ring + 1)
+                    need -= take
+            frontier = adjacency[frontier].any(axis=0) & ~visited
+            visited |= frontier
+            ring += 1
+    return patched, cost, inst.energies - patched.sum(axis=0)
+
+
+def _assert_matches_oracle(inst, damaged, removed):
+    result = patch(inst, damaged, removed)
+    patched, cost, unsatisfied = _patch_oracle(inst, damaged, removed)
+    assert np.array_equal(result.patched_assignment, patched)
+    assert result.patching_cost == cost
+    assert np.array_equal(result.unsatisfied, unsatisfied)
+
+
+def test_patch_matches_co_membership_oracle():
+    rng = np.random.default_rng(71)
+    for _ in range(60):
+        n, k = int(rng.integers(3, 14)), int(rng.integers(1, 7))
+        inst = random_connected_instance(rng, n, k, slack=int(rng.integers(0, 3)))
+        removed = rng.choice(n, size=int(rng.integers(1, n)), replace=False).tolist()
+        damaged = remove_agents(np.asarray(inst.assignment), removed)
+        _assert_matches_oracle(inst, damaged, removed)
+
+
+def test_patch_matches_co_membership_oracle_on_coauthor_large(coauthor_large):
+    a = np.asarray(coauthor_large.assignment)
+    summary = attack_experiment(coauthor_large, a, m=20, n_exp=5, seed=0)
+    assert summary.patching_cost_mean > 0
+    for run in summary.runs:
+        _assert_matches_oracle(coauthor_large, remove_agents(a, run.removed), run.removed)
 
 
 def test_patch_walks_the_rings():

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import make_instance, random_connected_instance
-from hyperteam.errors import DegreeError, DisconnectedError
+from conftest import eig_stationary, make_instance, random_connected_instance
+from hyperteam.errors import ConvergenceError, DegreeError, DisconnectedError
 from hyperteam.spectral import (
     algebraic_connectivity,
     build_matrices,
@@ -98,12 +100,66 @@ def test_stationary_fixed_point():
 
 
 def test_stationary_power_iteration_path():
-    # large single-task instance crosses the dense-solver size limit
+    # large single-task instance takes the linear-solve path above the
+    # dense-eig size limit
     n = 600
     inst = make_instance(np.ones((n, 1), dtype=np.int64))
     P = transition_matrix(build_matrices(inst))
     pi = stationary_distribution(P)
     assert np.allclose(pi, np.full(n, 1 / n), atol=1e-10)
+
+
+def _residual(pi, P):
+    return float(np.abs(pi @ P - pi).sum())
+
+
+def test_stationary_solve_matches_eig_oracle_above_dense_limit():
+    rng = np.random.default_rng(53)
+    inst = random_connected_instance(rng, 530, 12, max_weight=1)
+    P = transition_matrix(build_matrices(inst))
+    pi = stationary_distribution(P)
+    assert np.abs(pi - eig_stationary(P)).max() <= 1e-12
+    assert _residual(pi, P) <= 1e-12
+
+
+def test_stationary_solve_rejects_reducible_chain():
+    # two closed classes: every mixture of their distributions is stationary.
+    # In one of these draws the solve alone returns such a mixture, positive
+    # and with a tiny residual, so only the reducibility check catches it.
+    rng = np.random.default_rng(0)
+    for _ in range(5):
+        blocks = [
+            transition_matrix(build_matrices(random_connected_instance(rng, n, 10)))
+            for n in (260, 280)
+        ]
+        P = np.zeros((540, 540))
+        P[:260, :260], P[260:, 260:] = blocks
+        with pytest.raises(ConvergenceError):
+            stationary_distribution(P)
+
+
+def test_coauthor_large_mu2_matches_eig_oracle(coauthor_large):
+    bundle = spectral_bundle(coauthor_large)
+    assert _residual(bundle.pi, bundle.P) <= 1e-12
+    oracle = spectrum(laplacian(bundle.P, eig_stationary(bundle.P)))[1]
+    assert abs(bundle.eigenvalues[1] - oracle) <= 1e-12 * abs(oracle)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), large=st.booleans())
+def test_stationary_residual_and_relabelling(seed, large):
+    # both sides of the dense-eig size limit
+    rng = np.random.default_rng(seed)
+    if large:
+        n, k = int(rng.integers(513, 560)), int(rng.integers(8, 13))
+    else:
+        n, k = int(rng.integers(2, 40)), int(rng.integers(3, 8))
+    P = transition_matrix(build_matrices(random_connected_instance(rng, n, k)))
+    pi = stationary_distribution(P)
+    assert _residual(pi, P) < 1e-12
+    perm = rng.permutation(n)
+    relabelled = stationary_distribution(P[np.ix_(perm, perm)])
+    assert np.abs(relabelled - pi[perm]).max() <= 1e-12
 
 
 def test_stationary_rejects_non_square():
