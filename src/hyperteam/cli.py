@@ -179,7 +179,6 @@ def _run_attack(params: dict, out_dir: Path, to_stdout: bool) -> list[str]:
         n_exp=params["n_exp"],
         seed=params["seed"],
         strategy=params["strategy"],
-        jobs=params["jobs"],
     )
     rows = []
     for i, run in enumerate(summary.runs):
@@ -228,7 +227,6 @@ def _run_experiment(params: dict, out_dir: Path, to_stdout: bool) -> list[str]:
             params["reps"],
             params["seed"],
             coupled=params["coupled"],
-            jobs=params["jobs"],
         )
         _emit(
             out_dir,
@@ -387,7 +385,6 @@ def _cmd_attack(args) -> int:
         "n_exp": args.n_exp,
         "seed": args.seed,
         "strategy": args.strategy,
-        "jobs": args.jobs,
     }
     return _execute("attack", params, Path(args.out), args.stdout)
 
@@ -408,7 +405,6 @@ def _cmd_experiment(args) -> int:
             "reps": args.reps,
             "seed": args.seed,
             "coupled": not args.fixed_communities,
-            "jobs": args.jobs,
         }
     elif args.kind == "budget-sweep":
         params = {
@@ -510,7 +506,6 @@ def _parser() -> argparse.ArgumentParser:
     attack.add_argument("--n-exp", type=int, default=10, help="number of runs")
     attack.add_argument("--strategy", choices=("random", "degree"), default="random")
     attack.add_argument("--seed", type=int, default=0)
-    attack.add_argument("--jobs", type=int, default=1)
     attack.set_defaults(func=_cmd_attack)
 
     experiment = sub.add_parser("experiment", help="structural studies")
@@ -528,7 +523,6 @@ def _parser() -> argparse.ArgumentParser:
     scaling.add_argument("--sizes", nargs="+", type=int, default=[2, 3, 4, 5, 6, 7, 8])
     scaling.add_argument("--reps", type=int, default=30)
     scaling.add_argument("--seed", type=int, default=0)
-    scaling.add_argument("--jobs", type=int, default=1)
     scaling.add_argument(
         "--fixed-communities",
         action="store_true",

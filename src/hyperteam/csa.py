@@ -41,6 +41,7 @@ __all__ = [
 ]
 
 _SWAP_RETRIES = 16
+_SAMPLE_RETRIES = 1000
 
 
 @dataclass
@@ -327,9 +328,7 @@ def anneal(
     )
 
 
-def random_feasible_assignment(
-    inst: ProblemInstance, rng: np.random.Generator, max_tries: int = 1000
-) -> np.ndarray:
+def random_feasible_assignment(inst: ProblemInstance, rng: np.random.Generator) -> np.ndarray:
     """Random assignment meeting every task's energy within every budget.
 
     Budget units are dealt as shuffled tokens to tasks in order of need;
@@ -339,7 +338,7 @@ def random_feasible_assignment(
         raise InfeasibleError("total budget cannot cover total energy")
     tokens = np.repeat(np.arange(inst.n_agents), inst.budgets)
     need = inst.energies
-    for _ in range(max_tries):
+    for _ in range(_SAMPLE_RETRIES):
         rng.shuffle(tokens)
         assignment = np.zeros((inst.n_agents, inst.n_tasks), dtype=np.int64)
         pos = 0

@@ -20,7 +20,6 @@ schemes are supported:
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import combinations, permutations
 
@@ -379,7 +378,6 @@ def scaling_experiment(
     seed: int = 0,
     *,
     coupled: bool = True,
-    jobs: int = 1,
 ) -> tuple[list[ScalingFit], list[tuple[str, int, int, float]]]:
     """Finite-size scaling of connectivity under each rewiring scheme.
 
@@ -396,15 +394,7 @@ def scaling_experiment(
         for size in sizes
         for rep in range(reps)
     ]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            values = list(
-                pool.map(
-                    lambda t: _one_scaling_rep(t[0], t[1], t[2], seed, coupled), tasks
-                )
-            )
-    else:
-        values = [_one_scaling_rep(s, n, r, seed, coupled) for s, n, r in tasks]
+    values = [_one_scaling_rep(s, n, r, seed, coupled) for s, n, r in tasks]
     samples = [(s, n, r, v) for (s, n, r), v in zip(tasks, values)]
 
     fits = []

@@ -97,7 +97,12 @@ def centralized_init(inst: ProblemInstance) -> np.ndarray:
     return assignment
 
 
-def _mu2(inst: ProblemInstance, assignment: np.ndarray) -> float:
+def _mu2(inst: ProblemInstance, assignment: np.ndarray, check: bool = True) -> float:
+    """mu2 of the active part; 0 when ``check`` finds that part disconnected."""
+    if check:
+        x = assignment > 0
+        if bipartite_components(x[x.any(axis=1)][:, x.any(axis=0)])[0] > 1:
+            return 0.0
     return spectral.mu2_of_assignment(inst.energies, assignment)
 
 
@@ -112,7 +117,8 @@ def phase1(
     One packet lands per round. Every agent with remaining budget offers
     ``min(remaining, shortfall, packet_size)`` units to every still-short
     task; the offer with the highest mu2 gain per unit wins, ties going to
-    the lowest agent index and then the lowest task index. When more agents
+    the lowest agent index and then the lowest task index. A state whose
+    active part is disconnected scores mu2 = 0, to roundoff. When more agents
     have budget than ``random_threshold``, the agent is drawn uniformly at
     random and only that agent's offers are scored.
     """
@@ -134,12 +140,16 @@ def phase1(
         if available.size > params.random_threshold:
             available = available[[rng.integers(available.size)]]
         base = _mu2(inst, b)
+        # one more unit can split a connected base only into it plus a lone
+        # idle agent on an empty task, which scores 0 to roundoff; a base of 0
+        # (split, or under two active agents) gets every candidate checked
+        check = base == 0.0
         best_gain, agent, task, units = -math.inf, -1, -1, 0
         for j in available.tolist():
             for k in open_tasks.tolist():
                 e_units = int(min(remaining[j], shortfall[k], params.packet_size))
                 b[j, k] += e_units
-                gain = (_mu2(inst, b) - base) / e_units
+                gain = (_mu2(inst, b, check) - base) / e_units
                 b[j, k] -= e_units
                 if gain > best_gain:
                     best_gain, agent, task, units = gain, j, k, e_units
@@ -190,12 +200,13 @@ def phase2(
         if not exhaustive:
             available = available[[rng.integers(available.size)]]
         base = _mu2(inst, b)
+        check = base == 0.0  # as in phase 1
         best_gain, agent, task, units = -math.inf, -1, -1, 0
         for j in available.tolist():
             e_units = int(min(remaining[j], params.packet_size))
             for k in range(inst.n_tasks):
                 b[j, k] += e_units
-                gain = (_mu2(inst, b) - base) / e_units
+                gain = (_mu2(inst, b, check) - base) / e_units
                 b[j, k] -= e_units
                 if gain > best_gain:
                     best_gain, agent, task, units = gain, j, k, e_units

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -98,19 +97,6 @@ class ProblemInstance:
     @property
     def n_tasks(self) -> int:
         return len(self.task_ids)
-
-    @cached_property
-    def agent_index(self) -> dict[str, int]:
-        return {a: i for i, a in enumerate(self.agent_ids)}
-
-    @cached_property
-    def task_index(self) -> dict[str, int]:
-        return {t: k for k, t in enumerate(self.task_ids)}
-
-    @cached_property
-    def zero_budget_agents(self) -> tuple[int, ...]:
-        """Indices of agents flagged as unusable by the optimizers."""
-        return tuple(int(i) for i in np.flatnonzero(self.budgets == 0))
 
     def incidence(self) -> np.ndarray:
         """Boolean membership matrix (positive assignment entries)."""
@@ -235,7 +221,10 @@ def co_membership_graph(inst_or_assignment) -> np.ndarray:
         x = inst_or_assignment.incidence()
     else:
         x = np.asarray(inst_or_assignment) > 0
-    adj = x @ x.T
+    # a bool matmul skips BLAS; a sum of 0/1 products is positive exactly
+    # when one product is, so the float32 product thresholds exactly
+    x = x.astype(np.float32)
+    adj = (x @ x.T) > 0
     np.fill_diagonal(adj, False)
     return adj
 

@@ -10,9 +10,8 @@ component, so deficits can remain; those are reported as unsatisfied energy.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -67,23 +66,15 @@ def remove_agents(assignment: np.ndarray, removed: Sequence[int]) -> np.ndarray:
     return out
 
 
-def patch(
-    inst: ProblemInstance,
-    damaged: np.ndarray,
-    removed: Sequence[int],
-    *,
-    unit_cost: Callable[[int], float] | None = None,
-) -> AttackResult:
+def patch(inst: ProblemInstance, damaged: np.ndarray, removed: Sequence[int]) -> AttackResult:
     """Repair task shortfalls with surviving spare budget, nearest ring first.
 
     Rings are breadth-first layers of the co-membership graph of the damaged
     (post-removal, pre-patch) assignment, seeded by the surviving members of
     the short task and stepped on the damaged incidence, fixed while spare
     budgets are consumed. Tasks are treated in descending-shortfall order,
-    ties by index. ``unit_cost`` maps ring index to the cost of one recruited
-    unit and defaults to ring + 1.
+    ties by index. One unit recruited at ring r costs r + 1.
     """
-    cost_of = unit_cost or (lambda ring: float(ring + 1))
     removed = tuple(int(r) for r in removed)
     removed_mask = np.zeros(inst.n_agents, dtype=bool)
     removed_mask[list(removed)] = True
@@ -115,7 +106,7 @@ def patch(
                     continue
                 spare[agent] -= take
                 patched[agent, k] += take
-                total_cost += take * cost_of(ring)
+                total_cost += take * (ring + 1)
                 need -= take
                 if need == 0:
                     break
@@ -163,7 +154,6 @@ def attack_experiment(
     seed: int = 0,
     *,
     strategy: str = "random",
-    jobs: int = 1,
 ) -> ExperimentSummary:
     """Repeat remove-then-patch ``n_exp`` times and summarize cost and deficit.
 
@@ -176,16 +166,7 @@ def attack_experiment(
         raise ValueError("n_exp must be >= 1")
     if strategy not in ("random", "degree"):
         raise ValueError("strategy must be 'random' or 'degree'")
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            runs = list(
-                pool.map(
-                    lambda r: _one_attack(inst, assignment, m, seed, r, strategy),
-                    range(n_exp),
-                )
-            )
-    else:
-        runs = [_one_attack(inst, assignment, m, seed, r, strategy) for r in range(n_exp)]
+    runs = [_one_attack(inst, assignment, m, seed, r, strategy) for r in range(n_exp)]
     costs = np.array([r.patching_cost for r in runs])
     deficits = np.array([float(r.unsatisfied_sum) for r in runs])
 

@@ -248,7 +248,10 @@ def mu2_of_assignment(energies: np.ndarray, assignment: np.ndarray) -> float:
     Rows and columns without positive entries are dropped, so partial
     assignments evaluate on their active sub-hypergraph. A sub-hypergraph
     with fewer than two active agents has no mixing to measure and scores 0.
-    The caller is responsible for connectivity of the active part.
+    The caller checks that the active part is connected. A disconnected one
+    has a reducible chain: up to N=512 the result is then roundoff around 0
+    or a ``ConvergenceError``, depending on the eigenvector ``eig`` returns
+    for the repeated eigenvalue 1, and above N=512 the solve raises.
     """
     assignment = np.asarray(assignment)
     rows = np.flatnonzero(assignment.sum(axis=1) > 0)

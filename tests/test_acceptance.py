@@ -262,7 +262,7 @@ def test_04_enumeration_extremes_and_diffusion_order():
 
 
 def test_05_rewiring_schemes_order_by_decay_exponent():
-    fits, _ = scaling_experiment(SCHEMES, (2, 3, 4, 5, 6, 7, 8), reps=30, seed=0, jobs=4)
+    fits, _ = scaling_experiment(SCHEMES, (2, 3, 4, 5, 6, 7, 8), reps=30, seed=0)
     by_scheme = {f.scheme: f for f in fits}
     assert all(f.exponent > 0 for f in fits)
     assert by_scheme["head2tail"].exponent > by_scheme["random"].exponent

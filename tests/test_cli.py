@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import make_instance, random_connected_instance, subprocess_env
+from conftest import make_instance, random_connected_instance, subprocess_env, toy_path
 from hyperteam.instance import load_instance, save_instance
 
 
@@ -204,6 +205,56 @@ def test_attack_rejects_bad_m(workdir, tmp_path):
     )
     assert proc.returncode == 2
     assert "between 1 and" in proc.stderr
+
+
+def test_attack_rejects_the_removed_jobs_flag(workdir, tmp_path):
+    proc = run_cli(
+        "attack", "--input", str(workdir / "small.json"), "--jobs", "2", "--out", str(tmp_path)
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("usage: hyperteam")
+    assert "unrecognized arguments: --jobs 2" in proc.stderr
+
+
+# `attack -m 20 --seed 0` on coauthor_large, recorded from the serial path
+# (`--jobs 1`) before the thread pool was deleted: the sha256 of
+# attack_runs.csv, and attack_summary.csv verbatim
+LARGE_ATTACK_RUNS_SHA256 = "284ae10b7220434769165a01defe76e13d8605bd7da75ff8f9072ed5e30e534f"
+LARGE_ATTACK_SUMMARY = (
+    "metric,mean,stderr,n_exp\n"
+    "patching_cost,269.7,0.6333333333333332,10\n"
+    "unsatisfied_sum,0.0,0.0,10\n"
+)
+
+
+def test_attack_on_coauthor_large_matches_recorded_outputs(tmp_path):
+    proc = run_cli(
+        "attack", "--input", toy_path("coauthor_large"), "-m", "20", "--seed", "0",
+        "--out", str(tmp_path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    runs = (tmp_path / "attack_runs.csv").read_bytes()
+    assert hashlib.sha256(runs).hexdigest() == LARGE_ATTACK_RUNS_SHA256
+    assert (tmp_path / "attack_summary.csv").read_text() == LARGE_ATTACK_SUMMARY
+
+
+def test_rerun_replays_a_manifest_that_records_jobs(workdir, tmp_path):
+    first = tmp_path / "first"
+    proc = run_cli(
+        "attack", "--input", str(workdir / "small.json"), "-m", "2", "--out", str(first)
+    )
+    assert proc.returncode == 0, proc.stderr
+    # manifests written while attack had --jobs carry it in their params
+    manifest = json.loads((first / "manifest.json").read_text())
+    assert "jobs" not in manifest["params"]
+    manifest["params"]["jobs"] = 2
+    (first / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+
+    again = tmp_path / "again"
+    proc = run_cli("rerun", str(first / "manifest.json"), "--out", str(again))
+    assert proc.returncode == 0, proc.stderr
+    for name in ("attack_runs.csv", "attack_summary.csv"):
+        assert (again / name).read_bytes() == (first / name).read_bytes()
 
 
 def test_experiment_enumerate(tmp_path):

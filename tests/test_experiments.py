@@ -182,9 +182,6 @@ def test_scaling_experiment_smoke():
     assert math.isfinite(fit.exponent)
     assert len(fit.mean_mu2) == 3
 
-    _, parallel = scaling_experiment(("random",), (2, 3, 4), reps=2, seed=0, jobs=2)
-    assert samples == parallel
-
 
 def test_scaling_experiment_fixed_layout():
     fits, samples = scaling_experiment(

@@ -150,6 +150,52 @@ def test_phase1_tops_up_over_provisioned_seeds():
     assert filled.sum(axis=0)[1] == 3
 
 
+def _split_seed(rng):
+    """Two random teams side by side with their agent rows shuffled together.
+
+    The chain of such a seed is reducible; dense ``eig`` may return a mixed-
+    sign eigenvector at the repeated eigenvalue 1, so scoring it unguarded
+    can raise instead of giving 0.
+    """
+    blocks = [
+        np.asarray(random_connected_instance(rng, int(rng.integers(2, 6)), 2).assignment)
+        for _ in range(2)
+    ]
+    seed = np.zeros(np.add(blocks[0].shape, blocks[1].shape), dtype=np.int64)
+    seed[: len(blocks[0]), : blocks[0].shape[1]] = blocks[0]
+    seed[len(blocks[0]) :, blocks[0].shape[1] :] = blocks[1]
+    return seed[rng.permutation(len(seed))]
+
+
+def _connected(assignment):
+    x = assignment > 0
+    return bipartite_components(x[x.any(axis=1)][:, x.any(axis=0)])[0] == 1
+
+
+def test_disconnected_candidates_score_zero():
+    # a split state scores 0, so the first bridging unit is a strict gain
+    rng = np.random.default_rng(12)
+    for _ in range(40):
+        seed = _split_seed(rng)
+        budgets = seed.sum(axis=1) + rng.integers(1, 3, size=len(seed))
+        # one extra, empty task: its first unit cannot bridge, its second can
+        inst = ProblemInstance(
+            agent_ids=tuple(f"a{i}" for i in range(len(seed))),
+            budgets=budgets,
+            task_ids=tuple(f"t{k}" for k in range(seed.shape[1] + 1)),
+            energies=np.append(seed.sum(axis=0), 2),
+            assignment=np.zeros((len(seed), seed.shape[1] + 1), dtype=np.int64),
+        )
+        padded = np.pad(seed, ((0, 0), (0, 1)))
+        filled = phase1(inst, padded)
+        assert filled[:, -1].sum() == 2
+        assert _connected(filled)
+        assert _connected(phase2(inst, padded))
+        # the first team alone, its idle agents offered to empty tasks
+        lone = np.where(padded[:, 2:4].any(axis=1, keepdims=True), 0, padded)
+        assert np.array_equal(phase1(inst, lone).sum(axis=0), inst.energies)
+
+
 def test_phase1_stalls_without_budget():
     inst = _budgeted([1, 1], [3, 3])
     with pytest.raises(StallError):

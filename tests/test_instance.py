@@ -260,6 +260,25 @@ def test_co_membership_shapes():
     assert np.array_equal(g, g.T)
 
 
+def _bool_co_membership(x: np.ndarray) -> np.ndarray:
+    """Oracle: the bool matrix product, which numpy runs without BLAS."""
+    adj = x @ x.T
+    np.fill_diagonal(adj, False)
+    return adj
+
+
+def test_co_membership_matches_bool_matmul_oracle(coauthor_large):
+    rng = np.random.default_rng(3)
+    for _ in range(60):
+        n, k = rng.integers(1, 40, size=2)
+        a = rng.integers(0, 3, size=(n, k)) * (rng.random((n, k)) < rng.random())
+        g = co_membership_graph(a)
+        assert g.dtype == bool
+        assert np.array_equal(g, _bool_co_membership(a > 0))
+    g = co_membership_graph(coauthor_large)
+    assert np.array_equal(g, _bool_co_membership(coauthor_large.incidence()))
+
+
 def test_summary_stats_one_task():
     rec = summary_stats(make_instance([[1], [1]]))
     assert rec.tasks_per_agent == 1.0

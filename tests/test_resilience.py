@@ -113,13 +113,6 @@ def test_patch_walks_the_rings():
     assert np.array_equal(result.patched_assignment, expected)
 
 
-def test_patch_unit_cost_override():
-    inst = _chain_instance()
-    damaged = remove_agents(np.asarray(inst.assignment), [3])
-    result = patch(inst, damaged, [3], unit_cost=lambda ring: 1.0)
-    assert result.patching_cost == 2.0
-
-
 def test_patch_ring_zero_costs_one():
     inst = make_instance([[1, 0], [1, 1]], budgets=[1, 3], energies=[2, 1])
     damaged = remove_agents(np.asarray(inst.assignment), [0])
@@ -217,10 +210,6 @@ def test_attack_experiment_is_reproducible():
     assert [r.removed for r in s1.runs] == [r.removed for r in s2.runs]
     assert s1.patching_cost_mean == s2.patching_cost_mean
     assert s1.unsatisfied_mean == s2.unsatisfied_mean
-
-    parallel = attack_experiment(inst, a, m=3, n_exp=8, seed=42, jobs=4)
-    assert [r.removed for r in parallel.runs] == [r.removed for r in s1.runs]
-    assert parallel.patching_cost_mean == s1.patching_cost_mean
 
 
 def test_attack_experiment_summary_arithmetic():
