@@ -68,6 +68,7 @@ from .instance import (
     load_instance,
     parse_edge_list,
     parse_instance_json,
+    reaches_all,
     save_instance,
     summary_stats,
     validate,
@@ -88,6 +89,7 @@ from .spectral import (
     build_matrices,
     diffuse,
     laplacian,
+    mu2_batch,
     mu2_of_assignment,
     spectral_bundle,
     spectrum,
@@ -114,6 +116,7 @@ __all__ = [
     "validate",
     "is_connected",
     "bipartite_components",
+    "reaches_all",
     "co_membership_graph",
     "summary_stats",
     "parse_instance_json",
@@ -132,6 +135,7 @@ __all__ = [
     "diffuse",
     "spectral_bundle",
     "mu2_of_assignment",
+    "mu2_batch",
     # bipartite
     "BipartiteBundle",
     "bipartite_adjacency",

@@ -19,6 +19,7 @@ once the chain starts from a full-budget state.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -152,8 +153,16 @@ def _candidate_connected(assignment: np.ndarray, active: np.ndarray) -> bool:
     return count == 1
 
 
+def _objective(params: CsaParams) -> Callable[[np.ndarray, np.ndarray], float]:
+    """The ``mu2_of_assignment`` of the walk ``params.objective`` names."""
+    return (bipartite if params.objective == "bipartite" else spectral).mu2_of_assignment
+
+
 def _evaluate_full(
-    assignment: np.ndarray, inst: ProblemInstance, params: CsaParams
+    assignment: np.ndarray,
+    inst: ProblemInstance,
+    params: CsaParams,
+    mu2_of: Callable[[np.ndarray, np.ndarray], float],
 ) -> tuple[float, float, np.ndarray]:
     """(penalty, mu2, task shortfall vector). Disconnected candidates get -inf."""
     e_tilde = inst.energies - assignment.sum(axis=0)
@@ -161,8 +170,7 @@ def _evaluate_full(
     if not _candidate_connected(assignment, active):
         return -math.inf, math.nan, e_tilde
     sub = assignment[active]
-    objective = bipartite if params.objective == "bipartite" else spectral
-    mu2 = objective.mu2_of_assignment(inst.energies, sub)
+    mu2 = mu2_of(inst.energies, sub)
     overrun = np.maximum(assignment.sum(axis=1) - inst.budgets, 0)
     penalty = (
         mu2
@@ -179,7 +187,8 @@ def evaluate(
     assignment: np.ndarray, inst: ProblemInstance, params: CsaParams
 ) -> tuple[float, np.ndarray]:
     """Penalty value and per-task shortfall vector for a candidate."""
-    penalty, _, e_tilde = _evaluate_full(np.asarray(assignment), inst, params)
+    assignment = np.asarray(assignment)
+    penalty, _, e_tilde = _evaluate_full(assignment, inst, params, _objective(params))
     return penalty, e_tilde
 
 
@@ -263,7 +272,8 @@ def anneal(
         if inst.budgets.sum() < inst.energies.sum():
             raise InfeasibleError("total budget cannot cover total energy")
 
-    penalty, mu2, e_tilde = _evaluate_full(current, inst, params)
+    mu2_of = _objective(params)
+    penalty, mu2, e_tilde = _evaluate_full(current, inst, params, mu2_of)
     overrun_free = bool(np.all(current.sum(axis=1) <= inst.budgets))
     feasible = overrun_free and bool(np.all(e_tilde <= 0)) and math.isfinite(penalty)
 
@@ -281,7 +291,7 @@ def anneal(
     t = 0
     while temperature > params.t_threshold and t < params.max_iters:
         candidate, e_candidate = perturb(current, e_tilde, params, rng_chain)
-        cand_penalty, cand_mu2, cand_e = _evaluate_full(candidate, inst, params)
+        cand_penalty, cand_mu2, cand_e = _evaluate_full(candidate, inst, params, mu2_of)
         if __debug__ and t % 1000 == 0:
             assert np.array_equal(e_candidate, cand_e), "incremental shortfall drifted"
         if math.isinf(cand_penalty) and cand_penalty < 0:

@@ -21,15 +21,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import combinations, permutations
+from itertools import combinations, islice, permutations
 
 import numpy as np
 
 from .errors import ConvergenceError
 from .greedy import GreedyParams, greedy_optimize
-from .instance import ProblemInstance, bipartite_components
+from .instance import ProblemInstance, bipartite_components, reaches_all
 from .seeds import substream
-from .spectral import diffuse, mu2_of_assignment, spectral_bundle
+from .spectral import BATCH_ENTRIES, diffuse, mu2_batch, spectral_bundle
 
 __all__ = [
     "SCHEMES",
@@ -56,6 +56,7 @@ SCHEMES = ("one_node", "one_edge", "head2tail", "random")
 _SWAP_RETRIES = 64
 _REWIRE_RETRIES = 1000
 _ENUMERATION_GUARD = 10**6
+_SAMPLE_TRIES = 200
 
 
 @dataclass(frozen=True)
@@ -146,16 +147,22 @@ def enumerate_small(
             f"{n_candidates} candidate edge sets exceeds the enumeration guard "
             f"({_ENUMERATION_GUARD}); reduce n_nodes or n_edges"
         )
+    members = np.zeros((len(subsets), n_nodes), dtype=np.int8)
+    for s, subset in enumerate(subsets):
+        members[s, list(subset)] = 1
+    combos = combinations(range(len(subsets)), n_edges)
+    size = max(1, BATCH_ENTRIES // max(1, n_nodes * n_edges))
     results: list[SmallHypergraph] = []
-    for edges in combinations(subsets, n_edges):
-        incidence = np.zeros((n_nodes, n_edges), dtype=np.int64)
-        for k, edge in enumerate(edges):
-            incidence[list(edge), k] = 1
-        count, _, _ = bipartite_components(incidence > 0)
-        if count != 1:
-            continue
-        mu2 = mu2_of_assignment(incidence.sum(axis=0), incidence)
-        results.append(SmallHypergraph(edges=edges, mu2=mu2))
+    while chunk := list(islice(combos, size)):
+        picks = np.array(chunk, dtype=np.intp).reshape(len(chunk), n_edges)
+        stack = np.swapaxes(members[picks], 1, 2)  # (candidate, node, edge)
+        connected = reaches_all(stack > 0)
+        picks, stack = picks[connected], stack[connected]
+        mu2 = mu2_batch(stack.sum(axis=1), stack)
+        results += [
+            SmallHypergraph(edges=tuple(subsets[s] for s in pick), mu2=float(m))
+            for pick, m in zip(picks.tolist(), mu2)
+        ]
     results.sort(key=lambda h: (-h.mu2, h.edges))
     if dedup:
         seen: set[tuple[tuple[int, ...], ...]] = set()
@@ -449,7 +456,6 @@ def _sample_subinstance(
     inst: ProblemInstance,
     n_tasks: int,
     rng: np.random.Generator,
-    max_tries: int,
 ) -> ProblemInstance:
     """Induced sub-instance whose agent count is close to 4x its task count.
 
@@ -458,7 +464,7 @@ def _sample_subinstance(
     least two tasks and an agent count within 10% of four agents per task.
     """
     full = np.asarray(inst.assignment)
-    for _ in range(max_tries):
+    for _ in range(_SAMPLE_TRIES):
         chosen = np.sort(rng.choice(inst.n_tasks, size=n_tasks, replace=False))
         sub = full[:, chosen]
         agents = np.flatnonzero(sub.any(axis=1))
@@ -483,7 +489,7 @@ def _sample_subinstance(
         )
     raise ConvergenceError(
         f"no acceptable connected sub-hypergraph with {n_tasks} tasks "
-        f"found in {max_tries} tries"
+        f"found in {_SAMPLE_TRIES} tries"
     )
 
 
@@ -495,7 +501,6 @@ def budget_sweep(
     seed: int = 0,
     *,
     greedy_params: GreedyParams | None = None,
-    max_tries: int = 200,
 ) -> BudgetSweepResult:
     """Optimize budget-relaxed sub-hypergraphs and track connectivity.
 
@@ -511,7 +516,7 @@ def budget_sweep(
     for size in sub_sizes:
         for rep in range(reps):
             rng = substream(seed, "sweep", size, rep)
-            sample = _sample_subinstance(inst, size, rng, max_tries)
+            sample = _sample_subinstance(inst, size, rng)
             gseed = int(rng.integers(2**63))
             for beta in multipliers:
                 relaxed = ProblemInstance(

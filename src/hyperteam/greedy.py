@@ -24,7 +24,7 @@ import numpy as np
 from . import spectral
 from .csa import OptimizationResult, TraceRow
 from .errors import InfeasibleError, StallError
-from .instance import ProblemInstance, bipartite_components, validate
+from .instance import ProblemInstance, bipartite_components, reaches_all, validate
 from .seeds import substream
 
 __all__ = [
@@ -97,13 +97,79 @@ def centralized_init(inst: ProblemInstance) -> np.ndarray:
     return assignment
 
 
-def _mu2(inst: ProblemInstance, assignment: np.ndarray, check: bool = True) -> float:
-    """mu2 of the active part; 0 when ``check`` finds that part disconnected."""
-    if check:
-        x = assignment > 0
-        if bipartite_components(x[x.any(axis=1)][:, x.any(axis=0)])[0] > 1:
-            return 0.0
+def _mu2(inst: ProblemInstance, assignment: np.ndarray) -> float:
+    """mu2 of the active part; 0 when that part is disconnected."""
+    x = assignment > 0
+    if not reaches_all(x[x.any(axis=1)][:, x.any(axis=0)]):
+        return 0.0
     return spectral.mu2_of_assignment(inst.energies, assignment)
+
+
+def _offer_stack(
+    b: np.ndarray,
+    rows_on: np.ndarray,
+    cols_on: np.ndarray,
+    agents: np.ndarray,
+    tasks: np.ndarray,
+    units: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Active parts of ``b`` after each offer, for offers of one active shape.
+
+    Rows and columns keep their index order, as ``mu2_of_assignment`` cuts
+    them. Returns the (C, n, k) stack and each part's task columns.
+    """
+    rows = np.broadcast_to(np.flatnonzero(rows_on), (len(agents), int(rows_on.sum())))
+    cols = np.broadcast_to(np.flatnonzero(cols_on), (len(tasks), int(cols_on.sum())))
+    if not rows_on[agents[0]]:
+        rows = np.sort(np.column_stack([rows, agents]), axis=1)
+    if not cols_on[tasks[0]]:
+        cols = np.sort(np.column_stack([cols, tasks]), axis=1)
+    stack = b[rows[:, :, np.newaxis], cols[:, np.newaxis, :]]
+    at_agent = (rows < agents[:, np.newaxis]).sum(axis=1)
+    at_task = (cols < tasks[:, np.newaxis]).sum(axis=1)
+    stack[np.arange(len(agents)), at_agent, at_task] += units
+    return stack, cols
+
+
+def _best_offer(
+    inst: ProblemInstance,
+    b: np.ndarray,
+    agents: np.ndarray,
+    tasks: np.ndarray,
+    units: np.ndarray,
+) -> tuple[float, float, int, int, int]:
+    """(base mu2, gain, agent, task, units) of the best offer on ``b``.
+
+    Offer i puts ``units[i]`` more on (agents[i], tasks[i]). The gain is the
+    mu2 change per unit; offers come in (agent, task) order and the first
+    maximum wins. A candidate's active part is the base's plus the offer's
+    agent and task, so offers fall into at most four active shapes: waking
+    an idle agent or not, filling an empty task or not. Each shape is
+    stacked and scored with ``mu2_batch`` in slices of at most
+    ``spectral.BATCH_ENTRIES`` entries.
+    """
+    base = _mu2(inst, b)
+    # one more unit can split a connected base only into it plus a lone idle
+    # agent on an empty task, which scores 0 to roundoff; a base of 0 (split,
+    # or under two active agents) gets every candidate checked, a split one
+    # scoring 0
+    check = base == 0.0
+    rows_on, cols_on = b.sum(axis=1) > 0, b.sum(axis=0) > 0
+    shape = 2 * rows_on[agents] + cols_on[tasks]
+    size = max(1, spectral.BATCH_ENTRIES // int((rows_on.sum() + 1) * (cols_on.sum() + 1)))
+    mu2 = np.zeros(len(agents))
+    for key in np.unique(shape):
+        group = np.flatnonzero(shape == key)
+        for lo in range(0, group.size, size):
+            sel = group[lo : lo + size]
+            stack, cols = _offer_stack(b, rows_on, cols_on, agents[sel], tasks[sel], units[sel])
+            if check:
+                keep = reaches_all(stack > 0)
+                sel, cols, stack = sel[keep], cols[keep], stack[keep]
+            mu2[sel] = spectral.mu2_batch(inst.energies[cols], stack)
+    gains = (mu2 - base) / units
+    i = int(np.argmax(gains))
+    return base, float(gains[i]), int(agents[i]), int(tasks[i]), int(units[i])
 
 
 def phase1(
@@ -139,22 +205,10 @@ def phase1(
             )
         if available.size > params.random_threshold:
             available = available[[rng.integers(available.size)]]
-        base = _mu2(inst, b)
-        # one more unit can split a connected base only into it plus a lone
-        # idle agent on an empty task, which scores 0 to roundoff; a base of 0
-        # (split, or under two active agents) gets every candidate checked
-        check = base == 0.0
-        best_gain, agent, task, units = -math.inf, -1, -1, 0
-        for j in available.tolist():
-            for k in open_tasks.tolist():
-                e_units = int(min(remaining[j], shortfall[k], params.packet_size))
-                b[j, k] += e_units
-                gain = (_mu2(inst, b, check) - base) / e_units
-                b[j, k] -= e_units
-                if gain > best_gain:
-                    best_gain, agent, task, units = gain, j, k, e_units
-        if agent < 0:
-            raise StallError("no admissible increment found")
+        agents = np.repeat(available, open_tasks.size)
+        tasks = np.tile(open_tasks, available.size)
+        offered = np.minimum(np.minimum(remaining[agents], shortfall[tasks]), params.packet_size)
+        base, best_gain, agent, task, units = _best_offer(inst, b, agents, tasks, offered)
         b[agent, task] += units
         remaining[agent] -= units
         shortfall[task] -= units
@@ -199,17 +253,10 @@ def phase2(
         exhaustive = available.size <= params.random_threshold
         if not exhaustive:
             available = available[[rng.integers(available.size)]]
-        base = _mu2(inst, b)
-        check = base == 0.0  # as in phase 1
-        best_gain, agent, task, units = -math.inf, -1, -1, 0
-        for j in available.tolist():
-            e_units = int(min(remaining[j], params.packet_size))
-            for k in range(inst.n_tasks):
-                b[j, k] += e_units
-                gain = (_mu2(inst, b, check) - base) / e_units
-                b[j, k] -= e_units
-                if gain > best_gain:
-                    best_gain, agent, task, units = gain, j, k, e_units
+        agents = np.repeat(available, inst.n_tasks)
+        tasks = np.tile(np.arange(inst.n_tasks), available.size)
+        offered = np.minimum(remaining[agents], params.packet_size)
+        base, best_gain, agent, task, units = _best_offer(inst, b, agents, tasks, offered)
         accept = best_gain >= 0
         if not accept:
             if not params.stochastic_accept:

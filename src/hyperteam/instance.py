@@ -28,6 +28,7 @@ __all__ = [
     "validate",
     "is_connected",
     "bipartite_components",
+    "reaches_all",
     "summary_stats",
     "co_membership_graph",
 ]
@@ -207,6 +208,24 @@ def bipartite_components(incidence: np.ndarray) -> tuple[int, np.ndarray, np.nda
             task_label[kk] = comp
             comp += 1
     return comp, agent_label, task_label
+
+
+def reaches_all(incidence: np.ndarray) -> np.ndarray:
+    """Whether agent 0 reaches every agent and every task, per incidence.
+
+    Takes one (N, K) incidence or a stack (..., N, K) of them, N >= 1, and
+    returns a bool per incidence: the same answer as
+    ``bipartite_components(x)[0] == 1``, without labelling the components.
+    """
+    x = np.asarray(incidence, dtype=bool)
+    agents = np.zeros(x.shape[:-1], dtype=bool)
+    agents[..., :1] = True
+    while True:
+        tasks = (x & agents[..., :, np.newaxis]).any(axis=-2)
+        grown = agents | (x & tasks[..., np.newaxis, :]).any(axis=-1)
+        if np.array_equal(grown, agents):
+            return agents.all(axis=-1) & tasks.all(axis=-1)
+        agents = grown
 
 
 def is_connected(inst: ProblemInstance) -> bool:

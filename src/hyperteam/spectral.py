@@ -15,6 +15,11 @@ stationary distribution pi:
 ``L`` is symmetric positive semidefinite with the all-ones vector in its
 kernel; the second-smallest eigenvalue is the algebraic connectivity that the
 optimizers maximize.
+
+The public per-matrix functions (``edvw_matrices``, ``transition_matrix``,
+``stationary_distribution``, ``laplacian``, ``spectrum``, ...) take 2-D input
+only. ``mu2_batch`` scores a stack of assignments through stack-aware private
+forms of the same chain, which the per-matrix functions call too.
 """
 
 from __future__ import annotations
@@ -39,11 +44,20 @@ __all__ = [
     "diffuse",
     "spectral_bundle",
     "mu2_of_assignment",
+    "mu2_batch",
 ]
 
 # Above this size the stationary solver switches from a dense
 # eigendecomposition to a linear solve.
 _DENSE_LIMIT = 512
+
+# Entries per array of one batch (128 KiB of float64), which bounds the
+# working set of a candidate scan. mu2_batch scores a stack in chunks whose
+# largest array per assignment (N x N, or N x K when K > N) holds at most
+# this many entries: 455 six-node candidates or 6 of coauthor_small's size
+# per chunk, and one matrix at a time from N = 128 on. Callers that build
+# candidate stacks build them in pieces of this size.
+BATCH_ENTRIES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -62,13 +76,21 @@ class EDVWMatrices:
     d_e: np.ndarray
 
 
+def _edvw(energies: np.ndarray, assignment: np.ndarray):
+    """(W, R, d_v, d_e) of an assignment or of a stack of them.
+
+    ``energies`` broadcasts against the leading axes: (K,) for all, or one
+    row per assignment.
+    """
+    incidence = assignment > 0
+    W = incidence * energies[..., np.newaxis, :].astype(np.float64)
+    R = assignment.astype(np.float64)
+    return W, R, W.sum(axis=-1), R.sum(axis=-2)
+
+
 def edvw_matrices(energies: np.ndarray, assignment: np.ndarray) -> EDVWMatrices:
     """Weight matrices and degrees of an assignment's hypergraph, unchecked."""
-    incidence = assignment > 0
-    W = incidence * energies[np.newaxis, :].astype(np.float64)
-    R = assignment.astype(np.float64)
-    d_v = W.sum(axis=1)
-    d_e = R.sum(axis=0)
+    W, R, d_v, d_e = _edvw(np.asarray(energies), np.asarray(assignment))
     return EDVWMatrices(W=W, R=R, d_v=d_v, d_e=d_e)
 
 
@@ -84,26 +106,32 @@ def build_matrices(inst: ProblemInstance) -> EDVWMatrices:
     return m
 
 
+def _transition(W, R, d_v, d_e) -> np.ndarray:
+    """P = D_V^-1 W D_E^-1 R^T of one weight system or of a stack of them."""
+    return (W / d_v[..., np.newaxis]) @ np.swapaxes(R / d_e[..., np.newaxis, :], -1, -2)
+
+
 def transition_matrix(m: EDVWMatrices) -> np.ndarray:
     """Row-stochastic vertex transition matrix of the two-hop walk."""
-    return (m.W / m.d_v[:, np.newaxis]) @ (m.R / m.d_e[np.newaxis, :]).T
+    return _transition(m.W, m.R, m.d_v, m.d_e)
 
 
 def _stationary_dense(P: np.ndarray) -> np.ndarray:
-    """Left eigenvector of P for eigenvalue 1, normalized to sum 1."""
-    evals, evecs = np.linalg.eig(P.T)
-    idx = int(np.argmin(np.abs(evals - 1.0)))
-    if abs(evals[idx] - 1.0) > 1e-6:
+    """Left eigenvectors of a (C, n, n) stack at eigenvalue 1, each summing to 1."""
+    evals, evecs = np.linalg.eig(np.swapaxes(P, -1, -2))
+    chains = np.arange(len(P))
+    idx = np.abs(evals - 1.0).argmin(axis=-1)
+    if (np.abs(evals[chains, idx] - 1.0) > 1e-6).any():
         raise ConvergenceError("no eigenvalue close to 1; is the chain stochastic?")
-    pi = np.real(evecs[:, idx])
-    total = pi.sum()
-    if abs(total) < 1e-12:
+    pi = evecs[chains, :, idx].real
+    total = pi.sum(axis=-1, keepdims=True)
+    if (np.abs(total) < 1e-12).any():
         raise ConvergenceError("degenerate stationary eigenvector")
     pi = pi / total
-    if np.min(pi) < -1e-9:
+    if pi.min() < -1e-9:
         raise ConvergenceError("stationary eigenvector has negative mass; chain may be reducible")
     pi = np.clip(pi, 0.0, None)
-    return pi / pi.sum()
+    return pi / pi.sum(axis=-1, keepdims=True)
 
 
 def _irreducible(P: np.ndarray) -> bool:
@@ -118,6 +146,33 @@ def _irreducible(P: np.ndarray) -> bool:
     return True
 
 
+def _stationary(P: np.ndarray) -> np.ndarray:
+    """Stationary distributions of a (C, n, n) stack; raises if any chain fails.
+
+    Up to n = 512 dense ``eig``; beyond, one normalized linear solve per chain.
+    """
+    n = P.shape[-1]
+    if n <= _DENSE_LIMIT:
+        return _stationary_dense(P)
+    # a reducible chain may solve to a plausible mix of its closed classes
+    if not all(_irreducible(p) for p in P):
+        raise ConvergenceError("chain is reducible; no unique stationary distribution")
+    A = np.swapaxes(P, -1, -2) - np.eye(n)
+    A[:, -1, :] = 1.0  # the last balance equation becomes sum(pi) = 1
+    rhs = np.zeros(P.shape[:-1] + (1,))
+    rhs[:, -1] = 1.0
+    try:
+        pi = np.linalg.solve(A, rhs)[..., 0]
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError("singular stationary system") from exc
+    if np.min(pi) < -1e-9:
+        raise ConvergenceError("stationary solution has negative mass")
+    residual = float(np.abs((pi[:, np.newaxis] @ P)[:, 0] - pi).sum(axis=-1).max())
+    if not residual <= 1e-9:
+        raise ConvergenceError(f"stationary residual {residual:.3g} above 1e-9")
+    return pi
+
+
 def stationary_distribution(P: np.ndarray) -> np.ndarray:
     """Stationary distribution of a row-stochastic, irreducible chain.
 
@@ -129,33 +184,22 @@ def stationary_distribution(P: np.ndarray) -> np.ndarray:
     P = np.asarray(P, dtype=np.float64)
     if P.ndim != 2 or P.shape[0] != P.shape[1]:
         raise ValueError("P must be square")
-    n = P.shape[0]
-    if n <= _DENSE_LIMIT:
-        return _stationary_dense(P)
-    # a reducible chain may solve to a plausible mix of its closed classes
-    if not _irreducible(P):
-        raise ConvergenceError("chain is reducible; no unique stationary distribution")
-    A = P.T - np.eye(n)
-    A[-1, :] = 1.0  # the last balance equation becomes sum(pi) = 1
-    rhs = np.zeros(n)
-    rhs[-1] = 1.0
-    try:
-        pi = np.linalg.solve(A, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError("singular stationary system") from exc
-    if np.min(pi) < -1e-9:
-        raise ConvergenceError("stationary solution has negative mass")
-    residual = float(np.abs(pi @ P - pi).sum())
-    if not residual <= 1e-9:
-        raise ConvergenceError(f"stationary residual {residual:.3g} above 1e-9")
-    return pi
+    return _stationary(P[np.newaxis])[0]
+
+
+def _laplacian(P: np.ndarray, pi: np.ndarray) -> np.ndarray:
+    """Pi - (Pi P + P^T Pi) / 2 of one chain or of a stack of them."""
+    n = P.shape[-1]
+    pip = pi[..., np.newaxis] * P
+    L = np.zeros_like(pip)
+    L.reshape(L.shape[:-2] + (n * n,))[..., :: n + 1] = pi  # the diagonal
+    L = L - 0.5 * (pip + np.swapaxes(pip, -1, -2))
+    return 0.5 * (L + np.swapaxes(L, -1, -2))
 
 
 def laplacian(P: np.ndarray, pi: np.ndarray) -> np.ndarray:
     """Symmetric Laplacian Pi - (Pi P + P^T Pi) / 2, explicitly symmetrized."""
-    pip = pi[:, np.newaxis] * P
-    L = np.diag(pi) - 0.5 * (pip + pip.T)
-    return 0.5 * (L + L.T)
+    return _laplacian(P, pi)
 
 
 def spectrum(L: np.ndarray) -> np.ndarray:
@@ -251,13 +295,42 @@ def mu2_of_assignment(energies: np.ndarray, assignment: np.ndarray) -> float:
     The caller checks that the active part is connected. A disconnected one
     has a reducible chain: up to N=512 the result is then roundoff around 0
     or a ``ConvergenceError``, depending on the eigenvector ``eig`` returns
-    for the repeated eigenvalue 1, and above N=512 the solve raises.
+    for the repeated eigenvalue 1, and above N=512 the solve raises. The
+    active part is scored by ``mu2_batch`` as a batch of one.
     """
-    assignment = np.asarray(assignment)
-    rows = np.flatnonzero(assignment.sum(axis=1) > 0)
-    if rows.size < 2:
-        return 0.0
-    cols = np.flatnonzero(assignment.sum(axis=0) > 0)
-    sub = assignment[np.ix_(rows, cols)]
-    _, _, L = _bundle_parts(np.asarray(energies)[cols], sub)
-    return float(spectrum(L)[1])
+    energies, assignment = np.asarray(energies), np.asarray(assignment)
+    rows, cols = assignment.sum(axis=1) > 0, assignment.sum(axis=0) > 0
+    if not (rows.all() and cols.all()):
+        energies, assignment = energies[cols], assignment[np.ix_(rows, cols)]
+    return float(mu2_batch(energies[np.newaxis], assignment[np.newaxis])[0])
+
+
+def mu2_batch(energies: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """Algebraic connectivity of each assignment in a (C, N, K) stack.
+
+    The assignments share one active shape: every one of the N agents and K
+    tasks has a positive entry in each, as in the active part that
+    ``mu2_of_assignment`` cuts out. ``energies`` is (K,) for all of them or
+    (C, K), one row each. Under two agents the result is 0; connectivity is
+    the caller's job. The stack is scored in chunks of ``BATCH_ENTRIES``, so
+    the working set stays a few matrices of the largest size.
+    """
+    stack = np.asarray(stack)
+    if stack.ndim != 3:
+        raise ValueError("stack must be (C, N, K)")
+    c, n, k = stack.shape
+    if n < 2:
+        return np.zeros(c)
+    energies = np.asarray(energies)
+    if energies.shape != (c, k):
+        energies = np.broadcast_to(energies, (c, k))
+    out = np.empty(c)
+    size = max(1, BATCH_ENTRIES // (n * max(n, k)))
+    for lo in range(0, c, size):
+        W, R, d_v, d_e = _edvw(energies[lo : lo + size], stack[lo : lo + size])
+        if not (d_v.all() and d_e.all()):
+            raise ValueError("every agent and task of a batch needs a positive entry")
+        P = _transition(W, R, d_v, d_e)
+        L = _laplacian(P, _stationary(P))
+        out[lo : lo + size] = np.linalg.eigvalsh(L)[:, 1]
+    return out

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from hyperteam.greedy import (
     phase2,
 )
 from hyperteam.instance import ProblemInstance, bipartite_components
+from hyperteam.seeds import substream
 from hyperteam.spectral import mu2_of_assignment
 
 
@@ -172,21 +174,28 @@ def _connected(assignment):
     return bipartite_components(x[x.any(axis=1)][:, x.any(axis=0)])[0] == 1
 
 
+def _split_instance(rng):
+    """An interleaved two-team seed plus one empty task of energy 2.
+
+    The empty task's first unit cannot bridge the teams, its second can.
+    """
+    seed = _split_seed(rng)
+    budgets = seed.sum(axis=1) + rng.integers(1, 3, size=len(seed))
+    inst = ProblemInstance(
+        agent_ids=tuple(f"a{i}" for i in range(len(seed))),
+        budgets=budgets,
+        task_ids=tuple(f"t{k}" for k in range(seed.shape[1] + 1)),
+        energies=np.append(seed.sum(axis=0), 2),
+        assignment=np.zeros((len(seed), seed.shape[1] + 1), dtype=np.int64),
+    )
+    return inst, np.pad(seed, ((0, 0), (0, 1)))
+
+
 def test_disconnected_candidates_score_zero():
     # a split state scores 0, so the first bridging unit is a strict gain
     rng = np.random.default_rng(12)
     for _ in range(40):
-        seed = _split_seed(rng)
-        budgets = seed.sum(axis=1) + rng.integers(1, 3, size=len(seed))
-        # one extra, empty task: its first unit cannot bridge, its second can
-        inst = ProblemInstance(
-            agent_ids=tuple(f"a{i}" for i in range(len(seed))),
-            budgets=budgets,
-            task_ids=tuple(f"t{k}" for k in range(seed.shape[1] + 1)),
-            energies=np.append(seed.sum(axis=0), 2),
-            assignment=np.zeros((len(seed), seed.shape[1] + 1), dtype=np.int64),
-        )
-        padded = np.pad(seed, ((0, 0), (0, 1)))
+        inst, padded = _split_instance(rng)
         filled = phase1(inst, padded)
         assert filled[:, -1].sum() == 2
         assert _connected(filled)
@@ -194,6 +203,113 @@ def test_disconnected_candidates_score_zero():
         # the first team alone, its idle agents offered to empty tasks
         lone = np.where(padded[:, 2:4].any(axis=1, keepdims=True), 0, padded)
         assert np.array_equal(phase1(inst, lone).sum(axis=0), inst.energies)
+
+
+def _loop_mu2(inst, a, check):
+    if check and not _connected(a):
+        return 0.0
+    return _mu2(inst, a)
+
+
+def _loop_best(inst, b, offers):
+    """The per-offer scan: strict ``>`` on the gain per unit, offers in order.
+
+    Candidates are checked for a split only when the base scores 0.
+    """
+    base = _loop_mu2(inst, b, True)
+    best = (-math.inf, -1, -1, 0)
+    for j, k, u in offers:
+        b[j, k] += u
+        gain = (_loop_mu2(inst, b, base == 0.0) - base) / u
+        b[j, k] -= u
+        if gain > best[0]:
+            best = (gain, j, k, u)
+    return best
+
+
+def _loop_phase1(inst, seed, params):
+    """Phase 1 with one mu2 call per offer."""
+    rng = substream(params.seed, "greedy-phase1")
+    b = np.array(seed, dtype=np.int64)
+    remaining = inst.budgets - b.sum(axis=1)
+    shortfall = inst.energies - b.sum(axis=0)
+    while np.any(shortfall > 0):
+        available = np.flatnonzero(remaining > 0)
+        if available.size > params.random_threshold:
+            available = available[[rng.integers(available.size)]]
+        offers = [
+            (j, k, int(min(remaining[j], shortfall[k], params.packet_size)))
+            for j in available.tolist()
+            for k in np.flatnonzero(shortfall > 0).tolist()
+        ]
+        _, j, k, u = _loop_best(inst, b, offers)
+        b[j, k] += u
+        remaining[j] -= u
+        shortfall[k] -= u
+    return b
+
+
+def _loop_phase2(inst, start, params):
+    """Phase 2 with one mu2 call per offer."""
+    rng = substream(params.seed, "greedy-phase2")
+    b = np.array(start, dtype=np.int64)
+    remaining = inst.budgets - b.sum(axis=1)
+    for _ in range(2 * int(remaining.sum() // params.packet_size) + inst.n_agents + 1):
+        available = np.flatnonzero(remaining > 0)
+        if available.size == 0:
+            break
+        exhaustive = available.size <= params.random_threshold
+        if not exhaustive:
+            available = available[[rng.integers(available.size)]]
+        offers = [
+            (j, k, int(min(remaining[j], params.packet_size)))
+            for j in available.tolist()
+            for k in range(inst.n_tasks)
+        ]
+        gain, j, k, u = _loop_best(inst, b, offers)
+        accept = gain >= 0
+        if not accept:
+            if not params.stochastic_accept:
+                if exhaustive:
+                    break
+                continue
+            accept = rng.random() < math.exp(gain * u / params.phase2_temperature)
+        if accept:
+            b[j, k] += u
+            remaining[j] -= u
+    return b
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        GreedyParams(),
+        GreedyParams(packet_size=2, seed=4),
+        GreedyParams(random_threshold=3, seed=5),
+        GreedyParams(stochastic_accept=True, phase2_temperature=0.05, seed=6),
+    ],
+)
+def test_phases_match_the_offer_loop(params):
+    rng = np.random.default_rng(13)
+    for _ in range(4):
+        inst = random_connected_instance(rng, int(rng.integers(4, 9)), 3, slack=2)
+        seed = centralized_init(inst)
+        filled = phase1(inst, seed, params)
+        assert np.array_equal(filled, _loop_phase1(inst, seed, params))
+        assert np.array_equal(phase2(inst, filled, params), _loop_phase2(inst, filled, params))
+    # interleaved two-team seeds score split candidates through the check
+    for _ in range(6):
+        inst, padded = _split_instance(rng)
+        assert np.array_equal(phase1(inst, padded, params), _loop_phase1(inst, padded, params))
+        assert np.array_equal(phase2(inst, padded, params), _loop_phase2(inst, padded, params))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_optimize_on_coauthor_small_keeps_its_recorded_assignment(coauthor_small, seed):
+    # sha256 of the int64 best_assignment from the per-offer loop
+    result = greedy_optimize(coauthor_small, GreedyParams(seed=seed))
+    digest = hashlib.sha256(np.asarray(result.best_assignment, dtype=np.int64).tobytes())
+    assert digest.hexdigest() == "f853245ed95d76cf32eac9196e4a83c9ed19835e06ac8796409063bd5e633b4a"
 
 
 def test_phase1_stalls_without_budget():

@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_instance, toy_path
 from hyperteam.errors import FormatError
@@ -18,6 +20,7 @@ from hyperteam.instance import (
     load_instance,
     parse_edge_list,
     parse_instance_json,
+    reaches_all,
     save_instance,
     summary_stats,
     validate,
@@ -245,6 +248,25 @@ def test_bipartite_components_isolates():
     assert agents[0] == tasks[0]
     assert agents[1] != agents[0]
     assert tasks[1] not in (agents[0], agents[1])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 7),
+    k=st.integers(0, 6),
+    density=st.floats(0.0, 1.0),
+)
+def test_reaches_all_matches_component_count(seed, n, k, density):
+    # random bool stacks, some with an idle agent or an empty task blanked in
+    rng = np.random.default_rng(seed)
+    stack = rng.random((8, n, k)) < density
+    stack[1::3, rng.integers(n), :] = False
+    if k:
+        stack[2::3, :, rng.integers(k)] = False
+    want = [bipartite_components(x)[0] == 1 for x in stack]
+    assert reaches_all(stack).tolist() == want
+    assert [bool(reaches_all(x)) for x in stack] == want
 
 
 def test_co_membership_shapes():

@@ -14,6 +14,7 @@ from hyperteam.spectral import (
     build_matrices,
     diffuse,
     laplacian,
+    mu2_batch,
     mu2_of_assignment,
     spectral_bundle,
     spectrum,
@@ -330,3 +331,39 @@ def test_mu2_matches_bundle():
         bundle = spectral_bundle(inst)
         direct = mu2_of_assignment(np.asarray(inst.energies), np.asarray(inst.assignment))
         assert np.isclose(direct, bundle.eigenvalues[1], atol=1e-12)
+
+
+def _oracle_mu2(energies, a):
+    """mu2 from the weight formulas, the eig stationary oracle and eigvalsh."""
+    a = np.asarray(a, dtype=np.float64)
+    W = (a > 0) * np.asarray(energies, dtype=np.float64)
+    P = (W / W.sum(axis=1)[:, None]) @ (a / a.sum(axis=0)).T
+    pi = eig_stationary(P)
+    L = np.diag(pi) - 0.5 * (pi[:, None] * P + (pi[:, None] * P).T)
+    return np.linalg.eigvalsh(0.5 * (L + L.T))[1]
+
+
+@pytest.mark.parametrize("c, n, k", [(40, 60, 6), (300, 6, 3), (2, 515, 5)])
+def test_mu2_batch_matches_eig_oracle(c, n, k):
+    # (40, 60) spans ten chunks of four; 515 agents take the stacked solve
+    rng = np.random.default_rng(n)
+    stack = rng.integers(1, 4, size=(c, n, k)) * (rng.random((c, n, k)) < 0.5)
+    # agent 0 on every task and every agent on task 0: connected, all active
+    stack[:, :, 0] = np.maximum(stack[:, :, 0], 1)
+    stack[:, 0, :] = np.maximum(stack[:, 0, :], 1)
+    energies = rng.integers(1, 6, size=(c, k))
+    got = mu2_batch(energies, stack)
+    want = np.array([_oracle_mu2(e, a) for e, a in zip(energies, stack)])
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+    # each entry is exactly the batch-of-one value
+    assert got.tolist() == [mu2_of_assignment(e, a) for e, a in zip(energies, stack)]
+
+
+def test_mu2_batch_edge_cases():
+    assert mu2_batch(np.array([1]), np.zeros((0, 3, 1))).shape == (0,)
+    # fewer than two agents leaves nothing to connect
+    assert mu2_batch(np.array([1, 2]), np.array([[[1, 1]], [[2, 3]]])).tolist() == [0.0, 0.0]
+    # an idle agent or an empty task is outside the active shape
+    for stack in ([[[1, 0], [0, 0]]], [[[1, 0], [1, 0]]]):
+        with pytest.raises(ValueError):
+            mu2_batch(np.array([1, 1]), np.array(stack))
