@@ -29,7 +29,7 @@ from .errors import ConvergenceError
 from .greedy import GreedyParams, greedy_optimize
 from .instance import ProblemInstance, bipartite_components, reaches_all
 from .seeds import substream
-from .spectral import BATCH_ENTRIES, diffuse, mu2_batch, spectral_bundle
+from .spectral import batch_rows, diffuse, mu2_batch, spectral_bundle
 
 __all__ = [
     "SCHEMES",
@@ -151,7 +151,7 @@ def enumerate_small(
     for s, subset in enumerate(subsets):
         members[s, list(subset)] = 1
     combos = combinations(range(len(subsets)), n_edges)
-    size = max(1, BATCH_ENTRIES // max(1, n_nodes * n_edges))
+    size = batch_rows(n_nodes, n_edges)
     results: list[SmallHypergraph] = []
     while chunk := list(islice(combos, size)):
         picks = np.array(chunk, dtype=np.intp).reshape(len(chunk), n_edges)

@@ -145,8 +145,8 @@ def _best_offer(
     maximum wins. A candidate's active part is the base's plus the offer's
     agent and task, so offers fall into at most four active shapes: waking
     an idle agent or not, filling an empty task or not. Each shape is
-    stacked and scored with ``mu2_batch`` in slices of at most
-    ``spectral.BATCH_ENTRIES`` entries.
+    stacked and scored with ``mu2_batch`` in slices of the size it scores
+    in one chunk.
     """
     base = _mu2(inst, b)
     # one more unit can split a connected base only into it plus a lone idle
@@ -156,10 +156,11 @@ def _best_offer(
     check = base == 0.0
     rows_on, cols_on = b.sum(axis=1) > 0, b.sum(axis=0) > 0
     shape = 2 * rows_on[agents] + cols_on[tasks]
-    size = max(1, spectral.BATCH_ENTRIES // int((rows_on.sum() + 1) * (cols_on.sum() + 1)))
     mu2 = np.zeros(len(agents))
     for key in np.unique(shape):
         group = np.flatnonzero(shape == key)
+        woken, filled = key < 2, key % 2 == 0
+        size = spectral.batch_rows(int(rows_on.sum() + woken), int(cols_on.sum() + filled))
         for lo in range(0, group.size, size):
             sel = group[lo : lo + size]
             stack, cols = _offer_stack(b, rows_on, cols_on, agents[sel], tasks[sel], units[sel])

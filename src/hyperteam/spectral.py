@@ -45,6 +45,7 @@ __all__ = [
     "spectral_bundle",
     "mu2_of_assignment",
     "mu2_batch",
+    "batch_rows",
 ]
 
 # Above this size the stationary solver switches from a dense
@@ -52,12 +53,8 @@ __all__ = [
 _DENSE_LIMIT = 512
 
 # Entries per array of one batch (128 KiB of float64), which bounds the
-# working set of a candidate scan. mu2_batch scores a stack in chunks whose
-# largest array per assignment (N x N, or N x K when K > N) holds at most
-# this many entries: 455 six-node candidates or 6 of coauthor_small's size
-# per chunk, and one matrix at a time from N = 128 on. Callers that build
-# candidate stacks build them in pieces of this size.
-BATCH_ENTRIES = 1 << 14
+# working set of a candidate scan; see batch_rows.
+_BATCH_ENTRIES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -189,11 +186,8 @@ def stationary_distribution(P: np.ndarray) -> np.ndarray:
 
 def _laplacian(P: np.ndarray, pi: np.ndarray) -> np.ndarray:
     """Pi - (Pi P + P^T Pi) / 2 of one chain or of a stack of them."""
-    n = P.shape[-1]
     pip = pi[..., np.newaxis] * P
-    L = np.zeros_like(pip)
-    L.reshape(L.shape[:-2] + (n * n,))[..., :: n + 1] = pi  # the diagonal
-    L = L - 0.5 * (pip + np.swapaxes(pip, -1, -2))
+    L = pi[..., np.newaxis] * np.eye(P.shape[-1]) - 0.5 * (pip + np.swapaxes(pip, -1, -2))
     return 0.5 * (L + np.swapaxes(L, -1, -2))
 
 
@@ -305,27 +299,39 @@ def mu2_of_assignment(energies: np.ndarray, assignment: np.ndarray) -> float:
     return float(mu2_batch(energies[np.newaxis], assignment[np.newaxis])[0])
 
 
+def batch_rows(n: int, k: int) -> int:
+    """Assignments of shape (n, k) that ``mu2_batch`` scores per chunk.
+
+    Each chunk's largest array per assignment (n x n, or n x k when k > n)
+    holds ``_BATCH_ENTRIES`` entries at most: 455 six-node candidates or 6 of
+    coauthor_small's size, and one matrix at a time from n = 128 on. Callers
+    that build candidate stacks build them in pieces of this many, so
+    ``mu2_batch`` scores each piece in one chunk.
+    """
+    return max(1, _BATCH_ENTRIES // max(1, n * max(n, k)))
+
+
 def mu2_batch(energies: np.ndarray, stack: np.ndarray) -> np.ndarray:
     """Algebraic connectivity of each assignment in a (C, N, K) stack.
 
     The assignments share one active shape: every one of the N agents and K
     tasks has a positive entry in each, as in the active part that
-    ``mu2_of_assignment`` cuts out. ``energies`` is (K,) for all of them or
-    (C, K), one row each. Under two agents the result is 0; connectivity is
-    the caller's job. The stack is scored in chunks of ``BATCH_ENTRIES``, so
-    the working set stays a few matrices of the largest size.
+    ``mu2_of_assignment`` cuts out. ``energies`` is (C, K), one row per
+    assignment. Under two agents the result is 0; connectivity is the
+    caller's job. The stack is scored in chunks of ``batch_rows(N, K)``,
+    so the working set stays a few matrices of the largest size.
     """
     stack = np.asarray(stack)
     if stack.ndim != 3:
         raise ValueError("stack must be (C, N, K)")
     c, n, k = stack.shape
-    if n < 2:
-        return np.zeros(c)
     energies = np.asarray(energies)
     if energies.shape != (c, k):
-        energies = np.broadcast_to(energies, (c, k))
+        raise ValueError("energies must be (C, K), one row per assignment")
+    if n < 2:
+        return np.zeros(c)
     out = np.empty(c)
-    size = max(1, BATCH_ENTRIES // (n * max(n, k)))
+    size = batch_rows(n, k)
     for lo in range(0, c, size):
         W, R, d_v, d_e = _edvw(energies[lo : lo + size], stack[lo : lo + size])
         if not (d_v.all() and d_e.all()):

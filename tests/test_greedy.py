@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import make_instance, random_connected_instance
+from hyperteam import spectral
 from hyperteam.errors import InfeasibleError, StallError
 from hyperteam.greedy import (
     GreedyParams,
@@ -19,7 +20,7 @@ from hyperteam.greedy import (
 )
 from hyperteam.instance import ProblemInstance, bipartite_components
 from hyperteam.seeds import substream
-from hyperteam.spectral import mu2_of_assignment
+from hyperteam.spectral import mu2_batch, mu2_of_assignment
 
 
 def _budgeted(budgets, energies):
@@ -302,6 +303,21 @@ def test_phases_match_the_offer_loop(params):
         inst, padded = _split_instance(rng)
         assert np.array_equal(phase1(inst, padded, params), _loop_phase1(inst, padded, params))
         assert np.array_equal(phase2(inst, padded, params), _loop_phase2(inst, padded, params))
+
+
+def test_offer_slices_are_scored_in_one_chunk(monkeypatch):
+    # greedy slices each shape group by the rule mu2_batch chunks by
+    sizes = []
+
+    def recording(energies, stack):
+        sizes.append((len(stack), spectral.batch_rows(*np.shape(stack)[1:])))
+        return mu2_batch(energies, stack)
+
+    monkeypatch.setattr(spectral, "mu2_batch", recording)
+    inst = random_connected_instance(np.random.default_rng(3), 30, 6, slack=1)
+    phase2(inst, phase1(inst, centralized_init(inst)))
+    assert sizes and all(c <= rows for c, rows in sizes)
+    assert any(c == rows for c, rows in sizes)
 
 
 @pytest.mark.parametrize("seed", [0, 1])

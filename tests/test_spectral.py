@@ -11,6 +11,7 @@ from conftest import eig_stationary, make_instance, random_connected_instance
 from hyperteam.errors import ConvergenceError, DegreeError, DisconnectedError
 from hyperteam.spectral import (
     algebraic_connectivity,
+    batch_rows,
     build_matrices,
     diffuse,
     laplacian,
@@ -210,6 +211,17 @@ def test_laplacian_structure_on_random_instances():
         assert spectrum(L)[0] >= -1e-10
 
 
+def test_laplacian_ignores_memory_layout():
+    rng = np.random.default_rng(19)
+    for _ in range(5):
+        P = transition_matrix(build_matrices(random_connected_instance(rng, 6, 4)))
+        pi = stationary_distribution(P)
+        want = np.diag(pi) - 0.5 * (pi[:, None] * P + (pi[:, None] * P).T)
+        want = 0.5 * (want + want.T)
+        for layout in (P, np.asfortranarray(P), P.T.copy().T):
+            assert laplacian(layout, pi).tolist() == want.tolist()
+
+
 def test_connectivity_needs_two_agents():
     with pytest.raises(ValueError):
         algebraic_connectivity(np.zeros((1, 1)))
@@ -359,11 +371,21 @@ def test_mu2_batch_matches_eig_oracle(c, n, k):
     assert got.tolist() == [mu2_of_assignment(e, a) for e, a in zip(energies, stack)]
 
 
+def test_batch_rows_bounds_the_largest_array():
+    # N x N, or N x K when K > N, entries per assignment; one from N = 128
+    assert [batch_rows(6, 3), batch_rows(52, 25), batch_rows(4, 64)] == [455, 6, 64]
+    assert batch_rows(128, 5) == batch_rows(781, 704) == 1
+
+
 def test_mu2_batch_edge_cases():
-    assert mu2_batch(np.array([1]), np.zeros((0, 3, 1))).shape == (0,)
+    assert mu2_batch(np.zeros((0, 1)), np.zeros((0, 3, 1))).shape == (0,)
     # fewer than two agents leaves nothing to connect
-    assert mu2_batch(np.array([1, 2]), np.array([[[1, 1]], [[2, 3]]])).tolist() == [0.0, 0.0]
+    stack = np.array([[[1, 1]], [[2, 3]]])
+    assert mu2_batch(np.array([[1, 2], [2, 3]]), stack).tolist() == [0.0, 0.0]
     # an idle agent or an empty task is outside the active shape
     for stack in ([[[1, 0], [0, 0]]], [[[1, 0], [1, 0]]]):
         with pytest.raises(ValueError):
-            mu2_batch(np.array([1, 1]), np.array(stack))
+            mu2_batch(np.array([[1, 1]]), np.array(stack))
+    # energies come one row per assignment
+    with pytest.raises(ValueError, match="energies"):
+        mu2_batch(np.array([1, 1]), np.ones((3, 2, 2)))
