@@ -10,8 +10,15 @@ transition matrix of the hypergraph walk, which is what makes the lift a
 useful consistency check.
 
 The alternating walk is 2-periodic but irreducible, so it has exactly one
-stationary distribution, with mass 1/2 on each side; it is computed by
-``spectral.stationary_distribution`` like any other chain's.
+stationary distribution, with mass 1/2 on each side. Its walk matrix is
+
+    P_b = [[0, A], [B, 0]],  A = D_V^-1 W (N x K),  B = D_E^-1 R^T (K x N),
+
+so that distribution is ``(pi, q) / 2`` with ``q = pi A`` and ``pi = q B``:
+``pi`` is stationary for the agent chain ``A B`` (the hypergraph walk) and
+``q`` for the task chain ``B A``. Both side chains are aperiodic, and the
+lift takes its distribution from the smaller one through
+``spectral.stationary_distribution``, never from the periodic (N+K) chain.
 """
 
 from __future__ import annotations
@@ -47,21 +54,43 @@ def bipartite_adjacency(inst: ProblemInstance) -> np.ndarray:
     return A
 
 
-def _lift_transition(energies: np.ndarray, assignment: np.ndarray) -> np.ndarray:
-    """Row-stochastic walk on the stacked agents and tasks of an assignment."""
+def _lift_blocks(energies: np.ndarray, assignment: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(A, B) = (D_V^-1 W, D_E^-1 R^T): the agent-to-task and task-to-agent steps."""
     m = spectral.edvw_matrices(np.asarray(energies), np.asarray(assignment))
     if np.any(m.d_v == 0) or np.any(m.d_e == 0):
         raise ValueError("bipartite walk needs positive degrees on both sides")
-    n, k = m.W.shape
+    return m.W / m.d_v[:, np.newaxis], (m.R / m.d_e[np.newaxis, :]).T
+
+
+def _lift(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Row-stochastic walk [[0, A], [B, 0]] on the stacked agents and tasks."""
+    n, k = A.shape
     P = np.zeros((n + k, n + k))
-    P[:n, n:] = m.W / m.d_v[:, np.newaxis]
-    P[n:, :n] = (m.R / m.d_e[np.newaxis, :]).T
+    P[:n, n:] = A
+    P[n:, :n] = B
     return P
+
+
+def _lift_stationary(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Stationary distribution of ``_lift(A, B)``, solved on its smaller side.
+
+    With K < N the task chain ``B A`` gives q and ``pi = q B``; otherwise the
+    agent chain ``A B`` gives pi and ``q = pi A``. Either way each side
+    carries mass 1/2.
+    """
+    n, k = A.shape
+    if k < n:
+        q = spectral.stationary_distribution(B @ A)
+        pi = q @ B
+    else:
+        pi = spectral.stationary_distribution(A @ B)
+        q = pi @ A
+    return 0.5 * np.concatenate([pi, q])
 
 
 def bipartite_transition(inst: ProblemInstance) -> np.ndarray:
     """Row-stochastic walk matrix on the stacked agent/task vertex set."""
-    return _lift_transition(inst.energies, inst.assignment)
+    return _lift(*_lift_blocks(inst.energies, inst.assignment))
 
 
 def two_step(P_b: np.ndarray) -> np.ndarray:
@@ -100,7 +129,8 @@ def two_step_laplacian(P_star: np.ndarray, n_agents: int) -> np.ndarray:
 
 def mu2_of_assignment(energies: np.ndarray, assignment: np.ndarray) -> float:
     """Alternating-walk mu2 of an assignment; connectivity is the caller's job."""
-    L = bipartite_laplacian(_lift_transition(energies, assignment))
+    A, B = _lift_blocks(energies, assignment)
+    L = spectral.laplacian(_lift(A, B), _lift_stationary(A, B))
     return float(spectral.spectrum(L)[1])
 
 
@@ -126,10 +156,12 @@ class BipartiteBundle:
 def bipartite_bundle(inst: ProblemInstance) -> BipartiteBundle:
     if not is_connected(inst):
         raise DisconnectedError("bipartite bundle needs a connected instance")
-    A = bipartite_adjacency(inst)
-    P_b = bipartite_transition(inst)
-    pi_b = spectral.stationary_distribution(P_b)
+    A, B = _lift_blocks(inst.energies, inst.assignment)
+    P_b = _lift(A, B)
+    pi_b = _lift_stationary(A, B)
     L_b = spectral.laplacian(P_b, pi_b)
     P_star = two_step(P_b)
     L_star = two_step_laplacian(P_star, inst.n_agents)
-    return BipartiteBundle(adjacency=A, P=P_b, pi=pi_b, L=L_b, P_star=P_star, L_star=L_star)
+    return BipartiteBundle(
+        adjacency=bipartite_adjacency(inst), P=P_b, pi=pi_b, L=L_b, P_star=P_star, L_star=L_star
+    )

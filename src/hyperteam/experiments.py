@@ -464,6 +464,7 @@ def _sample_subinstance(
     least two tasks and an agent count within 10% of four agents per task.
     """
     full = np.asarray(inst.assignment)
+    ratios = []  # agents per task of each draw with two or more tasks
     for _ in range(_SAMPLE_TRIES):
         chosen = np.sort(rng.choice(inst.n_tasks, size=n_tasks, replace=False))
         sub = full[:, chosen]
@@ -478,7 +479,10 @@ def _sample_subinstance(
         keep_agents = agents[agent_labels == best]
         keep_tasks = chosen[task_labels == best]
         n_cc, k_cc = len(keep_agents), len(keep_tasks)
-        if k_cc < 2 or abs(n_cc - 4 * k_cc) > 0.1 * 4 * k_cc:
+        if k_cc < 2:
+            continue
+        ratios.append(n_cc / k_cc)
+        if abs(n_cc - 4 * k_cc) > 0.1 * 4 * k_cc:
             continue
         return ProblemInstance(
             agent_ids=tuple(inst.agent_ids[i] for i in keep_agents),
@@ -487,9 +491,11 @@ def _sample_subinstance(
             energies=inst.energies[keep_tasks],
             assignment=full[np.ix_(keep_agents, keep_tasks)],
         )
+    closest = min(ratios, key=lambda r: abs(r - 4), default=math.nan)
     raise ConvergenceError(
         f"no acceptable connected sub-hypergraph with {n_tasks} tasks "
-        f"found in {_SAMPLE_TRIES} tries"
+        f"found in {_SAMPLE_TRIES} tries: the window is 3.6-4.4 agents per task, "
+        f"and the closest draw with two or more tasks had {closest:.2f}"
     )
 
 

@@ -120,6 +120,25 @@ def eig_stationary(P: np.ndarray) -> np.ndarray:
     return pi / pi.sum()
 
 
+def full_lift(energies, assignment) -> np.ndarray:
+    """Alternating walk [[0, D_V^-1 W], [D_E^-1 R^T, 0]] from the weight formulas."""
+    a = np.asarray(assignment, dtype=np.float64)
+    n, k = a.shape
+    W = (a > 0) * np.asarray(energies, dtype=np.float64)[np.newaxis, :]
+    P = np.zeros((n + k, n + k))
+    P[:n, n:] = W / W.sum(axis=1, keepdims=True)
+    P[n:, :n] = (a / a.sum(axis=0, keepdims=True)).T
+    return P
+
+
+def full_lift_mu2(energies, assignment) -> float:
+    """Lift mu2 with the periodic (N+K) chain's own ``eig_stationary`` as pi."""
+    P = full_lift(energies, assignment)
+    pi = eig_stationary(P)
+    L = np.diag(pi) - 0.5 * (pi[:, np.newaxis] * P + (pi[:, np.newaxis] * P).T)
+    return float(np.linalg.eigvalsh(L)[1])
+
+
 def toy_path(name: str) -> str:
     return str(resources.files("hyperteam.data") / f"{name}.json")
 

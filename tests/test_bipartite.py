@@ -5,7 +5,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import eig_stationary, make_instance, random_connected_instance
+from conftest import (
+    eig_stationary,
+    full_lift,
+    full_lift_mu2,
+    make_instance,
+    random_connected_instance,
+)
+from hyperteam import bipartite, spectral
 from hyperteam.bipartite import (
     bipartite_adjacency,
     bipartite_bundle,
@@ -153,3 +160,50 @@ def test_relabelling_leaves_spectra_alone():
     s1 = spectrum(bipartite_laplacian(bipartite_transition(inst)))
     s2 = spectrum(bipartite_laplacian(bipartite_transition(shuffled)))
     assert np.allclose(s1, s2, atol=1e-10)
+
+
+def _rel(a, b):
+    return abs(a - b) / abs(b)
+
+
+@pytest.mark.parametrize(
+    "n, k, seed",
+    [(9, 4, 0), (6, 6, 1), (4, 7, 2), (5, 1, 3), (2, 1, 4), (2, 5, 5), (1, 3, 6)],
+)
+def test_mu2_matches_the_full_lift(n, k, seed):
+    # K < N solves the task chain, K >= N the agent chain; both must agree
+    # with pi taken from the periodic (N+K) chain itself
+    rng = np.random.default_rng(seed)
+    for _ in range(5):
+        inst = random_connected_instance(rng, n, k)
+        mu2 = bipartite.mu2_of_assignment(inst.energies, inst.assignment)
+        assert _rel(mu2, full_lift_mu2(inst.energies, inst.assignment)) <= 1e-12
+
+
+def test_mu2_matches_the_full_lift_on_coauthor_small(coauthor_small):
+    e, a = coauthor_small.energies, coauthor_small.assignment
+    assert _rel(bipartite.mu2_of_assignment(e, a), full_lift_mu2(e, a)) <= 1e-12
+
+
+@pytest.mark.parametrize("n, k", [(8, 3), (3, 8), (5, 5)])
+def test_bundle_pi_is_the_lift_stationary_distribution(n, k):
+    inst = random_connected_instance(np.random.default_rng(n * k), n, k)
+    pi = bipartite_bundle(inst).pi
+    assert np.isclose(pi[:n].sum(), 0.5, rtol=0, atol=1e-12)
+    assert np.isclose(pi[n:].sum(), 0.5, rtol=0, atol=1e-12)
+    assert np.abs(pi - eig_stationary(full_lift(inst.energies, inst.assignment))).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n, k", [(30, 7), (7, 30)])
+def test_mu2_never_solves_a_chain_above_the_smaller_side(monkeypatch, n, k):
+    sizes = []
+    solve = spectral.stationary_distribution
+
+    def recording(P):
+        sizes.append(np.shape(P))
+        return solve(P)
+
+    monkeypatch.setattr(spectral, "stationary_distribution", recording)
+    inst = random_connected_instance(np.random.default_rng(n + k), n, k)
+    bipartite.mu2_of_assignment(inst.energies, inst.assignment)
+    assert sizes and max(max(shape) for shape in sizes) <= min(n, k)

@@ -7,7 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_instance, random_connected_instance
+from conftest import full_lift_mu2, make_instance, random_connected_instance
+from hyperteam import bipartite
 from hyperteam.bipartite import bipartite_connectivity
 from hyperteam.csa import (
     CsaParams,
@@ -244,6 +245,25 @@ def test_anneal_bipartite_objective():
     assert result.feasible
     optimized = inst.with_assignment(result.best_assignment)
     assert math.isclose(result.best_mu2, bipartite_connectivity(optimized), abs_tol=1e-12)
+
+
+def test_bipartite_anneal_follows_the_full_lift_trace(monkeypatch, coauthor_small):
+    # the side-chain pi must steer the chain exactly as the periodic lift's
+    params = CsaParams(cooling=0.98, max_iters=150, objective="bipartite", seed=0)
+    runs = []
+    for mu2_of in (bipartite.mu2_of_assignment, full_lift_mu2):
+        scores = []
+
+        def recording(energies, assignment, mu2_of=mu2_of, scores=scores):
+            scores.append(mu2_of(energies, assignment))
+            return scores[-1]
+
+        monkeypatch.setattr(bipartite, "mu2_of_assignment", recording)
+        runs.append((anneal(coauthor_small, params).trace, np.array(scores)))
+    (fast, fast_scores), (full, full_scores) = runs
+    assert [row.accepted for row in fast] == [row.accepted for row in full]
+    assert len(fast_scores) == len(full_scores) > 100
+    assert (np.abs(fast_scores - full_scores) <= 1e-12 * np.abs(full_scores)).all()
 
 
 def test_random_feasible_assignment_properties():

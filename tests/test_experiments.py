@@ -246,8 +246,9 @@ def test_budget_sweep_grouping():
 
 
 def test_budget_sweep_needs_suitable_ratio(coauthor_small):
-    # a two-agents-per-task dataset never hits the four-to-one window
-    with pytest.raises(ConvergenceError):
+    # a two-agents-per-task dataset never hits the four-to-one window; the
+    # error names the window and the nearest ratio the draws reached
+    with pytest.raises(ConvergenceError, match=r"3\.6-4\.4 agents per task.* had 3\.50$"):
         budget_sweep(coauthor_small, multipliers=(1,), sub_sizes=(4,), reps=1, seed=0)
 
 
