@@ -17,7 +17,7 @@ stationary distribution, with mass 1/2 on each side. Its walk matrix is
 so that distribution is ``(pi, q) / 2`` with ``q = pi A`` and ``pi = q B``:
 ``pi`` is stationary for the agent chain ``A B`` (the hypergraph walk) and
 ``q`` for the task chain ``B A``. Both side chains are aperiodic, and the
-lift takes its distribution from the smaller one through
+lift takes its distribution from the K x K task chain through
 ``spectral.stationary_distribution``, never from the periodic (N+K) chain.
 """
 
@@ -72,20 +72,13 @@ def _lift(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def _lift_stationary(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Stationary distribution of ``_lift(A, B)``, solved on its smaller side.
+    """Stationary distribution of ``_lift(A, B)``, solved on the task side.
 
-    With K < N the task chain ``B A`` gives q and ``pi = q B``; otherwise the
-    agent chain ``A B`` gives pi and ``q = pi A``. Either way each side
-    carries mass 1/2.
+    The K x K task chain ``B A`` gives q and ``pi = q B``; each side carries
+    mass 1/2.
     """
-    n, k = A.shape
-    if k < n:
-        q = spectral.stationary_distribution(B @ A)
-        pi = q @ B
-    else:
-        pi = spectral.stationary_distribution(A @ B)
-        q = pi @ A
-    return 0.5 * np.concatenate([pi, q])
+    q = spectral.stationary_distribution(B @ A)
+    return 0.5 * np.concatenate([q @ B, q])
 
 
 def bipartite_transition(inst: ProblemInstance) -> np.ndarray:

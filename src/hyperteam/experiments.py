@@ -463,6 +463,7 @@ def _sample_subinstance(
     largest connected component, and accepts when that component has at
     least two tasks and an agent count within 10% of four agents per task.
     """
+    target, tol = 4, 0.1  # agents per task, relative window
     full = np.asarray(inst.assignment)
     ratios = []  # agents per task of each draw with two or more tasks
     for _ in range(_SAMPLE_TRIES):
@@ -482,7 +483,7 @@ def _sample_subinstance(
         if k_cc < 2:
             continue
         ratios.append(n_cc / k_cc)
-        if abs(n_cc - 4 * k_cc) > 0.1 * 4 * k_cc:
+        if abs(n_cc - target * k_cc) > tol * target * k_cc:
             continue
         return ProblemInstance(
             agent_ids=tuple(inst.agent_ids[i] for i in keep_agents),
@@ -491,11 +492,15 @@ def _sample_subinstance(
             energies=inst.energies[keep_tasks],
             assignment=full[np.ix_(keep_agents, keep_tasks)],
         )
-    closest = min(ratios, key=lambda r: abs(r - 4), default=math.nan)
+    if ratios:
+        closest = min(ratios, key=lambda r: abs(r - target))
+        reached = f"the closest draw with two or more tasks had {closest:.2f}"
+    else:
+        reached = "no draw had two or more tasks"
     raise ConvergenceError(
         f"no acceptable connected sub-hypergraph with {n_tasks} tasks "
-        f"found in {_SAMPLE_TRIES} tries: the window is 3.6-4.4 agents per task, "
-        f"and the closest draw with two or more tasks had {closest:.2f}"
+        f"found in {_SAMPLE_TRIES} tries: the window is "
+        f"{target * (1 - tol):g}-{target * (1 + tol):g} agents per task, and {reached}"
     )
 
 

@@ -252,6 +252,11 @@ def test_budget_sweep_needs_suitable_ratio(coauthor_small):
         budget_sweep(coauthor_small, multipliers=(1,), sub_sizes=(4,), reps=1, seed=0)
 
 
+def test_budget_sweep_error_without_two_task_draws(coauthor_small):
+    with pytest.raises(ConvergenceError, match=r"3\.6-4\.4 agents per task, and no draw had two"):
+        budget_sweep(coauthor_small, multipliers=(1,), sub_sizes=(1,), reps=1, seed=0)
+
+
 def test_fit_power_law_exact():
     xs = np.array([2.0, 4.0, 8.0, 16.0])
     fit = fit_power_law(xs, 5.0 * xs**-2)
