@@ -154,7 +154,9 @@ def bipartite_bundle(inst: ProblemInstance) -> BipartiteBundle:
     pi_b = _lift_stationary(A, B)
     L_b = spectral.laplacian(P_b, pi_b)
     P_star = two_step(P_b)
-    L_star = two_step_laplacian(P_star, inst.n_agents)
+    # P_star's diagonal blocks are the two side chains, and pi_b already
+    # holds their stationary distributions at mass 1/2 each
+    L_star = spectral.laplacian(P_star, pi_b)
     return BipartiteBundle(
         adjacency=bipartite_adjacency(inst), P=P_b, pi=pi_b, L=L_b, P_star=P_star, L_star=L_star
     )

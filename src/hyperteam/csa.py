@@ -11,9 +11,10 @@ Moves come in two flavors. A guided move takes one unit from a task with
 surplus and gives it to a task in deficit, shrinking the total shortfall by
 exactly one. A plain move swaps one unit between two random tasks through one
 agent on each side, which conserves both row and column totals. Candidates
-whose active hypergraph is disconnected evaluate to -inf and are never
-accepted; since moves preserve row sums, budget overruns can never appear
-once the chain starts from a full-budget state.
+whose active hypergraph (budgeted agents and all tasks) fails the reach test
+``instance.reaches_all`` evaluate to -inf and are never accepted; since moves
+preserve row sums, budget overruns can never appear once the chain starts
+from a full-budget state.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 
 from . import bipartite, spectral
 from .errors import InfeasibleError
-from .instance import ProblemInstance, bipartite_components, co_membership_graph
+from .instance import ProblemInstance, co_membership_graph, reaches_all
 from .seeds import substream
 
 __all__ = [
@@ -141,18 +142,6 @@ def initialize_assignment(
     return assignment
 
 
-def _candidate_connected(assignment: np.ndarray, active: np.ndarray) -> bool:
-    """Connectivity of the hypergraph on budget-positive agents and all tasks."""
-    x = assignment > 0
-    if not x.any(axis=0).all():  # a task nobody works on
-        return False
-    xa = x[active]
-    if xa.shape[0] == 0 or not xa.any(axis=1).all():
-        return False
-    count, _, _ = bipartite_components(xa)
-    return count == 1
-
-
 def _objective(params: CsaParams) -> Callable[[np.ndarray, np.ndarray], float]:
     """The ``mu2_of_assignment`` of the walk ``params.objective`` names."""
     return (bipartite if params.objective == "bipartite" else spectral).mu2_of_assignment
@@ -164,12 +153,14 @@ def _evaluate_full(
     params: CsaParams,
     mu2_of: Callable[[np.ndarray, np.ndarray], float],
 ) -> tuple[float, float, np.ndarray]:
-    """(penalty, mu2, task shortfall vector). Disconnected candidates get -inf."""
+    """(penalty, mu2, task shortfall vector). Disconnected candidates get -inf.
+
+    Connected means that the budgeted agents reach every task and each other.
+    """
     e_tilde = inst.energies - assignment.sum(axis=0)
-    active = inst.budgets > 0
-    if not _candidate_connected(assignment, active):
+    sub = assignment[inst.budgets > 0]
+    if not reaches_all(sub > 0):
         return -math.inf, math.nan, e_tilde
-    sub = assignment[active]
     mu2 = mu2_of(inst.energies, sub)
     overrun = np.maximum(assignment.sum(axis=1) - inst.budgets, 0)
     penalty = (
@@ -181,6 +172,17 @@ def _evaluate_full(
         tasks_pa, teammates_pa = factor_metrics(sub)
         penalty -= params.tasks_factor * tasks_pa + params.teammates_factor * teammates_pa
     return penalty, mu2, e_tilde
+
+
+def _feasible(
+    assignment: np.ndarray, e_tilde: np.ndarray, penalty: float, inst: ProblemInstance
+) -> bool:
+    """Within every budget, every task met, and connected (a finite penalty)."""
+    return (
+        bool(np.all(assignment.sum(axis=1) <= inst.budgets))
+        and bool(np.all(e_tilde <= 0))
+        and math.isfinite(penalty)
+    )
 
 
 def evaluate(
@@ -256,9 +258,12 @@ def anneal(
 ) -> OptimizationResult:
     """Run the annealing chain and return the best feasible state found.
 
-    If no feasible state is ever seen, the best state by penalty is returned
-    with ``feasible=False``. ``initial`` overrides the random full-budget
-    initialization, e.g. to continue from a known-good assignment.
+    The best state is kept as one record ordered by (feasible, penalty): any
+    feasible state outranks every infeasible one, and a record is replaced
+    only by a strictly better state. If no feasible state is ever seen, the
+    best state by penalty is returned with ``feasible=False``. ``initial``
+    overrides the random full-budget initialization, e.g. to continue from a
+    known-good assignment.
     """
     params = params or CsaParams()
     rng_init = substream(params.seed, "csa-init")
@@ -274,17 +279,8 @@ def anneal(
 
     mu2_of = _objective(params)
     penalty, mu2, e_tilde = _evaluate_full(current, inst, params, mu2_of)
-    overrun_free = bool(np.all(current.sum(axis=1) <= inst.budgets))
-    feasible = overrun_free and bool(np.all(e_tilde <= 0)) and math.isfinite(penalty)
-
-    best_penalty, best_mu2, best_assignment = penalty, mu2, current.copy()
-    best_feasible = feasible
-    if feasible:
-        best_f_penalty, best_f_mu2, best_f_assignment = penalty, mu2, current.copy()
-    else:
-        best_f_penalty = -math.inf
-        best_f_mu2 = math.nan
-        best_f_assignment = None
+    feasible = _feasible(current, e_tilde, penalty, inst)
+    best = (feasible, penalty, mu2, current.copy())
 
     temperature = params.t0
     trace = [TraceRow(0, temperature, penalty, mu2, feasible, True)]
@@ -302,31 +298,14 @@ def anneal(
             accepted = rng_chain.random() < math.exp((cand_penalty - penalty) / temperature)
         if accepted:
             current, penalty, mu2, e_tilde = candidate, cand_penalty, cand_mu2, cand_e
-            feasible = (
-                bool(np.all(current.sum(axis=1) <= inst.budgets))
-                and bool(np.all(e_tilde <= 0))
-                and math.isfinite(penalty)
-            )
-            if penalty > best_penalty:
-                best_penalty, best_mu2 = penalty, mu2
-                best_assignment = current.copy()
-                best_feasible = feasible
-            if feasible and penalty > best_f_penalty:
-                best_f_penalty, best_f_mu2 = penalty, mu2
-                best_f_assignment = current.copy()
+            feasible = _feasible(current, e_tilde, penalty, inst)
+            if (feasible, penalty) > best[:2]:
+                best = (feasible, penalty, mu2, current.copy())
         temperature *= params.cooling
         t += 1
         trace.append(TraceRow(t, temperature, penalty, mu2, feasible, accepted))
 
-    if best_f_assignment is not None:
-        return OptimizationResult(
-            best_assignment=best_f_assignment,
-            best_penalty=best_f_penalty,
-            best_mu2=best_f_mu2,
-            feasible=True,
-            trace=trace,
-            iterations_run=t,
-        )
+    best_feasible, best_penalty, best_mu2, best_assignment = best
     return OptimizationResult(
         best_assignment=best_assignment,
         best_penalty=best_penalty,
@@ -334,7 +313,7 @@ def anneal(
         feasible=best_feasible,
         trace=trace,
         iterations_run=t,
-        notes=("no feasible state visited",),
+        notes=() if best_feasible else ("no feasible state visited",),
     )
 
 
@@ -356,7 +335,6 @@ def random_feasible_assignment(inst: ProblemInstance, rng: np.random.Generator) 
             for agent in tokens[pos : pos + int(need[k])]:
                 assignment[agent, k] += 1
             pos += int(need[k])
-        active = inst.budgets > 0
-        if _candidate_connected(assignment, active):
+        if reaches_all(assignment[inst.budgets > 0] > 0):
             return assignment
     raise RuntimeError("could not sample a connected feasible assignment")

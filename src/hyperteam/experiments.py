@@ -20,7 +20,7 @@ schemes are supported:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations, islice, permutations
 
 import numpy as np
@@ -355,8 +355,7 @@ def rewire(
         if __debug__:
             assert np.array_equal(a.sum(axis=1), base.sum(axis=1))
             assert np.array_equal(a.sum(axis=0), base.sum(axis=0))
-        count, _, _ = bipartite_components(a > 0)
-        if count == 1:
+        if reaches_all(a > 0):
             return inst.with_assignment(a)
     raise ConvergenceError(
         f"no connected rewiring found in {_REWIRE_RETRIES} attempts "
@@ -510,8 +509,6 @@ def budget_sweep(
     sub_sizes: tuple[int, ...] = (4, 6, 9, 14),
     reps: int = 10,
     seed: int = 0,
-    *,
-    greedy_params: GreedyParams | None = None,
 ) -> BudgetSweepResult:
     """Optimize budget-relaxed sub-hypergraphs and track connectivity.
 
@@ -522,7 +519,6 @@ def budget_sweep(
     Curves aggregate per (multiplier, size) and carry a log-log fit of mean
     connectivity against mean agent count.
     """
-    base_params = greedy_params or GreedyParams()
     points: list[BudgetPoint] = []
     for size in sub_sizes:
         for rep in range(reps):
@@ -537,7 +533,7 @@ def budget_sweep(
                     energies=sample.energies,
                     assignment=sample.assignment,
                 )
-                result = greedy_optimize(relaxed, replace(base_params, seed=gseed))
+                result = greedy_optimize(relaxed, GreedyParams(seed=gseed))
                 points.append(
                     BudgetPoint(
                         target_tasks=size,

@@ -24,7 +24,7 @@ import numpy as np
 from . import spectral
 from .csa import OptimizationResult, TraceRow
 from .errors import InfeasibleError, StallError
-from .instance import ProblemInstance, bipartite_components, reaches_all, validate
+from .instance import ProblemInstance, reaches_all, validate
 from .seeds import substream
 
 __all__ = [
@@ -304,12 +304,11 @@ def greedy_optimize(inst: ProblemInstance, params: GreedyParams | None = None) -
     # connectivity is judged over participating agents only: an agent that
     # spends nothing is not part of the produced hypergraph
     active = final.sum(axis=1) > 0
-    components, _, _ = bipartite_components(final[active] > 0)
     return OptimizationResult(
         best_assignment=final,
         best_penalty=mu2,
         best_mu2=mu2,
-        feasible=report.feasible and components == 1,
+        feasible=report.feasible and bool(reaches_all(final[active] > 0)),
         trace=trace,
         iterations_run=len(trace) - 1,
         notes=notes,

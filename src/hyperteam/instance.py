@@ -180,10 +180,11 @@ def validate(inst: ProblemInstance) -> ValidationReport:
 
 
 def bipartite_components(incidence: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
-    """Connected components of the agent-task bipartite graph.
+    """Label the connected components of the agent-task bipartite graph.
 
     Returns (count, agent_labels, task_labels). Agents with no tasks and
-    tasks with no agents each form their own component.
+    tasks with no agents each form their own component. This is for callers
+    that read the labels; ``reaches_all`` answers "is it connected?".
     """
     x = np.asarray(incidence, dtype=bool)
     n, k = x.shape
@@ -213,9 +214,11 @@ def bipartite_components(incidence: np.ndarray) -> tuple[int, np.ndarray, np.nda
 def reaches_all(incidence: np.ndarray) -> np.ndarray:
     """Whether agent 0 reaches every agent and every task, per incidence.
 
-    Takes one (N, K) incidence or a stack (..., N, K) of them, N >= 1, and
-    returns a bool per incidence: the same answer as
-    ``bipartite_components(x)[0] == 1``, without labelling the components.
+    The package's one "is it connected?" test. Takes one (N, K) incidence or
+    a stack (..., N, K) of them and returns a bool per incidence. For N >= 1
+    it is the answer of ``bipartite_components(x)[0] == 1``, without
+    labelling the components. Reach implies that every task has a member and
+    every agent holds an entry. An incidence with no agents is not connected.
     """
     x = np.asarray(incidence, dtype=bool)
     agents = np.zeros(x.shape[:-1], dtype=bool)
@@ -229,9 +232,11 @@ def reaches_all(incidence: np.ndarray) -> np.ndarray:
 
 
 def is_connected(inst: ProblemInstance) -> bool:
-    """True when all agents and tasks sit in a single bipartite component."""
-    count, _, _ = bipartite_components(inst.incidence())
-    return count == 1
+    """True when all agents and tasks sit in a single bipartite component.
+
+    ``reaches_all`` on the instance's incidence.
+    """
+    return bool(reaches_all(inst.incidence()))
 
 
 def co_membership_graph(inst_or_assignment) -> np.ndarray:
@@ -292,29 +297,30 @@ def parse_instance_json(text: str) -> ProblemInstance:
             raise FormatError(f"{kind} {entry['id']!r}: {value_key} must be an integer")
         return str(entry["id"]), value
 
-    agent_ids, budgets = [], []
+    a_index: dict[str, int] = {}
+    budgets = []
     for entry in obj["agents"]:
         aid, budget = _id_and_value(entry, "agent", "budget")
         if budget < 0:
             raise FormatError(f"agent {aid!r}: negative budget")
-        if aid in set(agent_ids):
+        if aid in a_index:
             raise FormatError(f"duplicate id {aid!r}")
-        agent_ids.append(aid)
+        a_index[aid] = len(budgets)
         budgets.append(budget)
-    task_ids, energies = [], []
+    t_index: dict[str, int] = {}
+    energies = []
     for entry in obj["tasks"]:
         tid, energy = _id_and_value(entry, "task", "energy")
         if energy < 1:
             raise FormatError(f"task {tid!r}: energy must be >= 1")
-        if tid in set(task_ids):
+        if tid in t_index:
             raise FormatError(f"duplicate id {tid!r}")
-        task_ids.append(tid)
+        t_index[tid] = len(energies)
         energies.append(energy)
-    if not agent_ids or not task_ids:
+    if not a_index or not t_index:
         raise FormatError("instance needs at least one agent and one task")
+    agent_ids, task_ids = tuple(a_index), tuple(t_index)
 
-    a_index = {a: i for i, a in enumerate(agent_ids)}
-    t_index = {t: k for k, t in enumerate(task_ids)}
     assignment = np.zeros((len(agent_ids), len(task_ids)), dtype=np.int64)
     seen: set[tuple[int, int]] = set()
     for entry in obj["assignment"]:
@@ -341,7 +347,7 @@ def parse_instance_json(text: str) -> ProblemInstance:
     empty = np.flatnonzero(assignment.sum(axis=0) == 0)
     if empty.size:
         raise FormatError(f"empty hyperedge: task {task_ids[int(empty[0])]!r} has no agents")
-    return ProblemInstance(tuple(agent_ids), budgets, tuple(task_ids), energies, assignment)
+    return ProblemInstance(agent_ids, budgets, task_ids, energies, assignment)
 
 
 _TASK_HEAD = re.compile(r"^(?P<tid>[^():\s]+)(?:\((?P<energy>-?\d+)\))?$")

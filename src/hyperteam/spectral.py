@@ -234,8 +234,7 @@ class SpectralBundle:
     eigenvalues: np.ndarray
 
 
-def _bundle_parts(energies: np.ndarray, assignment: np.ndarray):
-    m = edvw_matrices(energies, assignment)
+def _bundle_parts(m: EDVWMatrices):
     P = transition_matrix(m)
     pi = stationary_distribution(P)
     L = laplacian(P, pi)
@@ -250,11 +249,11 @@ def spectral_bundle(inst: ProblemInstance, *, allow_disconnected: bool = False) 
     proportional to component size, so the Laplacian keeps one zero eigenvalue
     per component.
     """
-    build_matrices(inst)  # degree checks
+    m = build_matrices(inst)
     count, agent_label, _ = bipartite_components(inst.incidence())
     n = inst.n_agents
     if count == 1:
-        P, pi, L = _bundle_parts(inst.energies, inst.assignment)
+        P, pi, L = _bundle_parts(m)
         return SpectralBundle(P=P, pi=pi, L=L, eigenvalues=spectrum(L))
     if not allow_disconnected:
         raise DisconnectedError(f"hypergraph has {count} components")
@@ -272,7 +271,7 @@ def spectral_bundle(inst: ProblemInstance, *, allow_disconnected: bool = False) 
             P[rows[0], rows[0]] = 1.0
             pi[rows[0]] = 1.0 / n
             continue
-        Pc, pic, Lc = _bundle_parts(inst.energies[cols], sub)
+        Pc, pic, Lc = _bundle_parts(edvw_matrices(inst.energies[cols], sub))
         alpha = rows.size / n
         P[np.ix_(rows, rows)] = Pc
         pi[rows] = alpha * pic
@@ -286,7 +285,8 @@ def mu2_of_assignment(energies: np.ndarray, assignment: np.ndarray) -> float:
     Rows and columns without positive entries are dropped, so partial
     assignments evaluate on their active sub-hypergraph. A sub-hypergraph
     with fewer than two active agents has no mixing to measure and scores 0.
-    The caller checks that the active part is connected. A disconnected one
+    The caller checks that the active part is connected, with
+    ``instance.reaches_all`` on its incidence. A disconnected one
     has a reducible chain: up to N=512 the result is then roundoff around 0
     or a ``ConvergenceError``, depending on the eigenvector ``eig`` returns
     for the repeated eigenvalue 1, and above N=512 the solve raises. The

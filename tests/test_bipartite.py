@@ -194,6 +194,24 @@ def test_bundle_pi_is_the_lift_stationary_distribution(n, k):
     assert np.abs(pi - eig_stationary(full_lift(inst.energies, inst.assignment))).max() <= 1e-12
 
 
+@pytest.mark.parametrize("n, k", [(8, 3), (3, 8), (5, 5)])
+def test_bundle_two_step_laplacian_solves_one_chain(monkeypatch, n, k):
+    inst = random_connected_instance(np.random.default_rng(n + 2 * k), n, k)
+    sizes = []
+    solve = spectral.stationary_distribution
+
+    def recording(P):
+        sizes.append(np.shape(P))
+        return solve(P)
+
+    monkeypatch.setattr(spectral, "stationary_distribution", recording)
+    bundle = bipartite_bundle(inst)
+    assert sizes == [(k, k)]
+    # two_step_laplacian re-solves both side chains: the independent path
+    want = two_step_laplacian(bundle.P_star, n)
+    assert np.abs(bundle.L_star - want).max() <= 1e-14
+
+
 @pytest.mark.parametrize("n, k", [(30, 7), (7, 30)])
 def test_mu2_never_solves_a_chain_above_the_task_side(monkeypatch, n, k):
     sizes = []

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -20,8 +22,24 @@ from hyperteam.csa import (
     random_feasible_assignment,
 )
 from hyperteam.errors import InfeasibleError
-from hyperteam.instance import ProblemInstance, summary_stats
+from hyperteam.instance import ProblemInstance, bipartite_components, reaches_all, summary_stats
 from hyperteam.spectral import mu2_of_assignment
+
+
+def _candidate_connected(assignment: np.ndarray, active: np.ndarray) -> bool:
+    """Connectivity of the hypergraph on budget-positive agents and all tasks.
+
+    The annealer's former test, kept as an oracle: two pre-checks, then a
+    component count.
+    """
+    x = assignment > 0
+    if not x.any(axis=0).all():  # a task nobody works on
+        return False
+    xa = x[active]
+    if xa.shape[0] == 0 or not xa.any(axis=1).all():
+        return False
+    count, _, _ = bipartite_components(xa)
+    return count == 1
 
 
 def _slack_instance(seed=0, n=10, k=4, slack=2):
@@ -87,6 +105,28 @@ def test_evaluate_disconnected_is_rejected_outright():
     inst = make_instance([[1, 0], [0, 1]], energies=[1, 1])
     penalty, _ = evaluate(np.array([[1, 0], [0, 1]]), inst, CsaParams())
     assert penalty == -math.inf
+
+
+def test_reach_test_matches_the_component_oracle():
+    rng = np.random.default_rng(21)
+    seen = {"unbudgeted holder": 0, "idle budgeted": 0, "uncovered task": 0}
+    outcomes = set()
+    for _ in range(400):
+        n, k = int(rng.integers(1, 7)), int(rng.integers(1, 5))
+        budgets = rng.integers(0, 3, size=n)
+        a = rng.integers(0, 3, size=(n, k)) * (rng.random((n, k)) < rng.uniform(0.2, 0.8))
+        inst = make_instance(np.ones((n, k), dtype=np.int64), budgets=budgets, energies=[1] * k)
+        active = inst.budgets > 0
+        want = _candidate_connected(a, active)
+        assert bool(reaches_all(a[active] > 0)) == want
+        penalty, _ = evaluate(a, inst, CsaParams())
+        assert math.isfinite(penalty) == want
+        outcomes.add(want)
+        seen["unbudgeted holder"] += bool((a[~active] > 0).any())
+        seen["idle budgeted"] += bool((a[active].sum(axis=1) == 0).any())
+        seen["uncovered task"] += bool((a.sum(axis=0) == 0).any())
+    assert outcomes == {True, False}
+    assert min(seen.values()) > 20
 
 
 def test_evaluate_factor_terms():
@@ -217,6 +257,51 @@ def test_anneal_infeasible_totals():
     inst = make_instance([[1], [1]], budgets=[1, 1], energies=[9])
     with pytest.raises(InfeasibleError):
         anneal(inst, CsaParams())
+
+
+def test_anneal_never_feasible_returns_its_initial_state():
+    # one unit per agent cannot cover two tasks and keep both agents linked
+    inst = make_instance([[1, 0], [0, 1]], budgets=[1, 1], energies=[1, 1])
+    initial = np.array([[1, 0], [0, 1]])
+    result = anneal(inst, CsaParams(cooling=0.9, t_threshold=0.01), initial=initial)
+    assert result.iterations_run > 0
+    assert not result.feasible
+    assert result.notes == ("no feasible state visited",)
+    assert np.array_equal(result.best_assignment, initial)
+    assert result.best_penalty == -math.inf and math.isnan(result.best_mu2)
+
+
+def test_anneal_prefers_feasible_over_a_higher_infeasible_penalty():
+    # with no task penalty the short start scores mu2 = 1/2, above the 2/5
+    # of every feasible state; the chain must still return a feasible one
+    inst = make_instance([[1, 1], [1, 1]], budgets=[2, 2], energies=[3, 1])
+    initial = np.array([[1, 1], [1, 1]])
+    params = CsaParams(task_penalty=0.0, cooling=0.9, t_threshold=0.01, seed=0)
+    result = anneal(inst, params, initial=initial)
+    infeasible = [row.penalty for row in result.trace if not row.feasible]
+    feasible = [row.penalty for row in result.trace if row.feasible]
+    assert math.isclose(max(infeasible), 0.5, abs_tol=1e-12)
+    assert result.feasible and result.notes == ()
+    assert math.isclose(result.best_penalty, 0.4, abs_tol=1e-12)
+    assert result.best_penalty == max(feasible)
+    assert result.best_assignment.sum(axis=0).tolist() == [3, 1]
+
+
+# sha256 of the trace rows and best assignment, recorded with the former
+# two-tracker anneal (numpy 2.4.6, OpenBLAS, x86-64); roundoff in another
+# LAPACK build may move a trace value and so the digest
+_PINNED_DIGESTS = {
+    "hypergraph": "3baf9cf4b26a8ab3fb3e4e7ea4045450d4efb01fc071f26e0c72a8226bb8115a",
+    "bipartite": "0d0f5c02cdd9a57cb7082d40d9ac129bb6a1f2dd1cc88dab69d6de111854fa27",
+}
+
+
+@pytest.mark.parametrize("objective", sorted(_PINNED_DIGESTS))
+def test_anneal_reproduces_the_pinned_chain(coauthor_small, objective):
+    result = anneal(coauthor_small, CsaParams(cooling=0.98, seed=0, objective=objective))
+    rows = repr([astuple(row) for row in result.trace]).encode()
+    digest = hashlib.sha256(rows + result.best_assignment.tobytes()).hexdigest()
+    assert digest == _PINNED_DIGESTS[objective]
 
 
 def test_anneal_best_tracks_the_trace():

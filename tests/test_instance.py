@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -105,10 +106,16 @@ def _json_obj():
         "agents": [{"id": "a", "budget": 2}, {"id": "b", "budget": 1}],
         "tasks": [{"id": "t", "energy": 3}],
         "assignment": [
-            {"agent": "a", "task": "t", "units": 2},
-            {"agent": "b", "task": "t", "units": 1},
+            {"agent": "a", "task": "t", "weight": 2},
+            {"agent": "b", "task": "t", "weight": 1},
         ],
     }
+
+
+def test_json_fixture_parses():
+    inst = parse_instance_json(json.dumps(_json_obj()))
+    assert inst.agent_ids == ("a", "b") and inst.task_ids == ("t",)
+    assert np.array_equal(inst.assignment, [[2], [1]])
 
 
 def test_json_parse_errors():
@@ -117,47 +124,44 @@ def test_json_parse_errors():
     with pytest.raises(FormatError):
         parse_instance_json("[1, 2]")
 
-    cases = []
 
+def _set(path, value):
+    def mutate(obj):
+        *keys, last = path
+        for key in keys:
+            obj = obj[key]
+        obj[last] = value
+
+    return mutate
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda obj: obj.pop("tasks"), "missing required key 'tasks'"),
+        (_set(("agents", 0, "budget"), -1), "agent 'a': negative budget"),
+        (_set(("agents", 1, "id"), "a"), "duplicate id 'a'"),
+        (lambda obj: obj["tasks"].append({"id": "t", "energy": 1}), "duplicate id 't'"),
+        (_set(("tasks", 0, "energy"), 0), "task 't': energy must be >= 1"),
+        (_set(("assignment", 0, "weight"), 0), "zero-weight assignment entry"),
+        # bools are not unit counts
+        (_set(("assignment", 0, "weight"), True), "assignment weight must be an integer"),
+        (_set(("assignment", 0, "agent"), "ghost"), "unknown id"),
+        (
+            lambda obj: obj["assignment"].append({"agent": "a", "task": "t", "weight": 1}),
+            "duplicate id pair in assignment: 'a'/'t'",
+        ),
+        (
+            lambda obj: obj["tasks"].append({"id": "empty", "energy": 1}),
+            "empty hyperedge: task 'empty' has no agents",
+        ),
+    ],
+)
+def test_json_rejects_with_its_message(mutate, message):
     obj = _json_obj()
-    del obj["tasks"]
-    cases.append(obj)
-
-    obj = _json_obj()
-    obj["agents"][0]["budget"] = -1
-    cases.append(obj)
-
-    obj = _json_obj()
-    obj["agents"][1]["id"] = "a"
-    cases.append(obj)
-
-    obj = _json_obj()
-    obj["tasks"][0]["energy"] = 0
-    cases.append(obj)
-
-    obj = _json_obj()
-    obj["assignment"][0]["units"] = 0
-    cases.append(obj)
-
-    obj = _json_obj()
-    obj["assignment"][0]["units"] = True  # bools are not unit counts
-    cases.append(obj)
-
-    obj = _json_obj()
-    obj["assignment"][0]["agent"] = "ghost"
-    cases.append(obj)
-
-    obj = _json_obj()
-    obj["assignment"].append({"agent": "a", "task": "t", "units": 1})
-    cases.append(obj)
-
-    obj = _json_obj()
-    obj["tasks"].append({"id": "empty", "energy": 1})
-    cases.append(obj)  # task with no members
-
-    for bad in cases:
-        with pytest.raises(FormatError):
-            parse_instance_json(json.dumps(bad))
+    mutate(obj)
+    with pytest.raises(FormatError, match=re.escape(message)):
+        parse_instance_json(json.dumps(obj))
 
 
 def test_load_instance_format_inference(tmp_path):
@@ -267,6 +271,12 @@ def test_reaches_all_matches_component_count(seed, n, k, density):
     want = [bipartite_components(x)[0] == 1 for x in stack]
     assert reaches_all(stack).tolist() == want
     assert [bool(reaches_all(x)) for x in stack] == want
+
+
+def test_reaches_all_without_agents_is_disconnected():
+    # the annealer's active part is empty when no agent has a budget
+    assert not reaches_all(np.zeros((0, 3), dtype=bool))
+    assert reaches_all(np.zeros((2, 0, 3), dtype=bool)).tolist() == [False, False]
 
 
 def test_co_membership_shapes():

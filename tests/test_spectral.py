@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import eig_stationary, make_instance, random_connected_instance
+from hyperteam import spectral
 from hyperteam.errors import ConvergenceError, DegreeError, DisconnectedError
 from hyperteam.spectral import (
     algebraic_connectivity,
@@ -285,6 +286,23 @@ def test_diffusion_basics():
     assert np.allclose(states[-1], np.full(3, 1 / 3), atol=1e-6)
     with pytest.raises(ValueError):
         diffuse(bundle.L, x0, np.array([-1.0]))
+
+
+def test_bundle_builds_the_weight_matrices_once(monkeypatch):
+    inst = random_connected_instance(np.random.default_rng(4), 6, 3)
+    calls = []
+    build = spectral.edvw_matrices
+
+    def recording(energies, assignment):
+        calls.append(np.shape(assignment))
+        return build(energies, assignment)
+
+    monkeypatch.setattr(spectral, "edvw_matrices", recording)
+    bundle = spectral_bundle(inst)
+    assert calls == [(6, 3)]
+    P = transition_matrix(build_matrices(inst))
+    assert np.array_equal(bundle.P, P)
+    assert np.array_equal(bundle.L, laplacian(P, stationary_distribution(P)))
 
 
 def test_diffusion_rate_tracks_connectivity():
