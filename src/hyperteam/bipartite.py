@@ -19,6 +19,7 @@ so that distribution is ``(pi, q) / 2`` with ``q = pi A`` and ``pi = q B``:
 ``q`` for the task chain ``B A``. Both side chains are aperiodic, and the
 lift takes its distribution from the K x K task chain through
 ``spectral.stationary_distribution``, never from the periodic (N+K) chain.
+Its Laplacian is written block by block from A, B and that distribution.
 """
 
 from __future__ import annotations
@@ -71,14 +72,24 @@ def _lift(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return P
 
 
-def _lift_stationary(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Stationary distribution of ``_lift(A, B)``, solved on the task side.
+def _lift_laplacian(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stationary distribution and Laplacian of ``_lift(A, B)``, from its blocks.
 
     The K x K task chain ``B A`` gives q and ``pi = q B``; each side carries
-    mass 1/2.
+    mass 1/2, so the distribution is ``(pi, q) / 2``. That is the Laplacian's
+    diagonal; its agent-task block is ``-(pi_i A_ik + q_k B_ki) / 4`` and the
+    two side blocks are zero off the diagonal.
     """
     q = spectral.stationary_distribution(B @ A)
-    return 0.5 * np.concatenate([q @ B, q])
+    pi_b = 0.5 * np.concatenate([q @ B, q])
+    n, k = A.shape
+    cross = pi_b[:n, np.newaxis] * A + (pi_b[n:, np.newaxis] * B).T
+    cross *= -0.5
+    L = np.zeros((n + k, n + k))
+    L[:n, n:] = cross
+    L[n:, :n] = cross.T
+    np.fill_diagonal(L, pi_b)
+    return pi_b, L
 
 
 def bipartite_transition(inst: ProblemInstance) -> np.ndarray:
@@ -122,8 +133,7 @@ def two_step_laplacian(P_star: np.ndarray, n_agents: int) -> np.ndarray:
 
 def mu2_of_assignment(energies: np.ndarray, assignment: np.ndarray) -> float:
     """Alternating-walk mu2 of an assignment; connectivity is the caller's job."""
-    A, B = _lift_blocks(energies, assignment)
-    L = spectral.laplacian(_lift(A, B), _lift_stationary(A, B))
+    _, L = _lift_laplacian(*_lift_blocks(energies, assignment))
     return float(spectral.spectrum(L)[1])
 
 
@@ -150,9 +160,8 @@ def bipartite_bundle(inst: ProblemInstance) -> BipartiteBundle:
     if not is_connected(inst):
         raise DisconnectedError("bipartite bundle needs a connected instance")
     A, B = _lift_blocks(inst.energies, inst.assignment)
+    pi_b, L_b = _lift_laplacian(A, B)
     P_b = _lift(A, B)
-    pi_b = _lift_stationary(A, B)
-    L_b = spectral.laplacian(P_b, pi_b)
     P_star = two_step(P_b)
     # P_star's diagonal blocks are the two side chains, and pi_b already
     # holds their stationary distributions at mass 1/2 each

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, bipartite
 from .bipartite import bipartite_bundle
 from .csa import CsaParams, anneal
 from .errors import HyperteamError
@@ -123,12 +123,12 @@ def _run_optimize(params: dict, out_dir: Path, to_stdout: bool) -> list[str]:
     else:
         result = anneal(inst, CsaParams(**params["optimizer"]))
 
+    # the input is scored with the run's own objective, so gain compares like with like
+    mu2_of = bipartite.mu2_of_assignment if method == "csa-bipartite" else mu2_of_assignment
     mu2_original = None
     report = validate(inst)
     if report.connected and int(np.asarray(inst.assignment).sum()) > 0:
-        mu2_original = mu2_of_assignment(
-            np.asarray(inst.energies), np.asarray(inst.assignment)
-        )
+        mu2_original = mu2_of(np.asarray(inst.energies), np.asarray(inst.assignment))
     meta = {
         "method": method,
         "seed": params["seed"],

@@ -20,6 +20,10 @@ The public per-matrix functions (``edvw_matrices``, ``transition_matrix``,
 ``stationary_distribution``, ``laplacian``, ``spectrum``, ...) take 2-D input
 only. ``mu2_batch`` scores a stack of assignments through stack-aware private
 forms of the same chain, which the per-matrix functions call too.
+
+Stationary distributions come from one normalized linear solve that rejects
+reducible chains. The one exception is ``mu2_batch`` up to N=512, which keeps
+a stacked dense ``eig``; its body says why.
 """
 
 from __future__ import annotations
@@ -48,8 +52,7 @@ __all__ = [
     "batch_rows",
 ]
 
-# Above this size the stationary solver switches from a dense
-# eigendecomposition to a linear solve.
+# Up to this size mu2_batch takes pi from a stacked dense eig; see there.
 _DENSE_LIMIT = 512
 
 # Entries per array of one batch (128 KiB of float64), which bounds the
@@ -114,7 +117,11 @@ def transition_matrix(m: EDVWMatrices) -> np.ndarray:
 
 
 def _stationary_dense(P: np.ndarray) -> np.ndarray:
-    """Left eigenvectors of a (C, n, n) stack at eigenvalue 1, each summing to 1."""
+    """Left eigenvectors of a (C, n, n) stack at eigenvalue 1, each summing to 1.
+
+    Unlike ``_stationary`` it does not test reducibility: a chain with two
+    closed classes returns one class's distribution.
+    """
     evals, evecs = np.linalg.eig(np.swapaxes(P, -1, -2))
     chains = np.arange(len(P))
     idx = np.abs(evals - 1.0).argmin(axis=-1)
@@ -132,8 +139,15 @@ def _stationary_dense(P: np.ndarray) -> np.ndarray:
 
 
 def _irreducible(P: np.ndarray) -> bool:
-    """Whether state 0 reaches every state and every state reaches state 0."""
-    for step in (P > 0, P.T > 0):
+    """Whether state 0 reaches every state and every state reaches state 0.
+
+    The walk chains here link two agents that share a task, or two tasks that
+    share an agent, so their support is symmetric; the backward search would
+    then repeat the forward one and is skipped.
+    """
+    forward = P > 0
+    backward = forward.T
+    for step in (forward,) if np.array_equal(forward, backward) else (forward, backward):
         seen = frontier = np.arange(len(P)) == 0
         while frontier.any():
             frontier = step[frontier].any(axis=0) & ~seen
@@ -146,16 +160,19 @@ def _irreducible(P: np.ndarray) -> bool:
 def _stationary(P: np.ndarray) -> np.ndarray:
     """Stationary distributions of a (C, n, n) stack; raises if any chain fails.
 
-    Up to n = 512 dense ``eig``; beyond, one normalized linear solve per chain.
+    One normalized linear solve per chain: ``pi (P - I) = 0`` with the last
+    balance equation replaced by ``sum(pi) = 1``. A reducible chain, a
+    singular system, mass below -1e-9 or a residual |pi P - pi|_1 above 1e-9
+    raises ``ConvergenceError``.
     """
-    n = P.shape[-1]
-    if n <= _DENSE_LIMIT:
-        return _stationary_dense(P)
     # a reducible chain may solve to a plausible mix of its closed classes
     if not all(_irreducible(p) for p in P):
         raise ConvergenceError("chain is reducible; no unique stationary distribution")
-    A = np.swapaxes(P, -1, -2) - np.eye(n)
-    A[:, -1, :] = 1.0  # the last balance equation becomes sum(pi) = 1
+    n = P.shape[-1]
+    A = np.swapaxes(P, -1, -2).copy()
+    diag = np.arange(n)
+    A[:, diag, diag] -= 1.0
+    A[:, -1, :] = 1.0
     rhs = np.zeros(P.shape[:-1] + (1,))
     rhs[:, -1] = 1.0
     try:
@@ -173,10 +190,10 @@ def _stationary(P: np.ndarray) -> np.ndarray:
 def stationary_distribution(P: np.ndarray) -> np.ndarray:
     """Stationary distribution of a row-stochastic, irreducible chain.
 
-    Periodic chains such as the bipartite lift are fine. Up to size 512: the
-    eigenvector of P^T at eigenvalue 1 (dense ``eig``). Beyond: one normalized
-    linear solve, which raises ``ConvergenceError`` on a reducible chain, a
-    singular system, mass below -1e-9 or a residual |pi P - pi|_1 above 1e-9.
+    Periodic chains such as the bipartite lift are fine. One normalized
+    linear solve at every size, which raises ``ConvergenceError`` on a
+    reducible chain, a singular system, mass below -1e-9 or a residual
+    |pi P - pi|_1 above 1e-9.
     """
     P = np.asarray(P, dtype=np.float64)
     if P.ndim != 2 or P.shape[0] != P.shape[1]:
@@ -185,10 +202,17 @@ def stationary_distribution(P: np.ndarray) -> np.ndarray:
 
 
 def _laplacian(P: np.ndarray, pi: np.ndarray) -> np.ndarray:
-    """Pi - (Pi P + P^T Pi) / 2 of one chain or of a stack of them."""
+    """Pi - (Pi P + P^T Pi) / 2 of one chain or of a stack of them.
+
+    Exactly symmetric as built, so it needs no symmetrizing pass.
+    """
     pip = pi[..., np.newaxis] * P
-    L = pi[..., np.newaxis] * np.eye(P.shape[-1]) - 0.5 * (pip + np.swapaxes(pip, -1, -2))
-    return 0.5 * (L + np.swapaxes(L, -1, -2))
+    L = pip + np.swapaxes(pip, -1, -2)
+    L *= -0.5
+    L += 0.0  # turns -0 into +0
+    diag = np.arange(P.shape[-1])
+    L[..., diag, diag] += pi
+    return L
 
 
 def laplacian(P: np.ndarray, pi: np.ndarray) -> np.ndarray:
@@ -285,12 +309,13 @@ def mu2_of_assignment(energies: np.ndarray, assignment: np.ndarray) -> float:
     Rows and columns without positive entries are dropped, so partial
     assignments evaluate on their active sub-hypergraph. A sub-hypergraph
     with fewer than two active agents has no mixing to measure and scores 0.
+    The active part is scored by ``mu2_batch`` as a batch of one, so up to
+    N=512 its pi comes from dense ``eig``, not from ``stationary_distribution``.
     The caller checks that the active part is connected, with
-    ``instance.reaches_all`` on its incidence. A disconnected one
-    has a reducible chain: up to N=512 the result is then roundoff around 0
-    or a ``ConvergenceError``, depending on the eigenvector ``eig`` returns
-    for the repeated eigenvalue 1, and above N=512 the solve raises. The
-    active part is scored by ``mu2_batch`` as a batch of one.
+    ``instance.reaches_all`` on its incidence. A disconnected one has a
+    reducible chain: up to N=512 the result is then roundoff around 0 or a
+    ``ConvergenceError``, depending on the eigenvector ``eig`` returns for the
+    repeated eigenvalue 1, and above N=512 the solve raises.
     """
     energies, assignment = np.asarray(energies), np.asarray(assignment)
     rows, cols = assignment.sum(axis=1) > 0, assignment.sum(axis=0) > 0
@@ -337,6 +362,9 @@ def mu2_batch(energies: np.ndarray, stack: np.ndarray) -> np.ndarray:
         if not (d_v.all() and d_e.all()):
             raise ValueError("every agent and task of a batch needs a positive entry")
         P = _transition(W, R, d_v, d_e)
-        L = _laplacian(P, _stationary(P))
+        # Greedy breaks exact ties in its offers by roundoff, and the recorded
+        # greedy assignments rest on the dense eig's pi, so small stacks keep it.
+        pi = _stationary_dense(P) if n <= _DENSE_LIMIT else _stationary(P)
+        L = _laplacian(P, pi)
         out[lo : lo + size] = np.linalg.eigvalsh(L)[:, 1]
     return out

@@ -194,6 +194,14 @@ def test_bundle_pi_is_the_lift_stationary_distribution(n, k):
     assert np.abs(pi - eig_stationary(full_lift(inst.energies, inst.assignment))).max() <= 1e-12
 
 
+@pytest.mark.parametrize("n, k", [(8, 3), (5, 5), (3, 8), (6, 1)])
+def test_block_built_lift_laplacian_matches_the_generic_one(n, k):
+    inst = random_connected_instance(np.random.default_rng(7 * n + k), n, k)
+    A, B = bipartite._lift_blocks(inst.energies, inst.assignment)
+    pi_b, L = bipartite._lift_laplacian(A, B)
+    assert np.abs(L - laplacian(bipartite._lift(A, B), pi_b)).max() <= 1e-15
+
+
 @pytest.mark.parametrize("n, k", [(8, 3), (3, 8), (5, 5)])
 def test_bundle_two_step_laplacian_solves_one_chain(monkeypatch, n, k):
     inst = random_connected_instance(np.random.default_rng(n + 2 * k), n, k)

@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 from conftest import make_instance, random_connected_instance, subprocess_env, toy_path
+from hyperteam import bipartite
 from hyperteam.instance import load_instance, save_instance
+from hyperteam.spectral import mu2_of_assignment
 
 
 def run_cli(*args, cwd=None, env_extra=None):
@@ -127,6 +129,29 @@ def test_optimize_csa_runs_and_repeats(workdir, tmp_path):
     # csa traces have no phase column
     header = (out1 / "trace.csv").read_text().splitlines()[0]
     assert header == "iter,temperature,penalty,mu2,feasible,accepted"
+
+
+def test_optimize_csa_bipartite_gain_compares_bipartite_mu2s(workdir, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"t_threshold": 0.2, "max_iters": 300}))
+    proc = run_cli(
+        "optimize",
+        "--input",
+        str(workdir / "small.json"),
+        "--method",
+        "csa-bipartite",
+        "--config",
+        str(config),
+        "--out",
+        str(tmp_path / "out"),
+    )
+    assert proc.returncode == 0, proc.stderr
+    meta = json.loads((tmp_path / "out" / "result.json").read_text())["meta"]
+    inst = load_instance(str(workdir / "small.json"))
+    original = bipartite.mu2_of_assignment(inst.energies, inst.assignment)
+    assert meta["mu2_original"] == original
+    assert meta["mu2_original"] != mu2_of_assignment(inst.energies, inst.assignment)
+    assert meta["gain"] == meta["mu2"] / original
 
 
 def test_optimize_usage_errors(workdir, tmp_path):

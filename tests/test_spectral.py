@@ -103,8 +103,8 @@ def test_stationary_fixed_point():
 
 
 def test_stationary_power_iteration_path():
-    # large single-task instance takes the linear-solve path above the
-    # dense-eig size limit
+    # the normalized linear solve on a 600-state single-task chain, whose
+    # stationary distribution is uniform
     n = 600
     inst = make_instance(np.ones((n, 1), dtype=np.int64))
     P = transition_matrix(build_matrices(inst))
@@ -139,6 +139,44 @@ def test_stationary_solve_rejects_reducible_chain():
         P[:260, :260], P[260:, 260:] = blocks
         with pytest.raises(ConvergenceError):
             stationary_distribution(P)
+
+
+def test_stationary_rejects_small_reducible_chain():
+    # the same two-closed-class trap at 10 + 12 states: the solve's
+    # reducibility check holds at every size
+    rng = np.random.default_rng(0)
+    for _ in range(3):
+        blocks = [
+            transition_matrix(build_matrices(random_connected_instance(rng, n, 4)))
+            for n in (10, 12)
+        ]
+        P = np.zeros((22, 22))
+        P[:10, :10], P[10:, 10:] = blocks
+        with pytest.raises(ConvergenceError):
+            stationary_distribution(P)
+
+
+def test_stationary_checks_both_directions_of_an_asymmetric_chain():
+    # a 3-cycle is irreducible; once state 2 is absorbing, state 0 still
+    # reaches everything, the solve finds the unique pi = e_2, and only the
+    # backward search sees that state 2 never returns
+    cycle = np.roll(np.eye(3), 1, axis=1)
+    assert np.allclose(stationary_distribution(cycle), np.full(3, 1 / 3), atol=1e-12)
+    absorbing = cycle.copy()
+    absorbing[2] = [0.0, 0.0, 1.0]
+    with pytest.raises(ConvergenceError):
+        stationary_distribution(absorbing)
+
+
+def test_stationary_solve_matches_eig_oracle_on_coauthor_small(coauthor_small):
+    m = build_matrices(coauthor_small)
+    A, B = m.W / m.d_v[:, np.newaxis], (m.R / m.d_e).T
+    agent_chain = transition_matrix(m)
+    for P in (agent_chain, B @ A):
+        pi = stationary_distribution(P)
+        assert np.abs(pi - eig_stationary(P)).max() <= 1e-12
+        assert _residual(pi, P) <= 1e-12
+    assert agent_chain.shape == (52, 52) and (B @ A).shape == (25, 25)
 
 
 def test_coauthor_large_mu2_matches_eig_oracle(coauthor_large):
@@ -212,15 +250,45 @@ def test_laplacian_structure_on_random_instances():
         assert spectrum(L)[0] >= -1e-10
 
 
+def _three_pass_laplacian(P, pi):
+    """Pi - (Pi P + P^T Pi) / 2 with an identity temporary and a symmetrizing pass."""
+    pip = pi[..., np.newaxis] * P
+    L = pi[..., np.newaxis] * np.eye(P.shape[-1]) - 0.5 * (pip + np.swapaxes(pip, -1, -2))
+    return 0.5 * (L + np.swapaxes(L, -1, -2))
+
+
+def _assert_same_bits(got, want):
+    assert np.array_equal(got, want)
+    zero = want == 0
+    assert np.array_equal(np.signbit(got[zero]), np.signbit(want[zero]))
+
+
+def test_laplacian_matches_the_three_pass_oracle_on_a_stack():
+    rng = np.random.default_rng(29)
+    stack = np.asarray(
+        [transition_matrix(build_matrices(random_connected_instance(rng, 7, 3))) for _ in range(4)]
+    )
+    pi = np.asarray([stationary_distribution(P) for P in stack])
+    _assert_same_bits(spectral._laplacian(stack, pi), _three_pass_laplacian(stack, pi))
+
+
+def test_laplacian_matches_the_three_pass_oracle_with_exact_zeros():
+    # two tasks sharing one agent: agents 0 and 2 never meet, so P and L
+    # hold exact zeros off the diagonal
+    P = transition_matrix(build_matrices(make_instance([[1, 0], [1, 1], [0, 1]])))
+    assert (P == 0).any()
+    pi = stationary_distribution(P)
+    _assert_same_bits(laplacian(P, pi), _three_pass_laplacian(P, pi))
+
+
 def test_laplacian_ignores_memory_layout():
     rng = np.random.default_rng(19)
     for _ in range(5):
         P = transition_matrix(build_matrices(random_connected_instance(rng, 6, 4)))
         pi = stationary_distribution(P)
-        want = np.diag(pi) - 0.5 * (pi[:, None] * P + (pi[:, None] * P).T)
-        want = 0.5 * (want + want.T)
+        want = _three_pass_laplacian(P, pi)
         for layout in (P, np.asfortranarray(P), P.T.copy().T):
-            assert laplacian(layout, pi).tolist() == want.tolist()
+            _assert_same_bits(laplacian(layout, pi), want)
 
 
 def test_connectivity_needs_two_agents():
