@@ -36,6 +36,7 @@ from .errors import (
     FormatError,
     HyperteamError,
     InfeasibleError,
+    ReducibleChainError,
     StallError,
 )
 from .experiments import (
@@ -108,6 +109,7 @@ __all__ = [
     "DisconnectedError",
     "InfeasibleError",
     "ConvergenceError",
+    "ReducibleChainError",
     "StallError",
     # instance
     "ProblemInstance",

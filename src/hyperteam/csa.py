@@ -11,10 +11,10 @@ Moves come in two flavors. A guided move takes one unit from a task with
 surplus and gives it to a task in deficit, shrinking the total shortfall by
 exactly one. A plain move swaps one unit between two random tasks through one
 agent on each side, which conserves both row and column totals. Candidates
-whose active hypergraph (budgeted agents and all tasks) fails the reach test
-``instance.reaches_all`` evaluate to -inf and are never accepted; since moves
-preserve row sums, budget overruns can never appear once the chain starts
-from a full-budget state.
+whose active hypergraph (budgeted agents and all tasks) is disconnected, as
+the objective's solve reports with ``ReducibleChainError``, evaluate to -inf
+and are never accepted; since moves preserve row sums, budget overruns can
+never appear once the chain starts from a full-budget state.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bipartite, spectral
-from .errors import InfeasibleError
+from .errors import InfeasibleError, ReducibleChainError
 from .instance import ProblemInstance, co_membership_graph, reaches_all
 from .seeds import substream
 
@@ -156,12 +156,17 @@ def _evaluate_full(
     """(penalty, mu2, task shortfall vector). Disconnected candidates get -inf.
 
     Connected means that the budgeted agents reach every task and each other.
+    Past the idle-agent and empty-task checks, the objective's solve decides.
     """
     e_tilde = inst.energies - assignment.sum(axis=0)
     sub = assignment[inst.budgets > 0]
-    if not reaches_all(sub > 0):
+    x = sub > 0
+    if not (x.any(axis=1).all() and x.any(axis=0).all()):
         return -math.inf, math.nan, e_tilde
-    mu2 = mu2_of(inst.energies, sub)
+    try:
+        mu2 = mu2_of(inst.energies, sub)
+    except ReducibleChainError:
+        return -math.inf, math.nan, e_tilde
     overrun = np.maximum(assignment.sum(axis=1) - inst.budgets, 0)
     penalty = (
         mu2

@@ -25,5 +25,9 @@ class ConvergenceError(HyperteamError, RuntimeError):
     """An iterative numerical routine failed to converge."""
 
 
+class ReducibleChainError(ConvergenceError):
+    """A Markov chain has no unique stationary distribution: it is reducible."""
+
+
 class StallError(HyperteamError, RuntimeError):
     """The greedy optimizer ran out of admissible moves."""

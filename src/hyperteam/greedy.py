@@ -23,7 +23,7 @@ import numpy as np
 
 from . import spectral
 from .csa import OptimizationResult, TraceRow
-from .errors import InfeasibleError, StallError
+from .errors import InfeasibleError, ReducibleChainError, StallError
 from .instance import ProblemInstance, reaches_all, validate
 from .seeds import substream
 
@@ -99,10 +99,10 @@ def centralized_init(inst: ProblemInstance) -> np.ndarray:
 
 def _mu2(inst: ProblemInstance, assignment: np.ndarray) -> float:
     """mu2 of the active part; 0 when that part is disconnected."""
-    x = assignment > 0
-    if not reaches_all(x[x.any(axis=1)][:, x.any(axis=0)]):
+    try:
+        return spectral.mu2_of_assignment(inst.energies, assignment)
+    except ReducibleChainError:
         return 0.0
-    return spectral.mu2_of_assignment(inst.energies, assignment)
 
 
 def _offer_stack(
@@ -183,11 +183,12 @@ def phase1(
 
     One packet lands per round. Every agent with remaining budget offers
     ``min(remaining, shortfall, packet_size)`` units to every still-short
-    task; the offer with the highest mu2 gain per unit wins, ties going to
-    the lowest agent index and then the lowest task index. A state whose
-    active part is disconnected scores mu2 = 0, to roundoff. When more agents
-    have budget than ``random_threshold``, the agent is drawn uniformly at
-    random and only that agent's offers are scored.
+    task; the offer with the highest mu2 gain per unit wins, the first in
+    (agent, task) order among equal gains. Offers tied in exact arithmetic
+    are split by ``mu2_batch``'s ``eig`` roundoff (ROADMAP.md proposes a tie
+    tolerance). A disconnected active part scores mu2 = 0, to roundoff. When
+    more agents have budget than ``random_threshold``, the agent is drawn
+    uniformly at random and only that agent's offers are scored.
     """
     params = params or GreedyParams()
     rng = substream(params.seed, "greedy-phase1")

@@ -214,11 +214,12 @@ def bipartite_components(incidence: np.ndarray) -> tuple[int, np.ndarray, np.nda
 def reaches_all(incidence: np.ndarray) -> np.ndarray:
     """Whether agent 0 reaches every agent and every task, per incidence.
 
-    The package's one "is it connected?" test. Takes one (N, K) incidence or
-    a stack (..., N, K) of them and returns a bool per incidence. For N >= 1
-    it is the answer of ``bipartite_components(x)[0] == 1``, without
-    labelling the components. Reach implies that every task has a member and
-    every agent holds an entry. An incidence with no agents is not connected.
+    The "is it connected?" test on incidences; scoring one state leaves it to
+    the stationary solve. Takes one (N, K) incidence or a stack of them and
+    returns a bool per incidence. For N >= 1 it is the answer of
+    ``bipartite_components(x)[0] == 1``, without labelling the components.
+    Reach implies that every task has a member and every agent holds an
+    entry. An incidence with no agents is not connected.
     """
     x = np.asarray(incidence, dtype=bool)
     agents = np.zeros(x.shape[:-1], dtype=bool)

@@ -22,8 +22,9 @@ only. ``mu2_batch`` scores a stack of assignments through stack-aware private
 forms of the same chain, which the per-matrix functions call too.
 
 Stationary distributions come from one normalized linear solve that rejects
-reducible chains. The one exception is ``mu2_batch`` up to N=512, which keeps
-a stacked dense ``eig``; its body says why.
+reducible chains with ``ReducibleChainError``. The one exception is
+``mu2_batch`` up to N=512, which keeps a stacked dense ``eig``; its body says
+why.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DegreeError, DisconnectedError
+from .errors import ConvergenceError, DegreeError, DisconnectedError, ReducibleChainError
 from .instance import ProblemInstance, bipartite_components
 
 __all__ = [
@@ -163,11 +164,11 @@ def _stationary(P: np.ndarray) -> np.ndarray:
     One normalized linear solve per chain: ``pi (P - I) = 0`` with the last
     balance equation replaced by ``sum(pi) = 1``. A reducible chain, a
     singular system, mass below -1e-9 or a residual |pi P - pi|_1 above 1e-9
-    raises ``ConvergenceError``.
+    raises ``ConvergenceError``, the first as ``ReducibleChainError``.
     """
     # a reducible chain may solve to a plausible mix of its closed classes
     if not all(_irreducible(p) for p in P):
-        raise ConvergenceError("chain is reducible; no unique stationary distribution")
+        raise ReducibleChainError("chain is reducible; no unique stationary distribution")
     n = P.shape[-1]
     A = np.swapaxes(P, -1, -2).copy()
     diag = np.arange(n)
@@ -191,9 +192,9 @@ def stationary_distribution(P: np.ndarray) -> np.ndarray:
     """Stationary distribution of a row-stochastic, irreducible chain.
 
     Periodic chains such as the bipartite lift are fine. One normalized
-    linear solve at every size, which raises ``ConvergenceError`` on a
-    reducible chain, a singular system, mass below -1e-9 or a residual
-    |pi P - pi|_1 above 1e-9.
+    linear solve at every size, which raises ``ReducibleChainError`` on a
+    reducible chain and ``ConvergenceError`` on a singular system, mass
+    below -1e-9 or a residual |pi P - pi|_1 above 1e-9.
     """
     P = np.asarray(P, dtype=np.float64)
     if P.ndim != 2 or P.shape[0] != P.shape[1]:
@@ -216,7 +217,7 @@ def _laplacian(P: np.ndarray, pi: np.ndarray) -> np.ndarray:
 
 
 def laplacian(P: np.ndarray, pi: np.ndarray) -> np.ndarray:
-    """Symmetric Laplacian Pi - (Pi P + P^T Pi) / 2, explicitly symmetrized."""
+    """Symmetric Laplacian Pi - (Pi P + P^T Pi) / 2, exactly symmetric as built."""
     return _laplacian(P, pi)
 
 
@@ -309,19 +310,18 @@ def mu2_of_assignment(energies: np.ndarray, assignment: np.ndarray) -> float:
     Rows and columns without positive entries are dropped, so partial
     assignments evaluate on their active sub-hypergraph. A sub-hypergraph
     with fewer than two active agents has no mixing to measure and scores 0.
-    The active part is scored by ``mu2_batch`` as a batch of one, so up to
-    N=512 its pi comes from dense ``eig``, not from ``stationary_distribution``.
-    The caller checks that the active part is connected, with
-    ``instance.reaches_all`` on its incidence. A disconnected one has a
-    reducible chain: up to N=512 the result is then roundoff around 0 or a
-    ``ConvergenceError``, depending on the eigenvector ``eig`` returns for the
-    repeated eigenvalue 1, and above N=512 the solve raises.
+    Otherwise pi comes from the checked solve, so a disconnected active part,
+    whose agent chain is reducible, raises ``ReducibleChainError``.
     """
     energies, assignment = np.asarray(energies), np.asarray(assignment)
     rows, cols = assignment.sum(axis=1) > 0, assignment.sum(axis=0) > 0
     if not (rows.all() and cols.all()):
         energies, assignment = energies[cols], assignment[np.ix_(rows, cols)]
-    return float(mu2_batch(energies[np.newaxis], assignment[np.newaxis])[0])
+    if len(assignment) < 2:
+        return 0.0
+    P = _transition(*_edvw(energies, assignment))
+    L = _laplacian(P, _stationary(P[np.newaxis])[0])
+    return float(np.linalg.eigvalsh(L)[1])
 
 
 def batch_rows(n: int, k: int) -> int:

@@ -120,6 +120,20 @@ def eig_stationary(P: np.ndarray) -> np.ndarray:
     return pi / pi.sum()
 
 
+def eig_mu2(energies, assignment) -> float:
+    """Hypergraph mu2 from the weight formulas with ``eig_stationary`` as pi.
+
+    The former dense path of the single-state objective, kept as its oracle.
+    Every agent and task of ``assignment`` must hold an entry.
+    """
+    a = np.asarray(assignment, dtype=np.float64)
+    W = (a > 0) * np.asarray(energies, dtype=np.float64)
+    P = (W / W.sum(axis=1)[:, None]) @ (a / a.sum(axis=0)).T
+    pi = eig_stationary(P)
+    L = np.diag(pi) - 0.5 * (pi[:, None] * P + (pi[:, None] * P).T)
+    return float(np.linalg.eigvalsh(L)[1])
+
+
 def full_lift(energies, assignment) -> np.ndarray:
     """Alternating walk [[0, D_V^-1 W], [D_E^-1 R^T, 0]] from the weight formulas."""
     a = np.asarray(assignment, dtype=np.float64)

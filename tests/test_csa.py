@@ -9,8 +9,8 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
-from conftest import full_lift_mu2, make_instance, random_connected_instance
-from hyperteam import bipartite
+from conftest import eig_mu2, full_lift_mu2, make_instance, random_connected_instance
+from hyperteam import bipartite, spectral
 from hyperteam.bipartite import bipartite_connectivity
 from hyperteam.csa import (
     CsaParams,
@@ -21,7 +21,7 @@ from hyperteam.csa import (
     perturb,
     random_feasible_assignment,
 )
-from hyperteam.errors import InfeasibleError
+from hyperteam.errors import ConvergenceError, InfeasibleError, ReducibleChainError
 from hyperteam.instance import ProblemInstance, bipartite_components, reaches_all, summary_stats
 from hyperteam.spectral import mu2_of_assignment
 
@@ -119,14 +119,28 @@ def test_reach_test_matches_the_component_oracle():
         active = inst.budgets > 0
         want = _candidate_connected(a, active)
         assert bool(reaches_all(a[active] > 0)) == want
-        penalty, _ = evaluate(a, inst, CsaParams())
-        assert math.isfinite(penalty) == want
+        for objective in ("hypergraph", "bipartite"):
+            penalty, _ = evaluate(a, inst, CsaParams(objective=objective))
+            assert math.isfinite(penalty) == want
         outcomes.add(want)
         seen["unbudgeted holder"] += bool((a[~active] > 0).any())
         seen["idle budgeted"] += bool((a[active].sum(axis=1) == 0).any())
         seen["uncovered task"] += bool((a.sum(axis=0) == 0).any())
     assert outcomes == {True, False}
     assert min(seen.values()) > 20
+
+
+@pytest.mark.parametrize("objective", ["hypergraph", "bipartite"])
+def test_a_failed_solve_is_not_taken_for_a_split(monkeypatch, objective):
+    # only a reducible chain means "disconnected"; other solver failures raise
+    def failing(energies, assignment):
+        raise ConvergenceError("stationary residual above 1e-9")
+
+    module = bipartite if objective == "bipartite" else spectral
+    monkeypatch.setattr(module, "mu2_of_assignment", failing)
+    with pytest.raises(ConvergenceError) as info:
+        anneal(_slack_instance(seed=4), CsaParams(max_iters=5, objective=objective))
+    assert not isinstance(info.value, ReducibleChainError)
 
 
 def test_evaluate_factor_terms():
@@ -289,12 +303,13 @@ def test_anneal_prefers_feasible_over_a_higher_infeasible_penalty():
 
 # sha256 of the trace rows and best assignment (numpy 2.4.6, OpenBLAS,
 # x86-64); roundoff in another LAPACK build may move a trace value and so the
-# digest. The hypergraph chain was recorded with the former two-tracker
-# anneal; the bipartite one since its task chain takes the linear solve,
-# which moved trace mu2 values by at most 3e-14 and kept every accept flag
-# and the best assignment.
+# digest. Each chain was re-recorded when its objective moved from a dense
+# eig pi to the checked linear solve: the bipartite one when its task chain
+# took the solve (trace mu2 moved by at most 3e-14), the hypergraph one when
+# ``spectral.mu2_of_assignment`` did (at most 1.3e-14 relative). Both kept
+# every accept flag and the best assignment.
 _PINNED_DIGESTS = {
-    "hypergraph": "3baf9cf4b26a8ab3fb3e4e7ea4045450d4efb01fc071f26e0c72a8226bb8115a",
+    "hypergraph": "e49f618f2cd3bcfe401962c0e870884df3bcad49301b4519bcda3c19e98b02ce",
     "bipartite": "a613ade434e06dd5d7365530db9ba83efe3ba0ff04ce35c405f8b5a156af5c29",
 }
 
@@ -351,6 +366,32 @@ def test_bipartite_anneal_follows_the_full_lift_trace(monkeypatch, coauthor_smal
     (fast, fast_scores), (full, full_scores) = runs
     assert [row.accepted for row in fast] == [row.accepted for row in full]
     assert len(fast_scores) == len(full_scores) > 100
+    assert (np.abs(fast_scores - full_scores) <= 1e-12 * np.abs(full_scores)).all()
+
+
+def test_hypergraph_anneal_follows_the_eig_trace(monkeypatch, coauthor_small):
+    # the checked solve must steer the chain exactly as the dense eig pi did;
+    # the whole schedule runs, since its first 150 steps accept every candidate
+    def eig_objective(energies, assignment):
+        if not reaches_all(assignment > 0):
+            raise ReducibleChainError("split candidate")
+        return eig_mu2(energies, assignment)
+
+    params = CsaParams(cooling=0.98, seed=0)
+    runs = []
+    for mu2_of in (spectral.mu2_of_assignment, eig_objective):
+        scores = []
+
+        def recording(energies, assignment, mu2_of=mu2_of, scores=scores):
+            scores.append(mu2_of(energies, assignment))
+            return scores[-1]
+
+        monkeypatch.setattr(spectral, "mu2_of_assignment", recording)
+        runs.append((anneal(coauthor_small, params).trace, np.array(scores)))
+    (fast, fast_scores), (full, full_scores) = runs
+    assert [row.accepted for row in fast] == [row.accepted for row in full]
+    assert not all(row.accepted for row in full)
+    assert len(fast_scores) == len(full_scores) > 400
     assert (np.abs(fast_scores - full_scores) <= 1e-12 * np.abs(full_scores)).all()
 
 

@@ -24,7 +24,7 @@ from hyperteam.experiments import (
 )
 from hyperteam.instance import ProblemInstance, bipartite_components
 from hyperteam.seeds import substream
-from hyperteam.spectral import mu2_of_assignment
+from hyperteam.spectral import mu2_batch
 
 
 def test_enumeration_count_small():
@@ -39,7 +39,11 @@ def test_enumeration_count_default_size():
 
 
 def _loop_enumeration(n_nodes, n_edges):
-    """The per-candidate enumeration loop: component count, then one mu2 each."""
+    """The per-candidate enumeration loop: component count, then one mu2 each.
+
+    Each candidate is a ``mu2_batch`` batch of one, bit-identical to its entry
+    in the stacks that ``enumerate_small`` scores.
+    """
     subsets = [s for r in range(2, n_nodes + 1) for s in combinations(range(n_nodes), r)]
     found = []
     for edges in combinations(subsets, n_edges):
@@ -47,7 +51,8 @@ def _loop_enumeration(n_nodes, n_edges):
         for k, edge in enumerate(edges):
             incidence[list(edge), k] = 1
         if bipartite_components(incidence > 0)[0] == 1:
-            found.append((edges, mu2_of_assignment(incidence.sum(axis=0), incidence)))
+            energies = incidence.sum(axis=0)[np.newaxis]
+            found.append((edges, mu2_batch(energies, incidence[np.newaxis])[0]))
     found.sort(key=lambda h: (-h[1], h[0]))
     return found
 

@@ -38,6 +38,17 @@ def _mu2(inst, a):
     return mu2_of_assignment(np.asarray(inst.energies), a)
 
 
+def _offer_mu2(inst, a):
+    """mu2 of the active part scored as a ``mu2_batch`` batch of one.
+
+    Greedy scores its offers as ``mu2_batch`` stacks and its base state with
+    ``mu2_of_assignment``; a batch of one is bit-identical to a stack entry.
+    """
+    rows, cols = a.sum(axis=1) > 0, a.sum(axis=0) > 0
+    energies = np.asarray(inst.energies)[cols]
+    return mu2_batch(energies[np.newaxis], a[np.ix_(rows, cols)][np.newaxis])[0]
+
+
 def test_init_single_hub_covers_everything():
     inst = _budgeted([3, 1, 1], [1, 1, 1])
     seed = centralized_init(inst)
@@ -101,7 +112,7 @@ def _naive_phase1(inst, seed, packet):
                     continue
                 u = int(min(remaining[j], shortfall[k], packet))
                 b[j, k] += u
-                gain = (_mu2(inst, b) - base) / u
+                gain = (_offer_mu2(inst, b) - base) / u
                 b[j, k] -= u
                 offers.append((-gain, j, k, u))
         _, j, k, u = min(offers)
@@ -206,10 +217,10 @@ def test_disconnected_candidates_score_zero():
         assert np.array_equal(phase1(inst, lone).sum(axis=0), inst.energies)
 
 
-def _loop_mu2(inst, a, check):
+def _loop_mu2(inst, a, check, score):
     if check and not _connected(a):
         return 0.0
-    return _mu2(inst, a)
+    return score(inst, a)
 
 
 def _loop_best(inst, b, offers):
@@ -217,11 +228,11 @@ def _loop_best(inst, b, offers):
 
     Candidates are checked for a split only when the base scores 0.
     """
-    base = _loop_mu2(inst, b, True)
+    base = _loop_mu2(inst, b, True, _mu2)
     best = (-math.inf, -1, -1, 0)
     for j, k, u in offers:
         b[j, k] += u
-        gain = (_loop_mu2(inst, b, base == 0.0) - base) / u
+        gain = (_loop_mu2(inst, b, base == 0.0, _offer_mu2) - base) / u
         b[j, k] -= u
         if gain > best[0]:
             best = (gain, j, k, u)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import eig_stationary, make_instance, random_connected_instance
+from conftest import eig_mu2, eig_stationary, make_instance, random_connected_instance
 from hyperteam import spectral
 from hyperteam.errors import ConvergenceError, DegreeError, DisconnectedError
 from hyperteam.spectral import (
@@ -431,16 +431,6 @@ def test_mu2_matches_bundle():
         assert np.isclose(direct, bundle.eigenvalues[1], atol=1e-12)
 
 
-def _oracle_mu2(energies, a):
-    """mu2 from the weight formulas, the eig stationary oracle and eigvalsh."""
-    a = np.asarray(a, dtype=np.float64)
-    W = (a > 0) * np.asarray(energies, dtype=np.float64)
-    P = (W / W.sum(axis=1)[:, None]) @ (a / a.sum(axis=0)).T
-    pi = eig_stationary(P)
-    L = np.diag(pi) - 0.5 * (pi[:, None] * P + (pi[:, None] * P).T)
-    return np.linalg.eigvalsh(0.5 * (L + L.T))[1]
-
-
 @pytest.mark.parametrize("c, n, k", [(40, 60, 6), (300, 6, 3), (2, 515, 5)])
 def test_mu2_batch_matches_eig_oracle(c, n, k):
     # (40, 60) spans ten chunks of four; 515 agents take the stacked solve
@@ -451,10 +441,13 @@ def test_mu2_batch_matches_eig_oracle(c, n, k):
     stack[:, 0, :] = np.maximum(stack[:, 0, :], 1)
     energies = rng.integers(1, 6, size=(c, k))
     got = mu2_batch(energies, stack)
-    want = np.array([_oracle_mu2(e, a) for e, a in zip(energies, stack)])
+    want = np.array([eig_mu2(e, a) for e, a in zip(energies, stack)])
     assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
     # each entry is exactly the batch-of-one value
-    assert got.tolist() == [mu2_of_assignment(e, a) for e, a in zip(energies, stack)]
+    assert got.tolist() == [mu2_batch(e[None], a[None])[0] for e, a in zip(energies, stack)]
+    # the single-state path takes the checked solve and agrees with the oracle
+    single = np.array([mu2_of_assignment(e, a) for e, a in zip(energies, stack)])
+    assert np.all(np.abs(single - want) <= 1e-12 * np.abs(want))
 
 
 def test_batch_rows_bounds_the_largest_array():
