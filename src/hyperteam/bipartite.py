@@ -58,7 +58,7 @@ def bipartite_adjacency(inst: ProblemInstance) -> np.ndarray:
 def _lift_blocks(energies: np.ndarray, assignment: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(A, B) = (D_V^-1 W, D_E^-1 R^T): the agent-to-task and task-to-agent steps."""
     m = spectral.edvw_matrices(np.asarray(energies), np.asarray(assignment))
-    if np.any(m.d_v == 0) or np.any(m.d_e == 0):
+    if not (m.d_v.all() and m.d_e.all()):
         raise ValueError("bipartite walk needs positive degrees on both sides")
     return m.W / m.d_v[:, np.newaxis], (m.R / m.d_e[np.newaxis, :]).T
 

@@ -20,8 +20,10 @@ never appear once the chain starts from a full-budget state.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -147,47 +149,45 @@ def _objective(params: CsaParams) -> Callable[[np.ndarray, np.ndarray], float]:
     return (bipartite if params.objective == "bipartite" else spectral).mu2_of_assignment
 
 
+def _overrun(assignment: np.ndarray, inst: ProblemInstance) -> float:
+    """Total budget overrun; moves conserve row sums, so a chain keeps its own."""
+    return float(np.maximum(assignment.sum(axis=1) - inst.budgets, 0).sum())
+
+
 def _evaluate_full(
-    assignment: np.ndarray,
+    sub: np.ndarray,
+    e_tilde: np.ndarray,
+    overrun: float,
     inst: ProblemInstance,
     params: CsaParams,
     mu2_of: Callable[[np.ndarray, np.ndarray], float],
-) -> tuple[float, float, np.ndarray]:
-    """(penalty, mu2, task shortfall vector). Disconnected candidates get -inf.
+) -> tuple[float, float]:
+    """(penalty, mu2) of the budgeted rows ``sub``. Disconnected candidates get -inf.
 
     Connected means that the budgeted agents reach every task and each other.
     Past the idle-agent and empty-task checks, the objective's solve decides.
     """
-    e_tilde = inst.energies - assignment.sum(axis=0)
-    sub = assignment[inst.budgets > 0]
     x = sub > 0
     if not (x.any(axis=1).all() and x.any(axis=0).all()):
-        return -math.inf, math.nan, e_tilde
+        return -math.inf, math.nan
     try:
         mu2 = mu2_of(inst.energies, sub)
     except ReducibleChainError:
-        return -math.inf, math.nan, e_tilde
-    overrun = np.maximum(assignment.sum(axis=1) - inst.budgets, 0)
+        return -math.inf, math.nan
     penalty = (
         mu2
-        - params.agent_penalty * float(overrun.sum())
+        - params.agent_penalty * overrun
         - params.task_penalty * float(np.maximum(e_tilde, 0).sum())
     )
     if params.tasks_factor or params.teammates_factor:
         tasks_pa, teammates_pa = factor_metrics(sub)
         penalty -= params.tasks_factor * tasks_pa + params.teammates_factor * teammates_pa
-    return penalty, mu2, e_tilde
+    return penalty, mu2
 
 
-def _feasible(
-    assignment: np.ndarray, e_tilde: np.ndarray, penalty: float, inst: ProblemInstance
-) -> bool:
+def _feasible(e_tilde: np.ndarray, overrun: float, penalty: float) -> bool:
     """Within every budget, every task met, and connected (a finite penalty)."""
-    return (
-        bool(np.all(assignment.sum(axis=1) <= inst.budgets))
-        and bool(np.all(e_tilde <= 0))
-        and math.isfinite(penalty)
-    )
+    return overrun == 0 and bool((e_tilde <= 0).all()) and math.isfinite(penalty)
 
 
 def evaluate(
@@ -195,15 +195,16 @@ def evaluate(
 ) -> tuple[float, np.ndarray]:
     """Penalty value and per-task shortfall vector for a candidate."""
     assignment = np.asarray(assignment)
-    penalty, _, e_tilde = _evaluate_full(assignment, inst, params, _objective(params))
+    e_tilde = inst.energies - assignment.sum(axis=0)
+    overrun, mu2_of = _overrun(assignment, inst), _objective(params)
+    penalty, _ = _evaluate_full(assignment[inst.budgets > 0], e_tilde, overrun, inst, params, mu2_of)
     return penalty, e_tilde
 
 
-def _weighted_pick(rng: np.random.Generator, indices: np.ndarray, weights: np.ndarray) -> int:
-    cum = np.cumsum(weights, dtype=np.float64)
-    u = rng.random() * cum[-1]
-    pos = int(np.searchsorted(cum, u, side="right"))
-    return int(indices[min(pos, len(indices) - 1)])
+def _weighted_pick(rng: np.random.Generator, indices: list[int], weights: list[int]) -> int:
+    cum = list(accumulate(weights))
+    pos = bisect_right(cum, rng.random() * cum[-1])
+    return indices[min(pos, len(indices) - 1)]
 
 
 def perturb(
@@ -221,15 +222,14 @@ def perturb(
     leaves all task totals unchanged.
     """
     b = np.array(assignment, dtype=np.int64)
-    e = np.array(e_tilde, dtype=np.int64)
+    e = np.asarray(e_tilde, dtype=np.int64).tolist()
     k = b.shape[1]
-    n_moves = params.resolve_moves(*b.shape)
-    for _ in range(n_moves):
-        deficit = np.flatnonzero(e > 0)
-        surplus = np.flatnonzero(e < 0)
-        if deficit.size and surplus.size and rng.random() < params.p_guided:
-            donor = _weighted_pick(rng, surplus, -e[surplus].astype(np.float64))
-            recipient = _weighted_pick(rng, deficit, e[deficit].astype(np.float64))
+    for _ in range(params.resolve_moves(*b.shape)):
+        deficit = [j for j, x in enumerate(e) if x > 0]
+        surplus = [j for j, x in enumerate(e) if x < 0] if deficit else []
+        if deficit and surplus and rng.random() < params.p_guided:
+            donor = _weighted_pick(rng, surplus, [-e[j] for j in surplus])
+            recipient = _weighted_pick(rng, deficit, [e[j] for j in deficit])
             members = np.flatnonzero(b[:, donor] > 0)
             agent = int(members[rng.integers(members.size)])
             b[agent, donor] -= 1
@@ -252,7 +252,7 @@ def perturb(
                 b[v, k1] += 1
                 break
         # all retries hit an empty task: the move degrades to a no-op
-    return b, e
+    return b, np.array(e, dtype=np.int64)
 
 
 def anneal(
@@ -268,7 +268,7 @@ def anneal(
     only by a strictly better state. If no feasible state is ever seen, the
     best state by penalty is returned with ``feasible=False``. ``initial``
     overrides the random full-budget initialization, e.g. to continue from a
-    known-good assignment.
+    known-good assignment; it must hold non-negative whole unit counts.
     """
     params = params or CsaParams()
     rng_init = substream(params.seed, "csa-init")
@@ -276,25 +276,34 @@ def anneal(
     if initial is None:
         current = initialize_assignment(inst, params, rng_init)
     else:
-        current = np.array(initial, dtype=np.int64)
-        if current.shape != (inst.n_agents, inst.n_tasks):
+        given = np.asarray(initial)
+        if given.shape != (inst.n_agents, inst.n_tasks):
             raise ValueError("initial assignment has the wrong shape")
+        if not (np.isfinite(given) & (given == np.round(given))).all():
+            raise ValueError("initial assignment must hold whole unit counts")
+        if (given < 0).any():
+            raise ValueError("initial assignment has negative entries")
         if inst.budgets.sum() < inst.energies.sum():
             raise InfeasibleError("total budget cannot cover total energy")
+        current = given.astype(np.int64)
 
     mu2_of = _objective(params)
-    penalty, mu2, e_tilde = _evaluate_full(current, inst, params, mu2_of)
-    feasible = _feasible(current, e_tilde, penalty, inst)
+    rows = inst.budgets > 0
+    overrun = _overrun(current, inst)
+    e_tilde = inst.energies - current.sum(axis=0)
+    penalty, mu2 = _evaluate_full(current[rows], e_tilde, overrun, inst, params, mu2_of)
+    feasible = _feasible(e_tilde, overrun, penalty)
     best = (feasible, penalty, mu2, current.copy())
 
     temperature = params.t0
     trace = [TraceRow(0, temperature, penalty, mu2, feasible, True)]
     t = 0
     while temperature > params.t_threshold and t < params.max_iters:
-        candidate, e_candidate = perturb(current, e_tilde, params, rng_chain)
-        cand_penalty, cand_mu2, cand_e = _evaluate_full(candidate, inst, params, mu2_of)
+        candidate, cand_e = perturb(current, e_tilde, params, rng_chain)
         if __debug__ and t % 1000 == 0:
-            assert np.array_equal(e_candidate, cand_e), "incremental shortfall drifted"
+            assert np.array_equal(cand_e, inst.energies - candidate.sum(axis=0)), "shortfall drifted"
+            assert _overrun(candidate, inst) == overrun, "a move changed a row sum"
+        cand_penalty, cand_mu2 = _evaluate_full(candidate[rows], cand_e, overrun, inst, params, mu2_of)
         if math.isinf(cand_penalty) and cand_penalty < 0:
             accepted = False
         elif cand_penalty >= penalty:
@@ -303,7 +312,7 @@ def anneal(
             accepted = rng_chain.random() < math.exp((cand_penalty - penalty) / temperature)
         if accepted:
             current, penalty, mu2, e_tilde = candidate, cand_penalty, cand_mu2, cand_e
-            feasible = _feasible(current, e_tilde, penalty, inst)
+            feasible = _feasible(e_tilde, overrun, penalty)
             if (feasible, penalty) > best[:2]:
                 best = (feasible, penalty, mu2, current.copy())
         temperature *= params.cooling

@@ -148,18 +148,20 @@ def _irreducible(P: np.ndarray) -> bool:
     """
     forward = P > 0
     backward = forward.T
-    for step in (forward,) if np.array_equal(forward, backward) else (forward, backward):
+    small = len(P) <= 64  # a boolean product costs n^2 per level, a row gather n per new state
+    for step in (forward,) if (forward == backward).all() else (forward, backward):
         seen = frontier = np.arange(len(P)) == 0
-        while frontier.any():
-            frontier = step[frontier].any(axis=0) & ~seen
+        while np.count_nonzero(frontier):
+            reached = frontier @ step if small else np.logical_or.reduce(step[frontier], axis=0)
+            frontier = reached > seen
             seen = seen | frontier
-        if not seen.all():
+        if np.count_nonzero(seen) < len(P):
             return False
     return True
 
 
 def _stationary(P: np.ndarray) -> np.ndarray:
-    """Stationary distributions of a (C, n, n) stack; raises if any chain fails.
+    """Stationary distribution of one (n, n) chain or of each in a (C, n, n) stack.
 
     One normalized linear solve per chain: ``pi (P - I) = 0`` with the last
     balance equation replaced by ``sum(pi) = 1``. A reducible chain, a
@@ -167,22 +169,22 @@ def _stationary(P: np.ndarray) -> np.ndarray:
     raises ``ConvergenceError``, the first as ``ReducibleChainError``.
     """
     # a reducible chain may solve to a plausible mix of its closed classes
-    if not all(_irreducible(p) for p in P):
+    if not all(_irreducible(p) for p in P.reshape((-1,) + P.shape[-2:])):
         raise ReducibleChainError("chain is reducible; no unique stationary distribution")
     n = P.shape[-1]
     A = np.swapaxes(P, -1, -2).copy()
     diag = np.arange(n)
-    A[:, diag, diag] -= 1.0
-    A[:, -1, :] = 1.0
+    A[..., diag, diag] -= 1.0
+    A[..., -1, :] = 1.0
     rhs = np.zeros(P.shape[:-1] + (1,))
-    rhs[:, -1] = 1.0
+    rhs[..., -1, :] = 1.0
     try:
         pi = np.linalg.solve(A, rhs)[..., 0]
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError("singular stationary system") from exc
-    if np.min(pi) < -1e-9:
+    if pi.min() < -1e-9:
         raise ConvergenceError("stationary solution has negative mass")
-    residual = float(np.abs((pi[:, np.newaxis] @ P)[:, 0] - pi).sum(axis=-1).max())
+    residual = float(np.abs((pi[..., np.newaxis, :] @ P)[..., 0, :] - pi).sum(axis=-1).max())
     if not residual <= 1e-9:
         raise ConvergenceError(f"stationary residual {residual:.3g} above 1e-9")
     return pi
@@ -199,7 +201,7 @@ def stationary_distribution(P: np.ndarray) -> np.ndarray:
     P = np.asarray(P, dtype=np.float64)
     if P.ndim != 2 or P.shape[0] != P.shape[1]:
         raise ValueError("P must be square")
-    return _stationary(P[np.newaxis])[0]
+    return _stationary(P)
 
 
 def _laplacian(P: np.ndarray, pi: np.ndarray) -> np.ndarray:
@@ -320,7 +322,7 @@ def mu2_of_assignment(energies: np.ndarray, assignment: np.ndarray) -> float:
     if len(assignment) < 2:
         return 0.0
     P = _transition(*_edvw(energies, assignment))
-    L = _laplacian(P, _stationary(P[np.newaxis])[0])
+    L = _laplacian(P, _stationary(P))
     return float(np.linalg.eigvalsh(L)[1])
 
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import eig_mu2, full_lift_mu2, make_instance, random_connected_instance
-from hyperteam import bipartite, spectral
+from hyperteam import bipartite, csa, spectral
 from hyperteam.bipartite import bipartite_connectivity
 from hyperteam.csa import (
     CsaParams,
@@ -207,6 +207,81 @@ def test_perturb_without_deficit_only_swaps():
         assert np.array_equal(a.sum(axis=0), cols)
 
 
+def _weighted_pick_oracle(rng, indices, weights):
+    cum = np.cumsum(weights, dtype=np.float64)
+    u = rng.random() * cum[-1]
+    pos = int(np.searchsorted(cum, u, side="right"))
+    return int(indices[min(pos, len(indices) - 1)])
+
+
+def _perturb_oracle(assignment, e_tilde, params, rng):
+    """The move with numpy bookkeeping, as ``perturb`` once was; kept as an oracle."""
+    b = np.array(assignment, dtype=np.int64)
+    e = np.array(e_tilde, dtype=np.int64)
+    k = b.shape[1]
+    for _ in range(params.resolve_moves(*b.shape)):
+        deficit = np.flatnonzero(e > 0)
+        surplus = np.flatnonzero(e < 0)
+        if deficit.size and surplus.size and rng.random() < params.p_guided:
+            donor = _weighted_pick_oracle(rng, surplus, -e[surplus].astype(np.float64))
+            recipient = _weighted_pick_oracle(rng, deficit, e[deficit].astype(np.float64))
+            members = np.flatnonzero(b[:, donor] > 0)
+            agent = int(members[rng.integers(members.size)])
+            b[agent, donor] -= 1
+            b[agent, recipient] += 1
+            e[donor] += 1
+            e[recipient] -= 1
+            continue
+        if k < 2:
+            continue
+        for _ in range(16):
+            k1, k2 = rng.choice(k, size=2, replace=False)
+            m1 = np.flatnonzero(b[:, k1] > 0)
+            m2 = np.flatnonzero(b[:, k2] > 0)
+            if m1.size and m2.size:
+                u = int(m1[rng.integers(m1.size)])
+                v = int(m2[rng.integers(m2.size)])
+                b[u, k1] -= 1
+                b[u, k2] += 1
+                b[v, k2] -= 1
+                b[v, k1] += 1
+                break
+    return b, e
+
+
+def test_perturb_matches_the_numpy_oracle():
+    # same moves, same shortfall and the same generator state afterwards
+    seen = {"K=1": 0, "swap retries run out": 0, "guided": 0, "swap": 0, "pack_size > 1": 0}
+    draw = np.random.default_rng(31)
+    for case in range(300):
+        n, k = int(draw.integers(1, 9)), int(draw.integers(1, 5))
+        a = draw.integers(0, 4, size=(n, k)) * (draw.random((n, k)) < 0.6)
+        if case % 3 == 0 and k > 1:
+            a[:, int(draw.integers(k))] = 0  # a swap that picks this task retries
+        energies = draw.integers(0, 3 * n + 1, size=k)
+        params = CsaParams(
+            p_guided=float(draw.choice([0.0, 0.5, 1.0])),
+            pack_size=int(draw.integers(1, 4)),
+            moves_per_step=int(draw.integers(1, 6)),
+        )
+        seed = int(draw.integers(1 << 30))
+        fast_rng, slow_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        fast = slow = (a, energies - a.sum(axis=0))
+        e = fast[1]
+        seen["K=1"] += k == 1
+        seen["swap retries run out"] += k == 2 and (a.sum(axis=0) == 0).any() and params.p_guided == 0
+        seen["guided"] += (e > 0).any() and (e < 0).any() and params.p_guided > 0
+        seen["swap"] += k > 1 and params.p_guided < 1
+        seen["pack_size > 1"] += params.pack_size > 1
+        for _ in range(4):
+            fast = perturb(*fast, params, fast_rng)
+            slow = _perturb_oracle(*slow, params, slow_rng)
+            assert np.array_equal(fast[0], slow[0]) and fast[0].dtype == slow[0].dtype
+            assert np.array_equal(fast[1], slow[1]) and fast[1].dtype == slow[1].dtype
+            assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
+    assert min(seen.values()) >= 10, seen
+
+
 def test_perturb_single_covered_task_is_noop():
     a0 = np.array([[3], [2]])
     a, e = perturb(a0, np.array([-1]), CsaParams(moves_per_step=2), np.random.default_rng(0))
@@ -265,6 +340,48 @@ def test_anneal_rejects_bad_initial_shape():
     inst = _slack_instance(seed=10, n=6, k=3)
     with pytest.raises(ValueError):
         anneal(inst, CsaParams(), initial=np.zeros((2, 2), dtype=np.int64))
+
+
+@pytest.mark.parametrize(
+    "initial, message",
+    [(0.5, "whole unit counts"), (np.nan, "whole unit counts"), (-3, "negative entries")],
+)
+def test_anneal_rejects_an_initial_it_cannot_hold(initial, message):
+    # a cast to int64 would turn 0.5 into 0 and keep -3 as an entry
+    inst = _slack_instance(seed=10, n=6, k=3)
+    start = np.asarray(inst.assignment, dtype=np.float64)
+    start[0, 0] = initial
+    with pytest.raises(ValueError, match=message):
+        anneal(inst, CsaParams(), initial=start)
+
+
+def test_anneal_takes_an_integral_float_initial():
+    inst = _slack_instance(seed=9, n=8, k=3)
+    start = random_feasible_assignment(inst, np.random.default_rng(0))
+    params = CsaParams(t_threshold=0.2, seed=1)
+    as_float = anneal(inst, params, initial=start.astype(np.float64))
+    assert np.array_equal(as_float.best_assignment, anneal(inst, params, initial=start).best_assignment)
+    assert as_float.best_assignment.dtype == np.int64
+
+
+@pytest.mark.parametrize(
+    "drift, message",
+    [((0, 1), "shortfall drifted"), ((1, 0), "a move changed a row sum")],
+)
+def test_anneal_checks_the_carried_bookkeeping(monkeypatch, drift, message):
+    # the loop scores the shortfall that perturb carries; its debug check must
+    # catch a carried vector or a row sum that no longer matches the state
+    move = csa.perturb
+
+    def drifting(assignment, e_tilde, params, rng):
+        b, e = move(assignment, e_tilde, params, rng)
+        b[0, 0] += drift[0]  # a unit moved between agents: task totals stay
+        b[1, 0] -= drift[0]
+        return b, e + drift[1]
+
+    monkeypatch.setattr(csa, "perturb", drifting)
+    with pytest.raises(AssertionError, match=message):
+        anneal(_slack_instance(seed=4), CsaParams(max_iters=5))
 
 
 def test_anneal_infeasible_totals():
@@ -393,6 +510,42 @@ def test_hypergraph_anneal_follows_the_eig_trace(monkeypatch, coauthor_small):
     assert not all(row.accepted for row in full)
     assert len(fast_scores) == len(full_scores) > 400
     assert (np.abs(fast_scores - full_scores) <= 1e-12 * np.abs(full_scores)).all()
+
+
+@pytest.mark.parametrize("objective", ["hypergraph", "bipartite"])
+def test_split_candidates_are_rejected_inside_the_loop(monkeypatch, objective):
+    # bench `anneal` never proposes a split; here six of eight agents hold a
+    # single unit, so many candidates split and the solve must reject them
+    inst = make_instance(
+        np.ones((8, 3), dtype=np.int64), budgets=[2, 2, 1, 1, 1, 1, 1, 1], energies=[3, 3, 3]
+    )
+    params = CsaParams(cooling=0.95, seed=0, objective=objective)
+    module = bipartite if objective == "bipartite" else spectral
+    solve = module.mu2_of_assignment
+    splits = []
+
+    def counting(energies, assignment):
+        try:
+            return solve(energies, assignment)
+        except ReducibleChainError:
+            splits.append(assignment.copy())
+            raise
+
+    def gated(energies, assignment):
+        if not _candidate_connected(assignment, np.ones(len(assignment), dtype=bool)):
+            raise ReducibleChainError("split candidate")
+        return solve(energies, assignment)
+
+    runs = []
+    for mu2_of in (counting, gated):
+        monkeypatch.setattr(module, "mu2_of_assignment", mu2_of)
+        runs.append(anneal(inst, params))
+    solved, oracle = runs
+    assert len(splits) > 20
+    assert not any(_candidate_connected(a, np.ones(len(a), dtype=bool)) for a in splits)
+    assert all(math.isfinite(row.penalty) for row in solved.trace if row.accepted)
+    assert repr([astuple(row) for row in solved.trace]) == repr([astuple(row) for row in oracle.trace])
+    assert np.array_equal(solved.best_assignment, oracle.best_assignment)
 
 
 def test_random_feasible_assignment_properties():

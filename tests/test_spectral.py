@@ -168,6 +168,34 @@ def test_stationary_checks_both_directions_of_an_asymmetric_chain():
         stationary_distribution(absorbing)
 
 
+def _reach_closure(support: np.ndarray) -> np.ndarray:
+    """Which states reach which, by squaring (I | support) to a fixed point."""
+    reach = support | np.eye(len(support), dtype=bool)
+    while True:
+        wider = (reach.astype(np.int64) @ reach.astype(np.int64)) > 0
+        if np.array_equal(wider, reach):
+            return reach
+        reach = wider
+
+
+@pytest.mark.parametrize("n", [7, 40, 64, 65, 120])
+def test_irreducible_matches_the_closure_oracle(n):
+    # both sides of the size at which the search switches from boolean
+    # products to row gathers, with symmetric and directed supports
+    rng = np.random.default_rng(n)
+    outcomes = set()
+    for trial in range(24):
+        support = rng.random((n, n)) < rng.choice([1.5, 3.0, 6.0]) / n
+        if trial % 2:
+            support = support | support.T
+        P = support * rng.random((n, n))
+        reach = _reach_closure(support)
+        want = bool(reach[0].all() and reach[:, 0].all())
+        assert spectral._irreducible(P) == want
+        outcomes.add(want)
+    assert outcomes == {True, False}
+
+
 def test_stationary_solve_matches_eig_oracle_on_coauthor_small(coauthor_small):
     m = build_matrices(coauthor_small)
     A, B = m.W / m.d_v[:, np.newaxis], (m.R / m.d_e).T
