@@ -201,10 +201,10 @@ def evaluate(
     return penalty, e_tilde
 
 
-def _weighted_pick(rng: np.random.Generator, indices: list[int], weights: list[int]) -> int:
+def _weighted_pick(rng: np.random.Generator, weights: list[int]) -> int:
+    """A position drawn proportional to the positive integer ``weights``."""
     cum = list(accumulate(weights))
-    pos = bisect_right(cum, rng.random() * cum[-1])
-    return indices[min(pos, len(indices) - 1)]
+    return min(bisect_right(cum, rng.random() * cum[-1]), len(weights) - 1)
 
 
 def perturb(
@@ -224,18 +224,25 @@ def perturb(
     b = np.array(assignment, dtype=np.int64)
     e = np.asarray(e_tilde, dtype=np.int64).tolist()
     k = b.shape[1]
+    # swaps keep every task total and guided moves only shrink entries: scan once, then prune
+    surplus, deficit = [j for j, x in enumerate(e) if x < 0], [j for j, x in enumerate(e) if x > 0]
+    spare, need = [-e[j] for j in surplus], [e[j] for j in deficit]
     for _ in range(params.resolve_moves(*b.shape)):
-        deficit = [j for j, x in enumerate(e) if x > 0]
-        surplus = [j for j, x in enumerate(e) if x < 0] if deficit else []
         if deficit and surplus and rng.random() < params.p_guided:
-            donor = _weighted_pick(rng, surplus, [-e[j] for j in surplus])
-            recipient = _weighted_pick(rng, deficit, [e[j] for j in deficit])
+            i, j = _weighted_pick(rng, spare), _weighted_pick(rng, need)
+            donor, recipient = surplus[i], deficit[j]
             members = np.flatnonzero(b[:, donor] > 0)
             agent = int(members[rng.integers(members.size)])
             b[agent, donor] -= 1
             b[agent, recipient] += 1
             e[donor] += 1
             e[recipient] -= 1
+            spare[i] -= 1
+            need[j] -= 1
+            if not spare[i]:
+                del surplus[i], spare[i]
+            if not need[j]:
+                del deficit[j], need[j]
             continue
         if k < 2:
             continue
@@ -288,9 +295,8 @@ def anneal(
         current = given.astype(np.int64)
 
     mu2_of = _objective(params)
-    rows = inst.budgets > 0
-    overrun = _overrun(current, inst)
-    e_tilde = inst.energies - current.sum(axis=0)
+    rows, row_sums = inst.budgets > 0, current.sum(axis=1)
+    overrun, e_tilde = _overrun(current, inst), inst.energies - current.sum(axis=0)
     penalty, mu2 = _evaluate_full(current[rows], e_tilde, overrun, inst, params, mu2_of)
     feasible = _feasible(e_tilde, overrun, penalty)
     best = (feasible, penalty, mu2, current.copy())
@@ -302,7 +308,7 @@ def anneal(
         candidate, cand_e = perturb(current, e_tilde, params, rng_chain)
         if __debug__ and t % 1000 == 0:
             assert np.array_equal(cand_e, inst.energies - candidate.sum(axis=0)), "shortfall drifted"
-            assert _overrun(candidate, inst) == overrun, "a move changed a row sum"
+            assert np.array_equal(candidate.sum(axis=1), row_sums), "a move changed a row sum"
         cand_penalty, cand_mu2 = _evaluate_full(candidate[rows], cand_e, overrun, inst, params, mu2_of)
         if math.isinf(cand_penalty) and cand_penalty < 0:
             accepted = False

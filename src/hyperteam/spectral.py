@@ -148,14 +148,12 @@ def _irreducible(P: np.ndarray) -> bool:
     """
     forward = P > 0
     backward = forward.T
-    small = len(P) <= 64  # a boolean product costs n^2 per level, a row gather n per new state
-    for step in (forward,) if (forward == backward).all() else (forward, backward):
+    for step in (forward,) if np.array_equal(forward, backward) else (forward, backward):
         seen = frontier = np.arange(len(P)) == 0
-        while np.count_nonzero(frontier):
-            reached = frontier @ step if small else np.logical_or.reduce(step[frontier], axis=0)
-            frontier = reached > seen
+        while frontier.any():
+            frontier = step[frontier].any(axis=0) & ~seen
             seen = seen | frontier
-        if np.count_nonzero(seen) < len(P):
+        if not seen.all():
             return False
     return True
 

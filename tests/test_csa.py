@@ -252,6 +252,7 @@ def _perturb_oracle(assignment, e_tilde, params, rng):
 def test_perturb_matches_the_numpy_oracle():
     # same moves, same shortfall and the same generator state afterwards
     seen = {"K=1": 0, "swap retries run out": 0, "guided": 0, "swap": 0, "pack_size > 1": 0}
+    seen["a task leaves its list"] = 0
     draw = np.random.default_rng(31)
     for case in range(300):
         n, k = int(draw.integers(1, 9)), int(draw.integers(1, 5))
@@ -274,11 +275,13 @@ def test_perturb_matches_the_numpy_oracle():
         seen["swap"] += k > 1 and params.p_guided < 1
         seen["pack_size > 1"] += params.pack_size > 1
         for _ in range(4):
+            before = fast[1]
             fast = perturb(*fast, params, fast_rng)
             slow = _perturb_oracle(*slow, params, slow_rng)
             assert np.array_equal(fast[0], slow[0]) and fast[0].dtype == slow[0].dtype
             assert np.array_equal(fast[1], slow[1]) and fast[1].dtype == slow[1].dtype
             assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
+            seen["a task leaves its list"] += bool(((before != 0) & (fast[1] == 0)).any())
     assert min(seen.values()) >= 10, seen
 
 
@@ -366,7 +369,11 @@ def test_anneal_takes_an_integral_float_initial():
 
 @pytest.mark.parametrize(
     "drift, message",
-    [((0, 1), "shortfall drifted"), ((1, 0), "a move changed a row sum")],
+    [
+        ((0, 0, 1), "shortfall drifted"),
+        ((1, -1, 0), "a move changed a row sum"),  # a unit moved between agents
+        ((-1, 0, 1), "a move changed a row sum"),  # a unit dropped: no overrun, shortfall in step
+    ],
 )
 def test_anneal_checks_the_carried_bookkeeping(monkeypatch, drift, message):
     # the loop scores the shortfall that perturb carries; its debug check must
@@ -375,9 +382,10 @@ def test_anneal_checks_the_carried_bookkeeping(monkeypatch, drift, message):
 
     def drifting(assignment, e_tilde, params, rng):
         b, e = move(assignment, e_tilde, params, rng)
-        b[0, 0] += drift[0]  # a unit moved between agents: task totals stay
-        b[1, 0] -= drift[0]
-        return b, e + drift[1]
+        b[0, 0] += drift[0]
+        b[1, 0] += drift[1]
+        e[0] += drift[2]
+        return b, e
 
     monkeypatch.setattr(csa, "perturb", drifting)
     with pytest.raises(AssertionError, match=message):
