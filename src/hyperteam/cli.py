@@ -40,7 +40,7 @@ from .experiments import (
     to_instance,
 )
 from .greedy import GreedyParams, greedy_optimize
-from .instance import load_instance, summary_stats, validate
+from .instance import is_connected, load_instance, summary_stats
 from .resilience import attack_experiment
 from .spectral import mu2_of_assignment, spectral_bundle, spectrum
 
@@ -126,8 +126,7 @@ def _run_optimize(params: dict, out_dir: Path, to_stdout: bool) -> list[str]:
     # the input is scored with the run's own objective, so gain compares like with like
     mu2_of = bipartite.mu2_of_assignment if method == "csa-bipartite" else mu2_of_assignment
     mu2_original = None
-    report = validate(inst)
-    if report.connected and int(np.asarray(inst.assignment).sum()) > 0:
+    if is_connected(inst) and int(np.asarray(inst.assignment).sum()) > 0:
         mu2_original = mu2_of(np.asarray(inst.energies), np.asarray(inst.assignment))
     meta = {
         "method": method,
@@ -327,17 +326,27 @@ def _execute(command: str, params: dict, out_dir: Path, to_stdout: bool) -> int:
     return 0
 
 
-def _resolve_path(value: str) -> str:
-    return str(Path(value).resolve())
+# parsed names that route a run's output or dispatch it, and --config, which
+# the manifest records merged and resolved as "optimizer"
+_NOT_PARAMS = ("func", "command", "out", "stdout", "config")
+
+
+def _cmd_run(args, **derived) -> int:
+    """Run ``args.command`` with its parsed flags, by ``dest``, as its params.
+
+    Input paths are made absolute so a rerun finds them from any directory;
+    ``derived`` adds or overrides params that no flag names directly.
+    """
+    params = {key: value for key, value in vars(args).items() if key not in _NOT_PARAMS}
+    for key in ("input", "assignment"):
+        if params.get(key):
+            params[key] = str(Path(params[key]).resolve())
+    params.update(derived)
+    return _execute(args.command, params, Path(args.out), args.stdout)
 
 
 def _cmd_stats(args) -> int:
-    params = {
-        "input": _resolve_path(args.input),
-        "format": args.format,
-        "name": Path(args.input).stem,
-    }
-    return _execute("stats", params, Path(args.out), args.stdout)
+    return _cmd_run(args, name=Path(args.input).stem)
 
 
 def _cmd_optimize(args) -> int:
@@ -366,67 +375,7 @@ def _cmd_optimize(args) -> int:
         resolved = dataclasses.asdict(cls(**merged))
     except (TypeError, ValueError) as exc:
         raise UsageError(f"bad optimizer parameters: {exc}") from exc
-    params = {
-        "input": _resolve_path(args.input),
-        "format": args.format,
-        "method": args.method,
-        "seed": resolved["seed"],
-        "optimizer": resolved,
-    }
-    return _execute("optimize", params, Path(args.out), args.stdout)
-
-
-def _cmd_attack(args) -> int:
-    params = {
-        "input": _resolve_path(args.input),
-        "format": args.format,
-        "assignment": _resolve_path(args.assignment) if args.assignment else None,
-        "m": args.removals,
-        "n_exp": args.n_exp,
-        "seed": args.seed,
-        "strategy": args.strategy,
-    }
-    return _execute("attack", params, Path(args.out), args.stdout)
-
-
-def _cmd_experiment(args) -> int:
-    if args.kind == "enumerate":
-        params = {
-            "kind": "enumerate",
-            "nodes": args.nodes,
-            "edges": args.edges,
-            "dedup": args.dedup,
-        }
-    elif args.kind == "scaling":
-        params = {
-            "kind": "scaling",
-            "schemes": list(args.schemes),
-            "sizes": list(args.sizes),
-            "reps": args.reps,
-            "seed": args.seed,
-            "coupled": not args.fixed_communities,
-        }
-    elif args.kind == "budget-sweep":
-        params = {
-            "kind": "budget-sweep",
-            "input": _resolve_path(args.input),
-            "format": args.format,
-            "multipliers": list(args.multipliers),
-            "sub_sizes": list(args.sub_sizes),
-            "reps": args.reps,
-            "seed": args.seed,
-        }
-    else:  # diffuse
-        params = {
-            "kind": "diffuse",
-            "nodes": args.nodes,
-            "edges": args.edges,
-            "representatives": args.representatives,
-            "t_max": args.t_max,
-            "steps": args.steps,
-            "representation": args.representation,
-        }
-    return _execute("experiment", params, Path(args.out), args.stdout)
+    return _cmd_run(args, seed=resolved["seed"], optimizer=resolved)
 
 
 def _cmd_rerun(args) -> int:
@@ -502,11 +451,14 @@ def _parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="result.json whose assignment to attack (default: the input's own)",
     )
-    attack.add_argument("--removals", "-m", type=int, default=4, help="agents removed per run")
+    attack.add_argument(
+        "--removals", "-m", dest="m", metavar="REMOVALS", type=int, default=4,
+        help="agents removed per run",
+    )
     attack.add_argument("--n-exp", type=int, default=10, help="number of runs")
     attack.add_argument("--strategy", choices=("random", "degree"), default="random")
     attack.add_argument("--seed", type=int, default=0)
-    attack.set_defaults(func=_cmd_attack)
+    attack.set_defaults(func=_cmd_run)
 
     experiment = sub.add_parser("experiment", help="structural studies")
     kinds = experiment.add_subparsers(dest="kind", required=True)
@@ -516,7 +468,7 @@ def _parser() -> argparse.ArgumentParser:
     enum_p.add_argument("--edges", type=int, default=3)
     enum_p.add_argument("--dedup", action="store_true", help="one representative per relabelling class")
     _add_common(enum_p, with_input=False)
-    enum_p.set_defaults(func=_cmd_experiment)
+    enum_p.set_defaults(func=_cmd_run)
 
     scaling = kinds.add_parser("scaling", help="community rewiring finite-size scaling")
     scaling.add_argument("--schemes", nargs="+", choices=SCHEMES, default=list(SCHEMES))
@@ -525,11 +477,12 @@ def _parser() -> argparse.ArgumentParser:
     scaling.add_argument("--seed", type=int, default=0)
     scaling.add_argument(
         "--fixed-communities",
-        action="store_true",
+        dest="coupled",
+        action="store_false",
         help="keep 6x6 communities instead of tying size to count",
     )
     _add_common(scaling, with_input=False)
-    scaling.set_defaults(func=_cmd_experiment)
+    scaling.set_defaults(func=_cmd_run)
 
     sweep = kinds.add_parser("budget-sweep", help="optimize under relaxed budgets")
     _add_common(sweep, with_input=True)
@@ -537,7 +490,7 @@ def _parser() -> argparse.ArgumentParser:
     sweep.add_argument("--sub-sizes", nargs="+", type=int, default=[4, 6, 9, 14])
     sweep.add_argument("--reps", type=int, default=10)
     sweep.add_argument("--seed", type=int, default=0)
-    sweep.set_defaults(func=_cmd_experiment)
+    sweep.set_defaults(func=_cmd_run)
 
     diffuse_p = kinds.add_parser("diffuse", help="diffusion on enumerated representatives")
     diffuse_p.add_argument("--nodes", type=int, default=5)
@@ -549,7 +502,7 @@ def _parser() -> argparse.ArgumentParser:
         "--representation", choices=("hypergraph", "bipartite"), default="hypergraph"
     )
     _add_common(diffuse_p, with_input=False)
-    diffuse_p.set_defaults(func=_cmd_experiment)
+    diffuse_p.set_defaults(func=_cmd_run)
 
     rerun = sub.add_parser("rerun", help="replay a run from its manifest")
     rerun.add_argument("manifest", help="path to a manifest.json")

@@ -29,7 +29,7 @@ from .errors import ConvergenceError
 from .greedy import GreedyParams, greedy_optimize
 from .instance import ProblemInstance, bipartite_components, reaches_all
 from .seeds import substream
-from .spectral import batch_rows, diffuse, mu2_batch, spectral_bundle
+from .spectral import batch_rows, diffuse, mu2_batch, mu2_of_assignment, spectral_bundle
 
 __all__ = [
     "SCHEMES",
@@ -245,18 +245,6 @@ def build_communities(spec: CommunitySpec) -> ProblemInstance:
     )
 
 
-def _swap(a: np.ndarray, u: int, e: int, v: int, f: int) -> None:
-    a[u, e] -= 1
-    a[u, f] += 1
-    a[v, f] -= 1
-    a[v, e] += 1
-
-
-def _home_tasks(spec: CommunitySpec, community: int) -> np.ndarray:
-    start = community * spec.edges_per_community
-    return np.arange(start, start + spec.edges_per_community)
-
-
 def _pick_membership(
     a: np.ndarray, rng: np.random.Generator, tasks: np.ndarray
 ) -> tuple[int, int]:
@@ -271,11 +259,15 @@ def _pick_membership(
 def _attempt_rewire(
     base: np.ndarray, spec: CommunitySpec, rng: np.random.Generator
 ) -> np.ndarray:
+    """One swap per link c = 1..n_c-1; the scheme's ``draw(c)`` proposes it.
+
+    A proposal (u, e, v, f) moves u from task e to f and v from f to e; an
+    illegal one is redrawn up to ``_SWAP_RETRIES`` times.
+    """
     a = base.copy()
     n_c = spec.n_communities
-
-    def legal(u: int, e: int, v: int, f: int) -> bool:
-        return u != v and e != f and a[u, f] == 0 and a[v, e] == 0
+    k_c = spec.edges_per_community
+    home = [np.arange(c * k_c, (c + 1) * k_c) for c in range(n_c)]  # tasks per community
 
     if spec.scheme == "one_node":
         if spec.edges_per_community < n_c - 1:
@@ -284,18 +276,12 @@ def _attempt_rewire(
                 "community: the centroid node donates one home membership "
                 "per other community"
             )
-        centroid = 0
-        for c in range(1, n_c):
-            for _ in range(_SWAP_RETRIES):
-                home = _home_tasks(spec, 0)
-                donatable = home[a[centroid, home] > 0]
-                e = int(donatable[rng.integers(len(donatable))])
-                v, f = _pick_membership(a, rng, _home_tasks(spec, c))
-                if legal(centroid, e, v, f):
-                    _swap(a, centroid, e, v, f)
-                    break
-            else:
-                raise ConvergenceError("one_node swap retries exhausted")
+
+        def draw(c):
+            donatable = home[0][a[0, home[0]] > 0]
+            e = int(donatable[rng.integers(len(donatable))])
+            return (0, e, *_pick_membership(a, rng, home[c]))
+
     elif spec.scheme == "one_edge":
         if spec.nodes_per_community < n_c - 1:
             raise ValueError(
@@ -303,39 +289,35 @@ def _attempt_rewire(
                 "community: the centroid edge trades away one original "
                 "member per other community"
             )
-        centroid = 0
         first_block = np.arange(spec.nodes_per_community)
-        for c in range(1, n_c):
-            for _ in range(_SWAP_RETRIES):
-                original = first_block[a[first_block, centroid] > 0]
-                u = int(original[rng.integers(len(original))])
-                v, f = _pick_membership(a, rng, _home_tasks(spec, c))
-                if legal(u, centroid, v, f):
-                    _swap(a, u, centroid, v, f)
-                    break
-            else:
-                raise ConvergenceError("one_edge swap retries exhausted")
+
+        def draw(c):
+            original = first_block[a[first_block, 0] > 0]
+            u = int(original[rng.integers(len(original))])
+            return (u, 0, *_pick_membership(a, rng, home[c]))
+
     elif spec.scheme == "head2tail":
-        for c in range(n_c - 1):
-            for _ in range(_SWAP_RETRIES):
-                u, e = _pick_membership(a, rng, _home_tasks(spec, c))
-                v, f = _pick_membership(a, rng, _home_tasks(spec, c + 1))
-                if legal(u, e, v, f):
-                    _swap(a, u, e, v, f)
-                    break
-            else:
-                raise ConvergenceError("head2tail swap retries exhausted")
+
+        def draw(c):
+            return (*_pick_membership(a, rng, home[c - 1]), *_pick_membership(a, rng, home[c]))
+
     else:  # random
-        for _ in range(n_c - 1):
-            for _ in range(_SWAP_RETRIES):
-                ca, cb = rng.choice(n_c, size=2, replace=False)
-                u, e = _pick_membership(a, rng, _home_tasks(spec, int(ca)))
-                v, f = _pick_membership(a, rng, _home_tasks(spec, int(cb)))
-                if legal(u, e, v, f):
-                    _swap(a, u, e, v, f)
-                    break
-            else:
-                raise ConvergenceError("random swap retries exhausted")
+
+        def draw(c):
+            ca, cb = rng.choice(n_c, size=2, replace=False)
+            return (*_pick_membership(a, rng, home[ca]), *_pick_membership(a, rng, home[cb]))
+
+    for c in range(1, n_c):
+        for _ in range(_SWAP_RETRIES):
+            u, e, v, f = draw(c)
+            if u != v and e != f and a[u, f] == 0 and a[v, e] == 0:
+                a[u, e] -= 1
+                a[u, f] += 1
+                a[v, f] -= 1
+                a[v, e] += 1
+                break
+        else:
+            raise ConvergenceError(f"{spec.scheme} swap retries exhausted")
     return a
 
 
@@ -373,8 +355,7 @@ def _one_scaling_rep(
     base = build_communities(spec)
     rng = substream(seed, "scaling", scheme, size, rep)
     rewired = rewire(base, spec, rng)
-    bundle = spectral_bundle(rewired)
-    return float(bundle.eigenvalues[1])
+    return mu2_of_assignment(rewired.energies, rewired.assignment)
 
 
 def scaling_experiment(
@@ -470,12 +451,10 @@ def _sample_subinstance(
         sub = full[:, chosen]
         agents = np.flatnonzero(sub.any(axis=1))
         sub = sub[agents, :]
-        count, agent_labels, task_labels = bipartite_components(sub > 0)
-        best, best_size = -1, -1
-        for comp in range(count):
-            size = int((agent_labels == comp).sum() + (task_labels == comp).sum())
-            if size > best_size:
-                best, best_size = comp, size
+        _, agent_labels, task_labels = bipartite_components(sub > 0)
+        # the first largest component; an empty draw (no tasks) keeps nothing
+        labels = np.concatenate((agent_labels, task_labels))
+        best = np.bincount(labels, minlength=1).argmax()
         keep_agents = agents[agent_labels == best]
         keep_tasks = chosen[task_labels == best]
         n_cc, k_cc = len(keep_agents), len(keep_tasks)

@@ -282,6 +282,63 @@ def test_rerun_replays_a_manifest_that_records_jobs(workdir, tmp_path):
         assert (again / name).read_bytes() == (first / name).read_bytes()
 
 
+# each command's manifest params, keyed by the flags' dest; "{small}", "{hub}"
+# and "{tiny}" stand for the absolute paths of the workdir's files
+MANIFEST_PARAMS = {
+    "attack": (
+        ["attack", "--input", "{small}", "--assignment", "{small}", "-m", "2",
+         "--n-exp", "3", "--strategy", "degree", "--seed", "4"],
+        {"input": "{small}", "format": None, "assignment": "{small}", "m": 2, "n_exp": 3,
+         "seed": 4, "strategy": "degree"},
+    ),
+    "scaling": (
+        ["experiment", "scaling", "--schemes", "head2tail", "--sizes", "2", "3", "4",
+         "--reps", "1", "--seed", "2"],
+        {"kind": "scaling", "schemes": ["head2tail"], "sizes": [2, 3, 4], "reps": 1,
+         "seed": 2, "coupled": True},
+    ),
+    "scaling-fixed": (
+        ["experiment", "scaling", "--schemes", "head2tail", "--sizes", "2", "3", "4",
+         "--reps", "1", "--fixed-communities"],
+        {"kind": "scaling", "schemes": ["head2tail"], "sizes": [2, 3, 4], "reps": 1,
+         "seed": 0, "coupled": False},
+    ),
+    "budget-sweep": (
+        ["experiment", "budget-sweep", "--input", "{hub}", "--multipliers", "1", "2",
+         "--sub-sizes", "3", "4", "6", "--reps", "1"],
+        {"kind": "budget-sweep", "input": "{hub}", "format": None, "multipliers": [1, 2],
+         "sub_sizes": [3, 4, 6], "reps": 1, "seed": 0},
+    ),
+    "diffuse": (
+        ["experiment", "diffuse", "--nodes", "4", "--edges", "2", "--representatives", "1",
+         "--t-max", "5", "--steps", "6", "--representation", "bipartite"],
+        {"kind": "diffuse", "nodes": 4, "edges": 2, "representatives": 1, "t_max": 5.0,
+         "steps": 6, "representation": "bipartite"},
+    ),
+    "enumerate": (
+        ["experiment", "enumerate", "--nodes", "4", "--edges", "2", "--dedup"],
+        {"kind": "enumerate", "nodes": 4, "edges": 2, "dedup": True},
+    ),
+    "stats": (
+        ["stats", "--input", "{tiny}", "--format", "edgelist"],
+        {"input": "{tiny}", "format": "edgelist", "name": "tiny"},
+    ),
+}
+
+
+@pytest.mark.parametrize("command", MANIFEST_PARAMS)
+def test_manifest_params_name_every_flag_by_its_dest(workdir, tmp_path, command):
+    paths = {name: str((workdir / f"{name}.{ext}").resolve())
+             for name, ext in (("small", "json"), ("hub", "json"), ("tiny", "edges"))}
+    args, expected = MANIFEST_PARAMS[command]
+    proc = run_cli(*(a.format(**paths) for a in args), "--out", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    params = json.loads((tmp_path / "manifest.json").read_text())["params"]
+    assert params == {
+        k: v.format(**paths) if isinstance(v, str) else v for k, v in expected.items()
+    }
+
+
 def test_experiment_enumerate(tmp_path):
     proc = run_cli(
         "experiment", "enumerate", "--nodes", "4", "--edges", "2", "--out", str(tmp_path)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 from itertools import combinations, permutations
 
@@ -156,6 +157,29 @@ def test_rewire_conserves_marginals_and_connects(scheme):
     if scheme != "random":
         # three swaps, each toggling four cells by one unit
         assert np.abs(a - b).sum() == 4 * (spec.n_communities - 1)
+
+
+# sha256 of each scheme's rewired assignments (little-endian int64) over
+# coupled and 6x6 layouts of 2-6 communities, three seeds each; they pin the
+# order of every draw in the swap loop
+REWIRE_SHA256 = {
+    "one_node": "56e9a744698d3d59892a221f05db80bb2c7e93e5c251dbfadcd844d6fa43cf58",
+    "one_edge": "f1862f558c3c312929f229057968430f2bd1074e47a1f2347e9e755c5ef0866c",
+    "head2tail": "4f6389f3969db0c4d48dc5c6a0bb49588c50dd6d045b3bf18e0a46b71d8ec0f8",
+    "random": "3e45e8ad4d944da3f3e1917fc9b3b8fe56e34db57015b80c5fe9863da663ab5a",
+}
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_rewire_draws_match_the_recorded_digests(scheme):
+    digest = hashlib.sha256()
+    for size in (2, 3, 4, 5, 6):
+        for spec in (CommunitySpec(size, size, size, scheme), CommunitySpec(size, scheme=scheme)):
+            for rep in range(3):
+                rng = substream(rep, "rewire-digest", scheme, size)
+                out = rewire(build_communities(spec), spec, rng)
+                digest.update(np.asarray(out.assignment, dtype="<i8").tobytes())
+    assert digest.hexdigest() == REWIRE_SHA256[scheme]
 
 
 def test_rewire_one_node_builds_a_centroid_agent():
