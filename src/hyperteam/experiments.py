@@ -452,9 +452,9 @@ def _sample_subinstance(
         agents = np.flatnonzero(sub.any(axis=1))
         sub = sub[agents, :]
         _, agent_labels, task_labels = bipartite_components(sub > 0)
-        # the first largest component; an empty draw (no tasks) keeps nothing
+        # the first largest component
         labels = np.concatenate((agent_labels, task_labels))
-        best = np.bincount(labels, minlength=1).argmax()
+        best = np.bincount(labels).argmax()
         keep_agents = agents[agent_labels == best]
         keep_tasks = chosen[task_labels == best]
         n_cc, k_cc = len(keep_agents), len(keep_tasks)
@@ -496,8 +496,12 @@ def budget_sweep(
     the budgets change between runs. Each multiplied sub-instance is
     optimized with the greedy algorithm and its final connectivity recorded.
     Curves aggregate per (multiplier, size) and carry a log-log fit of mean
-    connectivity against mean agent count.
+    connectivity against mean agent count. A size below 2 or above the
+    instance's task count raises ``ValueError`` before any draw.
     """
+    for size in sub_sizes:
+        if not 2 <= size <= inst.n_tasks:
+            raise ValueError(f"sub-size {size} is outside 2..{inst.n_tasks} tasks")
     points: list[BudgetPoint] = []
     for size in sub_sizes:
         for rep in range(reps):

@@ -16,10 +16,10 @@ stationary distribution pi:
 kernel; the second-smallest eigenvalue is the algebraic connectivity that the
 optimizers maximize.
 
-The public per-matrix functions (``edvw_matrices``, ``transition_matrix``,
-``stationary_distribution``, ``laplacian``, ``spectrum``, ...) take 2-D input
-only. ``mu2_batch`` scores a stack of assignments through stack-aware private
-forms of the same chain, which the per-matrix functions call too.
+Each step of that chain is one public function, and the mu2 kernels are
+built from them. ``edvw_matrices``, ``transition_matrix``, ``laplacian`` and
+``spectrum`` take one assignment or matrix, or a stack of them;
+``stationary_distribution`` solves one chain.
 
 Stationary distributions come from one normalized linear solve that rejects
 reducible chains with ``ReducibleChainError``. The one exception is
@@ -63,12 +63,12 @@ _BATCH_ENTRIES = 1 << 14
 
 @dataclass(frozen=True)
 class EDVWMatrices:
-    """Weight system of the vertex walk.
+    """Weight system of the vertex walk, or a stack of them along leading axes.
 
-    W : (N, K) hyperedge weight replicated on incidences
-    R : (N, K) per-task vertex weights (the assignment itself)
-    d_v : (N,) vertex degrees, row sums of W
-    d_e : (K,) hyperedge degrees, column sums of R
+    W : (..., N, K) hyperedge weight replicated on incidences
+    R : (..., N, K) per-task vertex weights (the assignment itself)
+    d_v : (..., N) vertex degrees, row sums of W
+    d_e : (..., K) hyperedge degrees, column sums of R
     """
 
     W: np.ndarray
@@ -77,22 +77,16 @@ class EDVWMatrices:
     d_e: np.ndarray
 
 
-def _edvw(energies: np.ndarray, assignment: np.ndarray):
-    """(W, R, d_v, d_e) of an assignment or of a stack of them.
-
-    ``energies`` broadcasts against the leading axes: (K,) for all, or one
-    row per assignment.
-    """
-    incidence = assignment > 0
-    W = incidence * energies[..., np.newaxis, :].astype(np.float64)
-    R = assignment.astype(np.float64)
-    return W, R, W.sum(axis=-1), R.sum(axis=-2)
-
-
 def edvw_matrices(energies: np.ndarray, assignment: np.ndarray) -> EDVWMatrices:
-    """Weight matrices and degrees of an assignment's hypergraph, unchecked."""
-    W, R, d_v, d_e = _edvw(np.asarray(energies), np.asarray(assignment))
-    return EDVWMatrices(W=W, R=R, d_v=d_v, d_e=d_e)
+    """Weight matrices and degrees of an assignment's hypergraph, unchecked.
+
+    ``assignment`` is (N, K) or a (C, N, K) stack. ``energies`` broadcasts
+    against the leading axes: (K,) for all, or one row per assignment.
+    """
+    energies, assignment = np.asarray(energies), np.asarray(assignment)
+    W = (assignment > 0) * energies[..., np.newaxis, :].astype(np.float64)
+    R = assignment.astype(np.float64)
+    return EDVWMatrices(W=W, R=R, d_v=W.sum(axis=-1), d_e=R.sum(axis=-2))
 
 
 def build_matrices(inst: ProblemInstance) -> EDVWMatrices:
@@ -107,21 +101,16 @@ def build_matrices(inst: ProblemInstance) -> EDVWMatrices:
     return m
 
 
-def _transition(W, R, d_v, d_e) -> np.ndarray:
-    """P = D_V^-1 W D_E^-1 R^T of one weight system or of a stack of them."""
-    return (W / d_v[..., np.newaxis]) @ np.swapaxes(R / d_e[..., np.newaxis, :], -1, -2)
-
-
 def transition_matrix(m: EDVWMatrices) -> np.ndarray:
-    """Row-stochastic vertex transition matrix of the two-hop walk."""
-    return _transition(m.W, m.R, m.d_v, m.d_e)
+    """Row-stochastic P = D_V^-1 W D_E^-1 R^T of one weight system or a stack."""
+    return (m.W / m.d_v[..., np.newaxis]) @ np.swapaxes(m.R / m.d_e[..., np.newaxis, :], -1, -2)
 
 
 def _stationary_dense(P: np.ndarray) -> np.ndarray:
     """Left eigenvectors of a (C, n, n) stack at eigenvalue 1, each summing to 1.
 
-    Unlike ``_stationary`` it does not test reducibility: a chain with two
-    closed classes returns one class's distribution.
+    Unlike ``stationary_distribution`` it does not test reducibility: a chain
+    with two closed classes returns one class's distribution.
     """
     evals, evecs = np.linalg.eig(np.swapaxes(P, -1, -2))
     chains = np.arange(len(P))
@@ -158,51 +147,41 @@ def _irreducible(P: np.ndarray) -> bool:
     return True
 
 
-def _stationary(P: np.ndarray) -> np.ndarray:
-    """Stationary distribution of one (n, n) chain or of each in a (C, n, n) stack.
+def stationary_distribution(P: np.ndarray) -> np.ndarray:
+    """Stationary distribution of a row-stochastic, irreducible (n, n) chain.
 
-    One normalized linear solve per chain: ``pi (P - I) = 0`` with the last
-    balance equation replaced by ``sum(pi) = 1``. A reducible chain, a
-    singular system, mass below -1e-9 or a residual |pi P - pi|_1 above 1e-9
-    raises ``ConvergenceError``, the first as ``ReducibleChainError``.
+    Periodic chains such as the bipartite lift are fine. One normalized
+    linear solve at every size: ``pi (P - I) = 0`` with the last balance
+    equation replaced by ``sum(pi) = 1``. A reducible chain raises
+    ``ReducibleChainError``; a singular system, mass below -1e-9 or a
+    residual |pi P - pi|_1 above 1e-9 raise ``ConvergenceError``.
     """
+    P = np.asarray(P, dtype=np.float64)
+    if P.ndim != 2 or P.shape[0] != P.shape[1]:
+        raise ValueError("P must be square")
     # a reducible chain may solve to a plausible mix of its closed classes
-    if not all(_irreducible(p) for p in P.reshape((-1,) + P.shape[-2:])):
+    if not _irreducible(P):
         raise ReducibleChainError("chain is reducible; no unique stationary distribution")
-    n = P.shape[-1]
-    A = np.swapaxes(P, -1, -2).copy()
+    n = len(P)
+    A = P.T.copy()
     diag = np.arange(n)
-    A[..., diag, diag] -= 1.0
-    A[..., -1, :] = 1.0
-    rhs = np.zeros(P.shape[:-1] + (1,))
-    rhs[..., -1, :] = 1.0
+    A[diag, diag] -= 1.0
+    A[-1] = 1.0
+    rhs = np.zeros(n)
+    rhs[-1] = 1.0
     try:
-        pi = np.linalg.solve(A, rhs)[..., 0]
+        pi = np.linalg.solve(A, rhs)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError("singular stationary system") from exc
     if pi.min() < -1e-9:
         raise ConvergenceError("stationary solution has negative mass")
-    residual = float(np.abs((pi[..., np.newaxis, :] @ P)[..., 0, :] - pi).sum(axis=-1).max())
+    residual = float(np.abs(pi @ P - pi).sum())
     if not residual <= 1e-9:
         raise ConvergenceError(f"stationary residual {residual:.3g} above 1e-9")
     return pi
 
 
-def stationary_distribution(P: np.ndarray) -> np.ndarray:
-    """Stationary distribution of a row-stochastic, irreducible chain.
-
-    Periodic chains such as the bipartite lift are fine. One normalized
-    linear solve at every size, which raises ``ReducibleChainError`` on a
-    reducible chain and ``ConvergenceError`` on a singular system, mass
-    below -1e-9 or a residual |pi P - pi|_1 above 1e-9.
-    """
-    P = np.asarray(P, dtype=np.float64)
-    if P.ndim != 2 or P.shape[0] != P.shape[1]:
-        raise ValueError("P must be square")
-    return _stationary(P)
-
-
-def _laplacian(P: np.ndarray, pi: np.ndarray) -> np.ndarray:
+def laplacian(P: np.ndarray, pi: np.ndarray) -> np.ndarray:
     """Pi - (Pi P + P^T Pi) / 2 of one chain or of a stack of them.
 
     Exactly symmetric as built, so it needs no symmetrizing pass.
@@ -216,13 +195,8 @@ def _laplacian(P: np.ndarray, pi: np.ndarray) -> np.ndarray:
     return L
 
 
-def laplacian(P: np.ndarray, pi: np.ndarray) -> np.ndarray:
-    """Symmetric Laplacian Pi - (Pi P + P^T Pi) / 2, exactly symmetric as built."""
-    return _laplacian(P, pi)
-
-
 def spectrum(L: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix in ascending order."""
+    """Eigenvalues of a symmetric matrix, or of each in a stack, in ascending order."""
     return np.linalg.eigvalsh(L)
 
 
@@ -319,9 +293,8 @@ def mu2_of_assignment(energies: np.ndarray, assignment: np.ndarray) -> float:
         energies, assignment = energies[cols], assignment[np.ix_(rows, cols)]
     if len(assignment) < 2:
         return 0.0
-    P = _transition(*_edvw(energies, assignment))
-    L = _laplacian(P, _stationary(P))
-    return float(np.linalg.eigvalsh(L)[1])
+    _, _, L = _bundle_parts(edvw_matrices(energies, assignment))
+    return float(spectrum(L)[1])
 
 
 def batch_rows(n: int, k: int) -> int:
@@ -358,13 +331,15 @@ def mu2_batch(energies: np.ndarray, stack: np.ndarray) -> np.ndarray:
     out = np.empty(c)
     size = batch_rows(n, k)
     for lo in range(0, c, size):
-        W, R, d_v, d_e = _edvw(energies[lo : lo + size], stack[lo : lo + size])
-        if not (d_v.all() and d_e.all()):
+        m = edvw_matrices(energies[lo : lo + size], stack[lo : lo + size])
+        if not (m.d_v.all() and m.d_e.all()):
             raise ValueError("every agent and task of a batch needs a positive entry")
-        P = _transition(W, R, d_v, d_e)
+        P = transition_matrix(m)
         # Greedy breaks exact ties in its offers by roundoff, and the recorded
         # greedy assignments rest on the dense eig's pi, so small stacks keep it.
-        pi = _stationary_dense(P) if n <= _DENSE_LIMIT else _stationary(P)
-        L = _laplacian(P, pi)
-        out[lo : lo + size] = np.linalg.eigvalsh(L)[:, 1]
+        if n <= _DENSE_LIMIT:
+            pi = _stationary_dense(P)
+        else:
+            pi = np.array([stationary_distribution(p) for p in P])
+        out[lo : lo + size] = spectrum(laplacian(P, pi))[:, 1]
     return out

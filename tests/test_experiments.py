@@ -281,9 +281,18 @@ def test_budget_sweep_needs_suitable_ratio(coauthor_small):
         budget_sweep(coauthor_small, multipliers=(1,), sub_sizes=(4,), reps=1, seed=0)
 
 
-def test_budget_sweep_error_without_two_task_draws(coauthor_small):
+def test_budget_sweep_error_without_two_task_draws():
+    # four disjoint tasks: every two-task draw splits into one-task components
+    disjoint = make_instance(np.kron(np.eye(4, dtype=np.int64), np.ones((4, 1), dtype=np.int64)))
     with pytest.raises(ConvergenceError, match=r"3\.6-4\.4 agents per task, and no draw had two"):
-        budget_sweep(coauthor_small, multipliers=(1,), sub_sizes=(1,), reps=1, seed=0)
+        budget_sweep(disjoint, multipliers=(1,), sub_sizes=(2,), reps=1, seed=0)
+
+
+@pytest.mark.parametrize("bad", [0, 1, 26])
+def test_budget_sweep_rejects_sub_sizes_before_any_draw(coauthor_small, bad):
+    # size 4 comes first and alone would fail its draws with ConvergenceError
+    with pytest.raises(ValueError, match=rf"sub-size {bad} is outside 2\.\.25"):
+        budget_sweep(coauthor_small, multipliers=(1,), sub_sizes=(4, bad), reps=1, seed=0)
 
 
 def test_fit_power_law_exact():

@@ -296,7 +296,7 @@ def test_laplacian_matches_the_three_pass_oracle_on_a_stack():
         [transition_matrix(build_matrices(random_connected_instance(rng, 7, 3))) for _ in range(4)]
     )
     pi = np.asarray([stationary_distribution(P) for P in stack])
-    _assert_same_bits(spectral._laplacian(stack, pi), _three_pass_laplacian(stack, pi))
+    _assert_same_bits(laplacian(stack, pi), _three_pass_laplacian(stack, pi))
 
 
 def test_laplacian_matches_the_three_pass_oracle_with_exact_zeros():
@@ -475,6 +475,43 @@ def test_mu2_batch_matches_eig_oracle(c, n, k):
     # the single-state path takes the checked solve and agrees with the oracle
     single = np.array([mu2_of_assignment(e, a) for e, a in zip(energies, stack)])
     assert np.all(np.abs(single - want) <= 1e-12 * np.abs(want))
+
+
+def test_mu2_batch_solves_each_chain_of_a_large_chunk(monkeypatch):
+    # three 515-agent chains in one chunk, past the dense eig's size limit
+    c, n, k = 3, 515, 5
+    monkeypatch.setattr(spectral, "_BATCH_ENTRIES", c * n * n)
+    assert batch_rows(n, k) == c
+    rng = np.random.default_rng(c)
+    stack = rng.integers(1, 4, size=(c, n, k)) * (rng.random((c, n, k)) < 0.5)
+    stack[:, :, 0] = np.maximum(stack[:, :, 0], 1)
+    stack[:, 0, :] = np.maximum(stack[:, 0, :], 1)
+    energies = rng.integers(1, 6, size=(c, k))
+    got = mu2_batch(energies, stack)
+    assert got.tolist() == [mu2_of_assignment(e, a) for e, a in zip(energies, stack)]
+    want = np.array([eig_mu2(e, a) for e, a in zip(energies, stack)])
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+
+def test_mu2_of_assignment_runs_each_chain_function_once(monkeypatch):
+    names = (
+        "edvw_matrices",
+        "transition_matrix",
+        "stationary_distribution",
+        "laplacian",
+        "spectrum",
+    )
+    calls = []
+    for name in names:
+
+        def recording(*args, _name=name, _fn=getattr(spectral, name)):
+            calls.append(_name)
+            return _fn(*args)
+
+        monkeypatch.setattr(spectral, name, recording)
+    inst = random_connected_instance(np.random.default_rng(8), 7, 4)
+    mu2_of_assignment(inst.energies, inst.assignment)
+    assert calls == list(names)
 
 
 def test_batch_rows_bounds_the_largest_array():
