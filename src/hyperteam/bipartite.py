@@ -48,23 +48,18 @@ __all__ = [
 def bipartite_adjacency(inst: ProblemInstance) -> np.ndarray:
     """(N+K) x (N+K) adjacency with W and R^T off-diagonal blocks."""
     m = spectral.edvw_matrices(inst.energies, inst.assignment)
-    n, k = m.W.shape
-    A = np.zeros((n + k, n + k))
-    A[:n, n:] = m.W
-    A[n:, :n] = m.R.T
-    return A
+    return _lift(m.W, m.R.T)
 
 
-def _lift_blocks(energies: np.ndarray, assignment: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _lift_blocks(m: spectral.EDVWMatrices) -> tuple[np.ndarray, np.ndarray]:
     """(A, B) = (D_V^-1 W, D_E^-1 R^T): the agent-to-task and task-to-agent steps."""
-    m = spectral.edvw_matrices(np.asarray(energies), np.asarray(assignment))
     if not (m.d_v.all() and m.d_e.all()):
         raise ValueError("bipartite walk needs positive degrees on both sides")
     return m.W / m.d_v[:, np.newaxis], (m.R / m.d_e[np.newaxis, :]).T
 
 
 def _lift(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Row-stochastic walk [[0, A], [B, 0]] on the stacked agents and tasks."""
+    """[[0, A], [B, 0]] on the stacked agents and tasks: the walk, or the adjacency."""
     n, k = A.shape
     P = np.zeros((n + k, n + k))
     P[:n, n:] = A
@@ -94,7 +89,7 @@ def _lift_laplacian(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 def bipartite_transition(inst: ProblemInstance) -> np.ndarray:
     """Row-stochastic walk matrix on the stacked agent/task vertex set."""
-    return _lift(*_lift_blocks(inst.energies, inst.assignment))
+    return _lift(*_lift_blocks(spectral.edvw_matrices(inst.energies, inst.assignment)))
 
 
 def two_step(P_b: np.ndarray) -> np.ndarray:
@@ -133,7 +128,7 @@ def two_step_laplacian(P_star: np.ndarray, n_agents: int) -> np.ndarray:
 
 def mu2_of_assignment(energies: np.ndarray, assignment: np.ndarray) -> float:
     """Alternating-walk mu2 of an assignment; connectivity is the caller's job."""
-    _, L = _lift_laplacian(*_lift_blocks(energies, assignment))
+    _, L = _lift_laplacian(*_lift_blocks(spectral.edvw_matrices(energies, assignment)))
     return float(spectral.spectrum(L)[1])
 
 
@@ -159,7 +154,8 @@ class BipartiteBundle:
 def bipartite_bundle(inst: ProblemInstance) -> BipartiteBundle:
     if not is_connected(inst):
         raise DisconnectedError("bipartite bundle needs a connected instance")
-    A, B = _lift_blocks(inst.energies, inst.assignment)
+    m = spectral.edvw_matrices(inst.energies, inst.assignment)
+    A, B = _lift_blocks(m)
     pi_b, L_b = _lift_laplacian(A, B)
     P_b = _lift(A, B)
     P_star = two_step(P_b)
@@ -167,5 +163,5 @@ def bipartite_bundle(inst: ProblemInstance) -> BipartiteBundle:
     # holds their stationary distributions at mass 1/2 each
     L_star = spectral.laplacian(P_star, pi_b)
     return BipartiteBundle(
-        adjacency=bipartite_adjacency(inst), P=P_b, pi=pi_b, L=L_b, P_star=P_star, L_star=L_star
+        adjacency=_lift(m.W, m.R.T), P=P_b, pi=pi_b, L=L_b, P_star=P_star, L_star=L_star
     )

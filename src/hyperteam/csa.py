@@ -24,6 +24,7 @@ from bisect import bisect_right
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from itertools import accumulate
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -67,6 +68,17 @@ class CsaParams:
     seed: int = 0
 
     def __post_init__(self):
+        integers = ("max_iters", "pack_size", "seed")
+        if self.moves_per_step is not None:
+            integers += ("moves_per_step",)
+        reals = ("t0", "cooling", "t_threshold", "task_penalty", "agent_penalty", "p_guided",
+                 "tasks_factor", "teammates_factor")
+        for name in integers + reals:
+            value, kind = getattr(self, name), Integral if name in integers else Real
+            # bool is an Integral, but a flag is no count or rate
+            if isinstance(value, bool) or not isinstance(value, kind):
+                what = "an integer" if kind is Integral else "a real number"
+                raise ValueError(f"{name} must be {what}, not {value!r}")
         if not (0.0 < self.cooling < 1.0):
             raise ValueError("cooling must be in (0, 1)")
         if self.t0 <= 0 or self.t_threshold <= 0:

@@ -374,23 +374,22 @@ def scaling_experiment(
     scheme power-law fits plus every raw (scheme, size, rep, mu2) sample.
     The fit runs on per-size means of mu2 against N_c in log-log space and
     reports a = -slope, so a > 0 means connectivity decays with size.
+    Reps below 1, a size below 2 or under 3 distinct sizes raise ValueError first.
     """
-    tasks = [
-        (scheme, size, rep)
-        for scheme in schemes
-        for size in sizes
-        for rep in range(reps)
+    if reps < 1:
+        raise ValueError(f"reps must be >= 1, got {reps}")
+    if min(sizes, default=0) < 2 or len(set(sizes)) < 3:
+        raise ValueError(f"scaling needs 3 or more distinct sizes, each >= 2; got {tuple(sizes)}")
+    samples = [
+        (s, n, r, _one_scaling_rep(s, n, r, seed, coupled))
+        for s in schemes for n in sizes for r in range(reps)
     ]
-    values = [_one_scaling_rep(s, n, r, seed, coupled) for s, n, r in tasks]
-    samples = [(s, n, r, v) for (s, n, r), v in zip(tasks, values)]
 
     fits = []
     for scheme in schemes:
-        means, stds = [], []
-        for size in sizes:
-            vals = np.array([v for s, n, _, v in samples if s == scheme and n == size])
-            means.append(float(vals.mean()))
-            stds.append(float(vals.std()))
+        groups = [[v for s, n, _, v in samples if (s, n) == (scheme, size)] for size in sizes]
+        means = [float(np.mean(g)) for g in groups]
+        stds = [float(np.std(g)) for g in groups]
         fit = fit_power_law(np.array(sizes, dtype=float), np.array(means))
         fits.append(
             ScalingFit(
@@ -496,9 +495,11 @@ def budget_sweep(
     the budgets change between runs. Each multiplied sub-instance is
     optimized with the greedy algorithm and its final connectivity recorded.
     Curves aggregate per (multiplier, size) and carry a log-log fit of mean
-    connectivity against mean agent count. A size below 2 or above the
-    instance's task count raises ``ValueError`` before any draw.
+    connectivity against mean agent count. Reps or a multiplier below 1, or
+    a size below 2 or above the task count, raise ``ValueError`` before any draw.
     """
+    if reps < 1 or min(multipliers, default=1) < 1:
+        raise ValueError(f"reps and multipliers must be >= 1; got {reps} and {tuple(multipliers)}")
     for size in sub_sizes:
         if not 2 <= size <= inst.n_tasks:
             raise ValueError(f"sub-size {size} is outside 2..{inst.n_tasks} tasks")

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -45,6 +46,13 @@ class GreedyParams:
     seed: int = 0
 
     def __post_init__(self):
+        for name, kind in (("packet_size", Integral), ("random_threshold", Integral), ("seed", Integral),
+                           ("phase2_temperature", Real), ("stochastic_accept", bool)):
+            value = getattr(self, name)
+            # bool is an Integral, but a flag is no count or rate
+            if not isinstance(value, kind) or (kind is not bool and isinstance(value, bool)):
+                what = {Integral: "an integer", Real: "a real number", bool: "True or False"}[kind]
+                raise ValueError(f"{name} must be {what}, not {value!r}")
         if self.packet_size < 1:
             raise ValueError("packet_size must be >= 1")
         if self.phase2_temperature <= 0:

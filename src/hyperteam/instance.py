@@ -289,6 +289,8 @@ def parse_instance_json(text: str) -> ProblemInstance:
     for key in ("agents", "tasks", "assignment"):
         if key not in obj:
             raise FormatError(f"missing required key {key!r}")
+        if not isinstance(obj[key], list):
+            raise FormatError(f"{key!r} must be a list")
 
     def _id_and_value(entry, kind, value_key):
         if not isinstance(entry, dict) or "id" not in entry or value_key not in entry:

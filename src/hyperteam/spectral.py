@@ -233,48 +233,27 @@ class SpectralBundle:
     eigenvalues: np.ndarray
 
 
-def _bundle_parts(m: EDVWMatrices):
-    P = transition_matrix(m)
-    pi = stationary_distribution(P)
-    L = laplacian(P, pi)
-    return P, pi, L
-
-
 def spectral_bundle(inst: ProblemInstance, *, allow_disconnected: bool = False) -> SpectralBundle:
     """Full spectral chain for an instance.
 
-    A disconnected instance raises unless ``allow_disconnected`` is set, in
-    which case the chain is assembled per component with stationary mass
-    proportional to component size, so the Laplacian keeps one zero eigenvalue
-    per component.
+    The checked stationary solve decides connectivity; components are
+    labelled only for a reducible chain. A disconnected instance raises
+    ``DisconnectedError`` unless ``allow_disconnected`` is set; then pi is
+    solved on each component's block of P, with mass proportional to its size,
+    so the Laplacian keeps one zero eigenvalue per component.
     """
-    m = build_matrices(inst)
-    count, agent_label, _ = bipartite_components(inst.incidence())
-    n = inst.n_agents
-    if count == 1:
-        P, pi, L = _bundle_parts(m)
-        return SpectralBundle(P=P, pi=pi, L=L, eigenvalues=spectrum(L))
-    if not allow_disconnected:
-        raise DisconnectedError(f"hypergraph has {count} components")
-    P = np.zeros((n, n))
-    pi = np.zeros(n)
-    L = np.zeros((n, n))
-    for comp in range(count):
-        rows = np.flatnonzero(agent_label == comp)
-        if rows.size == 0:
-            continue
-        cols = np.flatnonzero(inst.assignment[rows].sum(axis=0) > 0)
-        sub = inst.assignment[np.ix_(rows, cols)]
-        if rows.size == 1:
-            # a single agent relaxes nowhere; the 1x1 Laplacian block is zero
-            P[rows[0], rows[0]] = 1.0
-            pi[rows[0]] = 1.0 / n
-            continue
-        Pc, pic, Lc = _bundle_parts(edvw_matrices(inst.energies[cols], sub))
-        alpha = rows.size / n
-        P[np.ix_(rows, rows)] = Pc
-        pi[rows] = alpha * pic
-        L[np.ix_(rows, rows)] = alpha * Lc
+    P = transition_matrix(build_matrices(inst))
+    try:
+        pi = stationary_distribution(P)
+    except ReducibleChainError:
+        count, agent_label, _ = bipartite_components(inst.incidence())
+        if not allow_disconnected:
+            raise DisconnectedError(f"hypergraph has {count} components") from None
+        pi = np.zeros(len(P))
+        for comp in range(count):
+            rows = np.flatnonzero(agent_label == comp)
+            pi[rows] = rows.size / len(P) * stationary_distribution(P[np.ix_(rows, rows)])
+    L = laplacian(P, pi)
     return SpectralBundle(P=P, pi=pi, L=L, eigenvalues=spectrum(L))
 
 
@@ -293,7 +272,8 @@ def mu2_of_assignment(energies: np.ndarray, assignment: np.ndarray) -> float:
         energies, assignment = energies[cols], assignment[np.ix_(rows, cols)]
     if len(assignment) < 2:
         return 0.0
-    _, _, L = _bundle_parts(edvw_matrices(energies, assignment))
+    P = transition_matrix(edvw_matrices(energies, assignment))
+    L = laplacian(P, stationary_distribution(P))
     return float(spectrum(L)[1])
 
 

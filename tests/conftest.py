@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 import hyperteam
-from hyperteam.instance import ProblemInstance, load_instance
+from hyperteam.instance import ProblemInstance, bipartite_components, load_instance
+from hyperteam.spectral import edvw_matrices, laplacian, stationary_distribution, transition_matrix
 
 
 def subprocess_env() -> dict[str, str]:
@@ -132,6 +133,34 @@ def eig_mu2(energies, assignment) -> float:
     pi = eig_stationary(P)
     L = np.diag(pi) - 0.5 * (pi[:, None] * P + (pi[:, None] * P).T)
     return float(np.linalg.eigvalsh(L)[1])
+
+
+def component_bundle(inst: ProblemInstance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(P, pi, L) of a possibly disconnected instance, assembled per component.
+
+    The former disconnected branch of ``spectral_bundle``, kept as its
+    oracle: each component's chain is built from its own sub-assignment and
+    solved alone, component c carries stationary mass |c| / N, and a
+    one-agent component gets P = 1 and a zero Laplacian block.
+    """
+    count, agent_label, _ = bipartite_components(inst.incidence())
+    n = inst.n_agents
+    P, pi, L = np.zeros((n, n)), np.zeros(n), np.zeros((n, n))
+    for comp in range(count):
+        rows = np.flatnonzero(agent_label == comp)
+        if rows.size == 1:
+            P[rows[0], rows[0]] = 1.0
+            pi[rows[0]] = 1.0 / n
+            continue
+        cols = np.flatnonzero(inst.assignment[rows].sum(axis=0) > 0)
+        sub = inst.assignment[np.ix_(rows, cols)]
+        Pc = transition_matrix(edvw_matrices(inst.energies[cols], sub))
+        pic = stationary_distribution(Pc)
+        alpha = rows.size / n
+        P[np.ix_(rows, rows)] = Pc
+        pi[rows] = alpha * pic
+        L[np.ix_(rows, rows)] = alpha * laplacian(Pc, pic)
+    return P, pi, L
 
 
 def full_lift(energies, assignment) -> np.ndarray:

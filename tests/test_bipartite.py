@@ -197,9 +197,26 @@ def test_bundle_pi_is_the_lift_stationary_distribution(n, k):
 @pytest.mark.parametrize("n, k", [(8, 3), (5, 5), (3, 8), (6, 1)])
 def test_block_built_lift_laplacian_matches_the_generic_one(n, k):
     inst = random_connected_instance(np.random.default_rng(7 * n + k), n, k)
-    A, B = bipartite._lift_blocks(inst.energies, inst.assignment)
+    A, B = bipartite._lift_blocks(spectral.edvw_matrices(inst.energies, inst.assignment))
     pi_b, L = bipartite._lift_laplacian(A, B)
     assert np.abs(L - laplacian(bipartite._lift(A, B), pi_b)).max() <= 1e-15
+
+
+def test_bundle_builds_the_weight_matrices_once(monkeypatch):
+    inst = random_connected_instance(np.random.default_rng(6), 7, 4)
+    calls = []
+    build = spectral.edvw_matrices
+
+    def recording(energies, assignment):
+        calls.append(np.shape(assignment))
+        return build(energies, assignment)
+
+    monkeypatch.setattr(spectral, "edvw_matrices", recording)
+    bundle = bipartite_bundle(inst)
+    assert calls == [(7, 4)]
+    monkeypatch.undo()
+    assert np.array_equal(bundle.adjacency, bipartite_adjacency(inst))
+    assert np.array_equal(bundle.P, bipartite_transition(inst))
 
 
 @pytest.mark.parametrize("n, k", [(8, 3), (3, 8), (5, 5)])

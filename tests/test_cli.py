@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from conftest import make_instance, random_connected_instance, subprocess_env, toy_path
-from hyperteam import bipartite
+from hyperteam import bipartite, experiments
+from hyperteam.cli import main
 from hyperteam.instance import load_instance, save_instance
 from hyperteam.spectral import mu2_of_assignment
 
@@ -190,6 +191,38 @@ def test_optimize_usage_errors(workdir, tmp_path):
         "optimize", "--input", str(workdir / "small.json"), "--method", "magic"
     )
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize(
+    "method, config",
+    [
+        ("csa", {"max_iters": "5"}),
+        ("csa", {"pack_size": 1.5}),
+        ("csa", {"moves_per_step": 2.5}),
+        ("csa-bipartite", {"cooling": True}),
+        ("greedy", {"packet_size": 1.5}),
+        ("greedy", {"stochastic_accept": "no"}),
+    ],
+)
+def test_optimize_rejects_config_values_of_the_wrong_type(workdir, tmp_path, capsys, method, config):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    argv = ["optimize", "--input", str(workdir / "small.json"), "--method", method]
+    assert main([*argv, "--config", str(path), "--out", str(out)]) == 2
+    (field,) = config
+    assert f"bad optimizer parameters: {field} must be " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("section", ["agents", "tasks", "assignment"])
+def test_stats_rejects_a_section_that_is_not_a_list(tmp_path, capsys, section):
+    obj = {"agents": [{"id": "a", "budget": 1}], "tasks": [], "assignment": []}
+    obj[section] = None if section == "assignment" else 5
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    assert main(["stats", "--input", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: '{section}' must be a list\n"
 
 
 def test_attack_outputs(workdir, tmp_path):
@@ -397,6 +430,28 @@ def test_experiment_budget_sweep(workdir, tmp_path):
     fits = (tmp_path / "budget_fit.csv").read_text().splitlines()
     assert fits[0] == "multiplier,exponent,intercept,R2"
     assert len(fits) == 3
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["scaling", "--reps", "0"],
+        ["scaling", "--sizes", "2", "3", "--reps", "1"],
+        ["budget-sweep", "--multipliers", "0", "--sub-sizes", "3", "4", "6", "--reps", "1"],
+    ],
+)
+def test_experiment_rejects_bad_arguments_before_running(workdir, tmp_path, capsys, monkeypatch, args):
+    def drawing(*_):
+        raise AssertionError("the arguments should be rejected before any draw")
+
+    monkeypatch.setattr(experiments, "_one_scaling_rep", drawing)
+    monkeypatch.setattr(experiments, "_sample_subinstance", drawing)
+    if args[0] == "budget-sweep":
+        args = [*args, "--input", str(workdir / "hub.json")]
+    out = tmp_path / "out"
+    assert main(["experiment", *args, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not any(out.iterdir())
 
 
 def test_experiment_diffuse(tmp_path):

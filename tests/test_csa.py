@@ -308,6 +308,29 @@ def test_bad_params_rejected(kwargs):
         CsaParams(**kwargs)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("max_iters", "5"),
+        ("max_iters", 5.0),
+        ("pack_size", 1.5),
+        ("moves_per_step", 2.5),
+        ("seed", True),
+        ("cooling", "0.9"),
+        ("task_penalty", None),
+        ("teammates_factor", False),
+    ],
+)
+def test_params_of_the_wrong_type_name_their_field(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be "):
+        CsaParams(**{field: value})
+
+
+def test_params_take_numpy_numbers():
+    params = CsaParams(max_iters=np.int64(5), cooling=np.float64(0.9), moves_per_step=np.int32(2))
+    assert params.resolve_moves(3, 3) == 2
+
+
 def test_moves_per_step_default_scales_with_size():
     assert CsaParams().resolve_moves(10, 4) == 1
     assert CsaParams().resolve_moves(781, 704) == 30

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import hashlib
 import math
+import re
 from itertools import combinations, permutations
 
 import numpy as np
 import pytest
 
 from conftest import count_connected_covering, make_instance
+from hyperteam import experiments
 from hyperteam.errors import ConvergenceError
 from hyperteam.experiments import (
     SCHEMES,
@@ -293,6 +295,38 @@ def test_budget_sweep_rejects_sub_sizes_before_any_draw(coauthor_small, bad):
     # size 4 comes first and alone would fail its draws with ConvergenceError
     with pytest.raises(ValueError, match=rf"sub-size {bad} is outside 2\.\.25"):
         budget_sweep(coauthor_small, multipliers=(1,), sub_sizes=(4, bad), reps=1, seed=0)
+
+
+def _no_draws(monkeypatch):
+    def drawing(*_):
+        raise AssertionError("the arguments should be rejected before any draw")
+
+    monkeypatch.setattr(experiments, "_one_scaling_rep", drawing)
+    monkeypatch.setattr(experiments, "_sample_subinstance", drawing)
+
+
+@pytest.mark.parametrize(
+    "sizes, reps, message",
+    [
+        ((2, 3, 4), 0, "reps must be >= 1, got 0"),
+        ((2, 3), 2, "3 or more distinct sizes, each >= 2; got (2, 3)"),
+        ((2, 2, 2), 2, "3 or more distinct sizes, each >= 2; got (2, 2, 2)"),
+        ((1, 2, 3), 2, "3 or more distinct sizes, each >= 2; got (1, 2, 3)"),
+    ],
+)
+def test_scaling_rejects_its_arguments_before_any_draw(monkeypatch, sizes, reps, message):
+    _no_draws(monkeypatch)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        scaling_experiment(("random",), sizes, reps=reps, seed=0)
+
+
+@pytest.mark.parametrize("multipliers, reps", [((1, 3), 0), ((1, 0), 1), ((-2,), 1)])
+def test_budget_sweep_rejects_reps_and_multipliers_before_any_draw(
+    monkeypatch, coauthor_small, multipliers, reps
+):
+    _no_draws(monkeypatch)
+    with pytest.raises(ValueError, match=r"reps and multipliers must be >= 1"):
+        budget_sweep(coauthor_small, multipliers=multipliers, sub_sizes=(4,), reps=reps, seed=0)
 
 
 def test_fit_power_law_exact():

@@ -436,3 +436,20 @@ def test_params_validation():
         GreedyParams(phase2_temperature=0.0)
     with pytest.raises(ValueError):
         GreedyParams(random_threshold=0)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("packet_size", 1.5),
+        ("packet_size", True),
+        ("random_threshold", "50"),
+        ("seed", 0.0),
+        ("phase2_temperature", "hot"),
+        ("stochastic_accept", "no"),
+        ("stochastic_accept", 1),
+    ],
+)
+def test_params_of_the_wrong_type_name_their_field(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be "):
+        GreedyParams(**{field: value})

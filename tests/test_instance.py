@@ -164,6 +164,15 @@ def test_json_rejects_with_its_message(mutate, message):
         parse_instance_json(json.dumps(obj))
 
 
+@pytest.mark.parametrize("key", ["agents", "tasks", "assignment"])
+@pytest.mark.parametrize("value", [5, None, "a", {"id": "a"}])
+def test_json_rejects_a_section_that_is_not_a_list(key, value):
+    obj = _json_obj()
+    obj[key] = value
+    with pytest.raises(FormatError, match=re.escape(f"'{key}' must be a list")):
+        parse_instance_json(json.dumps(obj))
+
+
 def test_load_instance_format_inference(tmp_path):
     inst = make_instance([[1], [1]])
     jpath = tmp_path / "x.json"

@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import eig_mu2, eig_stationary, make_instance, random_connected_instance
+from conftest import (
+    component_bundle,
+    eig_mu2,
+    eig_stationary,
+    make_instance,
+    random_connected_instance,
+)
 from hyperteam import spectral
 from hyperteam.errors import ConvergenceError, DegreeError, DisconnectedError
 from hyperteam.spectral import (
@@ -102,7 +108,7 @@ def test_stationary_fixed_point():
         assert pi.min() > 0
 
 
-def test_stationary_power_iteration_path():
+def test_stationary_solve_of_a_600_state_uniform_chain():
     # the normalized linear solve on a 600-state single-task chain, whose
     # stationary distribution is uniform
     n = 600
@@ -398,6 +404,63 @@ def test_bundle_builds_the_weight_matrices_once(monkeypatch):
     P = transition_matrix(build_matrices(inst))
     assert np.array_equal(bundle.P, P)
     assert np.array_equal(bundle.L, laplacian(P, stationary_distribution(P)))
+
+
+def _disconnected_instance(rng):
+    """Two to four random components, agents and tasks shuffled; some have one agent."""
+    blocks = [
+        random_connected_instance(rng, int(rng.integers(1, 6)), int(rng.integers(1, 4))).assignment
+        for _ in range(int(rng.integers(2, 5)))
+    ]
+    a = np.zeros((sum(len(b) for b in blocks), sum(b.shape[1] for b in blocks)), dtype=np.int64)
+    i = k = 0
+    for b in blocks:
+        a[i : i + b.shape[0], k : k + b.shape[1]] = b
+        i, k = i + b.shape[0], k + b.shape[1]
+    return make_instance(a[rng.permutation(i)][:, rng.permutation(k)]), [len(b) for b in blocks]
+
+
+def test_disconnected_bundle_matches_the_per_component_assembly():
+    rng = np.random.default_rng(13)
+    singletons = 0
+    for _ in range(60):
+        inst, sizes = _disconnected_instance(rng)
+        count = len(sizes)
+        singletons += 1 in sizes
+        bundle = spectral_bundle(inst, allow_disconnected=True)
+        P, pi, L = component_bundle(inst)
+        assert np.abs(bundle.P - P).max() <= 1e-14
+        assert np.abs(bundle.pi - pi).max() <= 1e-14
+        assert np.abs(bundle.L - L).max() <= 1e-14
+        assert np.abs(bundle.eigenvalues - np.linalg.eigvalsh(L)).max() <= 1e-14
+        assert (np.abs(bundle.eigenvalues) < 1e-10).sum() == count
+        with pytest.raises(DisconnectedError, match=f"hypergraph has {count} components"):
+            spectral_bundle(inst)
+    assert singletons
+
+
+def test_connected_bundle_labels_no_components(monkeypatch):
+    def labelling(incidence):
+        raise AssertionError("a connected bundle needs no component labels")
+
+    monkeypatch.setattr(spectral, "bipartite_components", labelling)
+    inst = random_connected_instance(np.random.default_rng(5), 7, 4)
+    P = transition_matrix(build_matrices(inst))
+    assert np.array_equal(spectral_bundle(inst).P, P)
+
+
+def test_disconnected_bundle_builds_the_weight_matrices_once(monkeypatch):
+    inst, _ = _disconnected_instance(np.random.default_rng(8))
+    calls = []
+    build = spectral.edvw_matrices
+
+    def recording(energies, assignment):
+        calls.append(np.shape(assignment))
+        return build(energies, assignment)
+
+    monkeypatch.setattr(spectral, "edvw_matrices", recording)
+    spectral_bundle(inst, allow_disconnected=True)
+    assert calls == [inst.assignment.shape]
 
 
 def test_diffusion_rate_tracks_connectivity():
