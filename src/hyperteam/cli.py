@@ -66,6 +66,8 @@ def _csv(header: list[str], rows: list[list]) -> str:
 
 
 def _atomic_write(path: Path, text: str) -> None:
+    # the output directory appears with the first file, so a rejected run leaves none
+    path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
@@ -305,7 +307,6 @@ _DISPATCH = {
 
 
 def _execute(command: str, params: dict, out_dir: Path, to_stdout: bool) -> int:
-    out_dir.mkdir(parents=True, exist_ok=True)
     inputs = {p: _sha256(p) for p in _input_paths(params)}
     start = time.monotonic()
     outputs = _DISPATCH[command](params, out_dir, to_stdout)

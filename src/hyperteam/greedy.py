@@ -24,7 +24,7 @@ import numpy as np
 
 from . import spectral
 from .csa import OptimizationResult, TraceRow
-from .errors import InfeasibleError, ReducibleChainError, StallError
+from .errors import ConvergenceError, InfeasibleError, ReducibleChainError, StallError
 from .instance import ProblemInstance, reaches_all, validate
 from .seeds import substream
 
@@ -139,6 +139,33 @@ def _offer_stack(
     return stack, cols
 
 
+def _eig_mu2(energies: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """mu2 of each assignment of a (C, n, k) active-shape stack, pi from a dense ``eig``.
+
+    The left eigenvector of each chain at eigenvalue 1, normalized to sum 1,
+    with a ConvergenceError when no eigenvalue is near 1, the eigenvector
+    sums to 0 or it has mass below -1e-9. Only ``_best_offer``'s tie
+    re-score uses it: greedy's recorded assignments rest on this pi's
+    roundoff between exactly tied offers (ROADMAP.md item 1).
+    """
+    P = spectral.transition_matrix(spectral.edvw_matrices(energies, stack))
+    evals, evecs = np.linalg.eig(np.swapaxes(P, -1, -2))
+    chains = np.arange(len(P))
+    idx = np.abs(evals - 1.0).argmin(axis=-1)
+    if (np.abs(evals[chains, idx] - 1.0) > 1e-6).any():
+        raise ConvergenceError("no eigenvalue close to 1; is the chain stochastic?")
+    pi = evecs[chains, :, idx].real
+    total = pi.sum(axis=-1, keepdims=True)
+    if (np.abs(total) < 1e-12).any():
+        raise ConvergenceError("degenerate stationary eigenvector")
+    pi = pi / total
+    if pi.min() < -1e-9:
+        raise ConvergenceError("stationary eigenvector has negative mass; chain may be reducible")
+    pi = np.clip(pi, 0.0, None)
+    pi = pi / pi.sum(axis=-1, keepdims=True)
+    return spectral.spectrum(spectral.laplacian(P, pi))[:, 1]
+
+
 def _best_offer(
     inst: ProblemInstance,
     b: np.ndarray,
@@ -154,18 +181,24 @@ def _best_offer(
     agent and task, so offers fall into at most four active shapes: waking
     an idle agent or not, filling an empty task or not. Each shape is
     stacked and scored with ``mu2_batch`` in slices of the size it scores
-    in one chunk.
+    in one chunk. The offers whose gain lies within ``1e-9 * max mu2`` of
+    the top are then re-scored with ``_eig_mu2``, and the first maximum of
+    those wins: the solve and ``eig`` agree to about 1e-14, far inside the
+    window, so this is the offer an all-``eig`` scan would pick.
     """
     base = _mu2(inst, b)
-    # one more unit can split a connected base only into it plus a lone idle
-    # agent on an empty task, which scores 0 to roundoff; a base of 0 (split,
-    # or under two active agents) gets every candidate checked, a split one
-    # scoring 0
+    # an offer that joins the base's agents or tasks keeps a connected base
+    # connected; a base of 0 (split, or under two active agents) gets every
+    # candidate checked, and a split candidate scores 0
     check = base == 0.0
     rows_on, cols_on = b.sum(axis=1) > 0, b.sum(axis=0) > 0
     shape = 2 * rows_on[agents] + cols_on[tasks]
     mu2 = np.zeros(len(agents))
     for key in np.unique(shape):
+        if key == 0:
+            # an idle agent alone on an empty task is split from the base, or
+            # the only active agent: it scores 0
+            continue
         group = np.flatnonzero(shape == key)
         woken, filled = key < 2, key % 2 == 0
         size = spectral.batch_rows(int(rows_on.sum() + woken), int(cols_on.sum() + filled))
@@ -177,7 +210,14 @@ def _best_offer(
                 sel, cols, stack = sel[keep], cols[keep], stack[keep]
             mu2[sel] = spectral.mu2_batch(inst.energies[cols], stack)
     gains = (mu2 - base) / units
-    i = int(np.argmax(gains))
+    window = np.flatnonzero(gains >= gains.max() - 1e-9 * mu2.max())
+    # only connected candidates of two agents or more score above 0
+    rescore = window[mu2[window] > 0]
+    for key in np.unique(shape[rescore]):
+        sel = rescore[shape[rescore] == key]
+        stack, cols = _offer_stack(b, rows_on, cols_on, agents[sel], tasks[sel], units[sel])
+        gains[sel] = (_eig_mu2(inst.energies[cols], stack) - base) / units[sel]
+    i = int(window[np.argmax(gains[window])])
     return base, float(gains[i]), int(agents[i]), int(tasks[i]), int(units[i])
 
 
@@ -193,8 +233,9 @@ def phase1(
     ``min(remaining, shortfall, packet_size)`` units to every still-short
     task; the offer with the highest mu2 gain per unit wins, the first in
     (agent, task) order among equal gains. Offers tied in exact arithmetic
-    are split by ``mu2_batch``'s ``eig`` roundoff (ROADMAP.md proposes a tie
-    tolerance). A disconnected active part scores mu2 = 0, to roundoff. When
+    are split by roundoff: the offers near the top are re-scored with a
+    dense ``eig`` pi, which goes when ROADMAP.md item 1's lowest-index tie
+    rule lands. A disconnected active part scores mu2 = 0. When
     more agents have budget than ``random_threshold``, the agent is drawn
     uniformly at random and only that agent's offers are scored.
     """

@@ -21,10 +21,10 @@ built from them. ``edvw_matrices``, ``transition_matrix``, ``laplacian`` and
 ``spectrum`` take one assignment or matrix, or a stack of them;
 ``stationary_distribution`` solves one chain.
 
-Stationary distributions come from one normalized linear solve that rejects
-reducible chains with ``ReducibleChainError``. The one exception is
-``mu2_batch`` up to N=512, which keeps a stacked dense ``eig``; its body says
-why.
+Stationary distributions come from one normalized linear solve at every size,
+for one chain or a stack. ``stationary_distribution`` also rejects reducible
+chains with ``ReducibleChainError``; ``mu2_batch`` solves whole stacks and
+leaves connectivity to its callers, which test it with ``reaches_all``.
 """
 
 from __future__ import annotations
@@ -52,9 +52,6 @@ __all__ = [
     "mu2_batch",
     "batch_rows",
 ]
-
-# Up to this size mu2_batch takes pi from a stacked dense eig; see there.
-_DENSE_LIMIT = 512
 
 # Entries per array of one batch (128 KiB of float64), which bounds the
 # working set of a candidate scan; see batch_rows.
@@ -106,28 +103,6 @@ def transition_matrix(m: EDVWMatrices) -> np.ndarray:
     return (m.W / m.d_v[..., np.newaxis]) @ np.swapaxes(m.R / m.d_e[..., np.newaxis, :], -1, -2)
 
 
-def _stationary_dense(P: np.ndarray) -> np.ndarray:
-    """Left eigenvectors of a (C, n, n) stack at eigenvalue 1, each summing to 1.
-
-    Unlike ``stationary_distribution`` it does not test reducibility: a chain
-    with two closed classes returns one class's distribution.
-    """
-    evals, evecs = np.linalg.eig(np.swapaxes(P, -1, -2))
-    chains = np.arange(len(P))
-    idx = np.abs(evals - 1.0).argmin(axis=-1)
-    if (np.abs(evals[chains, idx] - 1.0) > 1e-6).any():
-        raise ConvergenceError("no eigenvalue close to 1; is the chain stochastic?")
-    pi = evecs[chains, :, idx].real
-    total = pi.sum(axis=-1, keepdims=True)
-    if (np.abs(total) < 1e-12).any():
-        raise ConvergenceError("degenerate stationary eigenvector")
-    pi = pi / total
-    if pi.min() < -1e-9:
-        raise ConvergenceError("stationary eigenvector has negative mass; chain may be reducible")
-    pi = np.clip(pi, 0.0, None)
-    return pi / pi.sum(axis=-1, keepdims=True)
-
-
 def _irreducible(P: np.ndarray) -> bool:
     """Whether state 0 reaches every state and every state reaches state 0.
 
@@ -147,14 +122,44 @@ def _irreducible(P: np.ndarray) -> bool:
     return True
 
 
+def _solve_stationary(P: np.ndarray) -> np.ndarray:
+    """Stationary pi of an (n, n) chain, or of each chain of a (C, n, n) stack.
+
+    One normalized linear solve per chain: ``pi (P - I) = 0`` with the last
+    balance equation replaced by ``sum(pi) = 1``. The right-hand side is
+    (..., n, 1), a stack of one-column matrices under numpy 1.x and 2.x
+    alike. A singular system, mass below -1e-9 or a residual
+    |pi P - pi|_1 above 1e-9 in any chain raise ``ConvergenceError``.
+    Reducibility is not tested: a split chain may solve to a mix of its
+    closed classes.
+    """
+    n = P.shape[-1]
+    A = np.swapaxes(P, -1, -2).copy()
+    # the copy is C-ordered, so its flat view holds each diagonal at a stride
+    # of n + 1; cheaper than fancy indexing
+    A.reshape(P.shape[:-2] + (n * n,))[..., :: n + 1] -= 1.0
+    A[..., -1, :] = 1.0
+    rhs = np.zeros(P.shape[:-1] + (1,))
+    rhs[..., -1, 0] = 1.0
+    try:
+        pi = np.linalg.solve(A, rhs)[..., 0]
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError("singular stationary system") from exc
+    if pi.min() < -1e-9:
+        raise ConvergenceError("stationary solution has negative mass")
+    residual = np.abs((pi[..., np.newaxis, :] @ P)[..., 0, :] - pi).sum(axis=-1)
+    if not (residual <= 1e-9).all():
+        raise ConvergenceError(f"stationary residual {residual.max():.3g} above 1e-9")
+    return pi
+
+
 def stationary_distribution(P: np.ndarray) -> np.ndarray:
     """Stationary distribution of a row-stochastic, irreducible (n, n) chain.
 
-    Periodic chains such as the bipartite lift are fine. One normalized
-    linear solve at every size: ``pi (P - I) = 0`` with the last balance
-    equation replaced by ``sum(pi) = 1``. A reducible chain raises
-    ``ReducibleChainError``; a singular system, mass below -1e-9 or a
-    residual |pi P - pi|_1 above 1e-9 raise ``ConvergenceError``.
+    Periodic chains such as the bipartite lift are fine. A reducible chain
+    raises ``ReducibleChainError``; the normalized linear solve's own checks
+    raise ``ConvergenceError`` on a singular system, mass below -1e-9 or a
+    residual |pi P - pi|_1 above 1e-9.
     """
     P = np.asarray(P, dtype=np.float64)
     if P.ndim != 2 or P.shape[0] != P.shape[1]:
@@ -162,23 +167,7 @@ def stationary_distribution(P: np.ndarray) -> np.ndarray:
     # a reducible chain may solve to a plausible mix of its closed classes
     if not _irreducible(P):
         raise ReducibleChainError("chain is reducible; no unique stationary distribution")
-    n = len(P)
-    A = P.T.copy()
-    diag = np.arange(n)
-    A[diag, diag] -= 1.0
-    A[-1] = 1.0
-    rhs = np.zeros(n)
-    rhs[-1] = 1.0
-    try:
-        pi = np.linalg.solve(A, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError("singular stationary system") from exc
-    if pi.min() < -1e-9:
-        raise ConvergenceError("stationary solution has negative mass")
-    residual = float(np.abs(pi @ P - pi).sum())
-    if not residual <= 1e-9:
-        raise ConvergenceError(f"stationary residual {residual:.3g} above 1e-9")
-    return pi
+    return _solve_stationary(P)
 
 
 def laplacian(P: np.ndarray, pi: np.ndarray) -> np.ndarray:
@@ -295,9 +284,12 @@ def mu2_batch(energies: np.ndarray, stack: np.ndarray) -> np.ndarray:
     The assignments share one active shape: every one of the N agents and K
     tasks has a positive entry in each, as in the active part that
     ``mu2_of_assignment`` cuts out. ``energies`` is (C, K), one row per
-    assignment. Under two agents the result is 0; connectivity is the
-    caller's job. The stack is scored in chunks of ``batch_rows(N, K)``,
-    so the working set stays a few matrices of the largest size.
+    assignment. Under two agents the result is 0. Connectivity is the
+    caller's job: pi comes from one stacked normalized solve per chunk,
+    which does not test reducibility, so callers filter split assignments
+    with ``reaches_all`` first. The stack is scored in chunks of
+    ``batch_rows(N, K)``, so the working set stays a few matrices of the
+    largest size.
     """
     stack = np.asarray(stack)
     if stack.ndim != 3:
@@ -315,11 +307,5 @@ def mu2_batch(energies: np.ndarray, stack: np.ndarray) -> np.ndarray:
         if not (m.d_v.all() and m.d_e.all()):
             raise ValueError("every agent and task of a batch needs a positive entry")
         P = transition_matrix(m)
-        # Greedy breaks exact ties in its offers by roundoff, and the recorded
-        # greedy assignments rest on the dense eig's pi, so small stacks keep it.
-        if n <= _DENSE_LIMIT:
-            pi = _stationary_dense(P)
-        else:
-            pi = np.array([stationary_distribution(p) for p in P])
-        out[lo : lo + size] = spectrum(laplacian(P, pi))[:, 1]
+        out[lo : lo + size] = spectrum(laplacian(P, _solve_stationary(P)))[:, 1]
     return out

@@ -110,7 +110,7 @@ def eig_stationary(P: np.ndarray) -> np.ndarray:
     """Dense-eig stationary oracle: the left eigenvector of P at eigenvalue 1.
 
     Taken at every size and normalized to sum 1, so it checks the package's
-    linear solve above its dense size limit. The chain must have a simple
+    linear solve at every size. The chain must have a simple
     eigenvalue 1; a periodic chain's eigenvalue -1 is two away and never
     picked.
     """
@@ -133,6 +133,31 @@ def eig_mu2(energies, assignment) -> float:
     pi = eig_stationary(P)
     L = np.diag(pi) - 0.5 * (pi[:, None] * P + (pi[:, None] * P).T)
     return float(np.linalg.eigvalsh(L)[1])
+
+
+def eig_mu2_batch(energies, stack) -> np.ndarray:
+    """mu2 of each assignment in a (C, N, K) active-shape stack, pi from a stacked ``eig``.
+
+    The former dense path of ``spectral.mu2_batch``, kept as the oracle of
+    greedy's decisions: greedy breaks exact ties between offers by this pi's
+    roundoff. Each pi is the left eigenvector at the eigenvalue nearest 1,
+    normalized, checked for negative mass, clipped at 0 and renormalized.
+    Under two agents, or for an empty stack, the result is 0s.
+    """
+    stack = np.asarray(stack)
+    if len(stack) == 0 or stack.shape[1] < 2:
+        return np.zeros(len(stack))
+    P = transition_matrix(edvw_matrices(energies, stack))
+    evals, evecs = np.linalg.eig(np.swapaxes(P, -1, -2))
+    chains = np.arange(len(P))
+    idx = np.abs(evals - 1.0).argmin(axis=-1)
+    assert (np.abs(evals[chains, idx] - 1.0) <= 1e-6).all(), "no eigenvalue close to 1"
+    pi = evecs[chains, :, idx].real
+    pi = pi / pi.sum(axis=-1, keepdims=True)
+    assert pi.min() >= -1e-9, "stationary eigenvector has negative mass"
+    pi = np.clip(pi, 0.0, None)
+    pi = pi / pi.sum(axis=-1, keepdims=True)
+    return np.linalg.eigvalsh(laplacian(P, pi))[:, 1]
 
 
 def component_bundle(inst: ProblemInstance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -435,9 +435,11 @@ def test_experiment_budget_sweep(workdir, tmp_path):
 @pytest.mark.parametrize(
     "args",
     [
-        ["scaling", "--reps", "0"],
-        ["scaling", "--sizes", "2", "3", "--reps", "1"],
-        ["budget-sweep", "--multipliers", "0", "--sub-sizes", "3", "4", "6", "--reps", "1"],
+        ["experiment", "scaling", "--reps", "0"],
+        ["experiment", "scaling", "--sizes", "2", "3", "--reps", "1"],
+        ["experiment", "budget-sweep", "--multipliers", "0", "--sub-sizes", "3", "4", "6", "--reps", "1",
+         "--input", "{hub}"],
+        ["stats", "--input", "{empty}"],
     ],
 )
 def test_experiment_rejects_bad_arguments_before_running(workdir, tmp_path, capsys, monkeypatch, args):
@@ -446,12 +448,15 @@ def test_experiment_rejects_bad_arguments_before_running(workdir, tmp_path, caps
 
     monkeypatch.setattr(experiments, "_one_scaling_rep", drawing)
     monkeypatch.setattr(experiments, "_sample_subinstance", drawing)
-    if args[0] == "budget-sweep":
-        args = [*args, "--input", str(workdir / "hub.json")]
+    # an instance file the loader rejects: agents given as a count, no tasks
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({"agents": 5, "tasks": [], "assignment": []}))
+    args = [arg.format(hub=workdir / "hub.json", empty=empty) for arg in args]
     out = tmp_path / "out"
-    assert main(["experiment", *args, "--out", str(out)]) == 1
+    assert main([*args, "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
-    assert not any(out.iterdir())
+    # the output directory is made at the first write, so none appears
+    assert not out.exists()
 
 
 def test_experiment_diffuse(tmp_path):

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import hashlib
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
-from conftest import make_instance, random_connected_instance
-from hyperteam import spectral
+from conftest import eig_mu2_batch, make_instance, random_connected_instance
+from hyperteam import greedy, spectral
 from hyperteam.errors import InfeasibleError, StallError
 from hyperteam.greedy import (
     GreedyParams,
@@ -18,7 +19,7 @@ from hyperteam.greedy import (
     phase1,
     phase2,
 )
-from hyperteam.instance import ProblemInstance, bipartite_components
+from hyperteam.instance import ProblemInstance, bipartite_components, reaches_all
 from hyperteam.seeds import substream
 from hyperteam.spectral import mu2_batch, mu2_of_assignment
 
@@ -39,14 +40,15 @@ def _mu2(inst, a):
 
 
 def _offer_mu2(inst, a):
-    """mu2 of the active part scored as a ``mu2_batch`` batch of one.
+    """mu2 of the active part scored as an ``eig_mu2_batch`` batch of one.
 
-    Greedy scores its offers as ``mu2_batch`` stacks and its base state with
-    ``mu2_of_assignment``; a batch of one is bit-identical to a stack entry.
+    Greedy's offer decisions are those of the all-``eig`` scan, which this
+    scores one offer at a time; a batch of one is bit-identical to a stack
+    entry. Its base state is scored with ``mu2_of_assignment``.
     """
     rows, cols = a.sum(axis=1) > 0, a.sum(axis=0) > 0
     energies = np.asarray(inst.energies)[cols]
-    return mu2_batch(energies[np.newaxis], a[np.ix_(rows, cols)][np.newaxis])[0]
+    return eig_mu2_batch(energies[np.newaxis], a[np.ix_(rows, cols)][np.newaxis])[0]
 
 
 def test_init_single_hub_covers_everything():
@@ -314,6 +316,89 @@ def test_phases_match_the_offer_loop(params):
         inst, padded = _split_instance(rng)
         assert np.array_equal(phase1(inst, padded, params), _loop_phase1(inst, padded, params))
         assert np.array_equal(phase2(inst, padded, params), _loop_phase2(inst, padded, params))
+
+
+def _all_eig_best_offer(rounds):
+    """The all-``eig`` ``_best_offer``: every offer scored with ``eig_mu2_batch``.
+
+    Split candidates are checked when the base scores 0, as that scan did.
+    An idle agent offered to an empty task, which that scan scored by
+    ``eig`` roundoff, is checked too: greedy scores that split 0. Each
+    round appends the largest |solve gain - eig gain| over connected offers
+    and the window width ``1e-9 * max solve mu2`` to ``rounds``.
+    """
+
+    def best_offer(inst, b, agents, tasks, units):
+        base = greedy._mu2(inst, b)
+        rows_on, cols_on = b.sum(axis=1) > 0, b.sum(axis=0) > 0
+        shape = 2 * rows_on[agents] + cols_on[tasks]
+        eig, solve = np.zeros(len(agents)), np.zeros(len(agents))
+        connected = np.zeros(len(agents), dtype=bool)
+        for key in np.unique(shape):
+            group = np.flatnonzero(shape == key)
+            for lo in range(0, group.size, 64):
+                sel = group[lo : lo + 64]
+                stack, cols = greedy._offer_stack(b, rows_on, cols_on, agents[sel], tasks[sel], units[sel])
+                keep = reaches_all(stack > 0)
+                scan = keep if base == 0.0 or key == 0 else np.ones(len(sel), dtype=bool)
+                eig[sel[scan]] = eig_mu2_batch(inst.energies[cols[scan]], stack[scan])
+                solve[sel[keep]] = mu2_batch(inst.energies[cols[keep]], stack[keep])
+                connected[sel] = keep
+        gains = (eig - base) / units
+        drift = np.abs((solve - base) / units - gains)[connected]
+        rounds.append((drift.max(initial=0.0), 1e-9 * solve.max()))
+        i = int(np.argmax(gains))
+        return base, float(gains[i]), int(agents[i]), int(tasks[i]), int(units[i])
+
+    return best_offer
+
+
+def _optimize(inst, params):
+    result = greedy_optimize(inst, params)
+    return result.best_assignment, result.trace
+
+
+def _phases(inst, start, params):
+    trace = []
+    return phase2(inst, phase1(inst, start, params, trace), params, trace), trace
+
+
+def _greedy_runs(coauthor_small):
+    """Greedy runs, each returning (assignment, trace) when called.
+
+    coauthor_small at seeds 0-4, then 50 small instances: phase 2 with
+    ``stochastic_accept``, interleaved two-team bases, and the first team
+    alone beside empty tasks and idle agents.
+    """
+    runs = [partial(_optimize, coauthor_small, GreedyParams(seed=seed)) for seed in range(5)]
+    rng = np.random.default_rng(14)
+    for i in range(50):
+        if i % 3 == 0:
+            inst = random_connected_instance(rng, int(rng.integers(4, 10)), int(rng.integers(2, 5)), slack=2)
+            params = GreedyParams(stochastic_accept=True, phase2_temperature=0.05, seed=i)
+            runs.append(partial(_optimize, inst, params))
+            continue
+        inst, padded = _split_instance(rng)
+        if i % 3 == 2:
+            padded = np.where(padded[:, 2:4].any(axis=1, keepdims=True), 0, padded)
+        runs.append(partial(_phases, inst, padded, GreedyParams(packet_size=1 + i % 2, seed=i)))
+    return runs
+
+
+def test_greedy_decides_as_the_all_eig_scan_would(coauthor_small, monkeypatch):
+    # the solve scores every offer and eig re-scores only those near the top;
+    # every decision and every trace mu2 is that of scoring all offers by eig
+    rounds = []
+    for run in _greedy_runs(coauthor_small):
+        got, got_trace = run()
+        with monkeypatch.context() as patch:
+            patch.setattr(greedy, "_best_offer", _all_eig_best_offer(rounds))
+            want, want_trace = run()
+        assert np.array_equal(got, want)
+        assert [row.mu2 for row in got_trace] == [row.mu2 for row in want_trace]
+    # the solve's gains sit at least 100x closer to eig's than the window is wide
+    assert len(rounds) > 500
+    assert all(100 * drift <= width for drift, width in rounds)
 
 
 def test_offer_slices_are_scored_in_one_chunk(monkeypatch):

@@ -14,8 +14,9 @@ from conftest import (
     make_instance,
     random_connected_instance,
 )
-from hyperteam import spectral
+from hyperteam import greedy, spectral
 from hyperteam.errors import ConvergenceError, DegreeError, DisconnectedError
+from hyperteam.greedy import centralized_init
 from hyperteam.spectral import (
     algebraic_connectivity,
     batch_rows,
@@ -222,7 +223,7 @@ def test_coauthor_large_mu2_matches_eig_oracle(coauthor_large):
 @settings(max_examples=12, deadline=None, derandomize=True, database=None)
 @given(seed=st.integers(0, 2**32 - 1), large=st.booleans())
 def test_stationary_residual_and_relabelling(seed, large):
-    # both sides of the dense-eig size limit
+    # small chains and chains above N=512
     rng = np.random.default_rng(seed)
     if large:
         n, k = int(rng.integers(513, 560)), int(rng.integers(8, 13))
@@ -523,7 +524,7 @@ def test_mu2_matches_bundle():
 
 @pytest.mark.parametrize("c, n, k", [(40, 60, 6), (300, 6, 3), (2, 515, 5)])
 def test_mu2_batch_matches_eig_oracle(c, n, k):
-    # (40, 60) spans ten chunks of four; 515 agents take the stacked solve
+    # (40, 60) spans ten chunks of four; 515 agents take one chain per chunk
     rng = np.random.default_rng(n)
     stack = rng.integers(1, 4, size=(c, n, k)) * (rng.random((c, n, k)) < 0.5)
     # agent 0 on every task and every agent on task 0: connected, all active
@@ -540,20 +541,65 @@ def test_mu2_batch_matches_eig_oracle(c, n, k):
     assert np.all(np.abs(single - want) <= 1e-12 * np.abs(want))
 
 
-def test_mu2_batch_solves_each_chain_of_a_large_chunk(monkeypatch):
-    # three 515-agent chains in one chunk, past the dense eig's size limit
-    c, n, k = 3, 515, 5
-    monkeypatch.setattr(spectral, "_BATCH_ENTRIES", c * n * n)
-    assert batch_rows(n, k) == c
-    rng = np.random.default_rng(c)
-    stack = rng.integers(1, 4, size=(c, n, k)) * (rng.random((c, n, k)) < 0.5)
-    stack[:, :, 0] = np.maximum(stack[:, :, 0], 1)
-    stack[:, 0, :] = np.maximum(stack[:, 0, :], 1)
-    energies = rng.integers(1, 6, size=(c, k))
+def _greedy_first_round(inst):
+    """Greedy's first-round offers that wake an idle agent, as one stack.
+
+    After the hub seed every task is covered, so each unit an idle agent
+    offers adds its row to the seed's active part: one (C, n + 1, K) shape.
+    """
+    b = centralized_init(inst)
+    rows_on, cols_on = b.sum(axis=1) > 0, b.sum(axis=0) > 0
+    assert cols_on.all()
+    agents = np.repeat(np.flatnonzero(~rows_on & (inst.budgets > 0)), inst.n_tasks)
+    tasks = np.tile(np.arange(inst.n_tasks), len(agents) // inst.n_tasks)
+    stack, cols = greedy._offer_stack(b, rows_on, cols_on, agents, tasks, np.ones_like(agents))
+    return inst.energies[cols], stack
+
+
+@pytest.mark.parametrize("case", ["own-assignment", "greedy-first-round", "515-agent-chunk"])
+def test_one_assignment_through_both_solvers(coauthor_small, monkeypatch, case):
+    # the stacked solve of mu2_batch, the checked solve of mu2_of_assignment
+    # and the dense eig oracle give one mu2
+    if case == "own-assignment":
+        energies, stack = coauthor_small.energies[np.newaxis], coauthor_small.assignment[np.newaxis]
+    elif case == "greedy-first-round":
+        energies, stack = _greedy_first_round(coauthor_small)
+        assert stack.shape == (48 * 25, 5, 25)
+    else:
+        # three chains in one chunk, each solved in the stack
+        c, n, k = 3, 515, 5
+        monkeypatch.setattr(spectral, "_BATCH_ENTRIES", c * n * n)
+        rng = np.random.default_rng(c)
+        stack = rng.integers(1, 4, size=(c, n, k)) * (rng.random((c, n, k)) < 0.5)
+        stack[:, :, 0] = np.maximum(stack[:, :, 0], 1)
+        stack[:, 0, :] = np.maximum(stack[:, 0, :], 1)
+        energies = rng.integers(1, 6, size=(c, k))
+        assert batch_rows(n, k) == c
     got = mu2_batch(energies, stack)
-    assert got.tolist() == [mu2_of_assignment(e, a) for e, a in zip(energies, stack)]
+    single = np.array([mu2_of_assignment(e, a) for e, a in zip(energies, stack)])
     want = np.array([eig_mu2(e, a) for e, a in zip(energies, stack)])
-    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+    assert want.min() > 0
+    assert np.all(np.abs(got - want) <= 1e-12 * want)
+    assert np.all(np.abs(single - want) <= 1e-12 * want)
+    assert got.tolist() == single.tolist()
+    # each entry is exactly the batch-of-one value
+    assert got.tolist() == [mu2_batch(e[None], a[None])[0] for e, a in zip(energies, stack)]
+
+
+def test_stacked_solve_is_each_chains_solve_and_checks_every_chain():
+    rng = np.random.default_rng(17)
+    insts = [random_connected_instance(rng, 9, 4) for _ in range(5)]
+    chains = np.stack([transition_matrix(build_matrices(inst)) for inst in insts])
+    pi = spectral._solve_stationary(chains)
+    assert pi.tolist() == [stationary_distribution(P).tolist() for P in chains]
+    # the diagonal shift writes through a view of the solve's own copy, so the
+    # memory order of P does not matter
+    for P in (np.asfortranarray(chains[0]), chains[:, ::-1, ::-1].swapaxes(1, 2)):
+        assert spectral._solve_stationary(P).tolist() == spectral._solve_stationary(P.copy()).tolist()
+    # one chain that leaks half its mass per step fails the residual check
+    chains[3] *= 0.5
+    with pytest.raises(ConvergenceError, match="residual 0.5 above"):
+        spectral._solve_stationary(chains)
 
 
 def test_mu2_of_assignment_runs_each_chain_function_once(monkeypatch):
