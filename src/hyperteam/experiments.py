@@ -124,6 +124,35 @@ class ScalingFit:
     std_mu2: tuple[float, ...]
 
 
+def _canonical_masks(masks: np.ndarray, n_nodes: int) -> np.ndarray:
+    """One row per node-relabelling class: the least relabelled edge set.
+
+    Row r of the (R, E) ``masks`` is one hypergraph, bit v of ``masks[r, e]``
+    set when node v is in its edge e. Every relabelling maps the bitmasks
+    through a table of ``2**n_nodes`` entries; each image's edges are sorted
+    and the lexicographically least image over all relabellings is the
+    class's canonical form, an exhaustive-search form in the sense of McKay
+    and Piperno (2014). Relabellings and rows go in chunks of about 2**21
+    bitmasks.
+    """
+    bits = (np.arange(1 << n_nodes)[:, np.newaxis] >> np.arange(n_nodes)) & 1
+    best = np.sort(masks, axis=1)
+    relabellings = permutations(range(n_nodes))
+    while perms := list(islice(relabellings, max(1, 2**20 >> n_nodes))):
+        table = (bits @ (1 << np.array(perms, dtype=np.int32)).T).T.astype(masks.dtype)
+        rows = max(1, 2**21 // (len(perms) * max(1, masks.shape[1])))
+        for lo in range(0, len(masks), rows):
+            relabelled = np.sort(table[:, masks[lo : lo + rows]], axis=-1)
+            images = np.concatenate([best[np.newaxis, lo : lo + rows], relabelled])
+            # keep the images that tie the least one edge by edge
+            least = np.ones(images.shape[:2], dtype=bool)
+            for e in range(images.shape[2]):
+                edge = np.where(least, images[:, :, e], 1 << n_nodes)
+                least &= edge == edge.min(axis=0)
+            best[lo : lo + rows] = images[least.argmax(axis=0), np.arange(images.shape[1])]
+    return best
+
+
 def enumerate_small(
     n_nodes: int = 5,
     n_edges: int = 3,
@@ -165,17 +194,10 @@ def enumerate_small(
         ]
     results.sort(key=lambda h: (-h.mu2, h.edges))
     if dedup:
-        seen: set[tuple[tuple[int, ...], ...]] = set()
-        unique = []
-        for h in results:
-            canon = min(
-                tuple(sorted(tuple(sorted(perm[v] for v in e)) for e in h.edges))
-                for perm in permutations(range(n_nodes))
-            )
-            if canon not in seen:
-                seen.add(canon)
-                unique.append(h)
-        results = unique
+        masks = np.array([[sum(1 << v for v in e) for e in h.edges] for h in results], dtype=np.int32)
+        canon = _canonical_masks(masks.reshape(len(results), n_edges), n_nodes)
+        _, first = np.unique(canon, axis=0, return_index=True)
+        results = [results[i] for i in np.sort(first)]
     return results
 
 

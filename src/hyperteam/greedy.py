@@ -181,9 +181,12 @@ def _best_offer(
     agent and task, so offers fall into at most four active shapes: waking
     an idle agent or not, filling an empty task or not. Each shape is
     stacked and scored with ``mu2_batch`` in slices of the size it scores
-    in one chunk. The offers whose gain lies within ``1e-9 * max mu2`` of
-    the top are then re-scored with ``_eig_mu2``, and the first maximum of
-    those wins: the solve and ``eig`` agree to about 1e-14, far inside the
+    in one chunk. Offers that wake an idle agent onto an active task are
+    scored once per (task, units) class, by the class's first offer, whose
+    mu2 every member takes: they differ only by a row permutation. The
+    offers whose gain lies within ``1e-9 * max mu2`` of the top are then
+    re-scored one by one with ``_eig_mu2``, and the first maximum of those
+    wins: the solve and ``eig`` agree to about 1e-14, far inside the
     window, so this is the offer an all-``eig`` scan would pick.
     """
     base = _mu2(inst, b)
@@ -201,14 +204,20 @@ def _best_offer(
             continue
         group = np.flatnonzero(shape == key)
         woken, filled = key < 2, key % 2 == 0
+        # waking any idle agent with the same units on the same task gives the
+        # same hypergraph up to a row permutation, and mu2 and connectivity
+        # ignore row order: each such class scores its first offer
+        classes = np.column_stack([tasks[group], units[group]]) if key == 1 else group
+        _, first, members = np.unique(classes, axis=0, return_index=True, return_inverse=True)
+        offers = group[first]
+        scored = np.zeros(offers.size)
         size = spectral.batch_rows(int(rows_on.sum() + woken), int(cols_on.sum() + filled))
-        for lo in range(0, group.size, size):
-            sel = group[lo : lo + size]
+        for lo in range(0, offers.size, size):
+            sel = offers[lo : lo + size]
             stack, cols = _offer_stack(b, rows_on, cols_on, agents[sel], tasks[sel], units[sel])
-            if check:
-                keep = reaches_all(stack > 0)
-                sel, cols, stack = sel[keep], cols[keep], stack[keep]
-            mu2[sel] = spectral.mu2_batch(inst.energies[cols], stack)
+            keep = reaches_all(stack > 0) if check else slice(None)
+            scored[lo : lo + size][keep] = spectral.mu2_batch(inst.energies[cols[keep]], stack[keep])
+        mu2[group] = scored[members.reshape(-1)]
     gains = (mu2 - base) / units
     window = np.flatnonzero(gains >= gains.max() - 1e-9 * mu2.max())
     # only connected candidates of two agents or more score above 0
@@ -232,10 +241,13 @@ def phase1(
     One packet lands per round. Every agent with remaining budget offers
     ``min(remaining, shortfall, packet_size)`` units to every still-short
     task; the offer with the highest mu2 gain per unit wins, the first in
-    (agent, task) order among equal gains. Offers tied in exact arithmetic
-    are split by roundoff: the offers near the top are re-scored with a
-    dense ``eig`` pi, which goes when ROADMAP.md item 1's lowest-index tie
-    rule lands. A disconnected active part scores mu2 = 0. When
+    (agent, task) order among equal gains. Idle agents offering the same
+    units to the same active task score alike, so each such class is
+    scored once. Offers tied in exact arithmetic are split by roundoff:
+    the offers near the top, every member of a class among them, are
+    re-scored one by one with a dense ``eig`` pi, which goes when
+    ROADMAP.md item 1's lowest-index tie rule lands. A disconnected active
+    part scores mu2 = 0. When
     more agents have budget than ``random_threshold``, the agent is drawn
     uniformly at random and only that agent's offers are scored.
     """

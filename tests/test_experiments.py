@@ -79,6 +79,7 @@ def test_enumeration_sorted_and_connected():
 
 
 def _canonical(edges, n_nodes):
+    """Least sorted relabelled edge tuple over all relabellings: the oracle of dedup."""
     return min(
         tuple(sorted(tuple(sorted(perm[v] for v in e)) for e in edges))
         for perm in permutations(range(n_nodes))
@@ -92,6 +93,19 @@ def test_enumeration_dedup_covers_all_classes():
     rep_classes = [_canonical(h.edges, 4) for h in reps]
     assert len(rep_classes) == len(set(rep_classes))
     assert set(rep_classes) == classes
+
+
+@pytest.mark.parametrize("n_nodes, n_edges", [(4, 2), (4, 3), (4, 5), (5, 2), (5, 3)])
+def test_enumeration_dedup_keeps_what_the_permutation_loop_kept(n_nodes, n_edges):
+    # the numpy canonical form against the per-hypergraph loop over all
+    # relabellings that it replaced: the same first member of each class
+    kept, seen = [], set()
+    for h in enumerate_small(n_nodes, n_edges):
+        canon = _canonical(h.edges, n_nodes)
+        if canon not in seen:
+            seen.add(canon)
+            kept.append(h)
+    assert enumerate_small(n_nodes, n_edges, dedup=True) == kept
 
 
 def test_enumeration_guard():
