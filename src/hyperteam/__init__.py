@@ -8,16 +8,7 @@ assignments for algebraic connectivity under budget and energy constraints
 with local patching, and runs the structural experiments around them.
 """
 
-from .bipartite import (
-    BipartiteBundle,
-    bipartite_adjacency,
-    bipartite_bundle,
-    bipartite_connectivity,
-    bipartite_laplacian,
-    bipartite_transition,
-    two_step,
-    two_step_laplacian,
-)
+from .bipartite import bipartite_connectivity, bipartite_laplacian, side_laplacians
 from .csa import (
     CsaParams,
     OptimizationResult,
@@ -86,7 +77,6 @@ from .seeds import substream
 from .spectral import (
     EDVWMatrices,
     SpectralBundle,
-    algebraic_connectivity,
     build_matrices,
     diffuse,
     laplacian,
@@ -133,20 +123,14 @@ __all__ = [
     "stationary_distribution",
     "laplacian",
     "spectrum",
-    "algebraic_connectivity",
     "diffuse",
     "spectral_bundle",
     "mu2_of_assignment",
     "mu2_batch",
     # bipartite
-    "BipartiteBundle",
-    "bipartite_adjacency",
-    "bipartite_transition",
-    "two_step",
     "bipartite_laplacian",
-    "two_step_laplacian",
     "bipartite_connectivity",
-    "bipartite_bundle",
+    "side_laplacians",
     # optimizers
     "CsaParams",
     "TraceRow",

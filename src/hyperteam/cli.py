@@ -28,7 +28,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, bipartite
-from .bipartite import bipartite_bundle
 from .csa import CsaParams, anneal
 from .errors import HyperteamError
 from .experiments import (
@@ -204,6 +203,12 @@ def _run_attack(params: dict, out_dir: Path, to_stdout: bool) -> list[str]:
     return ["attack_runs.csv", "attack_summary.csv"]
 
 
+def _check_at_least(params: dict, **lows: int) -> None:
+    for name, low in lows.items():
+        if params[name] < low:
+            raise UsageError(f"--{name} must be at least {low}")
+
+
 def _representative_indices(total: int, count: int) -> list[int]:
     if count > total:
         raise UsageError(f"asked for {count} representatives but only {total} hypergraphs exist")
@@ -213,6 +218,7 @@ def _representative_indices(total: int, count: int) -> list[int]:
 def _run_experiment(params: dict, out_dir: Path, to_stdout: bool) -> list[str]:
     kind = params["kind"]
     if kind == "enumerate":
+        _check_at_least(params, nodes=0, edges=0)
         found = enumerate_small(params["nodes"], params["edges"], dedup=params["dedup"])
         # rows are written directly: _csv's per-cell type checks cost more than the rest
         label = {e: "-".join(map(str, e)) for e in {e for h in found for e in h.edges}}
@@ -266,6 +272,7 @@ def _run_experiment(params: dict, out_dir: Path, to_stdout: bool) -> list[str]:
         return ["budget_sweep.csv", "budget_fit.csv"]
 
     if kind == "diffuse":
+        _check_at_least(params, nodes=0, edges=0, representatives=1, steps=1)
         found = enumerate_small(params["nodes"], params["edges"])
         picked = _representative_indices(len(found), params["representatives"])
         instances = [to_instance(found[i].edges, params["nodes"]) for i in picked]
@@ -279,10 +286,8 @@ def _run_experiment(params: dict, out_dir: Path, to_stdout: bool) -> list[str]:
             _emit(out_dir, name, _csv(header, rows), to_stdout and j == 0)
             outputs.append(name)
             if params["representation"] == "bipartite":
-                bundle = bipartite_bundle(instances[j])
-                n = instances[j].n_agents
-                upper = spectrum(bundle.L_star[:n, :n])
-                lower = spectrum(bundle.L_star[n:, n:])
+                upper, lower = map(spectrum, bipartite.side_laplacians(instances[j]))
+                n = len(upper)
                 spec_rows = [[i, v, "agent"] for i, v in enumerate(upper)]
                 spec_rows += [[n + i, v, "task"] for i, v in enumerate(lower)]
                 spec_header = ["index", "eigenvalue", "mode"]

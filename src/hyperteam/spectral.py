@@ -45,7 +45,6 @@ __all__ = [
     "stationary_distribution",
     "laplacian",
     "spectrum",
-    "algebraic_connectivity",
     "diffuse",
     "spectral_bundle",
     "mu2_of_assignment",
@@ -187,13 +186,6 @@ def laplacian(P: np.ndarray, pi: np.ndarray) -> np.ndarray:
 def spectrum(L: np.ndarray) -> np.ndarray:
     """Eigenvalues of a symmetric matrix, or of each in a stack, in ascending order."""
     return np.linalg.eigvalsh(L)
-
-
-def algebraic_connectivity(L: np.ndarray) -> float:
-    """Second-smallest Laplacian eigenvalue."""
-    if L.shape[0] < 2:
-        raise ValueError("algebraic connectivity needs at least two agents")
-    return float(spectrum(L)[1])
 
 
 def diffuse(L: np.ndarray, x0: np.ndarray, times: np.ndarray) -> np.ndarray:

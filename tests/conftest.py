@@ -6,6 +6,7 @@ import os
 from importlib import resources
 from itertools import combinations
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -188,23 +189,68 @@ def component_bundle(inst: ProblemInstance) -> tuple[np.ndarray, np.ndarray, np.
     return P, pi, L
 
 
-def full_lift(energies, assignment) -> np.ndarray:
-    """Alternating walk [[0, D_V^-1 W], [D_E^-1 R^T, 0]] from the weight formulas."""
+def lift_adjacency(energies, assignment) -> np.ndarray:
+    """[[0, W], [R^T, 0]] on the stacked agents and tasks, from the weight formulas."""
     a = np.asarray(assignment, dtype=np.float64)
     n, k = a.shape
-    W = (a > 0) * np.asarray(energies, dtype=np.float64)[np.newaxis, :]
-    P = np.zeros((n + k, n + k))
-    P[:n, n:] = W / W.sum(axis=1, keepdims=True)
-    P[n:, :n] = (a / a.sum(axis=0, keepdims=True)).T
-    return P
+    adjacency = np.zeros((n + k, n + k))
+    adjacency[:n, n:] = (a > 0) * np.asarray(energies, dtype=np.float64)[np.newaxis, :]
+    adjacency[n:, :n] = a.T
+    return adjacency
+
+
+def full_lift(energies, assignment) -> np.ndarray:
+    """Alternating walk [[0, D_V^-1 W], [D_E^-1 R^T, 0]]: the row-normalized adjacency."""
+    adjacency = lift_adjacency(energies, assignment)
+    return adjacency / adjacency.sum(axis=1, keepdims=True)
+
+
+def walk_laplacian(P: np.ndarray, pi: np.ndarray) -> np.ndarray:
+    """Pi - (Pi P + P^T Pi) / 2, written out."""
+    return np.diag(pi) - 0.5 * (pi[:, np.newaxis] * P + (pi[:, np.newaxis] * P).T)
 
 
 def full_lift_mu2(energies, assignment) -> float:
     """Lift mu2 with the periodic (N+K) chain's own ``eig_stationary`` as pi."""
     P = full_lift(energies, assignment)
+    return float(np.linalg.eigvalsh(walk_laplacian(P, eig_stationary(P)))[1])
+
+
+def two_step_laplacian(P_star: np.ndarray, n_agents: int) -> np.ndarray:
+    """Laplacian of the squared lift walk, each side chain solved on its own.
+
+    The squared walk is block-diagonal; each block gets its own
+    ``eig_stationary`` at mass 1/2, the alternating walk's long-run
+    occupancy of each side.
+    """
+    n = n_agents
+    assert np.abs(P_star[:n, n:]).max() <= 1e-10 and np.abs(P_star[n:, :n]).max() <= 1e-10
+    pi = 0.5 * np.concatenate([eig_stationary(P_star[:n, :n]), eig_stationary(P_star[n:, n:])])
+    return walk_laplacian(P_star, pi)
+
+
+class LiftBundle(NamedTuple):
+    adjacency: np.ndarray
+    P: np.ndarray
+    pi: np.ndarray
+    L: np.ndarray
+    P_star: np.ndarray
+    L_star: np.ndarray
+
+
+def bipartite_bundle(inst: ProblemInstance) -> LiftBundle:
+    """Every object of the alternating walk and its square, from the weight formulas.
+
+    The former public lift API, kept as the oracle of ``bipartite``: pi is
+    the periodic (N+K) chain's own ``eig_stationary``, and ``L_star``
+    re-solves both side chains through ``two_step_laplacian``.
+    """
+    P = full_lift(inst.energies, inst.assignment)
     pi = eig_stationary(P)
-    L = np.diag(pi) - 0.5 * (pi[:, np.newaxis] * P + (pi[:, np.newaxis] * P).T)
-    return float(np.linalg.eigvalsh(L)[1])
+    P_star = P @ P
+    L_star = two_step_laplacian(P_star, inst.n_agents)
+    adjacency = lift_adjacency(inst.energies, inst.assignment)
+    return LiftBundle(adjacency, P, pi, walk_laplacian(P, pi), P_star, L_star)
 
 
 def toy_path(name: str) -> str:

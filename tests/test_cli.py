@@ -10,8 +10,15 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import make_instance, random_connected_instance, subprocess_env, toy_path
+from conftest import (
+    bipartite_bundle,
+    make_instance,
+    random_connected_instance,
+    subprocess_env,
+    toy_path,
+)
 from hyperteam import bipartite, experiments
+from hyperteam.experiments import enumerate_small, to_instance
 from hyperteam.cli import main
 from hyperteam.instance import load_instance, save_instance
 from hyperteam.spectral import mu2_of_assignment
@@ -508,6 +515,37 @@ def test_experiment_diffuse_bipartite_spectrum(tmp_path):
     assert spec_lines[0] == "index,eigenvalue,mode"
     modes = {line.split(",")[2] for line in spec_lines[1:]}
     assert modes == {"agent", "task"}
+    # one representative is rank 0; its spectra are those of the two diagonal
+    # blocks of the two-step walk's Laplacian
+    inst = to_instance(enumerate_small(4, 2)[0].edges, 4)
+    n = inst.n_agents
+    L_star = bipartite_bundle(inst).L_star
+    want = [(i, v, "agent") for i, v in enumerate(np.linalg.eigvalsh(L_star[:n, :n]))]
+    want += [(n + i, v, "task") for i, v in enumerate(np.linalg.eigvalsh(L_star[n:, n:]))]
+    rows = [line.split(",") for line in spec_lines[1:]]
+    assert [(int(i), mode) for i, _, mode in rows] == [(i, mode) for i, _, mode in want]
+    got = np.array([float(v) for _, v, _ in rows])
+    assert np.abs(got - [v for _, v, _ in want]).max() <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "args, flag",
+    [
+        (["diffuse", "--representatives", "0"], "--representatives"),
+        (["diffuse", "--representatives", "-1"], "--representatives"),
+        (["diffuse", "--steps", "0"], "--steps"),
+        (["diffuse", "--nodes", "-1"], "--nodes"),
+        (["diffuse", "--edges", "-2"], "--edges"),
+        (["enumerate", "--nodes", "-1"], "--nodes"),
+        (["enumerate", "--edges", "-1"], "--edges"),
+    ],
+)
+def test_experiment_rejects_out_of_range_counts(tmp_path, capsys, args, flag):
+    out = tmp_path / "out"
+    assert main(["experiment", *args, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and flag in err
+    assert not out.exists()
 
 
 def test_rerun_reproduces_and_checks_digests(workdir, tmp_path):

@@ -462,6 +462,7 @@ _PINNED_DIGESTS = {
 }
 
 
+@pytest.mark.kernel_pinned
 @pytest.mark.parametrize("objective", sorted(_PINNED_DIGESTS))
 def test_anneal_reproduces_the_pinned_chain(coauthor_small, objective):
     result = anneal(coauthor_small, CsaParams(cooling=0.98, seed=0, objective=objective))

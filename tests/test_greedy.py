@@ -464,6 +464,7 @@ def test_greedy_scores_one_offer_per_idle_agent_class(coauthor_small, monkeypatc
     assert sum(counted) <= 1599
 
 
+@pytest.mark.kernel_pinned
 @pytest.mark.parametrize("seed", [0, 1])
 def test_optimize_on_coauthor_small_keeps_its_recorded_assignment(coauthor_small, seed):
     # sha256 of the int64 best_assignment from the per-offer loop

@@ -18,7 +18,6 @@ from hyperteam import greedy, spectral
 from hyperteam.errors import ConvergenceError, DegreeError, DisconnectedError
 from hyperteam.greedy import centralized_init
 from hyperteam.spectral import (
-    algebraic_connectivity,
     batch_rows,
     build_matrices,
     diffuse,
@@ -255,7 +254,6 @@ def test_laplacian_three_agents():
     L = laplacian(P, stationary_distribution(P))
     assert np.allclose(L, np.eye(3) / 3 - np.ones((3, 3)) / 9, atol=1e-12)
     assert np.allclose(spectrum(L), [0.0, 1 / 3, 1 / 3], atol=1e-12)
-    assert np.isclose(algebraic_connectivity(L), 1 / 3, atol=1e-12)
 
 
 def test_laplacian_weighted_triple():
@@ -323,11 +321,6 @@ def test_laplacian_ignores_memory_layout():
         want = _three_pass_laplacian(P, pi)
         for layout in (P, np.asfortranarray(P), P.T.copy().T):
             _assert_same_bits(laplacian(layout, pi), want)
-
-
-def test_connectivity_needs_two_agents():
-    with pytest.raises(ValueError):
-        algebraic_connectivity(np.zeros((1, 1)))
 
 
 def test_mu2_against_general_eigensolver():
@@ -501,12 +494,12 @@ def test_mu2_ignores_idle_rows_and_empty_columns():
     energies = np.array([2, 1])
     assert np.isclose(
         mu2_of_assignment(energies, a),
-        algebraic_connectivity(
+        spectrum(
             laplacian(
                 transition_matrix(build_matrices(_pair())),
                 np.array([0.5, 0.5]),
             )
-        ),
+        )[1],
         atol=1e-12,
     )
     # fewer than two active agents leaves nothing to connect
