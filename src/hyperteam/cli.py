@@ -41,7 +41,7 @@ from .experiments import (
 from .greedy import GreedyParams, greedy_optimize
 from .instance import is_connected, load_instance, summary_stats
 from .resilience import attack_experiment
-from .spectral import mu2_of_assignment, spectral_bundle, spectrum
+from .spectral import mu2_of_assignment, spectrum
 
 log = logging.getLogger("hyperteam")
 
@@ -162,6 +162,7 @@ def _run_optimize(params: dict, out_dir: Path, to_stdout: bool) -> list[str]:
 
 
 def _run_attack(params: dict, out_dir: Path, to_stdout: bool) -> list[str]:
+    _check_at_least(params, n_exp=1)
     inst = load_instance(params["input"], params["format"])
     if params.get("assignment"):
         source = load_instance(params["assignment"], "json")
@@ -204,9 +205,11 @@ def _run_attack(params: dict, out_dir: Path, to_stdout: bool) -> list[str]:
 
 
 def _check_at_least(params: dict, **lows: int) -> None:
+    """Reject a count, or any entry of a list of counts, below its floor."""
     for name, low in lows.items():
-        if params[name] < low:
-            raise UsageError(f"--{name} must be at least {low}")
+        value = params[name]
+        if (min(value) if isinstance(value, list) else value) < low:
+            raise UsageError(f"--{name.replace('_', '-')} must be at least {low}")
 
 
 def _representative_indices(total: int, count: int) -> list[int]:
@@ -228,6 +231,7 @@ def _run_experiment(params: dict, out_dir: Path, to_stdout: bool) -> list[str]:
         return ["enumeration.csv"]
 
     if kind == "scaling":
+        _check_at_least(params, reps=1)
         fits, samples = scaling_experiment(
             tuple(params["schemes"]),
             tuple(params["sizes"]),
@@ -246,6 +250,7 @@ def _run_experiment(params: dict, out_dir: Path, to_stdout: bool) -> list[str]:
         return ["scaling.csv", "scaling_fit.csv"]
 
     if kind == "budget-sweep":
+        _check_at_least(params, reps=1, multipliers=1)
         inst = load_instance(params["input"], params["format"])
         result = budget_sweep(
             inst,
@@ -292,8 +297,7 @@ def _run_experiment(params: dict, out_dir: Path, to_stdout: bool) -> list[str]:
                 spec_rows += [[n + i, v, "task"] for i, v in enumerate(lower)]
                 spec_header = ["index", "eigenvalue", "mode"]
             else:
-                eigenvalues = spectral_bundle(instances[j]).eigenvalues
-                spec_rows = [[i, v] for i, v in enumerate(eigenvalues)]
+                spec_rows = [[i, v] for i, v in enumerate(trace.eigenvalues)]
                 spec_header = ["index", "eigenvalue"]
             spec_name = f"spectrum_{j}.csv"
             _emit(out_dir, spec_name, _csv(spec_header, spec_rows), False)
@@ -358,7 +362,10 @@ def _cmd_stats(args) -> int:
 def _cmd_optimize(args) -> int:
     config = {}
     if args.config:
-        config = json.loads(Path(args.config).read_text())
+        try:
+            config = json.loads(Path(args.config).read_text())
+        except ValueError as exc:
+            raise UsageError(f"config file {args.config} is not valid JSON: {exc}") from exc
         if not isinstance(config, dict):
             raise UsageError("config file must hold a JSON object")
     cls = GreedyParams if args.method == "greedy" else CsaParams

@@ -1,5 +1,16 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "HyperteamError",
+    "FormatError",
+    "DegreeError",
+    "DisconnectedError",
+    "InfeasibleError",
+    "ConvergenceError",
+    "ReducibleChainError",
+    "StallError",
+]
+
 
 class HyperteamError(Exception):
     """Base class for all package-specific errors."""

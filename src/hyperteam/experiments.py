@@ -96,6 +96,7 @@ class DiffusionTrace:
     mu2: float
     times: np.ndarray
     states: np.ndarray  # len(times) x n_agents
+    eigenvalues: np.ndarray  # the Laplacian's spectrum, ascending
 
 
 @dataclass(frozen=True)
@@ -244,7 +245,12 @@ def diffusion_comparison(
         bundle = spectral_bundle(inst)
         states = diffuse(bundle.L, x0, times)
         traces.append(
-            DiffusionTrace(mu2=float(bundle.eigenvalues[1]), times=times, states=states)
+            DiffusionTrace(
+                mu2=float(bundle.eigenvalues[1]),
+                times=times,
+                states=states,
+                eigenvalues=bundle.eigenvalues,
+            )
         )
     return traces
 

@@ -4,16 +4,23 @@ from __future__ import annotations
 
 import ast
 import importlib
+import inspect
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import hyperteam
+from conftest import subprocess_env
+from hyperteam import bipartite, spectral
 
 SUBMODULES = sorted(
     name for _, name, _ in pkgutil.iter_modules(hyperteam.__path__) if name != "__main__"
 )
+# every submodule but the command line and the data files re-exports its __all__
+REEXPORTED = [name for name in SUBMODULES if name not in ("cli", "data")]
 SOURCES = sorted(Path(hyperteam.__file__).parent.glob("*.py"))
 
 
@@ -27,6 +34,46 @@ def test_submodule_exports_resolve(name):
     module = importlib.import_module(f"hyperteam.{name}")
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert missing == []
+
+
+def _top_level(module) -> tuple[set[str], set[str]]:
+    """Public functions and classes a module defines, and its public constants."""
+    body = ast.parse(inspect.getsource(module)).body
+    defined = {n.name for n in body if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+    targets = [t for n in body if isinstance(n, ast.Assign) for t in n.targets]
+    targets += [n.target for n in body if isinstance(n, ast.AnnAssign)]
+    constants = {t.id for t in targets if isinstance(t, ast.Name)}
+    return {n for n in defined if not _private(n)}, {n for n in constants if not n.startswith("_")}
+
+
+@pytest.mark.parametrize("name", REEXPORTED)
+def test_submodule_all_lists_its_public_definitions(name):
+    module = importlib.import_module(f"hyperteam.{name}")
+    listed = getattr(module, "__all__", None)
+    assert listed is not None, f"hyperteam.{name} defines no __all__"
+    defined, constants = _top_level(module)
+    assert len(set(listed)) == len(listed)
+    assert defined <= set(listed) <= defined | constants
+
+
+def test_package_all_is_the_union_of_the_submodule_lists():
+    assert len(set(hyperteam.__all__)) == len(hyperteam.__all__)
+    union = {n for name in REEXPORTED for n in importlib.import_module(f"hyperteam.{name}").__all__}
+    assert set(hyperteam.__all__) == union | {"__version__"}
+
+
+def test_package_mu2_of_assignment_is_the_hypergraph_objective():
+    assert hyperteam.mu2_of_assignment is spectral.mu2_of_assignment
+    assert bipartite.mu2_of_assignment is not spectral.mu2_of_assignment
+
+
+def test_package_import_leaves_the_command_line_unloaded():
+    probe = "import sys, hyperteam; print('hyperteam.cli' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=subprocess_env(), timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def _private(name: str) -> bool:

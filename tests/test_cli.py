@@ -17,7 +17,7 @@ from conftest import (
     subprocess_env,
     toy_path,
 )
-from hyperteam import bipartite, experiments
+from hyperteam import bipartite, cli, experiments, spectral
 from hyperteam.experiments import enumerate_small, to_instance
 from hyperteam.cli import main
 from hyperteam.instance import load_instance, save_instance
@@ -442,10 +442,9 @@ def test_experiment_budget_sweep(workdir, tmp_path):
 @pytest.mark.parametrize(
     "args",
     [
-        ["experiment", "scaling", "--reps", "0"],
+        ["experiment", "scaling", "--sizes", "1", "2", "3", "--reps", "1"],
         ["experiment", "scaling", "--sizes", "2", "3", "--reps", "1"],
-        ["experiment", "budget-sweep", "--multipliers", "0", "--sub-sizes", "3", "4", "6", "--reps", "1",
-         "--input", "{hub}"],
+        ["experiment", "budget-sweep", "--sub-sizes", "0", "4", "6", "--reps", "1", "--input", "{hub}"],
         ["stats", "--input", "{empty}"],
     ],
 )
@@ -538,6 +537,10 @@ def test_experiment_diffuse_bipartite_spectrum(tmp_path):
         (["diffuse", "--edges", "-2"], "--edges"),
         (["enumerate", "--nodes", "-1"], "--nodes"),
         (["enumerate", "--edges", "-1"], "--edges"),
+        (["scaling", "--reps", "0"], "--reps"),
+        (["budget-sweep", "--input", str(toy_path("coauthor_small")), "--reps", "0"], "--reps"),
+        (["budget-sweep", "--input", str(toy_path("coauthor_small")), "--multipliers", "0", "2", "3"],
+         "--multipliers"),
     ],
 )
 def test_experiment_rejects_out_of_range_counts(tmp_path, capsys, args, flag):
@@ -546,6 +549,42 @@ def test_experiment_rejects_out_of_range_counts(tmp_path, capsys, args, flag):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and flag in err
     assert not out.exists()
+
+
+def test_attack_rejects_zero_runs(tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = ["attack", "--input", str(toy_path("coauthor_small")), "--n-exp", "0", "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: --n-exp must be at least 1\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", ['{"cooling": 0.98\n"seed": 1}', ""], ids=["malformed", "empty"])
+def test_optimize_rejects_a_config_that_is_not_json(workdir, tmp_path, capsys, text):
+    config = tmp_path / "bad.json"
+    config.write_text(text)
+    out = tmp_path / "out"
+    argv = ["optimize", "--input", str(workdir / "small.json"), "--method", "csa"]
+    assert main([*argv, "--config", str(config), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: config file {config} is not valid JSON: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("representation", ["hypergraph", "bipartite"])
+def test_experiment_diffuse_builds_one_bundle_per_representative(tmp_path, monkeypatch, representation):
+    calls, build = [], spectral.spectral_bundle
+
+    def counting(inst):
+        calls.append(inst)
+        return build(inst)
+
+    # every module that could build a bundle for the run, under the name it binds
+    for module in (spectral, experiments, cli):
+        monkeypatch.setattr(module, "spectral_bundle", counting, raising=False)
+    argv = ["experiment", "diffuse", "--nodes", "4", "--edges", "2", "--representatives", "3",
+            "--steps", "5", "--representation", representation, "--out", str(tmp_path)]
+    assert main(argv) == 0
+    assert len(calls) == 3
 
 
 def test_rerun_reproduces_and_checks_digests(workdir, tmp_path):
