@@ -9,12 +9,14 @@ It is 2-periodic but irreducible, so it has exactly one stationary
 distribution, with mass 1/2 on each side: ``(pi, q) / 2`` with ``q = pi A``
 and ``pi = q B``. ``pi`` is stationary for the agent chain ``A B`` (the
 hypergraph walk) and ``q`` for the task chain ``B A``. Both side chains are
-aperiodic, and the lift takes its distribution from the K x K task chain
-through ``spectral.stationary_distribution``, never from the periodic (N+K)
-chain.
+aperiodic, and the lift takes its distribution from the K x K task chain,
+never from the periodic (N+K) chain.
 
 ``mu2_of_assignment`` writes the lift's Laplacian block by block from A, B
-and that distribution; its mu2 is the ``csa-bipartite`` objective.
+and that distribution; its mu2 is the ``csa-bipartite`` objective. It scores
+the task chain through ``spectral.certified_mu2``, so a lift whose mu2
+exceeds 5e-10 is certified connected without a search, and a split one
+raises ``ReducibleChainError``.
 ``side_laplacians`` gives the Laplacians of the two side chains, each at
 mass 1/2: the diagonal blocks of the two-step walk ``P_b^2``'s Laplacian,
 whose agent block is half the hypergraph Laplacian.
@@ -43,20 +45,20 @@ def _lift_blocks(m: spectral.EDVWMatrices) -> tuple[np.ndarray, np.ndarray]:
     return m.W / m.d_v[:, np.newaxis], (m.R / m.d_e[np.newaxis, :]).T
 
 
-def _lift_stationary(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """The lift's distribution ``(pi, q) / 2``: q from the task chain ``B A``, ``pi = q B``."""
-    q = spectral.stationary_distribution(B @ A)
+def _lift_stationary(B: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The lift's distribution ``(pi, q) / 2`` from the task chain's ``q``: ``pi = q B``."""
     return 0.5 * np.concatenate([q @ B, q])
 
 
-def _lift_laplacian(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+def _lift_laplacian(A: np.ndarray, B: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Laplacian of the lift ``[[0, A], [B, 0]]``, written from its blocks.
 
-    Its diagonal is the lift's distribution; its agent-task block is
+    ``q`` is the stationary distribution of the task chain ``B A``. The
+    diagonal is the lift's distribution; the agent-task block is
     ``-(pi_i A_ik + q_k B_ki) / 4`` and the two side blocks are zero off the
     diagonal.
     """
-    pi_b = _lift_stationary(A, B)
+    pi_b = _lift_stationary(B, q)
     n, k = A.shape
     cross = pi_b[:n, np.newaxis] * A + (pi_b[n:, np.newaxis] * B).T
     cross *= -0.5
@@ -73,9 +75,13 @@ def bipartite_laplacian(P_b: np.ndarray) -> np.ndarray:
 
 
 def mu2_of_assignment(energies: np.ndarray, assignment: np.ndarray) -> float:
-    """Alternating-walk mu2 of an assignment; connectivity is the caller's job."""
-    L = _lift_laplacian(*_lift_blocks(spectral.edvw_matrices(energies, assignment)))
-    return float(spectral.spectrum(L)[1])
+    """Alternating-walk mu2 of an assignment; a split one raises ``ReducibleChainError``.
+
+    Every agent and task needs a positive entry; ``bipartite_connectivity``
+    checks that, and the annealer's active part has it.
+    """
+    A, B = _lift_blocks(spectral.edvw_matrices(energies, assignment))
+    return spectral.certified_mu2(B @ A, lambda q: _lift_laplacian(A, B, q))
 
 
 def bipartite_connectivity(inst: ProblemInstance) -> float:
@@ -94,6 +100,6 @@ def side_laplacians(inst: ProblemInstance) -> tuple[np.ndarray, np.ndarray]:
     if not is_connected(inst):
         raise DisconnectedError("side chains need a connected instance")
     A, B = _lift_blocks(spectral.edvw_matrices(inst.energies, inst.assignment))
-    pi_b = _lift_stationary(A, B)
+    pi_b = _lift_stationary(B, spectral.stationary_distribution(B @ A))
     n = len(A)
     return spectral.laplacian(A @ B, pi_b[:n]), spectral.laplacian(B @ A, pi_b[n:])

@@ -231,7 +231,7 @@ def _run_experiment(params: dict, out_dir: Path, to_stdout: bool) -> list[str]:
         return ["enumeration.csv"]
 
     if kind == "scaling":
-        _check_at_least(params, reps=1)
+        _check_at_least(params, reps=1, sizes=2)
         fits, samples = scaling_experiment(
             tuple(params["schemes"]),
             tuple(params["sizes"]),
@@ -250,7 +250,7 @@ def _run_experiment(params: dict, out_dir: Path, to_stdout: bool) -> list[str]:
         return ["scaling.csv", "scaling_fit.csv"]
 
     if kind == "budget-sweep":
-        _check_at_least(params, reps=1, multipliers=1)
+        _check_at_least(params, reps=1, multipliers=1, sub_sizes=2)
         inst = load_instance(params["input"], params["format"])
         result = budget_sweep(
             inst,

@@ -11,10 +11,19 @@ Moves come in two flavors. A guided move takes one unit from a task with
 surplus and gives it to a task in deficit, shrinking the total shortfall by
 exactly one. A plain move swaps one unit between two random tasks through one
 agent on each side, which conserves both row and column totals. Candidates
-whose active hypergraph (budgeted agents and all tasks) is disconnected, as
-the objective's solve reports with ``ReducibleChainError``, evaluate to -inf
-and are never accepted; since moves preserve row sums, budget overruns can
-never appear once the chain starts from a full-budget state.
+whose active hypergraph (budgeted agents and all tasks) is disconnected
+evaluate to -inf and are never accepted; since moves preserve row sums,
+budget overruns can never appear once the chain starts from a full-budget
+state.
+
+Row sums also fix, for a whole chain, whether a budgeted agent sits idle and
+whether an unbudgeted agent holds units; ``anneal`` checks both once. Without
+the latter, a task is empty exactly when its carried shortfall equals its
+energy, so each step tests the shortfall instead of the matrix. Past those
+checks the objective's ``mu2_of_assignment`` decides: it certifies
+connectivity from mu2 itself and raises ``ReducibleChainError`` for a split
+candidate, searching the chain's support only when mu2 is near 0 or the
+solve fails.
 """
 
 from __future__ import annotations
@@ -166,6 +175,25 @@ def _overrun(assignment: np.ndarray, inst: ProblemInstance) -> float:
     return float(np.maximum(assignment.sum(axis=1) - inst.budgets, 0).sum())
 
 
+def _active_check(
+    assignment: np.ndarray, inst: ProblemInstance
+) -> Callable[[np.ndarray, np.ndarray], bool]:
+    """``active(sub, e_tilde)``: whether every budgeted agent and every task holds a unit.
+
+    ``sub`` is the budgeted rows of a state whose rows sum as in
+    ``assignment`` and ``e_tilde`` its shortfall. Moves conserve row sums, so
+    the idle-agent answer and whether unbudgeted rows hold units are read
+    here once. When they hold none, the budgeted rows deliver every unit, and
+    a task holds one exactly when its shortfall is below its energy.
+    """
+    rows, row_sums = inst.budgets > 0, np.asarray(assignment).sum(axis=1)
+    if not row_sums[rows].all():
+        return lambda sub, e_tilde: False
+    if row_sums[~rows].any():
+        return lambda sub, e_tilde: bool((sub > 0).any(axis=0).all())
+    return lambda sub, e_tilde: bool((inst.energies - e_tilde > 0).all())
+
+
 def _evaluate_full(
     sub: np.ndarray,
     e_tilde: np.ndarray,
@@ -173,14 +201,15 @@ def _evaluate_full(
     inst: ProblemInstance,
     params: CsaParams,
     mu2_of: Callable[[np.ndarray, np.ndarray], float],
+    active: Callable[[np.ndarray, np.ndarray], bool],
 ) -> tuple[float, float]:
     """(penalty, mu2) of the budgeted rows ``sub``. Disconnected candidates get -inf.
 
     Connected means that the budgeted agents reach every task and each other.
-    Past the idle-agent and empty-task checks, the objective's solve decides.
+    Past the idle-agent and empty-task checks of ``active``, the objective
+    decides.
     """
-    x = sub > 0
-    if not (x.any(axis=1).all() and x.any(axis=0).all()):
+    if not active(sub, e_tilde):
         return -math.inf, math.nan
     try:
         mu2 = mu2_of(inst.energies, sub)
@@ -209,7 +238,8 @@ def evaluate(
     assignment = np.asarray(assignment)
     e_tilde = inst.energies - assignment.sum(axis=0)
     overrun, mu2_of = _overrun(assignment, inst), _objective(params)
-    penalty, _ = _evaluate_full(assignment[inst.budgets > 0], e_tilde, overrun, inst, params, mu2_of)
+    sub, active = assignment[inst.budgets > 0], _active_check(assignment, inst)
+    penalty, _ = _evaluate_full(sub, e_tilde, overrun, inst, params, mu2_of, active)
     return penalty, e_tilde
 
 
@@ -306,10 +336,10 @@ def anneal(
             raise InfeasibleError("total budget cannot cover total energy")
         current = given.astype(np.int64)
 
-    mu2_of = _objective(params)
+    mu2_of, active = _objective(params), _active_check(current, inst)
     rows, row_sums = inst.budgets > 0, current.sum(axis=1)
     overrun, e_tilde = _overrun(current, inst), inst.energies - current.sum(axis=0)
-    penalty, mu2 = _evaluate_full(current[rows], e_tilde, overrun, inst, params, mu2_of)
+    penalty, mu2 = _evaluate_full(current[rows], e_tilde, overrun, inst, params, mu2_of, active)
     feasible = _feasible(e_tilde, overrun, penalty)
     best = (feasible, penalty, mu2, current.copy())
 
@@ -321,7 +351,9 @@ def anneal(
         if __debug__ and t % 1000 == 0:
             assert np.array_equal(cand_e, inst.energies - candidate.sum(axis=0)), "shortfall drifted"
             assert np.array_equal(candidate.sum(axis=1), row_sums), "a move changed a row sum"
-        cand_penalty, cand_mu2 = _evaluate_full(candidate[rows], cand_e, overrun, inst, params, mu2_of)
+        cand_penalty, cand_mu2 = _evaluate_full(
+            candidate[rows], cand_e, overrun, inst, params, mu2_of, active
+        )
         if math.isinf(cand_penalty) and cand_penalty < 0:
             accepted = False
         elif cand_penalty >= penalty:

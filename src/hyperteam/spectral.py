@@ -23,12 +23,18 @@ built from them. ``edvw_matrices``, ``transition_matrix``, ``laplacian`` and
 
 Stationary distributions come from one normalized linear solve at every size,
 for one chain or a stack. ``stationary_distribution`` also rejects reducible
-chains with ``ReducibleChainError``; ``mu2_batch`` solves whole stacks and
-leaves connectivity to its callers, which test it with ``reaches_all``.
+chains with ``ReducibleChainError``, after a search of the chain's support.
+``certified_mu2`` scores one chain and reads connectivity off the spectrum
+instead: a mu2 above 5e-10 certifies the chain irreducible, and the support
+is searched only when the solve fails or mu2 is at most that. Both
+``mu2_of_assignment`` objectives, the hypergraph one here and the bipartite
+lift's, score through it. ``mu2_batch`` solves whole stacks and leaves
+connectivity to its callers, which test it with ``reaches_all``.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +53,7 @@ __all__ = [
     "spectrum",
     "diffuse",
     "spectral_bundle",
+    "certified_mu2",
     "mu2_of_assignment",
     "mu2_batch",
     "batch_rows",
@@ -55,6 +62,10 @@ __all__ = [
 # Entries per array of one batch (128 KiB of float64), which bounds the
 # working set of a candidate scan; see batch_rows.
 _BATCH_ENTRIES = 1 << 14
+
+# A mu2 above this certifies a chain connected; see certified_mu2.
+_CERTIFIED_MU2 = 5e-10
+_REDUCIBLE = "chain is reducible; no unique stationary distribution"
 
 
 @dataclass(frozen=True)
@@ -146,9 +157,15 @@ def _solve_stationary(P: np.ndarray) -> np.ndarray:
         raise ConvergenceError("singular stationary system") from exc
     if pi.min() < -1e-9:
         raise ConvergenceError("stationary solution has negative mass")
-    residual = np.abs((pi[..., np.newaxis, :] @ P)[..., 0, :] - pi).sum(axis=-1)
-    if not (residual <= 1e-9).all():
-        raise ConvergenceError(f"stationary residual {residual.max():.3g} above 1e-9")
+    if pi.ndim == 1:
+        # one chain: the scalar form costs half as much as the stacked one
+        residual = float(np.abs(pi @ P - pi).sum())
+        converged = residual <= 1e-9
+    else:
+        residual = np.abs((pi[..., np.newaxis, :] @ P)[..., 0, :] - pi).sum(axis=-1)
+        converged = (residual <= 1e-9).all()
+    if not converged:
+        raise ConvergenceError(f"stationary residual {np.max(residual):.3g} above 1e-9")
     return pi
 
 
@@ -165,7 +182,7 @@ def stationary_distribution(P: np.ndarray) -> np.ndarray:
         raise ValueError("P must be square")
     # a reducible chain may solve to a plausible mix of its closed classes
     if not _irreducible(P):
-        raise ReducibleChainError("chain is reducible; no unique stationary distribution")
+        raise ReducibleChainError(_REDUCIBLE)
     return _solve_stationary(P)
 
 
@@ -238,14 +255,45 @@ def spectral_bundle(inst: ProblemInstance, *, allow_disconnected: bool = False) 
     return SpectralBundle(P=P, pi=pi, L=L, eigenvalues=spectrum(L))
 
 
+def certified_mu2(
+    P: np.ndarray, laplacian_of: Callable[[np.ndarray], np.ndarray] | None = None
+) -> float:
+    """mu2 of an (n, n) chain's Laplacian, with connectivity read off the spectrum.
+
+    pi comes from one normalized solve of ``P``; ``laplacian_of(pi)`` builds
+    the Laplacian, ``laplacian(P, pi)`` by default, and mu2 is its
+    second-smallest eigenvalue. A split chain that passes the solve's 1e-9
+    residual check leaves each closed class an indicator vector whose
+    Rayleigh quotient is at most residual/2 (residual/4 on the bipartite
+    lift's Laplacian), so a mu2 above 5e-10 certifies ``P`` irreducible.
+    Only when the solve raises ``ConvergenceError`` or mu2 is at most that
+    bound is the support searched: a reducible chain then raises
+    ``ReducibleChainError``, and an irreducible one returns its mu2 or
+    re-raises the solve's error. pi and mu2 are those of
+    ``stationary_distribution`` followed by the same Laplacian. The bound
+    holds for walk Laplacians such as these two, in which no weight crosses
+    between closed classes.
+    """
+    try:
+        pi = _solve_stationary(P)
+    except ConvergenceError:
+        if not _irreducible(P):
+            raise ReducibleChainError(_REDUCIBLE) from None
+        raise
+    mu2 = float(spectrum(laplacian(P, pi) if laplacian_of is None else laplacian_of(pi))[1])
+    if mu2 <= _CERTIFIED_MU2 and not _irreducible(P):
+        raise ReducibleChainError(_REDUCIBLE)
+    return mu2
+
+
 def mu2_of_assignment(energies: np.ndarray, assignment: np.ndarray) -> float:
     """Algebraic connectivity of the hypergraph induced by positive entries.
 
     Rows and columns without positive entries are dropped, so partial
     assignments evaluate on their active sub-hypergraph. A sub-hypergraph
     with fewer than two active agents has no mixing to measure and scores 0.
-    Otherwise pi comes from the checked solve, so a disconnected active part,
-    whose agent chain is reducible, raises ``ReducibleChainError``.
+    Otherwise ``certified_mu2`` scores the agent chain, so a disconnected
+    active part, whose agent chain is reducible, raises ``ReducibleChainError``.
     """
     energies, assignment = np.asarray(energies), np.asarray(assignment)
     rows, cols = assignment.sum(axis=1) > 0, assignment.sum(axis=0) > 0
@@ -253,9 +301,7 @@ def mu2_of_assignment(energies: np.ndarray, assignment: np.ndarray) -> float:
         energies, assignment = energies[cols], assignment[np.ix_(rows, cols)]
     if len(assignment) < 2:
         return 0.0
-    P = transition_matrix(edvw_matrices(energies, assignment))
-    L = laplacian(P, stationary_distribution(P))
-    return float(spectrum(L)[1])
+    return certified_mu2(transition_matrix(edvw_matrices(energies, assignment)))
 
 
 def batch_rows(n: int, k: int) -> int:

@@ -107,6 +107,30 @@ def random_connected_instance(
     raise RuntimeError("could not draw a connected instance")
 
 
+def random_active_assignment(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """(energies, assignment) in which every agent and every task holds a unit.
+
+    The assignment is one to three random pieces placed block-diagonally,
+    then rows and columns are shuffled. So about half the draws split, and
+    a piece may split again; ``bipartite_components`` tells which.
+    """
+    pieces = []
+    for _ in range(int(rng.integers(1, 4))):
+        n, k = int(rng.integers(1, 7)), int(rng.integers(1, 5))
+        a = rng.integers(1, 4, size=(n, k)) * (rng.random((n, k)) < rng.uniform(0.2, 0.7))
+        a[np.arange(n), rng.integers(k, size=n)] += 1
+        a[rng.integers(n, size=k), np.arange(k)] += 1
+        pieces.append(a)
+    n, k = sum(a.shape[0] for a in pieces), sum(a.shape[1] for a in pieces)
+    assignment = np.zeros((n, k), dtype=np.int64)
+    i = j = 0
+    for a in pieces:
+        assignment[i : i + a.shape[0], j : j + a.shape[1]] = a
+        i, j = i + a.shape[0], j + a.shape[1]
+    assignment = assignment[rng.permutation(n)][:, rng.permutation(k)]
+    return rng.integers(1, 20, size=k), assignment
+
+
 def eig_stationary(P: np.ndarray) -> np.ndarray:
     """Dense-eig stationary oracle: the left eigenvector of P at eigenvalue 1.
 

@@ -12,11 +12,13 @@ from conftest import (
     full_lift_mu2,
     lift_adjacency,
     make_instance,
+    random_active_assignment,
     random_connected_instance,
 )
 from hyperteam import bipartite, spectral
 from hyperteam.bipartite import bipartite_connectivity, bipartite_laplacian, side_laplacians
-from hyperteam.errors import DisconnectedError
+from hyperteam.errors import ConvergenceError, DisconnectedError, ReducibleChainError
+from hyperteam.instance import bipartite_components
 from hyperteam.spectral import (
     build_matrices,
     laplacian,
@@ -33,6 +35,12 @@ def _instances(seed, count, n=7, k=4):
 
 def _package_blocks(inst):
     return bipartite._lift_blocks(spectral.edvw_matrices(inst.energies, inst.assignment))
+
+
+def _package_lift(inst):
+    """(A, B, q): the lift's blocks and the task chain's stationary q."""
+    A, B = _package_blocks(inst)
+    return A, B, stationary_distribution(B @ A)
 
 
 def test_adjacency_blocks():
@@ -141,7 +149,7 @@ def test_bundle_consistency():
     n = inst.n_agents
     assert np.array_equal(bundle.adjacency[:n, n:] > 0, np.asarray(inst.assignment) > 0)
     # the package's lift Laplacian is the oracle's
-    L = bipartite._lift_laplacian(*_package_blocks(inst))
+    L = bipartite._lift_laplacian(*_package_lift(inst))
     assert np.abs(L - bundle.L).max() <= 1e-12
 
 
@@ -187,7 +195,8 @@ def test_mu2_matches_the_full_lift_on_coauthor_small(coauthor_small):
 @pytest.mark.parametrize("n, k", [(8, 3), (3, 8), (5, 5)])
 def test_bundle_pi_is_the_lift_stationary_distribution(n, k):
     inst = random_connected_instance(np.random.default_rng(n * k), n, k)
-    pi = bipartite._lift_stationary(*_package_blocks(inst))
+    _, B, q = _package_lift(inst)
+    pi = bipartite._lift_stationary(B, q)
     assert np.isclose(pi[:n].sum(), 0.5, rtol=0, atol=1e-12)
     assert np.isclose(pi[n:].sum(), 0.5, rtol=0, atol=1e-12)
     assert np.abs(pi - bipartite_bundle(inst).pi).max() <= 1e-12
@@ -196,9 +205,9 @@ def test_bundle_pi_is_the_lift_stationary_distribution(n, k):
 @pytest.mark.parametrize("n, k", [(8, 3), (5, 5), (3, 8), (6, 1)])
 def test_block_built_lift_laplacian_matches_the_generic_one(n, k):
     inst = random_connected_instance(np.random.default_rng(7 * n + k), n, k)
-    A, B = _package_blocks(inst)
-    L = bipartite._lift_laplacian(A, B)
-    pi_b = bipartite._lift_stationary(A, B)
+    A, B, q = _package_lift(inst)
+    L = bipartite._lift_laplacian(A, B, q)
+    pi_b = bipartite._lift_stationary(B, q)
     assert np.abs(L - laplacian(full_lift(inst.energies, inst.assignment), pi_b)).max() <= 1e-15
 
 
@@ -259,14 +268,70 @@ def test_side_laplacians_are_the_two_step_laplacian_blocks_on_coauthor_small(coa
 
 @pytest.mark.parametrize("n, k", [(30, 7), (7, 30)])
 def test_mu2_never_solves_a_chain_above_the_task_side(monkeypatch, n, k):
+    # every solve and search the objective can run, recorded by chain size
     sizes = []
-    solve = spectral.stationary_distribution
+    for name in ("_solve_stationary", "stationary_distribution", "_irreducible"):
 
-    def recording(P):
-        sizes.append(np.shape(P))
-        return solve(P)
+        def recording(P, _fn=getattr(spectral, name)):
+            sizes.append(np.shape(P))
+            return _fn(P)
 
-    monkeypatch.setattr(spectral, "stationary_distribution", recording)
+        monkeypatch.setattr(spectral, name, recording)
     inst = random_connected_instance(np.random.default_rng(n + k), n, k)
     bipartite.mu2_of_assignment(inst.energies, inst.assignment)
     assert sizes and max(max(shape) for shape in sizes) <= k
+
+
+def _searched_lift_mu2(energies, assignment) -> float:
+    """Lift mu2 by the searched path: the task chain checked before its solve."""
+    A, B = bipartite._lift_blocks(spectral.edvw_matrices(energies, assignment))
+    return float(spectrum(bipartite._lift_laplacian(A, B, stationary_distribution(B @ A)))[1])
+
+
+def test_mu2_splits_as_the_component_oracle_does():
+    # split lifts are caught whether the task chain's solve fails or passes,
+    # and every connected lift scores exactly as the searched path does
+    rng = np.random.default_rng(29)
+    seen = {"connected": 0, "split, solve failed": 0, "split, solve passed": 0}
+    for _ in range(400):
+        energies, a = random_active_assignment(rng)
+        if bipartite_components(a > 0)[0] == 1:
+            mu2 = bipartite.mu2_of_assignment(energies, a)
+            assert mu2 == _searched_lift_mu2(energies, a) > spectral._CERTIFIED_MU2
+            seen["connected"] += 1
+            continue
+        with pytest.raises(ReducibleChainError):
+            bipartite.mu2_of_assignment(energies, a)
+        A, B = bipartite._lift_blocks(spectral.edvw_matrices(energies, a))
+        try:
+            spectral._solve_stationary(B @ A)
+            seen["split, solve passed"] += 1
+        except ConvergenceError:
+            seen["split, solve failed"] += 1
+    assert min(seen.values()) >= 20, seen
+
+
+def test_mu2_of_a_connected_lift_below_the_bound_still_scores(monkeypatch):
+    # two heavy tasks joined by a task of energy 1
+    energies = np.array([10**9, 10**9, 1])
+    a = np.array([[1, 0, 0], [1, 0, 1], [0, 1, 1], [0, 1, 0]])
+    searches = []
+    search = spectral._irreducible
+    monkeypatch.setattr(spectral, "_irreducible", lambda P: searches.append(len(P)) or search(P))
+    mu2 = bipartite.mu2_of_assignment(energies, a)
+    assert searches == [3]
+    assert 0 < mu2 <= spectral._CERTIFIED_MU2
+    assert mu2 == _searched_lift_mu2(energies, a)
+
+
+def test_a_failed_solve_of_a_connected_lift_propagates(monkeypatch):
+    def failing(P):
+        raise ConvergenceError("stationary residual 1 above 1e-9")
+
+    monkeypatch.setattr(spectral, "_solve_stationary", failing)
+    inst = random_connected_instance(np.random.default_rng(4), 7, 4)
+    with pytest.raises(ConvergenceError, match="residual 1 above") as info:
+        bipartite.mu2_of_assignment(inst.energies, inst.assignment)
+    assert not isinstance(info.value, ReducibleChainError)
+    with pytest.raises(ReducibleChainError):
+        bipartite.mu2_of_assignment(np.array([1, 1]), np.array([[1, 0], [1, 0], [0, 1], [0, 1]]))

@@ -442,9 +442,11 @@ def test_experiment_budget_sweep(workdir, tmp_path):
 @pytest.mark.parametrize(
     "args",
     [
-        ["experiment", "scaling", "--sizes", "1", "2", "3", "--reps", "1"],
+        # sizes and sub-sizes below 2 exit 2 in the parser's checks; these
+        # pass them and fail in the library
+        ["experiment", "scaling", "--sizes", "2", "2", "3", "--reps", "1"],
         ["experiment", "scaling", "--sizes", "2", "3", "--reps", "1"],
-        ["experiment", "budget-sweep", "--sub-sizes", "0", "4", "6", "--reps", "1", "--input", "{hub}"],
+        ["experiment", "budget-sweep", "--sub-sizes", "999", "4", "6", "--reps", "1", "--input", "{hub}"],
         ["stats", "--input", "{empty}"],
     ],
 )
@@ -541,6 +543,9 @@ def test_experiment_diffuse_bipartite_spectrum(tmp_path):
         (["budget-sweep", "--input", str(toy_path("coauthor_small")), "--reps", "0"], "--reps"),
         (["budget-sweep", "--input", str(toy_path("coauthor_small")), "--multipliers", "0", "2", "3"],
          "--multipliers"),
+        (["scaling", "--sizes", "1", "2", "3", "--reps", "1"], "--sizes"),
+        (["budget-sweep", "--input", str(toy_path("coauthor_small")), "--sub-sizes", "0", "--reps", "1"],
+         "--sub-sizes"),
     ],
 )
 def test_experiment_rejects_out_of_range_counts(tmp_path, capsys, args, flag):

@@ -143,6 +143,90 @@ def test_a_failed_solve_is_not_taken_for_a_split(monkeypatch, objective):
     assert not isinstance(info.value, ReducibleChainError)
 
 
+def test_a_candidate_with_an_empty_task_is_rejected():
+    # the empty-task test reads the carried shortfall once no unbudgeted
+    # agent holds units
+    inst = make_instance([[1, 1], [1, 1]], energies=[2, 2])
+    start, params = np.array([[1, 1], [1, 1]]), CsaParams()
+    active, mu2_of = csa._active_check(start, inst), spectral.mu2_of_assignment
+    for candidate, finite in (([[2, 0], [2, 0]], False), ([[0, 2], [1, 1]], True)):
+        candidate = np.array(candidate)
+        e = inst.energies - candidate.sum(axis=0)
+        penalty, _ = csa._evaluate_full(candidate, e, 0.0, inst, params, mu2_of, active)
+        assert math.isfinite(penalty) == finite
+
+
+def test_an_initial_with_units_on_a_zero_budget_agent_keeps_the_column_test():
+    # task 0 is met only by agent 0, who has no budget: the budgeted rows
+    # leave it empty although the shortfall says it is covered
+    inst = make_instance([[1, 0], [0, 2], [0, 2]], budgets=[0, 2, 2], energies=[1, 2])
+    initial = np.array([[1, 0], [0, 2], [0, 2]])
+    active = csa._active_check(initial, inst)
+    e = inst.energies - initial.sum(axis=0)
+    mu2_of = spectral.mu2_of_assignment
+    penalty, _ = csa._evaluate_full(initial[1:], e, 1.0, inst, CsaParams(), mu2_of, active)
+    assert penalty == -math.inf
+    result = anneal(inst, CsaParams(max_iters=3), initial=initial)
+    assert result.trace[0].penalty == -math.inf and not result.feasible
+
+
+def test_anneal_scores_each_candidate_as_the_connectivity_oracle_does(monkeypatch):
+    # idle budgeted agents, units on unbudgeted agents and empty tasks, at the
+    # start or made by moves: a candidate scores -inf exactly when the oracle
+    # calls its active part disconnected
+    states, finite = [], []
+    step, score = csa.perturb, csa._evaluate_full
+
+    def recording_step(*args):
+        candidate, e = step(*args)
+        states.append(candidate)
+        return candidate, e
+
+    def recording_score(*args):
+        out = score(*args)
+        finite.append(math.isfinite(out[0]))
+        return out
+
+    monkeypatch.setattr(csa, "perturb", recording_step)
+    monkeypatch.setattr(csa, "_evaluate_full", recording_score)
+    rng = np.random.default_rng(31)
+    seen = {"unbudgeted holder": 0, "idle budgeted": 0, "uncovered task": 0, "connected": 0}
+    for seed in range(80):
+        n, k = int(rng.integers(2, 7)), int(rng.integers(1, 5))
+        budgets = rng.integers(0, 3, size=n)
+        budgets[0] += k
+        initial = rng.integers(0, 3, size=(n, k)) * (rng.random((n, k)) < rng.uniform(0.2, 0.8))
+        inst = make_instance(np.ones((n, k), dtype=np.int64), budgets=budgets, energies=[1] * k)
+        states[:], finite[:] = [initial], []
+        anneal(inst, CsaParams(max_iters=15, seed=seed, p_guided=0.5), initial=initial)
+        active = inst.budgets > 0
+        want = [_candidate_connected(b, active) for b in states]
+        assert finite == want
+        seen["unbudgeted holder"] += bool((initial[~active] > 0).any())
+        seen["idle budgeted"] += bool((initial[active].sum(axis=1) == 0).any())
+        seen["uncovered task"] += sum(bool((b.sum(axis=0) == 0).any()) for b in states)
+        seen["connected"] += sum(want)
+    assert min(seen.values()) > 10, seen
+
+
+@pytest.mark.parametrize(
+    "params",
+    [CsaParams(seed=0), CsaParams(cooling=0.98, seed=0, objective="bipartite")],
+    ids=["hypergraph-default", "bipartite-0.98"],
+)
+def test_anneal_on_coauthor_small_never_searches_a_chain(monkeypatch, coauthor_small, params):
+    # every candidate of these chains is scored, and its mu2 certifies it connected
+    searches, scores = [], []
+    search = spectral._irreducible
+    module = bipartite if params.objective == "bipartite" else spectral
+    mu2_of = module.mu2_of_assignment
+    monkeypatch.setattr(spectral, "_irreducible", lambda P: searches.append(len(P)) or search(P))
+    monkeypatch.setattr(module, "mu2_of_assignment", lambda e, a: scores.append(1) or mu2_of(e, a))
+    result = anneal(coauthor_small, params)
+    assert searches == []
+    assert len(scores) == result.iterations_run + 1
+
+
 def test_evaluate_factor_terms():
     inst = make_instance([[1], [1], [1]])
     params = CsaParams(tasks_factor=1.0, teammates_factor=2.0)

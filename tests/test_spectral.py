@@ -12,15 +12,18 @@ from conftest import (
     eig_mu2,
     eig_stationary,
     make_instance,
+    random_active_assignment,
     random_connected_instance,
 )
 from hyperteam import greedy, spectral
-from hyperteam.errors import ConvergenceError, DegreeError, DisconnectedError
+from hyperteam.errors import ConvergenceError, DegreeError, DisconnectedError, ReducibleChainError
 from hyperteam.greedy import centralized_init
+from hyperteam.instance import bipartite_components
 from hyperteam.spectral import (
     batch_rows,
     build_matrices,
     diffuse,
+    edvw_matrices,
     laplacian,
     mu2_batch,
     mu2_of_assignment,
@@ -596,15 +599,17 @@ def test_stacked_solve_is_each_chains_solve_and_checks_every_chain():
 
 
 def test_mu2_of_assignment_runs_each_chain_function_once(monkeypatch):
+    # the certified path solves once and never searches a connected chain
     names = (
         "edvw_matrices",
         "transition_matrix",
-        "stationary_distribution",
+        "certified_mu2",
+        "_solve_stationary",
         "laplacian",
         "spectrum",
     )
     calls = []
-    for name in names:
+    for name in (*names, "stationary_distribution", "_irreducible"):
 
         def recording(*args, _name=name, _fn=getattr(spectral, name)):
             calls.append(_name)
@@ -614,6 +619,66 @@ def test_mu2_of_assignment_runs_each_chain_function_once(monkeypatch):
     inst = random_connected_instance(np.random.default_rng(8), 7, 4)
     mu2_of_assignment(inst.energies, inst.assignment)
     assert calls == list(names)
+
+
+def _searched_mu2(P: np.ndarray) -> float:
+    """mu2 by the searched path: reducibility checked before the solve."""
+    return float(spectrum(laplacian(P, stationary_distribution(P)))[1])
+
+
+def test_certified_mu2_splits_as_the_component_oracle_does():
+    # split chains are caught whether their solve fails or passes, and every
+    # connected chain scores exactly as the searched path does
+    rng = np.random.default_rng(23)
+    seen = {"connected": 0, "split, solve failed": 0, "split, solve passed": 0}
+    for _ in range(400):
+        energies, a = random_active_assignment(rng)
+        if len(a) < 2:
+            continue
+        P = transition_matrix(edvw_matrices(energies, a))
+        if bipartite_components(a > 0)[0] == 1:
+            assert mu2_of_assignment(energies, a) == _searched_mu2(P) > spectral._CERTIFIED_MU2
+            seen["connected"] += 1
+            continue
+        with pytest.raises(ReducibleChainError):
+            mu2_of_assignment(energies, a)
+        try:
+            spectral._solve_stationary(P)
+            seen["split, solve passed"] += 1
+        except ConvergenceError:
+            seen["split, solve failed"] += 1
+    assert min(seen.values()) >= 20, seen
+
+
+def _weak_bridge():
+    # two heavy tasks joined by a task of energy 1: the walk crosses it
+    # about once in 1e9 steps
+    return np.array([10**9, 10**9, 1]), np.array([[1, 0, 0], [1, 0, 1], [0, 1, 1], [0, 1, 0]])
+
+
+def test_a_connected_chain_below_the_bound_still_scores(monkeypatch):
+    energies, a = _weak_bridge()
+    searches = []
+    search = spectral._irreducible
+    monkeypatch.setattr(spectral, "_irreducible", lambda P: searches.append(len(P)) or search(P))
+    mu2 = mu2_of_assignment(energies, a)
+    assert searches == [4]
+    assert 0 < mu2 <= spectral._CERTIFIED_MU2
+    assert mu2 == _searched_mu2(transition_matrix(edvw_matrices(energies, a)))
+
+
+def test_a_failed_solve_of_a_connected_chain_propagates(monkeypatch):
+    def failing(P):
+        raise ConvergenceError("stationary residual 1 above 1e-9")
+
+    monkeypatch.setattr(spectral, "_solve_stationary", failing)
+    inst = random_connected_instance(np.random.default_rng(4), 7, 4)
+    with pytest.raises(ConvergenceError, match="residual 1 above") as info:
+        mu2_of_assignment(inst.energies, inst.assignment)
+    assert not isinstance(info.value, ReducibleChainError)
+    # the same failure on a split chain is a split
+    with pytest.raises(ReducibleChainError):
+        mu2_of_assignment(np.array([1, 1]), np.array([[1, 0], [1, 0], [0, 1], [0, 1]]))
 
 
 def test_batch_rows_bounds_the_largest_array():
