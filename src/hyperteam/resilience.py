@@ -6,11 +6,18 @@ then from their direct teammates (ring 1), then teammates-of-teammates, and
 so on through the co-membership graph of the surviving assignment. A unit
 recruited at ring r costs r + 1. Recruitment never leaves the task's
 component, so deficits can remain; those are reported as unsatisfied energy.
+
+Patching walks index lists, not matrices: the ascending member list of each
+task and task list of each agent of the damaged assignment, with spare
+budgets and shortfalls as Python ints. An attack run therefore allocates no
+(agents, tasks) array. Its result keeps the recruits and one frozen snapshot
+of the assignment it started from, and builds ``patched_assignment`` when
+that is read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -31,9 +38,21 @@ __all__ = [
 @dataclass(frozen=True)
 class AttackResult:
     removed: tuple[int, ...]
-    patched_assignment: np.ndarray
     patching_cost: float
     unsatisfied: np.ndarray  # per-task energy still missing after patching
+    # read-only assignment the run started from; rows of removed agents are
+    # zeroed when the patched assignment is built
+    base: np.ndarray = field(repr=False)
+    recruits: tuple[tuple[int, int, int], ...]  # (agent, task, units), in order
+
+    @property
+    def patched_assignment(self) -> np.ndarray:
+        """The damaged assignment plus every recruited unit; a fresh array."""
+        patched = self.base.copy()
+        patched[list(self.removed), :] = 0
+        for agent, task, units in self.recruits:
+            patched[agent, task] += units
+        return patched
 
     @property
     def unsatisfied_sum(self) -> int:
@@ -66,84 +85,113 @@ def remove_agents(assignment: np.ndarray, removed: Sequence[int]) -> np.ndarray:
     return out
 
 
+def _snapshot(assignment: np.ndarray) -> np.ndarray:
+    """A read-only int64 copy that later writes to ``assignment`` cannot reach."""
+    out = np.array(assignment, dtype=np.int64)
+    out.flags.writeable = False
+    return out
+
+
+def _split(values: np.ndarray, keys: np.ndarray, n: int) -> list[list[int]]:
+    """``values`` grouped by the sorted ``keys`` into ``n`` lists."""
+    ends = np.cumsum(np.bincount(keys, minlength=n)).tolist()
+    flat = values.tolist()
+    return [flat[lo:hi] for lo, hi in zip([0] + ends[:-1], ends)]
+
+
+def _member_lists(assignment: np.ndarray) -> tuple[list[list[int]], list[list[int]]]:
+    """Ascending members of each task and tasks of each agent (entries > 0)."""
+    n, k = assignment.shape
+    held = assignment > 0
+    agents, tasks = np.nonzero(held)
+    tasks_of = _split(tasks, agents, n)
+    tasks, agents = np.nonzero(held.T)
+    return _split(agents, tasks, k), tasks_of
+
+
+def _recruit(
+    members: list[list[int]],
+    tasks_of: list[list[int]],
+    spare: list[int],
+    shortfall: list[int],
+) -> tuple[list[tuple[int, int, int]], float]:
+    """Fill shortfalls ring by ring; updates ``spare`` and ``shortfall``.
+
+    Tasks go in descending-shortfall order, ties by index. A task's ring 0
+    is its member list; ring r + 1 holds the unvisited members of the tasks
+    that ring r's agents hold, in ascending order. The rings step on the
+    given lists, which stay fixed while spare budget is consumed. Returns the
+    recruits ``(agent, task, units)`` in order and the cost, where one unit
+    recruited at ring r costs r + 1. A search that ends short has drained
+    its whole component, so later tasks there are skipped: they would
+    recruit nothing.
+    """
+    recruits = []
+    cost = 0.0
+    dry = set()  # agents of drained components
+    for k in sorted(range(len(shortfall)), key=lambda k: (-shortfall[k], k)):
+        need = shortfall[k]
+        if need <= 0 or not members[k] or members[k][0] in dry:
+            continue
+        ring, frontier = 0, members[k]
+        visited, expanded = set(frontier), {k}
+        while frontier:
+            for agent in frontier:
+                take = min(spare[agent], need)
+                if take > 0:
+                    spare[agent] -= take
+                    recruits.append((agent, k, take))
+                    cost += take * (ring + 1)
+                    need -= take
+                    if need == 0:
+                        break
+            if need == 0:
+                break
+            reached = set()
+            for agent in frontier:
+                for task in tasks_of[agent]:
+                    if task not in expanded:
+                        expanded.add(task)
+                        reached.update(members[task])
+            reached -= visited
+            visited |= reached
+            frontier = sorted(reached)
+            ring += 1
+        if need:
+            dry |= visited
+        shortfall[k] = need
+    return recruits, cost
+
+
 def patch(inst: ProblemInstance, damaged: np.ndarray, removed: Sequence[int]) -> AttackResult:
     """Repair task shortfalls with surviving spare budget, nearest ring first.
 
     Rings are breadth-first layers of the co-membership graph of the damaged
     (post-removal, pre-patch) assignment, seeded by the surviving members of
-    the short task and stepped on the damaged incidence, fixed while spare
-    budgets are consumed. Tasks are treated in descending-shortfall order,
-    ties by index. One unit recruited at ring r costs r + 1.
+    the short task and stepped on the member and task lists of the damaged
+    incidence, fixed while spare budgets are consumed. Tasks are treated in
+    descending-shortfall order, ties by index. One unit recruited at ring r
+    costs r + 1. The result keeps a snapshot of ``damaged``, so later writes
+    to it do not change ``patched_assignment``.
     """
     removed = tuple(int(r) for r in removed)
-    removed_mask = np.zeros(inst.n_agents, dtype=bool)
-    removed_mask[list(removed)] = True
-    damaged = np.asarray(damaged, dtype=np.int64)
+    damaged = _snapshot(damaged)
     if damaged[list(removed), :].any():
         raise ValueError("damaged assignment still has units from removed agents")
-
-    budgets = np.where(removed_mask, 0, inst.budgets)
+    budgets = inst.budgets.copy()
+    budgets[list(removed)] = 0
     spare = budgets - damaged.sum(axis=1)
     if np.any(spare < 0):
         raise ValueError("assignment exceeds a surviving budget")
-    incidence = damaged > 0
-    shortfall = inst.energies - damaged.sum(axis=0)
-
-    patched = damaged.copy()
-    total_cost = 0.0
-    order = sorted(range(inst.n_tasks), key=lambda k: (-int(shortfall[k]), k))
-    for k in order:
-        need = int(shortfall[k])
-        if need <= 0:
-            continue
-        visited = incidence[:, k].copy()
-        frontier = visited.copy()
-        ring = 0
-        while need > 0 and frontier.any():
-            for agent in np.flatnonzero(frontier).tolist():
-                take = int(min(spare[agent], need))
-                if take <= 0:
-                    continue
-                spare[agent] -= take
-                patched[agent, k] += take
-                total_cost += take * (ring + 1)
-                need -= take
-                if need == 0:
-                    break
-            if need == 0:
-                break
-            tasks = incidence[frontier].any(axis=0)
-            next_frontier = incidence[:, tasks].any(axis=1) & ~visited
-            visited |= next_frontier
-            frontier = next_frontier
-            ring += 1
-        shortfall[k] = need
-    unsatisfied = inst.energies - patched.sum(axis=0)
+    shortfall = (inst.energies - damaged.sum(axis=0)).tolist()
+    recruits, cost = _recruit(*_member_lists(damaged), spare.tolist(), shortfall)
     return AttackResult(
         removed=removed,
-        patched_assignment=patched,
-        patching_cost=total_cost,
-        unsatisfied=unsatisfied,
+        patching_cost=cost,
+        unsatisfied=np.array(shortfall, dtype=np.int64),
+        base=damaged,
+        recruits=tuple(recruits),
     )
-
-
-def _one_attack(
-    inst: ProblemInstance,
-    assignment: np.ndarray,
-    m: int,
-    seed: int,
-    run: int,
-    strategy: str,
-) -> AttackResult:
-    if strategy == "degree":
-        # targeted variant: remove the agents with the largest weighted degree
-        weighted_degree = ((assignment > 0) * inst.energies[np.newaxis, :]).sum(axis=1)
-        removed = np.argsort(-weighted_degree, kind="stable")[:m]
-    else:
-        rng = substream(seed, "attack", run)
-        removed = rng.choice(inst.n_agents, size=m, replace=False)
-    damaged = remove_agents(assignment, [int(r) for r in removed])
-    return patch(inst, damaged, [int(r) for r in removed])
 
 
 def attack_experiment(
@@ -159,6 +207,10 @@ def attack_experiment(
 
     ``strategy`` is 'random' (uniform agent subsets, one RNG stream per run)
     or 'degree' (deterministic removal of the highest weighted-degree agents).
+    Every run patches as ``patch(inst, remove_agents(assignment, removed),
+    removed)`` would, but from member lists and sums built once per
+    experiment, and its result shares one read-only snapshot of
+    ``assignment``.
     """
     if not 0 < m < inst.n_agents:
         raise ValueError("m must be between 1 and the number of agents minus 1")
@@ -166,7 +218,43 @@ def attack_experiment(
         raise ValueError("n_exp must be >= 1")
     if strategy not in ("random", "degree"):
         raise ValueError("strategy must be 'random' or 'degree'")
-    runs = [_one_attack(inst, assignment, m, seed, r, strategy) for r in range(n_exp)]
+    base = _snapshot(assignment)
+    members, tasks_of = _member_lists(base)
+    spare = (inst.budgets - base.sum(axis=1)).tolist()
+    over_budget = [agent for agent, left in enumerate(spare) if left < 0]
+    shortfall = inst.energies - base.sum(axis=0)
+    if strategy == "degree":
+        # targeted variant: remove the agents with the largest weighted degree
+        energy = inst.energies.tolist()
+        weighted_degree = np.array([sum(energy[t] for t in tasks) for tasks in tasks_of])
+        hubs = tuple(np.argsort(-weighted_degree, kind="stable")[:m].tolist())
+    runs = []
+    for run in range(n_exp):
+        if strategy == "degree":
+            removed = hubs
+        else:
+            rng = substream(seed, "attack", run)
+            removed = tuple(rng.choice(inst.n_agents, size=m, replace=False).tolist())
+        gone = set(removed)
+        if any(agent not in gone for agent in over_budget):
+            raise ValueError("assignment exceeds a surviving budget")
+        run_spare = list(spare)
+        run_members = list(members)
+        for agent in removed:
+            run_spare[agent] = 0
+            for task in tasks_of[agent]:
+                run_members[task] = [a for a in run_members[task] if a not in gone]
+        run_shortfall = (shortfall + base[list(removed), :].sum(axis=0)).tolist()
+        recruits, cost = _recruit(run_members, tasks_of, run_spare, run_shortfall)
+        runs.append(
+            AttackResult(
+                removed=removed,
+                patching_cost=cost,
+                unsatisfied=np.array(run_shortfall, dtype=np.int64),
+                base=base,
+                recruits=tuple(recruits),
+            )
+        )
     costs = np.array([r.patching_cost for r in runs])
     deficits = np.array([float(r.unsatisfied_sum) for r in runs])
 

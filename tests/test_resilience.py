@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -44,8 +46,9 @@ def test_remove_agents_guards():
 def _patch_oracle(inst, damaged, removed):
     """Ring BFS on the agent co-membership matrix of the damaged assignment.
 
-    The package steps each ring on the incidence instead; this is the dense
-    formulation it replaced. Returns (patched, cost, unsatisfied).
+    The package walks the member and task lists of the damaged incidence
+    instead; this is the dense formulation it replaced. Returns (patched,
+    cost, unsatisfied).
     """
     removed_mask = np.zeros(inst.n_agents, dtype=bool)
     removed_mask[list(removed)] = True
@@ -98,6 +101,68 @@ def test_patch_matches_co_membership_oracle_on_coauthor_large(coauthor_large):
     assert summary.patching_cost_mean > 0
     for run in summary.runs:
         _assert_matches_oracle(coauthor_large, remove_agents(a, run.removed), run.removed)
+
+
+def _assert_run_matches_patch_and_oracle(inst, assignment, run):
+    damaged = remove_agents(assignment, run.removed)
+    patched, cost, unsatisfied = _patch_oracle(inst, damaged, run.removed)
+    for result in (run, patch(inst, damaged, run.removed)):
+        assert np.array_equal(result.patched_assignment, patched)
+        assert result.patching_cost == cost
+        assert np.array_equal(result.unsatisfied, unsatisfied)
+
+
+@pytest.mark.parametrize("m", [20, 200])
+def test_attack_runs_match_patch_and_oracle_on_coauthor_large(coauthor_large, m):
+    a = np.asarray(coauthor_large.assignment)
+    summary = attack_experiment(coauthor_large, a, m=m, n_exp=3, seed=0)
+    for run in summary.runs:
+        _assert_run_matches_patch_and_oracle(coauthor_large, a, run)
+    if m == 200:
+        # deep damage: units come from ring 2 or later, and some stay missing
+        units = [sum(u for _, _, u in run.recruits) for run in summary.runs]
+        assert all(r.patching_cost > 2 * n for r, n in zip(summary.runs, units))
+        assert all(891 <= r.unsatisfied_sum <= 907 for r in summary.runs)
+
+
+@pytest.mark.parametrize("strategy", ["random", "degree"])
+def test_attack_runs_match_patch_and_oracle(strategy):
+    rng = np.random.default_rng(72)
+    for _ in range(40):
+        n, k = int(rng.integers(3, 14)), int(rng.integers(1, 7))
+        inst = random_connected_instance(rng, n, k, slack=int(rng.integers(0, 3)))
+        a = np.asarray(inst.assignment)
+        m = int(rng.integers(1, n))
+        summary = attack_experiment(inst, a, m=m, n_exp=3, seed=int(rng.integers(100)), strategy=strategy)
+        for run in summary.runs:
+            _assert_run_matches_patch_and_oracle(inst, a, run)
+
+
+def test_results_keep_their_patched_assignment_after_the_input_changes():
+    inst = _chain_instance()
+    a = np.array(inst.assignment)
+    damaged = remove_agents(a, [3])
+    results = attack_experiment(inst, a, m=2, n_exp=4, seed=0).runs + (patch(inst, damaged, [3]),)
+    before = [r.patched_assignment for r in results]
+    a[:] = 9
+    damaged[:] = 9
+    for result, patched in zip(results, before):
+        assert np.array_equal(result.patched_assignment, patched)
+
+
+def test_attack_runs_allocate_no_assignment_sized_copies(coauthor_large):
+    # one read-only snapshot per experiment; a per-run copy of the (N, K)
+    # matrix, as remove_agents makes, would push the peak past twice its size
+    a = np.asarray(coauthor_large.assignment)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        attack_experiment(coauthor_large, a, m=20, n_exp=10)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * a.nbytes
 
 
 def test_patch_walks_the_rings():
