@@ -30,10 +30,25 @@ is searched only when the solve fails or mu2 is at most that. Both
 ``mu2_of_assignment`` objectives, the hypergraph one here and the bipartite
 lift's, score through it. ``mu2_batch`` solves whole stacks and leaves
 connectivity to its callers, which test it with ``reaches_all``.
+
+The symmetric eigen solves, ``spectrum``'s ``eigvalsh`` and ``diffuse``'s
+``eigh``, run on one OpenBLAS thread when the matrix is 65 to 511 on a side,
+and then restore the caller's thread count. OpenBLAS threads them from 65 on,
+but on a 2-core VM two threads first paid at about 500: a 77x77 solve (the
+bipartite lift of coauthor_small) ran at cpu/wall 2.0 and no faster than on
+one thread; 400x400 took 7.6 ms on one thread and 8.8 ms on two, 512x512 15.7
+and 14.1 ms, so coauthor_large's 781x781 solve keeps its threads. Within
+that range the eigenvalues no longer depend on the host's core count. The
+thread count is process-wide: while such a solve runs, numpy in other Python
+threads also sees one BLAS thread. OpenBLAS is found through /proc/self/maps,
+so on other platforms, or on another BLAS, the solves run as numpy runs them.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import itertools
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -66,6 +81,11 @@ _BATCH_ENTRIES = 1 << 14
 # A mu2 above this certifies a chain connected; see certified_mu2.
 _CERTIFIED_MU2 = 5e-10
 _REDUCIBLE = "chain is reducible; no unique stationary distribution"
+
+# Sizes of the symmetric eigen solves that run on one OpenBLAS thread: OpenBLAS
+# threads them from 65 on, and two threads first pay at about 500 (measured in
+# the module docstring).
+_SERIAL_SIZES = range(65, 512)
 
 
 @dataclass(frozen=True)
@@ -200,9 +220,56 @@ def laplacian(P: np.ndarray, pi: np.ndarray) -> np.ndarray:
     return L
 
 
+@functools.cache
+def _blas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | None:
+    """The (get, set) thread-count functions of the loaded OpenBLAS, or None.
+
+    The library is found by its path in /proc/self/maps, so on Linux only,
+    numpy's own copy first should another package have loaded a second one.
+    Its exports may carry a ``scipy_`` prefix and a ``64_`` suffix, as in
+    numpy's wheels. A numpy on another BLAS, or another platform, gets None.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            paths = {line.split(maxsplit=5)[5].strip() for line in maps if "openblas" in line}
+    except OSError:
+        return None
+    for path in sorted(paths, key=lambda p: ("numpy" not in p, p)):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix, suffix in itertools.product(("scipy_", ""), ("64_", "")):
+            get = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+def _serial_solve(solve: Callable[[np.ndarray], object], L: np.ndarray):
+    """``solve(L)``, on one OpenBLAS thread when L's size is in ``_SERIAL_SIZES``.
+
+    The caller's thread count is restored afterwards, also when the solve
+    raises. Nothing is set when the count is already 1, when the size is
+    outside that range, or when no OpenBLAS is found.
+    """
+    threads = _blas_threads() if np.shape(L)[-1] in _SERIAL_SIZES else None
+    before = threads[0]() if threads is not None else 1
+    if before <= 1:
+        return solve(L)
+    threads[1](1)
+    try:
+        return solve(L)
+    finally:
+        threads[1](before)
+
+
 def spectrum(L: np.ndarray) -> np.ndarray:
     """Eigenvalues of a symmetric matrix, or of each in a stack, in ascending order."""
-    return np.linalg.eigvalsh(L)
+    return _serial_solve(np.linalg.eigvalsh, L)
 
 
 def diffuse(L: np.ndarray, x0: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -215,7 +282,7 @@ def diffuse(L: np.ndarray, x0: np.ndarray, times: np.ndarray) -> np.ndarray:
     times = np.asarray(times, dtype=np.float64)
     if np.any(times < 0):
         raise ValueError("diffusion times must be >= 0")
-    evals, evecs = np.linalg.eigh(L)
+    evals, evecs = _serial_solve(np.linalg.eigh, L)
     coeff = evecs.T @ x0
     decay = np.exp(-np.outer(times, evals))
     return (decay * coeff[np.newaxis, :]) @ evecs.T

@@ -133,3 +133,62 @@ def test_private_reads_sees_imports_and_attributes():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_module_reads_another_modules_private_names(path):
     assert private_reads(path.read_text(encoding="utf-8")) == []
+
+
+# numpy's symmetric eigen solvers. greedy's non-symmetric eig, its tie
+# re-score's reference pi, is exempt: on coauthor_small it solves chains of at
+# most 52 agents, below the 65 from which OpenBLAS threads an eigen solve.
+SYMMETRIC_EIGEN = {"eigh", "eigvalsh"}
+
+
+def symmetric_eigen_reads(source: str) -> list[str]:
+    """Symmetric eigen solvers a module imports or reads as an attribute.
+
+    ``np.linalg.eigh``, ``linalg.eigvalsh`` and ``from numpy.linalg import
+    eigh`` all count; a read counts as a call, since the function can be
+    passed on and called elsewhere.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            found += [f"{node.module}.{a.name}" for a in node.names if a.name in SYMMETRIC_EIGEN]
+        elif isinstance(node, ast.Attribute) and node.attr in SYMMETRIC_EIGEN:
+            found.append(ast.unparse(node))
+    return found
+
+
+def test_symmetric_eigen_reads_sees_imports_and_attributes():
+    source = (
+        "import numpy as np\n"
+        "from numpy import linalg\n"
+        "from numpy.linalg import eigh as dense_eigh, eig\n"
+        "x = np.linalg.eigvalsh(L), linalg.eigh(L), np.linalg.eig(L), eig(L)\n"
+        "spectrum(L).eigvals\n"
+    )
+    assert sorted(symmetric_eigen_reads(source)) == [
+        "linalg.eigh",
+        "np.linalg.eigvalsh",
+        "numpy.linalg.eigh",
+    ]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_symmetric_eigen_solves_go_through_the_thread_rule(path):
+    """Only spectral calls eigh or eigvalsh, each through ``_serial_solve``.
+
+    ``_serial_solve`` runs the solves that OpenBLAS would thread at a loss
+    on one thread, so a caller elsewhere would bypass that rule.
+    """
+    source = path.read_text(encoding="utf-8")
+    if path.name != "spectral.py":
+        assert symmetric_eigen_reads(source) == []
+        return
+    through_rule = [
+        ast.unparse(node.args[0])
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_serial_solve"
+    ]
+    assert sorted(symmetric_eigen_reads(source)) == sorted(through_rule) == [
+        "np.linalg.eigh",
+        "np.linalg.eigvalsh",
+    ]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -699,3 +701,136 @@ def test_mu2_batch_edge_cases():
     # energies come one row per assignment
     with pytest.raises(ValueError, match="energies"):
         mu2_batch(np.array([1, 1]), np.ones((3, 2, 2)))
+
+
+# -- symmetric eigen solves on one OpenBLAS thread -----------------------
+
+
+class _FakeThreads:
+    """A (get, set) pair standing in for OpenBLAS's thread-count functions."""
+
+    def __init__(self, count: int):
+        self.count, self.sets = count, []
+
+    def get(self) -> int:
+        return self.count
+
+    def set(self, count: int) -> None:
+        self.sets.append(count)
+        self.count = count
+
+
+def _symmetric(n: int) -> np.ndarray:
+    a = np.random.default_rng(n).random((n, n))
+    return a + a.T
+
+
+# each symmetric eigen solve of the package, by the numpy function it calls
+_SOLVES = {
+    "eigvalsh": spectrum,
+    "eigh": lambda L: diffuse(L, np.ones(len(L)), np.array([0.0, 1.0])),
+}
+
+
+def _fake_blas(monkeypatch, count: int) -> _FakeThreads:
+    fake = _FakeThreads(count)
+    monkeypatch.setattr(spectral, "_blas_threads", lambda: (fake.get, fake.set))
+    return fake
+
+
+@pytest.mark.parametrize("name", sorted(_SOLVES))
+def test_a_small_eigen_solve_runs_on_one_thread_and_restores_the_count(monkeypatch, name):
+    fake = _fake_blas(monkeypatch, 2)
+    solve, seen = getattr(np.linalg, name), []
+    monkeypatch.setattr(np.linalg, name, lambda L: seen.append(fake.count) or solve(L))
+    L = _symmetric(77)
+    out = _SOLVES[name](L)
+    assert seen == [1]
+    assert fake.sets == [1, 2] and fake.count == 2
+    monkeypatch.undo()
+    np.testing.assert_array_equal(out, _SOLVES[name](L))
+
+
+@pytest.mark.parametrize("name", sorted(_SOLVES))
+def test_the_thread_count_is_restored_when_the_solve_raises(monkeypatch, name):
+    fake = _fake_blas(monkeypatch, 3)
+
+    def failing(L):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, name, failing)
+    with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+        _SOLVES[name](_symmetric(77))
+    assert fake.sets == [1, 3] and fake.count == 3
+
+
+@pytest.mark.parametrize(("n", "count"), [(600, 2), (512, 2), (64, 2), (6, 2), (77, 1), (511, 1)])
+def test_no_thread_count_is_set_outside_the_serial_sizes_or_at_one_thread(monkeypatch, n, count):
+    # OpenBLAS threads from 65 on, and two threads pay from about 512
+    fake = _fake_blas(monkeypatch, count)
+    L = _symmetric(n)
+    np.testing.assert_array_equal(spectrum(L), np.linalg.eigvalsh(L))
+    assert fake.sets == [] and fake.count == count
+
+
+def test_a_stack_is_sized_by_its_matrices(monkeypatch):
+    fake = _fake_blas(monkeypatch, 2)
+    stack = np.stack([_symmetric(77), _symmetric(77) + 1.0])
+    np.testing.assert_array_equal(spectrum(stack), np.linalg.eigvalsh(stack))
+    assert fake.sets == [1, 2]
+    fake.sets.clear()
+    spectrum(np.stack([_symmetric(6)] * 600))
+    assert fake.sets == []
+
+
+def test_without_openblas_the_solves_run_as_numpy_does(monkeypatch):
+    monkeypatch.setattr(spectral, "_blas_threads", lambda: None)
+    L = _symmetric(77)
+    np.testing.assert_array_equal(spectrum(L), np.linalg.eigvalsh(L))
+    evals, evecs = np.linalg.eigh(L)
+    x0, times = np.ones(77), np.array([0.5, 2.0])
+    want = (np.exp(-np.outer(times, evals)) * (evecs.T @ x0)) @ evecs.T
+    np.testing.assert_array_equal(diffuse(L, x0, times), want)
+
+
+@pytest.mark.parametrize(
+    "maps",
+    [
+        "",
+        "7f00-7f01 r--p 00000000 fe:00 1  /usr/lib/libfoo.so\n",
+        "7f00-7f01 r--p 00000000 fe:00 1  /nonexistent/libopenblas.so\n",
+        None,
+    ],
+    ids=["empty", "other-library", "unloadable", "no-proc"],
+)
+def test_the_lookup_finds_nothing_without_an_openblas_mapping(monkeypatch, maps):
+    def fake_open(path, *args, **kwargs):
+        assert path == "/proc/self/maps"
+        if maps is None:  # no /proc, as off Linux
+            raise FileNotFoundError(path)
+        return io.StringIO(maps)
+
+    monkeypatch.setattr(spectral, "open", fake_open, raising=False)
+    assert spectral._blas_threads.__wrapped__() is None
+
+
+def _numpy_blas() -> str:
+    try:
+        config = np.show_config(mode="dicts")
+    except TypeError:  # numpy before 1.26 only prints its configuration
+        return ""
+    return str(config.get("Build Dependencies", {}).get("blas", {}).get("name", ""))
+
+
+@pytest.mark.skipif("openblas" not in _numpy_blas().lower(), reason="numpy is not on OpenBLAS")
+def test_the_lookup_resolves_numpys_openblas(monkeypatch):
+    threads = spectral._blas_threads()
+    assert threads is not None
+    get, _ = threads
+    before, seen = get(), []
+    assert before >= 1
+    solve = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda L: seen.append(get()) or solve(L))
+    spectrum(_symmetric(77))
+    assert seen == [1]
+    assert get() == before
