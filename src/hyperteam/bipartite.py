@@ -3,7 +3,9 @@
 Stacking agents then tasks gives a walk that alternates strictly between the
 two sides:
 
-    P_b = [[0, A], [B, 0]],  A = D_V^-1 W (N x K),  B = D_E^-1 R^T (K x N).
+    P_b = [[0, A], [B, 0]],  A = D_V^-1 W (N x K),  B = D_E^-1 R^T (K x N),
+
+the two steps of the hypergraph walk that ``spectral.walk_blocks`` builds.
 
 It is 2-periodic but irreducible, so it has exactly one stationary
 distribution, with mass 1/2 on each side: ``(pi, q) / 2`` with ``q = pi A``
@@ -38,13 +40,6 @@ __all__ = [
 ]
 
 
-def _lift_blocks(m: spectral.EDVWMatrices) -> tuple[np.ndarray, np.ndarray]:
-    """(A, B) = (D_V^-1 W, D_E^-1 R^T): the agent-to-task and task-to-agent steps."""
-    if not (m.d_v.all() and m.d_e.all()):
-        raise ValueError("bipartite walk needs positive degrees on both sides")
-    return m.W / m.d_v[:, np.newaxis], (m.R / m.d_e[np.newaxis, :]).T
-
-
 def _lift_stationary(B: np.ndarray, q: np.ndarray) -> np.ndarray:
     """The lift's distribution ``(pi, q) / 2`` from the task chain's ``q``: ``pi = q B``."""
     return 0.5 * np.concatenate([q @ B, q])
@@ -77,10 +72,11 @@ def bipartite_laplacian(P_b: np.ndarray) -> np.ndarray:
 def mu2_of_assignment(energies: np.ndarray, assignment: np.ndarray) -> float:
     """Alternating-walk mu2 of an assignment; a split one raises ``ReducibleChainError``.
 
-    Every agent and task needs a positive entry; ``bipartite_connectivity``
-    checks that, and the annealer's active part has it.
+    Every agent and task needs a positive entry, or ``walk_blocks`` raises
+    ``DegreeError``; ``bipartite_connectivity`` checks that, and the
+    annealer's active part has it.
     """
-    A, B = _lift_blocks(spectral.edvw_matrices(energies, assignment))
+    A, B = spectral.walk_blocks(energies, assignment)
     return spectral.certified_mu2(B @ A, lambda q: _lift_laplacian(A, B, q))
 
 
@@ -99,7 +95,7 @@ def side_laplacians(inst: ProblemInstance) -> tuple[np.ndarray, np.ndarray]:
     """
     if not is_connected(inst):
         raise DisconnectedError("side chains need a connected instance")
-    A, B = _lift_blocks(spectral.edvw_matrices(inst.energies, inst.assignment))
+    A, B = spectral.walk_blocks(inst.energies, inst.assignment)
     pi_b = _lift_stationary(B, spectral.stationary_distribution(B @ A))
     n = len(A)
     return spectral.laplacian(A @ B, pi_b[:n]), spectral.laplacian(B @ A, pi_b[n:])

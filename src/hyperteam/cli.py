@@ -40,7 +40,7 @@ from .experiments import (
 )
 from .greedy import GreedyParams, greedy_optimize
 from .instance import is_connected, load_instance, summary_stats
-from .resilience import attack_experiment
+from .resilience import attack_experiment, gain
 from .spectral import mu2_of_assignment, spectrum
 
 log = logging.getLogger("hyperteam")
@@ -139,7 +139,7 @@ def _run_optimize(params: dict, out_dir: Path, to_stdout: bool) -> list[str]:
         "iterations": result.iterations_run,
         "notes": list(result.notes),
         "mu2_original": mu2_original,
-        "gain": result.best_mu2 / mu2_original if mu2_original else None,
+        "gain": gain(result.best_mu2, mu2_original) if mu2_original else None,
     }
     optimized = inst.with_assignment(result.best_assignment)
     _atomic_write(

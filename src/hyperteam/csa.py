@@ -39,7 +39,7 @@ import numpy as np
 
 from . import bipartite, spectral
 from .errors import InfeasibleError, ReducibleChainError
-from .instance import ProblemInstance, co_membership_graph, reaches_all
+from .instance import ProblemInstance, factor_metrics, reaches_all
 from .seeds import substream
 
 __all__ = [
@@ -48,7 +48,6 @@ __all__ = [
     "OptimizationResult",
     "initialize_assignment",
     "evaluate",
-    "factor_metrics",
     "perturb",
     "anneal",
     "random_feasible_assignment",
@@ -127,15 +126,6 @@ class OptimizationResult:
     trace: list[TraceRow] = field(default_factory=list)
     iterations_run: int = 0
     notes: tuple[str, ...] = ()
-
-
-def factor_metrics(assignment: np.ndarray) -> tuple[float, float]:
-    """(mean tasks per agent, mean distinct teammates per agent) of a matrix."""
-    x = np.asarray(assignment) > 0
-    tasks_per_agent = float(x.sum(axis=1).mean())
-    adj = co_membership_graph(assignment)
-    teammates = float(adj.sum(axis=1).mean())
-    return tasks_per_agent, teammates
 
 
 def initialize_assignment(

@@ -148,7 +148,7 @@ def _eig_mu2(energies: np.ndarray, stack: np.ndarray) -> np.ndarray:
     re-score uses it: greedy's recorded assignments rest on this pi's
     roundoff between exactly tied offers (ROADMAP.md item 1).
     """
-    P = spectral.transition_matrix(spectral.edvw_matrices(energies, stack))
+    P = spectral.transition_matrix(energies, stack)
     evals, evecs = np.linalg.eig(np.swapaxes(P, -1, -2))
     chains = np.arange(len(P))
     idx = np.abs(evals - 1.0).argmin(axis=-1)

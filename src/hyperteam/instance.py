@@ -31,6 +31,7 @@ __all__ = [
     "reaches_all",
     "summary_stats",
     "co_membership_graph",
+    "factor_metrics",
 ]
 
 
@@ -216,10 +217,10 @@ def reaches_all(incidence: np.ndarray) -> np.ndarray:
 
     The "is it connected?" test on incidences; scoring one state leaves it to
     the stationary solve. Takes one (N, K) incidence or a stack of them and
-    returns a bool per incidence. For N >= 1 it is the answer of
+    returns a bool per incidence. For N, K >= 1 it is the answer of
     ``bipartite_components(x)[0] == 1``, without labelling the components.
     Reach implies that every task has a member and every agent holds an
-    entry. An incidence with no agents is not connected.
+    entry. An incidence with no agents or no tasks is not connected.
     """
     x = np.asarray(incidence, dtype=bool)
     agents = np.zeros(x.shape[:-1], dtype=bool)
@@ -228,7 +229,7 @@ def reaches_all(incidence: np.ndarray) -> np.ndarray:
         tasks = (x & agents[..., :, np.newaxis]).any(axis=-2)
         grown = agents | (x & tasks[..., np.newaxis, :]).any(axis=-1)
         if np.array_equal(grown, agents):
-            return agents.all(axis=-1) & tasks.all(axis=-1)
+            return agents.all(axis=-1) & tasks.all(axis=-1) & (min(x.shape[-2:]) > 0)
         agents = grown
 
 
@@ -254,18 +255,26 @@ def co_membership_graph(inst_or_assignment) -> np.ndarray:
     return adj
 
 
+def factor_metrics(assignment: np.ndarray) -> tuple[float, float]:
+    """(mean tasks per agent, mean distinct teammates per agent) of a matrix."""
+    x = np.asarray(assignment) > 0
+    tasks_per_agent = float(x.sum(axis=1).mean())
+    adj = co_membership_graph(assignment)
+    teammates = float(adj.sum(axis=1).mean())
+    return tasks_per_agent, teammates
+
+
 def summary_stats(inst: ProblemInstance) -> StatsRecord:
     """Dataset summary: sizes, mean budget/energy, incidence and teammate means."""
-    x = inst.incidence()
-    adj = co_membership_graph(inst)
+    tasks_per_agent, teammates_per_agent = factor_metrics(inst.assignment)
     return StatsRecord(
         n_agents=inst.n_agents,
         n_tasks=inst.n_tasks,
         mean_budget=float(inst.budgets.mean()),
         mean_energy=float(inst.energies.mean()),
-        tasks_per_agent=float(x.sum(axis=1).mean()),
-        agents_per_task=float(x.sum(axis=0).mean()),
-        teammates_per_agent=float(adj.sum(axis=1).mean()),
+        tasks_per_agent=tasks_per_agent,
+        agents_per_task=float(inst.incidence().sum(axis=0).mean()),
+        teammates_per_agent=teammates_per_agent,
     )
 
 

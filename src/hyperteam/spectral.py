@@ -3,12 +3,16 @@
 Tasks are hyperedges weighted by their energy demand; an agent's weight inside
 a task is its assigned unit count. The induced vertex random walk is
 
-    P = D_V^-1 W D_E^-1 R^T
+    P = D_V^-1 W D_E^-1 R^T = A B
 
 where ``W[i, k] = energy[k]`` on incidences, ``R[i, k] = assignment[i, k]``,
 ``D_V`` holds vertex degrees (sum of incident task energies) and ``D_E`` holds
-task degrees (sum of member weights). The Laplacian is built from P and its
-stationary distribution pi:
+task degrees (sum of member weights). ``walk_blocks`` builds the two steps,
+``A = D_V^-1 W`` (agent to task, N x K) and ``B = D_E^-1 R^T`` (task to agent,
+K x N), and holds the one degree check; every walk in the package is built
+from them, ``transition_matrix`` as ``A B`` and the bipartite lift's task
+chain as ``B A``. The Laplacian is built from P and its stationary
+distribution pi:
 
     L = Pi - (Pi P + P^T Pi) / 2.
 
@@ -17,7 +21,7 @@ kernel; the second-smallest eigenvalue is the algebraic connectivity that the
 optimizers maximize.
 
 Each step of that chain is one public function, and the mu2 kernels are
-built from them. ``edvw_matrices``, ``transition_matrix``, ``laplacian`` and
+built from them. ``walk_blocks``, ``transition_matrix``, ``laplacian`` and
 ``spectrum`` take one assignment or matrix, or a stack of them;
 ``stationary_distribution`` solves one chain.
 
@@ -58,10 +62,8 @@ from .errors import ConvergenceError, DegreeError, DisconnectedError, ReducibleC
 from .instance import ProblemInstance, bipartite_components
 
 __all__ = [
-    "EDVWMatrices",
     "SpectralBundle",
-    "edvw_matrices",
-    "build_matrices",
+    "walk_blocks",
     "transition_matrix",
     "stationary_distribution",
     "laplacian",
@@ -88,49 +90,32 @@ _REDUCIBLE = "chain is reducible; no unique stationary distribution"
 _SERIAL_SIZES = range(65, 512)
 
 
-@dataclass(frozen=True)
-class EDVWMatrices:
-    """Weight system of the vertex walk, or a stack of them along leading axes.
+def walk_blocks(energies: np.ndarray, assignment: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The walk's two steps ``(A, B) = (D_V^-1 W, D_E^-1 R^T)`` of an assignment.
 
-    W : (..., N, K) hyperedge weight replicated on incidences
-    R : (..., N, K) per-task vertex weights (the assignment itself)
-    d_v : (..., N) vertex degrees, row sums of W
-    d_e : (..., K) hyperedge degrees, column sums of R
-    """
-
-    W: np.ndarray
-    R: np.ndarray
-    d_v: np.ndarray
-    d_e: np.ndarray
-
-
-def edvw_matrices(energies: np.ndarray, assignment: np.ndarray) -> EDVWMatrices:
-    """Weight matrices and degrees of an assignment's hypergraph, unchecked.
-
-    ``assignment`` is (N, K) or a (C, N, K) stack. ``energies`` broadcasts
-    against the leading axes: (K,) for all, or one row per assignment.
+    ``assignment`` is (N, K) or a (C, N, K) stack, and A and B are (..., N, K)
+    and (..., K, N). ``energies`` broadcasts against the leading axes: (K,)
+    for all, or one row per assignment. An agent in no task or a task without
+    agents raises ``DegreeError``, which names it by its index.
     """
     energies, assignment = np.asarray(energies), np.asarray(assignment)
     W = (assignment > 0) * energies[..., np.newaxis, :].astype(np.float64)
     R = assignment.astype(np.float64)
-    return EDVWMatrices(W=W, R=R, d_v=W.sum(axis=-1), d_e=R.sum(axis=-2))
+    d_v, d_e = W.sum(axis=-1), R.sum(axis=-2)
+    for d, message in ((d_v, "agent {} belongs to no task"), (d_e, "task {} has no agents")):
+        if not d.all():
+            raise DegreeError(message.format(np.flatnonzero(d == 0)[0] % d.shape[-1]))
+    # in place: two fewer (N, K) temporaries, and at coauthor_large's size
+    # half the page faults per call that fresh quotients cost
+    W /= d_v[..., np.newaxis]
+    R /= d_e[..., np.newaxis, :]
+    return W, np.swapaxes(R, -1, -2)
 
 
-def build_matrices(inst: ProblemInstance) -> EDVWMatrices:
-    """Weight matrices and degree vectors for an instance's hypergraph."""
-    m = edvw_matrices(inst.energies, inst.assignment)
-    if np.any(m.d_v == 0):
-        i = int(np.flatnonzero(m.d_v == 0)[0])
-        raise DegreeError(f"agent {inst.agent_ids[i]!r} belongs to no task")
-    if np.any(m.d_e == 0):
-        k = int(np.flatnonzero(m.d_e == 0)[0])
-        raise DegreeError(f"task {inst.task_ids[k]!r} has no agents")
-    return m
-
-
-def transition_matrix(m: EDVWMatrices) -> np.ndarray:
-    """Row-stochastic P = D_V^-1 W D_E^-1 R^T of one weight system or a stack."""
-    return (m.W / m.d_v[..., np.newaxis]) @ np.swapaxes(m.R / m.d_e[..., np.newaxis, :], -1, -2)
+def transition_matrix(energies: np.ndarray, assignment: np.ndarray) -> np.ndarray:
+    """Row-stochastic agent walk ``P = A B`` of one assignment or a stack; see ``walk_blocks``."""
+    A, B = walk_blocks(energies, assignment)
+    return A @ B
 
 
 def _irreducible(P: np.ndarray) -> bool:
@@ -307,7 +292,7 @@ def spectral_bundle(inst: ProblemInstance, *, allow_disconnected: bool = False) 
     solved on each component's block of P, with mass proportional to its size,
     so the Laplacian keeps one zero eigenvalue per component.
     """
-    P = transition_matrix(build_matrices(inst))
+    P = transition_matrix(inst.energies, inst.assignment)
     try:
         pi = stationary_distribution(P)
     except ReducibleChainError:
@@ -368,7 +353,7 @@ def mu2_of_assignment(energies: np.ndarray, assignment: np.ndarray) -> float:
         energies, assignment = energies[cols], assignment[np.ix_(rows, cols)]
     if len(assignment) < 2:
         return 0.0
-    return certified_mu2(transition_matrix(edvw_matrices(energies, assignment)))
+    return certified_mu2(transition_matrix(energies, assignment))
 
 
 def batch_rows(n: int, k: int) -> int:
@@ -388,13 +373,13 @@ def mu2_batch(energies: np.ndarray, stack: np.ndarray) -> np.ndarray:
 
     The assignments share one active shape: every one of the N agents and K
     tasks has a positive entry in each, as in the active part that
-    ``mu2_of_assignment`` cuts out. ``energies`` is (C, K), one row per
-    assignment. Under two agents the result is 0. Connectivity is the
-    caller's job: pi comes from one stacked normalized solve per chunk,
-    which does not test reducibility, so callers filter split assignments
-    with ``reaches_all`` first. The stack is scored in chunks of
-    ``batch_rows(N, K)``, so the working set stays a few matrices of the
-    largest size.
+    ``mu2_of_assignment`` cuts out; ``walk_blocks`` raises ``DegreeError``
+    otherwise. ``energies`` is (C, K), one row per assignment. Under two
+    agents the result is 0. Connectivity is the caller's job: pi comes from
+    one stacked normalized solve per chunk, which does not test
+    reducibility, so callers filter split assignments with ``reaches_all``
+    first. The stack is scored in chunks of ``batch_rows(N, K)``, so the
+    working set stays a few matrices of the largest size.
     """
     stack = np.asarray(stack)
     if stack.ndim != 3:
@@ -408,9 +393,6 @@ def mu2_batch(energies: np.ndarray, stack: np.ndarray) -> np.ndarray:
     out = np.empty(c)
     size = batch_rows(n, k)
     for lo in range(0, c, size):
-        m = edvw_matrices(energies[lo : lo + size], stack[lo : lo + size])
-        if not (m.d_v.all() and m.d_e.all()):
-            raise ValueError("every agent and task of a batch needs a positive entry")
-        P = transition_matrix(m)
+        P = transition_matrix(energies[lo : lo + size], stack[lo : lo + size])
         out[lo : lo + size] = spectrum(laplacian(P, _solve_stationary(P)))[:, 1]
     return out

@@ -13,7 +13,7 @@ import pytest
 
 import hyperteam
 from hyperteam.instance import ProblemInstance, bipartite_components, load_instance
-from hyperteam.spectral import edvw_matrices, laplacian, stationary_distribution, transition_matrix
+from hyperteam.spectral import laplacian, stationary_distribution, transition_matrix
 
 
 def subprocess_env() -> dict[str, str]:
@@ -172,7 +172,7 @@ def eig_mu2_batch(energies, stack) -> np.ndarray:
     stack = np.asarray(stack)
     if len(stack) == 0 or stack.shape[1] < 2:
         return np.zeros(len(stack))
-    P = transition_matrix(edvw_matrices(energies, stack))
+    P = transition_matrix(energies, stack)
     evals, evecs = np.linalg.eig(np.swapaxes(P, -1, -2))
     chains = np.arange(len(P))
     idx = np.abs(evals - 1.0).argmin(axis=-1)
@@ -204,7 +204,7 @@ def component_bundle(inst: ProblemInstance) -> tuple[np.ndarray, np.ndarray, np.
             continue
         cols = np.flatnonzero(inst.assignment[rows].sum(axis=0) > 0)
         sub = inst.assignment[np.ix_(rows, cols)]
-        Pc = transition_matrix(edvw_matrices(inst.energies[cols], sub))
+        Pc = transition_matrix(inst.energies[cols], sub)
         pic = stationary_distribution(Pc)
         alpha = rows.size / n
         P[np.ix_(rows, rows)] = Pc

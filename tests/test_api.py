@@ -140,9 +140,14 @@ def test_no_module_reads_another_modules_private_names(path):
 # most 52 agents, below the 65 from which OpenBLAS threads an eigen solve.
 SYMMETRIC_EIGEN = {"eigh", "eigvalsh"}
 
+# The stationary solvers, by the modules allowed to read each: one linear
+# solve in spectral, and greedy's eig until its tie rule goes (ROADMAP item 1).
+STATIONARY = {"solve", "eig"}
+STATIONARY_READS = {"spectral.py": ["np.linalg.solve"], "greedy.py": ["np.linalg.eig"]}
 
-def symmetric_eigen_reads(source: str) -> list[str]:
-    """Symmetric eigen solvers a module imports or reads as an attribute.
+
+def linalg_reads(source: str, names: set[str]) -> list[str]:
+    """The functions in ``names`` that a module imports or reads as an attribute.
 
     ``np.linalg.eigh``, ``linalg.eigvalsh`` and ``from numpy.linalg import
     eigh`` all count; a read counts as a call, since the function can be
@@ -151,8 +156,8 @@ def symmetric_eigen_reads(source: str) -> list[str]:
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.ImportFrom):
-            found += [f"{node.module}.{a.name}" for a in node.names if a.name in SYMMETRIC_EIGEN]
-        elif isinstance(node, ast.Attribute) and node.attr in SYMMETRIC_EIGEN:
+            found += [f"{node.module}.{a.name}" for a in node.names if a.name in names]
+        elif isinstance(node, ast.Attribute) and node.attr in names:
             found.append(ast.unparse(node))
     return found
 
@@ -164,11 +169,19 @@ def test_symmetric_eigen_reads_sees_imports_and_attributes():
         "from numpy.linalg import eigh as dense_eigh, eig\n"
         "x = np.linalg.eigvalsh(L), linalg.eigh(L), np.linalg.eig(L), eig(L)\n"
         "spectrum(L).eigvals\n"
+        "from scipy.linalg import solve\n"
+        "pi = np.linalg.solve(A, b), solve_stationary(P)\n"
     )
-    assert sorted(symmetric_eigen_reads(source)) == [
+    assert sorted(linalg_reads(source, SYMMETRIC_EIGEN)) == [
         "linalg.eigh",
         "np.linalg.eigvalsh",
         "numpy.linalg.eigh",
+    ]
+    assert sorted(linalg_reads(source, STATIONARY)) == [
+        "np.linalg.eig",
+        "np.linalg.solve",
+        "numpy.linalg.eig",
+        "scipy.linalg.solve",
     ]
 
 
@@ -181,14 +194,21 @@ def test_symmetric_eigen_solves_go_through_the_thread_rule(path):
     """
     source = path.read_text(encoding="utf-8")
     if path.name != "spectral.py":
-        assert symmetric_eigen_reads(source) == []
+        assert linalg_reads(source, SYMMETRIC_EIGEN) == []
         return
     through_rule = [
         ast.unparse(node.args[0])
         for node in ast.walk(ast.parse(source))
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_serial_solve"
     ]
-    assert sorted(symmetric_eigen_reads(source)) == sorted(through_rule) == [
+    assert sorted(linalg_reads(source, SYMMETRIC_EIGEN)) == sorted(through_rule) == [
         "np.linalg.eigh",
         "np.linalg.eigvalsh",
     ]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_one_stationary_solver(path):
+    """Only spectral solves a linear system; greedy's eig is the one exemption."""
+    found = linalg_reads(path.read_text(encoding="utf-8"), STATIONARY)
+    assert found == STATIONARY_READS.get(path.name, [])

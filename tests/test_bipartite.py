@@ -20,11 +20,11 @@ from hyperteam.bipartite import bipartite_connectivity, bipartite_laplacian, sid
 from hyperteam.errors import ConvergenceError, DisconnectedError, ReducibleChainError
 from hyperteam.instance import bipartite_components
 from hyperteam.spectral import (
-    build_matrices,
     laplacian,
     spectrum,
     stationary_distribution,
     transition_matrix,
+    walk_blocks,
 )
 
 
@@ -34,7 +34,7 @@ def _instances(seed, count, n=7, k=4):
 
 
 def _package_blocks(inst):
-    return bipartite._lift_blocks(spectral.edvw_matrices(inst.energies, inst.assignment))
+    return walk_blocks(inst.energies, inst.assignment)
 
 
 def _package_lift(inst):
@@ -50,9 +50,8 @@ def test_adjacency_blocks():
     assert A.shape == (n + k, n + k)
     assert not A[:n, :n].any()
     assert not A[n:, n:].any()
-    m = build_matrices(inst)
-    assert np.array_equal(A[:n, n:], m.W)
-    assert np.array_equal(A[n:, :n], m.R.T)
+    assert np.array_equal(A[:n, n:], [[3, 0], [3, 4], [0, 4]])
+    assert np.array_equal(A[n:, :n], inst.assignment.T)
 
 
 def test_transition_alternates_sides():
@@ -80,7 +79,7 @@ def test_two_step_agent_block_is_the_hypergraph_walk():
     for inst in _instances(6, 10):
         n = inst.n_agents
         P2 = bipartite_bundle(inst).P_star
-        P = transition_matrix(build_matrices(inst))
+        P = transition_matrix(inst.energies, inst.assignment)
         assert np.allclose(P2[:n, :n], P, atol=1e-12)
 
 
@@ -118,7 +117,7 @@ def test_bipartite_laplacian_above_dense_limit():
 def test_two_step_laplacian_agent_block_halves_the_hypergraph():
     for inst in _instances(9, 8):
         n = inst.n_agents
-        P = transition_matrix(build_matrices(inst))
+        P = transition_matrix(inst.energies, inst.assignment)
         L_h = laplacian(P, stationary_distribution(P))
         upper, _ = side_laplacians(inst)
         for block in (upper, bipartite_bundle(inst).L_star[:n, :n]):
@@ -215,13 +214,13 @@ def test_bundle_builds_the_weight_matrices_once(monkeypatch):
     # side_laplacians builds W and R once
     inst = random_connected_instance(np.random.default_rng(6), 7, 4)
     calls = []
-    build = spectral.edvw_matrices
+    build = spectral.walk_blocks
 
     def recording(energies, assignment):
         calls.append(np.shape(assignment))
         return build(energies, assignment)
 
-    monkeypatch.setattr(spectral, "edvw_matrices", recording)
+    monkeypatch.setattr(spectral, "walk_blocks", recording)
     upper, lower = side_laplacians(inst)
     assert calls == [(7, 4)]
     assert upper.shape == (7, 7) and lower.shape == (4, 4)
@@ -284,7 +283,7 @@ def test_mu2_never_solves_a_chain_above_the_task_side(monkeypatch, n, k):
 
 def _searched_lift_mu2(energies, assignment) -> float:
     """Lift mu2 by the searched path: the task chain checked before its solve."""
-    A, B = bipartite._lift_blocks(spectral.edvw_matrices(energies, assignment))
+    A, B = walk_blocks(energies, assignment)
     return float(spectrum(bipartite._lift_laplacian(A, B, stationary_distribution(B @ A)))[1])
 
 
@@ -302,7 +301,7 @@ def test_mu2_splits_as_the_component_oracle_does():
             continue
         with pytest.raises(ReducibleChainError):
             bipartite.mu2_of_assignment(energies, a)
-        A, B = bipartite._lift_blocks(spectral.edvw_matrices(energies, a))
+        A, B = walk_blocks(energies, a)
         try:
             spectral._solve_stationary(B @ A)
             seen["split, solve passed"] += 1

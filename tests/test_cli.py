@@ -390,6 +390,14 @@ def test_experiment_enumerate(tmp_path):
     assert len(lines) > 2
 
 
+@pytest.mark.parametrize("nodes", ["0", "1"])
+def test_enumerate_without_edges_writes_the_header_only(tmp_path, nodes):
+    # a hypergraph with no edges connects nothing, not even one node
+    out = tmp_path / "out"
+    assert main(["experiment", "enumerate", "--nodes", nodes, "--edges", "0", "--out", str(out)]) == 0
+    assert (out / "enumeration.csv").read_text() == "rank,mu2,edges\n"
+
+
 def test_experiment_scaling(tmp_path):
     proc = run_cli(
         "experiment",

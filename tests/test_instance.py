@@ -277,7 +277,8 @@ def test_reaches_all_matches_component_count(seed, n, k, density):
     stack[1::3, rng.integers(n), :] = False
     if k:
         stack[2::3, :, rng.integers(k)] = False
-    want = [bipartite_components(x)[0] == 1 for x in stack]
+    # one component, and at least one task: a taskless agent connects nothing
+    want = [k > 0 and bipartite_components(x)[0] == 1 for x in stack]
     assert reaches_all(stack).tolist() == want
     assert [bool(reaches_all(x)) for x in stack] == want
 
@@ -286,6 +287,11 @@ def test_reaches_all_without_agents_is_disconnected():
     # the annealer's active part is empty when no agent has a budget
     assert not reaches_all(np.zeros((0, 3), dtype=bool))
     assert reaches_all(np.zeros((2, 0, 3), dtype=bool)).tolist() == [False, False]
+    # nor is one with no tasks, where no agent holds an entry
+    assert not reaches_all(np.zeros((0, 0), dtype=bool))
+    assert not reaches_all(np.zeros((1, 0), dtype=bool))
+    for shape in ((3, 0, 0), (3, 1, 0), (3, 2, 0)):
+        assert reaches_all(np.zeros(shape, dtype=bool)).tolist() == [False] * 3
 
 
 def test_co_membership_shapes():

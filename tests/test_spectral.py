@@ -23,9 +23,7 @@ from hyperteam.greedy import centralized_init
 from hyperteam.instance import bipartite_components
 from hyperteam.spectral import (
     batch_rows,
-    build_matrices,
     diffuse,
-    edvw_matrices,
     laplacian,
     mu2_batch,
     mu2_of_assignment,
@@ -33,6 +31,7 @@ from hyperteam.spectral import (
     spectrum,
     stationary_distribution,
     transition_matrix,
+    walk_blocks,
 )
 
 
@@ -49,40 +48,70 @@ def _weighted_triple():
     return make_instance([[2], [1], [1]])
 
 
-def test_build_matrices_single_task():
-    m = build_matrices(_pair())
-    assert np.array_equal(m.W, [[2.0], [2.0]])
-    assert np.array_equal(m.R, [[1.0], [1.0]])
-    assert np.array_equal(m.d_v, [2.0, 2.0])
-    assert np.array_equal(m.d_e, [2.0])
+def _walk(inst):
+    """The agent walk P of an instance."""
+    return transition_matrix(inst.energies, inst.assignment)
+
+
+def test_walk_blocks_single_task():
+    A, B = walk_blocks(_pair().energies, _pair().assignment)
+    assert np.array_equal(A, [[1.0], [1.0]])
+    assert np.array_equal(B, [[0.5, 0.5]])
 
 
 def test_vertex_degree_sums_energies():
     # an agent on two tasks with energies 3 and 5 weighs 8
     inst = make_instance([[1, 1], [1, 0], [0, 1], [0, 1]], energies=[3, 5])
-    m = build_matrices(inst)
-    assert m.d_v[0] == 8.0
+    A, _ = walk_blocks(inst.energies, inst.assignment)
+    assert A[0].tolist() == [3 / 8, 5 / 8]
 
 
 def test_edge_degree_sums_weights():
-    m = build_matrices(_weighted_triple())
-    assert m.d_e[0] == 4.0
+    inst = _weighted_triple()
+    _, B = walk_blocks(inst.energies, inst.assignment)
+    assert B[0].tolist() == [2 / 4, 1 / 4, 1 / 4]
 
 
 def test_degree_errors():
+    # the agent or task is named by its index, within its own assignment
     idle = make_instance([[1], [0]], budgets=[1, 2])
-    with pytest.raises(DegreeError):
-        build_matrices(idle)
+    with pytest.raises(DegreeError, match="agent 1 belongs to no task"):
+        walk_blocks(idle.energies, idle.assignment)
     empty = make_instance([[1, 0], [1, 0]], energies=[2, 1])
-    with pytest.raises(DegreeError):
-        build_matrices(empty)
+    with pytest.raises(DegreeError, match="task 1 has no agents"):
+        transition_matrix(empty.energies, empty.assignment)
+    stack = np.ones((3, 2, 2), dtype=np.int64)
+    stack[2, :, 1] = 0
+    with pytest.raises(DegreeError, match="task 1 has no agents"):
+        walk_blocks(np.array([1, 1]), stack)
+    stack[1, 1] = 0
+    with pytest.raises(ValueError, match="agent 1 belongs to no task"):
+        walk_blocks(np.array([1, 1]), stack)
+
+
+def test_a_stack_walks_as_its_assignments_do():
+    rng = np.random.default_rng(2)
+    insts = [random_connected_instance(rng, 6, 3) for _ in range(4)]
+    energies = np.stack([inst.energies for inst in insts])
+    stack = np.stack([inst.assignment for inst in insts])
+    A, B = walk_blocks(energies, stack)
+    assert A.shape == (4, 6, 3) and B.shape == (4, 3, 6)
+    for a, b, inst in zip(A, B, insts):
+        want_a, want_b = walk_blocks(inst.energies, inst.assignment)
+        assert np.array_equal(a, want_a) and np.array_equal(b, want_b)
+    assert np.array_equal(transition_matrix(energies, stack), A @ B)
+    assert np.allclose(A.sum(axis=-1), 1.0) and np.allclose(B.sum(axis=-1), 1.0)
+    # the degrees divide copies, never the caller's arrays
+    floats = stack.astype(np.float64)
+    walk_blocks(energies.astype(np.float64), floats)
+    assert np.array_equal(floats, stack)
 
 
 def test_transition_hand_values():
-    P = transition_matrix(build_matrices(_triple()))
+    P = _walk(_triple())
     assert np.allclose(P, np.full((3, 3), 1 / 3), atol=1e-12)
 
-    P = transition_matrix(build_matrices(_weighted_triple()))
+    P = _walk(_weighted_triple())
     expected_row = np.array([0.5, 0.25, 0.25])
     assert np.allclose(P, np.tile(expected_row, (3, 1)), atol=1e-12)
 
@@ -91,13 +120,13 @@ def test_transition_rows_stochastic():
     rng = np.random.default_rng(3)
     for _ in range(25):
         inst = random_connected_instance(rng, 8, 5)
-        P = transition_matrix(build_matrices(inst))
+        P = _walk(inst)
         assert P.min() >= 0
         assert np.allclose(P.sum(axis=1), 1.0, atol=1e-10)
 
 
 def test_stationary_hand_values():
-    P = transition_matrix(build_matrices(_weighted_triple()))
+    P = _walk(_weighted_triple())
     pi = stationary_distribution(P)
     assert np.allclose(pi, [0.5, 0.25, 0.25], atol=1e-12)
 
@@ -106,7 +135,7 @@ def test_stationary_fixed_point():
     rng = np.random.default_rng(11)
     for _ in range(25):
         inst = random_connected_instance(rng, 9, 4)
-        P = transition_matrix(build_matrices(inst))
+        P = _walk(inst)
         pi = stationary_distribution(P)
         assert np.isclose(pi.sum(), 1.0, atol=1e-10)
         assert np.allclose(pi @ P, pi, atol=1e-8)
@@ -118,7 +147,7 @@ def test_stationary_solve_of_a_600_state_uniform_chain():
     # stationary distribution is uniform
     n = 600
     inst = make_instance(np.ones((n, 1), dtype=np.int64))
-    P = transition_matrix(build_matrices(inst))
+    P = _walk(inst)
     pi = stationary_distribution(P)
     assert np.allclose(pi, np.full(n, 1 / n), atol=1e-10)
 
@@ -130,7 +159,7 @@ def _residual(pi, P):
 def test_stationary_solve_matches_eig_oracle_above_dense_limit():
     rng = np.random.default_rng(53)
     inst = random_connected_instance(rng, 530, 12, max_weight=1)
-    P = transition_matrix(build_matrices(inst))
+    P = _walk(inst)
     pi = stationary_distribution(P)
     assert np.abs(pi - eig_stationary(P)).max() <= 1e-12
     assert _residual(pi, P) <= 1e-12
@@ -143,7 +172,7 @@ def test_stationary_solve_rejects_reducible_chain():
     rng = np.random.default_rng(0)
     for _ in range(5):
         blocks = [
-            transition_matrix(build_matrices(random_connected_instance(rng, n, 10)))
+            _walk(random_connected_instance(rng, n, 10))
             for n in (260, 280)
         ]
         P = np.zeros((540, 540))
@@ -158,7 +187,7 @@ def test_stationary_rejects_small_reducible_chain():
     rng = np.random.default_rng(0)
     for _ in range(3):
         blocks = [
-            transition_matrix(build_matrices(random_connected_instance(rng, n, 4)))
+            _walk(random_connected_instance(rng, n, 4))
             for n in (10, 12)
         ]
         P = np.zeros((22, 22))
@@ -207,9 +236,9 @@ def test_irreducible_matches_the_closure_oracle(n):
 
 
 def test_stationary_solve_matches_eig_oracle_on_coauthor_small(coauthor_small):
-    m = build_matrices(coauthor_small)
-    A, B = m.W / m.d_v[:, np.newaxis], (m.R / m.d_e).T
-    agent_chain = transition_matrix(m)
+    A, B = walk_blocks(coauthor_small.energies, coauthor_small.assignment)
+    agent_chain = _walk(coauthor_small)
+    assert np.array_equal(agent_chain, A @ B)
     for P in (agent_chain, B @ A):
         pi = stationary_distribution(P)
         assert np.abs(pi - eig_stationary(P)).max() <= 1e-12
@@ -233,7 +262,7 @@ def test_stationary_residual_and_relabelling(seed, large):
         n, k = int(rng.integers(513, 560)), int(rng.integers(8, 13))
     else:
         n, k = int(rng.integers(2, 40)), int(rng.integers(3, 8))
-    P = transition_matrix(build_matrices(random_connected_instance(rng, n, k)))
+    P = _walk(random_connected_instance(rng, n, k))
     pi = stationary_distribution(P)
     assert _residual(pi, P) < 1e-12
     perm = rng.permutation(n)
@@ -247,22 +276,21 @@ def test_stationary_rejects_non_square():
 
 
 def test_laplacian_two_agents():
-    m = build_matrices(_pair())
-    P = transition_matrix(m)
+    P = _walk(_pair())
     L = laplacian(P, stationary_distribution(P))
     assert np.allclose(L, [[0.25, -0.25], [-0.25, 0.25]], atol=1e-12)
     assert np.allclose(spectrum(L), [0.0, 0.5], atol=1e-12)
 
 
 def test_laplacian_three_agents():
-    P = transition_matrix(build_matrices(_triple()))
+    P = _walk(_triple())
     L = laplacian(P, stationary_distribution(P))
     assert np.allclose(L, np.eye(3) / 3 - np.ones((3, 3)) / 9, atol=1e-12)
     assert np.allclose(spectrum(L), [0.0, 1 / 3, 1 / 3], atol=1e-12)
 
 
 def test_laplacian_weighted_triple():
-    P = transition_matrix(build_matrices(_weighted_triple()))
+    P = _walk(_weighted_triple())
     L = laplacian(P, stationary_distribution(P))
     expected = np.array(
         [
@@ -279,7 +307,7 @@ def test_laplacian_structure_on_random_instances():
     rng = np.random.default_rng(17)
     for _ in range(25):
         inst = random_connected_instance(rng, 7, 5)
-        P = transition_matrix(build_matrices(inst))
+        P = _walk(inst)
         pi = stationary_distribution(P)
         L = laplacian(P, pi)
         assert np.allclose(L, L.T, atol=1e-12)
@@ -303,7 +331,7 @@ def _assert_same_bits(got, want):
 def test_laplacian_matches_the_three_pass_oracle_on_a_stack():
     rng = np.random.default_rng(29)
     stack = np.asarray(
-        [transition_matrix(build_matrices(random_connected_instance(rng, 7, 3))) for _ in range(4)]
+        [_walk(random_connected_instance(rng, 7, 3)) for _ in range(4)]
     )
     pi = np.asarray([stationary_distribution(P) for P in stack])
     _assert_same_bits(laplacian(stack, pi), _three_pass_laplacian(stack, pi))
@@ -312,7 +340,7 @@ def test_laplacian_matches_the_three_pass_oracle_on_a_stack():
 def test_laplacian_matches_the_three_pass_oracle_with_exact_zeros():
     # two tasks sharing one agent: agents 0 and 2 never meet, so P and L
     # hold exact zeros off the diagonal
-    P = transition_matrix(build_matrices(make_instance([[1, 0], [1, 1], [0, 1]])))
+    P = _walk(make_instance([[1, 0], [1, 1], [0, 1]]))
     assert (P == 0).any()
     pi = stationary_distribution(P)
     _assert_same_bits(laplacian(P, pi), _three_pass_laplacian(P, pi))
@@ -321,7 +349,7 @@ def test_laplacian_matches_the_three_pass_oracle_with_exact_zeros():
 def test_laplacian_ignores_memory_layout():
     rng = np.random.default_rng(19)
     for _ in range(5):
-        P = transition_matrix(build_matrices(random_connected_instance(rng, 6, 4)))
+        P = _walk(random_connected_instance(rng, 6, 4))
         pi = stationary_distribution(P)
         want = _three_pass_laplacian(P, pi)
         for layout in (P, np.asfortranarray(P), P.T.copy().T):
@@ -348,8 +376,8 @@ def test_relabelling_equivariance():
         a[np.ix_(perm_a, perm_t)], energies=np.asarray(inst.energies)[perm_t]
     )
 
-    P = transition_matrix(build_matrices(inst))
-    Q = transition_matrix(build_matrices(shuffled))
+    P = _walk(inst)
+    Q = _walk(shuffled)
     assert np.allclose(Q, P[np.ix_(perm_a, perm_a)], atol=1e-10)
 
     s1 = spectral_bundle(inst).eigenvalues
@@ -364,8 +392,8 @@ def test_scale_covariance():
     scaled = make_instance(
         np.asarray(inst.assignment) * 3, energies=np.asarray(inst.energies) * 3
     )
-    P1 = transition_matrix(build_matrices(inst))
-    P2 = transition_matrix(build_matrices(scaled))
+    P1 = _walk(inst)
+    P2 = _walk(scaled)
     assert np.allclose(P1, P2, atol=1e-12)
     assert np.isclose(
         mu2_of_assignment(np.asarray(inst.energies), np.asarray(inst.assignment)),
@@ -391,16 +419,16 @@ def test_diffusion_basics():
 def test_bundle_builds_the_weight_matrices_once(monkeypatch):
     inst = random_connected_instance(np.random.default_rng(4), 6, 3)
     calls = []
-    build = spectral.edvw_matrices
+    build = spectral.walk_blocks
 
     def recording(energies, assignment):
         calls.append(np.shape(assignment))
         return build(energies, assignment)
 
-    monkeypatch.setattr(spectral, "edvw_matrices", recording)
+    monkeypatch.setattr(spectral, "walk_blocks", recording)
     bundle = spectral_bundle(inst)
     assert calls == [(6, 3)]
-    P = transition_matrix(build_matrices(inst))
+    P = _walk(inst)
     assert np.array_equal(bundle.P, P)
     assert np.array_equal(bundle.L, laplacian(P, stationary_distribution(P)))
 
@@ -444,20 +472,20 @@ def test_connected_bundle_labels_no_components(monkeypatch):
 
     monkeypatch.setattr(spectral, "bipartite_components", labelling)
     inst = random_connected_instance(np.random.default_rng(5), 7, 4)
-    P = transition_matrix(build_matrices(inst))
+    P = _walk(inst)
     assert np.array_equal(spectral_bundle(inst).P, P)
 
 
 def test_disconnected_bundle_builds_the_weight_matrices_once(monkeypatch):
     inst, _ = _disconnected_instance(np.random.default_rng(8))
     calls = []
-    build = spectral.edvw_matrices
+    build = spectral.walk_blocks
 
     def recording(energies, assignment):
         calls.append(np.shape(assignment))
         return build(energies, assignment)
 
-    monkeypatch.setattr(spectral, "edvw_matrices", recording)
+    monkeypatch.setattr(spectral, "walk_blocks", recording)
     spectral_bundle(inst, allow_disconnected=True)
     assert calls == [inst.assignment.shape]
 
@@ -501,7 +529,7 @@ def test_mu2_ignores_idle_rows_and_empty_columns():
         mu2_of_assignment(energies, a),
         spectrum(
             laplacian(
-                transition_matrix(build_matrices(_pair())),
+                _walk(_pair()),
                 np.array([0.5, 0.5]),
             )
         )[1],
@@ -587,7 +615,7 @@ def test_one_assignment_through_both_solvers(coauthor_small, monkeypatch, case):
 def test_stacked_solve_is_each_chains_solve_and_checks_every_chain():
     rng = np.random.default_rng(17)
     insts = [random_connected_instance(rng, 9, 4) for _ in range(5)]
-    chains = np.stack([transition_matrix(build_matrices(inst)) for inst in insts])
+    chains = np.stack([_walk(inst) for inst in insts])
     pi = spectral._solve_stationary(chains)
     assert pi.tolist() == [stationary_distribution(P).tolist() for P in chains]
     # the diagonal shift writes through a view of the solve's own copy, so the
@@ -603,8 +631,8 @@ def test_stacked_solve_is_each_chains_solve_and_checks_every_chain():
 def test_mu2_of_assignment_runs_each_chain_function_once(monkeypatch):
     # the certified path solves once and never searches a connected chain
     names = (
-        "edvw_matrices",
         "transition_matrix",
+        "walk_blocks",
         "certified_mu2",
         "_solve_stationary",
         "laplacian",
@@ -637,7 +665,7 @@ def test_certified_mu2_splits_as_the_component_oracle_does():
         energies, a = random_active_assignment(rng)
         if len(a) < 2:
             continue
-        P = transition_matrix(edvw_matrices(energies, a))
+        P = transition_matrix(energies, a)
         if bipartite_components(a > 0)[0] == 1:
             assert mu2_of_assignment(energies, a) == _searched_mu2(P) > spectral._CERTIFIED_MU2
             seen["connected"] += 1
@@ -666,7 +694,7 @@ def test_a_connected_chain_below_the_bound_still_scores(monkeypatch):
     mu2 = mu2_of_assignment(energies, a)
     assert searches == [4]
     assert 0 < mu2 <= spectral._CERTIFIED_MU2
-    assert mu2 == _searched_mu2(transition_matrix(edvw_matrices(energies, a)))
+    assert mu2 == _searched_mu2(transition_matrix(energies, a))
 
 
 def test_a_failed_solve_of_a_connected_chain_propagates(monkeypatch):
@@ -747,7 +775,9 @@ def test_a_small_eigen_solve_runs_on_one_thread_and_restores_the_count(monkeypat
     out = _SOLVES[name](L)
     assert seen == [1]
     assert fake.sets == [1, 2] and fake.count == 2
-    monkeypatch.undo()
+    # the fake never changes OpenBLAS's real count, so the expected value is
+    # taken with it still installed: both solves run on the same real threads
+    monkeypatch.setattr(np.linalg, name, solve)
     np.testing.assert_array_equal(out, _SOLVES[name](L))
 
 
