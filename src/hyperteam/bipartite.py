@@ -73,8 +73,8 @@ def mu2_of_assignment(energies: np.ndarray, assignment: np.ndarray) -> float:
     """Alternating-walk mu2 of an assignment; a split one raises ``ReducibleChainError``.
 
     Every agent and task needs a positive entry, or ``walk_blocks`` raises
-    ``DegreeError``; ``bipartite_connectivity`` checks that, and the
-    annealer's active part has it.
+    ``DegreeError``. ``bipartite_connectivity`` checks that first; the
+    annealer scores -inf on either error.
     """
     A, B = spectral.walk_blocks(energies, assignment)
     return spectral.certified_mu2(B @ A, lambda q: _lift_laplacian(A, B, q))

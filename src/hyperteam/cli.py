@@ -19,6 +19,7 @@ import dataclasses
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
 import tempfile
@@ -127,7 +128,7 @@ def _run_optimize(params: dict, out_dir: Path, to_stdout: bool) -> list[str]:
     # the input is scored with the run's own objective, so gain compares like with like
     mu2_of = bipartite.mu2_of_assignment if method == "csa-bipartite" else mu2_of_assignment
     mu2_original = None
-    if is_connected(inst) and int(np.asarray(inst.assignment).sum()) > 0:
+    if is_connected(inst):
         mu2_original = mu2_of(np.asarray(inst.energies), np.asarray(inst.assignment))
     meta = {
         "method": method,
@@ -278,6 +279,8 @@ def _run_experiment(params: dict, out_dir: Path, to_stdout: bool) -> list[str]:
 
     if kind == "diffuse":
         _check_at_least(params, nodes=0, edges=0, representatives=1, steps=1)
+        if not 0 <= params["t_max"] < math.inf:
+            raise UsageError("--t-max must be a finite number >= 0")
         found = enumerate_small(params["nodes"], params["edges"])
         picked = _representative_indices(len(found), params["representatives"])
         instances = [to_instance(found[i].edges, params["nodes"]) for i in picked]

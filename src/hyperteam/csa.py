@@ -10,20 +10,15 @@ terms on the mean tasks-per-agent and teammates-per-agent counts:
 Moves come in two flavors. A guided move takes one unit from a task with
 surplus and gives it to a task in deficit, shrinking the total shortfall by
 exactly one. A plain move swaps one unit between two random tasks through one
-agent on each side, which conserves both row and column totals. Candidates
-whose active hypergraph (budgeted agents and all tasks) is disconnected
-evaluate to -inf and are never accepted; since moves preserve row sums,
-budget overruns can never appear once the chain starts from a full-budget
-state.
+agent on each side, which conserves both row and column totals. Since moves
+preserve row sums, budget overruns can never appear once the chain starts
+from a full-budget state.
 
-Row sums also fix, for a whole chain, whether a budgeted agent sits idle and
-whether an unbudgeted agent holds units; ``anneal`` checks both once. Without
-the latter, a task is empty exactly when its carried shortfall equals its
-energy, so each step tests the shortfall instead of the matrix. Past those
-checks the objective's ``mu2_of_assignment`` decides: it certifies
-connectivity from mu2 itself and raises ``ReducibleChainError`` for a split
-candidate, searching the chain's support only when mu2 is near 0 or the
-solve fails.
+A candidate is scored on its budgeted rows, whole, by the objective's
+``mu2_of_assignment``. It raises ``DegreeError`` for an idle budgeted agent or
+a task that no budgeted agent holds, and ``ReducibleChainError`` for a split
+candidate; either way the candidate is disconnected, evaluates to -inf and
+is never accepted.
 """
 
 from __future__ import annotations
@@ -38,7 +33,7 @@ from numbers import Integral, Real
 import numpy as np
 
 from . import bipartite, spectral
-from .errors import InfeasibleError, ReducibleChainError
+from .errors import DegreeError, InfeasibleError, ReducibleChainError
 from .instance import ProblemInstance, factor_metrics, reaches_all
 from .seeds import substream
 
@@ -93,17 +88,15 @@ class CsaParams:
             raise ValueError("temperatures must be positive")
         if self.pack_size < 1:
             raise ValueError("pack_size must be >= 1")
+        if self.moves_per_step is not None and self.moves_per_step < 1:
+            raise ValueError("moves_per_step must be >= 1")
         if not (0.0 <= self.p_guided <= 1.0):
             raise ValueError("p_guided must be in [0, 1]")
         if self.objective not in ("hypergraph", "bipartite"):
             raise ValueError("objective must be 'hypergraph' or 'bipartite'")
 
     def resolve_moves(self, n_agents: int, n_tasks: int) -> int:
-        if self.moves_per_step is not None:
-            if self.moves_per_step < 1:
-                raise ValueError("moves_per_step must be >= 1")
-            return self.moves_per_step
-        return max(1, math.ceil((n_agents + n_tasks) / 50))
+        return self.moves_per_step or max(1, math.ceil((n_agents + n_tasks) / 50))
 
 
 @dataclass(frozen=True)
@@ -165,25 +158,6 @@ def _overrun(assignment: np.ndarray, inst: ProblemInstance) -> float:
     return float(np.maximum(assignment.sum(axis=1) - inst.budgets, 0).sum())
 
 
-def _active_check(
-    assignment: np.ndarray, inst: ProblemInstance
-) -> Callable[[np.ndarray, np.ndarray], bool]:
-    """``active(sub, e_tilde)``: whether every budgeted agent and every task holds a unit.
-
-    ``sub`` is the budgeted rows of a state whose rows sum as in
-    ``assignment`` and ``e_tilde`` its shortfall. Moves conserve row sums, so
-    the idle-agent answer and whether unbudgeted rows hold units are read
-    here once. When they hold none, the budgeted rows deliver every unit, and
-    a task holds one exactly when its shortfall is below its energy.
-    """
-    rows, row_sums = inst.budgets > 0, np.asarray(assignment).sum(axis=1)
-    if not row_sums[rows].all():
-        return lambda sub, e_tilde: False
-    if row_sums[~rows].any():
-        return lambda sub, e_tilde: bool((sub > 0).any(axis=0).all())
-    return lambda sub, e_tilde: bool((inst.energies - e_tilde > 0).all())
-
-
 def _evaluate_full(
     sub: np.ndarray,
     e_tilde: np.ndarray,
@@ -191,19 +165,16 @@ def _evaluate_full(
     inst: ProblemInstance,
     params: CsaParams,
     mu2_of: Callable[[np.ndarray, np.ndarray], float],
-    active: Callable[[np.ndarray, np.ndarray], bool],
 ) -> tuple[float, float]:
     """(penalty, mu2) of the budgeted rows ``sub``. Disconnected candidates get -inf.
 
-    Connected means that the budgeted agents reach every task and each other.
-    Past the idle-agent and empty-task checks of ``active``, the objective
-    decides.
+    Connected means that every budgeted agent holds a unit, every task has a
+    budgeted holder and they all reach each other; ``mu2_of`` raises
+    otherwise.
     """
-    if not active(sub, e_tilde):
-        return -math.inf, math.nan
     try:
         mu2 = mu2_of(inst.energies, sub)
-    except ReducibleChainError:
+    except (DegreeError, ReducibleChainError):
         return -math.inf, math.nan
     penalty = (
         mu2
@@ -228,8 +199,8 @@ def evaluate(
     assignment = np.asarray(assignment)
     e_tilde = inst.energies - assignment.sum(axis=0)
     overrun, mu2_of = _overrun(assignment, inst), _objective(params)
-    sub, active = assignment[inst.budgets > 0], _active_check(assignment, inst)
-    penalty, _ = _evaluate_full(sub, e_tilde, overrun, inst, params, mu2_of, active)
+    sub = assignment[inst.budgets > 0]
+    penalty, _ = _evaluate_full(sub, e_tilde, overrun, inst, params, mu2_of)
     return penalty, e_tilde
 
 
@@ -326,10 +297,9 @@ def anneal(
             raise InfeasibleError("total budget cannot cover total energy")
         current = given.astype(np.int64)
 
-    mu2_of, active = _objective(params), _active_check(current, inst)
-    rows, row_sums = inst.budgets > 0, current.sum(axis=1)
+    mu2_of, rows, row_sums = _objective(params), inst.budgets > 0, current.sum(axis=1)
     overrun, e_tilde = _overrun(current, inst), inst.energies - current.sum(axis=0)
-    penalty, mu2 = _evaluate_full(current[rows], e_tilde, overrun, inst, params, mu2_of, active)
+    penalty, mu2 = _evaluate_full(current[rows], e_tilde, overrun, inst, params, mu2_of)
     feasible = _feasible(e_tilde, overrun, penalty)
     best = (feasible, penalty, mu2, current.copy())
 
@@ -342,7 +312,7 @@ def anneal(
             assert np.array_equal(cand_e, inst.energies - candidate.sum(axis=0)), "shortfall drifted"
             assert np.array_equal(candidate.sum(axis=1), row_sums), "a move changed a row sum"
         cand_penalty, cand_mu2 = _evaluate_full(
-            candidate[rows], cand_e, overrun, inst, params, mu2_of, active
+            candidate[rows], cand_e, overrun, inst, params, mu2_of
         )
         if math.isinf(cand_penalty) and cand_penalty < 0:
             accepted = False

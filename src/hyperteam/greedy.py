@@ -106,9 +106,10 @@ def centralized_init(inst: ProblemInstance) -> np.ndarray:
 
 
 def _mu2(inst: ProblemInstance, assignment: np.ndarray) -> float:
-    """mu2 of the active part; 0 when that part is disconnected."""
+    """mu2 of the active part (the agents and tasks holding a unit); 0 when it is split."""
+    rows, cols = assignment.sum(axis=1) > 0, assignment.sum(axis=0) > 0
     try:
-        return spectral.mu2_of_assignment(inst.energies, assignment)
+        return spectral.mu2_of_assignment(inst.energies[cols], assignment[np.ix_(rows, cols)])
     except ReducibleChainError:
         return 0.0
 
@@ -123,8 +124,8 @@ def _offer_stack(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Active parts of ``b`` after each offer, for offers of one active shape.
 
-    Rows and columns keep their index order, as ``mu2_of_assignment`` cuts
-    them. Returns the (C, n, k) stack and each part's task columns.
+    Rows and columns keep their index order, as ``_mu2`` cuts them.
+    Returns the (C, n, k) stack and each part's task columns.
     """
     rows = np.broadcast_to(np.flatnonzero(rows_on), (len(agents), int(rows_on.sum())))
     cols = np.broadcast_to(np.flatnonzero(cols_on), (len(tasks), int(cols_on.sum())))

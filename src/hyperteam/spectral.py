@@ -339,21 +339,15 @@ def certified_mu2(
 
 
 def mu2_of_assignment(energies: np.ndarray, assignment: np.ndarray) -> float:
-    """Algebraic connectivity of the hypergraph induced by positive entries.
+    """Algebraic connectivity of the hypergraph a whole assignment induces.
 
-    Rows and columns without positive entries are dropped, so partial
-    assignments evaluate on their active sub-hypergraph. A sub-hypergraph
-    with fewer than two active agents has no mixing to measure and scores 0.
+    Every agent and task needs a positive entry, or ``walk_blocks`` raises
+    ``DegreeError``. One agent has no mixing to measure and scores 0.
     Otherwise ``certified_mu2`` scores the agent chain, so a disconnected
-    active part, whose agent chain is reducible, raises ``ReducibleChainError``.
+    assignment, whose agent chain is reducible, raises ``ReducibleChainError``.
     """
-    energies, assignment = np.asarray(energies), np.asarray(assignment)
-    rows, cols = assignment.sum(axis=1) > 0, assignment.sum(axis=0) > 0
-    if not (rows.all() and cols.all()):
-        energies, assignment = energies[cols], assignment[np.ix_(rows, cols)]
-    if len(assignment) < 2:
-        return 0.0
-    return certified_mu2(transition_matrix(energies, assignment))
+    P = transition_matrix(energies, assignment)
+    return certified_mu2(P) if len(P) > 1 else 0.0
 
 
 def batch_rows(n: int, k: int) -> int:
@@ -371,14 +365,13 @@ def batch_rows(n: int, k: int) -> int:
 def mu2_batch(energies: np.ndarray, stack: np.ndarray) -> np.ndarray:
     """Algebraic connectivity of each assignment in a (C, N, K) stack.
 
-    The assignments share one active shape: every one of the N agents and K
-    tasks has a positive entry in each, as in the active part that
-    ``mu2_of_assignment`` cuts out; ``walk_blocks`` raises ``DegreeError``
-    otherwise. ``energies`` is (C, K), one row per assignment. Under two
-    agents the result is 0. Connectivity is the caller's job: pi comes from
-    one stacked normalized solve per chunk, which does not test
-    reducibility, so callers filter split assignments with ``reaches_all``
-    first. The stack is scored in chunks of ``batch_rows(N, K)``, so the
+    Every one of the N agents and K tasks has a positive entry in each
+    assignment, as ``mu2_of_assignment`` asks; ``walk_blocks`` raises
+    ``DegreeError`` otherwise. ``energies`` is (C, K), one row per
+    assignment. Under two agents the result is 0. Connectivity is the
+    caller's job: pi comes from one stacked normalized solve per chunk,
+    which does not test reducibility, so callers filter split assignments
+    with ``reaches_all`` first. The stack is scored in chunks of ``batch_rows(N, K)``, so the
     working set stays a few matrices of the largest size.
     """
     stack = np.asarray(stack)

@@ -222,6 +222,22 @@ def test_optimize_rejects_config_values_of_the_wrong_type(workdir, tmp_path, cap
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "method, config",
+    [("csa", {"moves_per_step": 0}), ("csa", {"pack_size": 0}), ("greedy", {"packet_size": 0})],
+)
+def test_optimize_rejects_out_of_range_config_values(workdir, tmp_path, capsys, method, config):
+    # rejected when the parameters are built, before the run writes anything
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    argv = ["optimize", "--input", str(workdir / "small.json"), "--method", method]
+    assert main([*argv, "--config", str(path), "--out", str(out)]) == 2
+    (field,) = config
+    assert f"bad optimizer parameters: {field} must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("section", ["agents", "tasks", "assignment"])
 def test_stats_rejects_a_section_that_is_not_a_list(tmp_path, capsys, section):
     obj = {"agents": [{"id": "a", "budget": 1}], "tasks": [], "assignment": []}
@@ -554,6 +570,9 @@ def test_experiment_diffuse_bipartite_spectrum(tmp_path):
         (["scaling", "--sizes", "1", "2", "3", "--reps", "1"], "--sizes"),
         (["budget-sweep", "--input", str(toy_path("coauthor_small")), "--sub-sizes", "0", "--reps", "1"],
          "--sub-sizes"),
+        (["diffuse", "--t-max", "-1"], "--t-max"),
+        (["diffuse", "--t-max", "nan"], "--t-max"),
+        (["diffuse", "--t-max", "inf"], "--t-max"),
     ],
 )
 def test_experiment_rejects_out_of_range_counts(tmp_path, capsys, args, flag):

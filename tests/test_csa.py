@@ -3,13 +3,25 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import astuple
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import eig_mu2, full_lift_mu2, make_instance, random_connected_instance
+from conftest import (
+    eig_mu2,
+    full_lift_mu2,
+    make_instance,
+    random_connected_instance,
+    subprocess_env,
+    toy_path,
+)
 from hyperteam import bipartite, csa, spectral
 from hyperteam.bipartite import bipartite_connectivity
 from hyperteam.csa import (
@@ -144,16 +156,17 @@ def test_a_failed_solve_is_not_taken_for_a_split(monkeypatch, objective):
 
 
 def test_a_candidate_with_an_empty_task_is_rejected():
-    # the empty-task test reads the carried shortfall once no unbudgeted
-    # agent holds units
+    # the objective's degree check rejects an empty task
     inst = make_instance([[1, 1], [1, 1]], energies=[2, 2])
-    start, params = np.array([[1, 1], [1, 1]]), CsaParams()
-    active, mu2_of = csa._active_check(start, inst), spectral.mu2_of_assignment
-    for candidate, finite in (([[2, 0], [2, 0]], False), ([[0, 2], [1, 1]], True)):
-        candidate = np.array(candidate)
-        e = inst.energies - candidate.sum(axis=0)
-        penalty, _ = csa._evaluate_full(candidate, e, 0.0, inst, params, mu2_of, active)
-        assert math.isfinite(penalty) == finite
+    for objective in ("hypergraph", "bipartite"):
+        params = CsaParams(objective=objective)
+        for candidate, finite in (([[2, 0], [2, 0]], False), ([[0, 2], [1, 1]], True)):
+            penalty, _ = evaluate(np.array(candidate), inst, params)
+            assert math.isfinite(penalty) == finite
+    # one budgeted agent next to an empty task is rejected before it scores 0
+    lone = make_instance([[2, 0], [0, 0]], budgets=[2, 0], energies=[1, 1])
+    assert evaluate(np.array([[2, 0], [0, 0]]), lone, CsaParams())[0] == -math.inf
+    assert evaluate(np.array([[1, 1], [0, 0]]), lone, CsaParams())[0] == 0.0
 
 
 def test_an_initial_with_units_on_a_zero_budget_agent_keeps_the_column_test():
@@ -161,11 +174,8 @@ def test_an_initial_with_units_on_a_zero_budget_agent_keeps_the_column_test():
     # leave it empty although the shortfall says it is covered
     inst = make_instance([[1, 0], [0, 2], [0, 2]], budgets=[0, 2, 2], energies=[1, 2])
     initial = np.array([[1, 0], [0, 2], [0, 2]])
-    active = csa._active_check(initial, inst)
-    e = inst.energies - initial.sum(axis=0)
-    mu2_of = spectral.mu2_of_assignment
-    penalty, _ = csa._evaluate_full(initial[1:], e, 1.0, inst, CsaParams(), mu2_of, active)
-    assert penalty == -math.inf
+    penalty, e_tilde = evaluate(initial, inst, CsaParams())
+    assert penalty == -math.inf and not (e_tilde > 0).any()
     result = anneal(inst, CsaParams(max_iters=3), initial=initial)
     assert result.trace[0].penalty == -math.inf and not result.feasible
 
@@ -419,8 +429,8 @@ def test_moves_per_step_default_scales_with_size():
     assert CsaParams().resolve_moves(10, 4) == 1
     assert CsaParams().resolve_moves(781, 704) == 30
     assert CsaParams(moves_per_step=5).resolve_moves(3, 3) == 5
-    with pytest.raises(ValueError):
-        CsaParams(moves_per_step=0).resolve_moves(3, 3)
+    with pytest.raises(ValueError, match="^moves_per_step must be >= 1"):
+        CsaParams(moves_per_step=0)
 
 
 def test_anneal_deterministic():
@@ -533,26 +543,61 @@ def test_anneal_prefers_feasible_over_a_higher_infeasible_penalty():
     assert result.best_assignment.sum(axis=0).tolist() == [3, 1]
 
 
-# sha256 of the trace rows and best assignment (numpy 2.4.6, OpenBLAS,
-# x86-64); roundoff in another LAPACK build may move a trace value and so the
-# digest. Each chain was re-recorded when its objective moved from a dense
-# eig pi to the checked linear solve: the bipartite one when its task chain
-# took the solve (trace mu2 moved by at most 3e-14), the hypergraph one when
-# ``spectral.mu2_of_assignment`` did (at most 1.3e-14 relative). Both kept
-# every accept flag and the best assignment.
-_PINNED_DIGESTS = {
-    "hypergraph": "e49f618f2cd3bcfe401962c0e870884df3bcad49301b4519bcda3c19e98b02ce",
-    "bipartite": "a613ade434e06dd5d7365530db9ba83efe3ba0ff04ce35c405f8b5a156af5c29",
-}
+# The two chains on coauthor_small (cooling 0.98, seed 0), recorded under
+# numpy 2.4.6 and OpenBLAS's default x86-64 kernel: for each objective, the
+# sha256 of the accept flags, the feasible flags and the best assignment, and
+# every trace mu2 and penalty. Another BLAS kernel moves most trace values by
+# about 1e-14 relative and keeps every decision; the values are compared at
+# 1e-12 relative.
+_PINNED_CHAINS = json.loads((Path(__file__).parent / "data" / "pinned_chains.json").read_text())
 
 
-@pytest.mark.kernel_pinned
-@pytest.mark.parametrize("objective", sorted(_PINNED_DIGESTS))
+def _replay(objective, inst):
+    """(trace rows of [accepted, feasible, mu2, penalty], best assignment) of a pinned chain."""
+    result = anneal(inst, CsaParams(cooling=0.98, seed=0, objective=objective))
+    rows = [[r.accepted, r.feasible, r.mu2, r.penalty] for r in result.trace]
+    return rows, result.best_assignment
+
+
+# A child process replays the named chains through this module and prints them as JSON.
+_REPLAY = """
+import json, sys
+from hyperteam.instance import load_instance
+from test_csa import _replay
+inst = load_instance(sys.argv[1])
+chains = {objective: _replay(objective, inst) for objective in sys.argv[2:]}
+print(json.dumps({objective: [rows, best.tolist()] for objective, (rows, best) in chains.items()}))
+"""
+
+
+def _check_pinned(objective, rows, best):
+    """Every decision and the best assignment exactly; trace values at 1e-12 relative."""
+    accepted, feasible, mu2, penalty = zip(*rows)
+    decisions = np.array(accepted + feasible, dtype=bool).tobytes()
+    digest = hashlib.sha256(decisions + np.asarray(best, dtype=np.int64).tobytes()).hexdigest()
+    pinned = _PINNED_CHAINS[objective]
+    assert digest == pinned["digest"]
+    np.testing.assert_allclose(mu2, pinned["mu2"], rtol=1e-12, atol=0)
+    np.testing.assert_allclose(penalty, pinned["penalty"], rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("objective", sorted(_PINNED_CHAINS))
 def test_anneal_reproduces_the_pinned_chain(coauthor_small, objective):
-    result = anneal(coauthor_small, CsaParams(cooling=0.98, seed=0, objective=objective))
-    rows = repr([astuple(row) for row in result.trace]).encode()
-    digest = hashlib.sha256(rows + result.best_assignment.tobytes()).hexdigest()
-    assert digest == _PINNED_DIGESTS[objective]
+    _check_pinned(objective, *_replay(objective, coauthor_small))
+
+
+def test_the_pinned_chains_hold_under_another_openblas_kernel():
+    # pip's OpenBLAS picks its kernel at load time; on another BLAS the child
+    # runs the default kernel and the pins hold all the same
+    env = {**subprocess_env(), "OPENBLAS_CORETYPE": "Haswell"}
+    env["PYTHONPATH"] = os.pathsep.join([str(Path(__file__).parent), env["PYTHONPATH"]])
+    argv = [sys.executable, "-c", _REPLAY, toy_path("coauthor_small"), *sorted(_PINNED_CHAINS)]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    chains = json.loads(proc.stdout)
+    assert sorted(chains) == sorted(_PINNED_CHAINS)
+    for objective, (rows, best) in chains.items():
+        _check_pinned(objective, rows, best)
 
 
 def test_anneal_best_tracks_the_trace():

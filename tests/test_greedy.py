@@ -36,7 +36,9 @@ def _budgeted(budgets, energies):
 
 
 def _mu2(inst, a):
-    return mu2_of_assignment(np.asarray(inst.energies), a)
+    """mu2 of the active part: the agents and tasks that hold a unit."""
+    rows, cols = a.sum(axis=1) > 0, a.sum(axis=0) > 0
+    return mu2_of_assignment(np.asarray(inst.energies)[cols], a[np.ix_(rows, cols)])
 
 
 def _offer_mu2(inst, a):
@@ -49,6 +51,16 @@ def _offer_mu2(inst, a):
     rows, cols = a.sum(axis=1) > 0, a.sum(axis=0) > 0
     energies = np.asarray(inst.energies)[cols]
     return eig_mu2_batch(energies[np.newaxis], a[np.ix_(rows, cols)][np.newaxis])[0]
+
+
+def test_mu2_ignores_idle_rows_and_empty_columns():
+    # the active part of two agents on task 0 is the balanced pair, mu2 1/2
+    inst = _budgeted([1, 1, 1], [2, 1])
+    assert math.isclose(greedy._mu2(inst, np.array([[1, 0], [1, 0], [0, 0]])), 0.5, abs_tol=1e-12)
+    # fewer than two active agents leaves nothing to connect
+    assert greedy._mu2(_budgeted([2, 1], [1]), np.array([[2], [0]])) == 0.0
+    # a split active part scores 0
+    assert greedy._mu2(inst, np.array([[1, 0], [0, 1], [0, 0]])) == 0.0
 
 
 def test_init_single_hub_covers_everything():

@@ -17,7 +17,7 @@ from conftest import (
     random_active_assignment,
     random_connected_instance,
 )
-from hyperteam import greedy, spectral
+from hyperteam import bipartite, greedy, spectral
 from hyperteam.errors import ConvergenceError, DegreeError, DisconnectedError, ReducibleChainError
 from hyperteam.greedy import centralized_init
 from hyperteam.instance import bipartite_components
@@ -522,21 +522,21 @@ def test_bundle_disconnected_mode():
     assert (np.abs(eigs) < 1e-10).sum() == 3
 
 
-def test_mu2_ignores_idle_rows_and_empty_columns():
-    a = np.array([[1, 0], [1, 0], [0, 0]])
+@pytest.mark.parametrize("objective", [spectral, bipartite], ids=["hypergraph", "bipartite"])
+def test_both_objectives_need_a_whole_assignment(objective):
+    # an idle agent or an empty task is no part of the walk: greedy cuts
+    # them off before it scores, and the annealer rejects the state
     energies = np.array([2, 1])
-    assert np.isclose(
-        mu2_of_assignment(energies, a),
-        spectrum(
-            laplacian(
-                _walk(_pair()),
-                np.array([0.5, 0.5]),
-            )
-        )[1],
-        atol=1e-12,
-    )
-    # fewer than two active agents leaves nothing to connect
-    assert mu2_of_assignment(np.array([1]), np.array([[2], [0]])) == 0.0
+    with pytest.raises(DegreeError, match="agent 2 belongs to no task"):
+        objective.mu2_of_assignment(energies, np.array([[1, 1], [1, 1], [0, 0]]))
+    with pytest.raises(DegreeError, match="task 1 has no agents"):
+        objective.mu2_of_assignment(energies, np.array([[1, 0], [1, 0]]))
+    # a lone agent next to an empty task raises too
+    with pytest.raises(DegreeError, match="task 1 has no agents"):
+        objective.mu2_of_assignment(energies, np.array([[2, 0]]))
+    if objective is spectral:
+        # a lone agent on every task has no mixing to measure
+        assert spectral.mu2_of_assignment(energies, np.array([[2, 1]])) == 0.0
 
 
 def test_mu2_matches_bundle():
