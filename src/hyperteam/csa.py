@@ -78,9 +78,10 @@ class CsaParams:
                  "tasks_factor", "teammates_factor")
         for name in integers + reals:
             value, kind = getattr(self, name), Integral if name in integers else Real
-            # bool is an Integral, but a flag is no count or rate
-            if isinstance(value, bool) or not isinstance(value, kind):
-                what = "an integer" if kind is Integral else "a real number"
+            # bool is an Integral, but a flag is no count or rate; nor is NaN
+            # or an infinity (compared, not converted: an int may be huge)
+            if isinstance(value, bool) or not isinstance(value, kind) or not -math.inf < value < math.inf:
+                what = "an integer" if kind is Integral else "a finite real number"
                 raise ValueError(f"{name} must be {what}, not {value!r}")
         if not (0.0 < self.cooling < 1.0):
             raise ValueError("cooling must be in (0, 1)")

@@ -20,7 +20,7 @@ schemes are supported:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations, islice, permutations
 
 import numpy as np
@@ -29,7 +29,7 @@ from .errors import ConvergenceError
 from .greedy import GreedyParams, greedy_optimize
 from .instance import ProblemInstance, bipartite_components, reaches_all
 from .seeds import substream
-from .spectral import batch_rows, diffuse, mu2_batch, mu2_of_assignment, spectral_bundle
+from .spectral import batch_rows, diffuse, mu2_batch, spectral_bundle
 
 __all__ = [
     "SCHEMES",
@@ -202,19 +202,23 @@ def enumerate_small(
     return results
 
 
-def to_instance(edges: tuple[tuple[int, ...], ...], n_nodes: int) -> ProblemInstance:
-    """Materialize an enumerated edge set as a unit-weight instance."""
-    n_edges = len(edges)
-    assignment = np.zeros((n_nodes, n_edges), dtype=np.int64)
-    for k, edge in enumerate(edges):
-        assignment[list(edge), k] = 1
+def _unit_instance(assignment: np.ndarray, agent: str, task: str) -> ProblemInstance:
+    """The instance of an assignment whose budgets and energies are its row and column sums."""
     return ProblemInstance(
-        agent_ids=tuple(f"n{i}" for i in range(n_nodes)),
+        agent_ids=tuple(f"{agent}{i}" for i in range(assignment.shape[0])),
         budgets=assignment.sum(axis=1),
-        task_ids=tuple(f"e{k}" for k in range(n_edges)),
+        task_ids=tuple(f"{task}{k}" for k in range(assignment.shape[1])),
         energies=assignment.sum(axis=0),
         assignment=assignment,
     )
+
+
+def to_instance(edges: tuple[tuple[int, ...], ...], n_nodes: int) -> ProblemInstance:
+    """Materialize an enumerated edge set as a unit-weight instance."""
+    assignment = np.zeros((n_nodes, len(edges)), dtype=np.int64)
+    for k, edge in enumerate(edges):
+        assignment[list(edge), k] = 1
+    return _unit_instance(assignment, "n", "e")
 
 
 def diffusion_comparison(
@@ -257,20 +261,8 @@ def diffusion_comparison(
 
 def build_communities(spec: CommunitySpec) -> ProblemInstance:
     """Isolated complete communities; intentionally disconnected."""
-    n = spec.n_communities * spec.nodes_per_community
-    k = spec.n_communities * spec.edges_per_community
-    assignment = np.zeros((n, k), dtype=np.int64)
-    for c in range(spec.n_communities):
-        rows = slice(c * spec.nodes_per_community, (c + 1) * spec.nodes_per_community)
-        cols = slice(c * spec.edges_per_community, (c + 1) * spec.edges_per_community)
-        assignment[rows, cols] = 1
-    return ProblemInstance(
-        agent_ids=tuple(f"a{i}" for i in range(n)),
-        budgets=assignment.sum(axis=1),
-        task_ids=tuple(f"t{j}" for j in range(k)),
-        energies=assignment.sum(axis=0),
-        assignment=assignment,
-    )
+    block = np.ones((spec.nodes_per_community, spec.edges_per_community), dtype=np.int64)
+    return _unit_instance(np.kron(np.eye(spec.n_communities, dtype=np.int64), block), "a", "t")
 
 
 def _pick_membership(
@@ -373,19 +365,6 @@ def rewire(
     )
 
 
-def _one_scaling_rep(
-    scheme: str, size: int, rep: int, seed: int, coupled: bool
-) -> float:
-    if coupled:
-        spec = CommunitySpec(size, size, size, scheme)
-    else:
-        spec = CommunitySpec(size, scheme=scheme)
-    base = build_communities(spec)
-    rng = substream(seed, "scaling", scheme, size, rep)
-    rewired = rewire(base, spec, rng)
-    return mu2_of_assignment(rewired.energies, rewired.assignment)
-
-
 def scaling_experiment(
     schemes: tuple[str, ...] = SCHEMES,
     sizes: tuple[int, ...] = (2, 3, 4, 5, 6, 7, 8),
@@ -402,22 +381,34 @@ def scaling_experiment(
     scheme power-law fits plus every raw (scheme, size, rep, mu2) sample.
     The fit runs on per-size means of mu2 against N_c in log-log space and
     reports a = -slope, so a > 0 means connectivity decays with size.
+    Each (scheme, size) layout is built once. Its reps are rewired from it,
+    each from its own substream, and scored as stacks by ``mu2_batch`` in
+    pieces of ``batch_rows(N, K)``: a rewiring is connected and keeps every
+    row and column sum, so every rep has the layout's energies.
     Reps below 1, a size below 2 or under 3 distinct sizes raise ValueError first.
     """
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
     if min(sizes, default=0) < 2 or len(set(sizes)) < 3:
         raise ValueError(f"scaling needs 3 or more distinct sizes, each >= 2; got {tuple(sizes)}")
-    samples = [
-        (s, n, r, _one_scaling_rep(s, n, r, seed, coupled))
-        for s in schemes for n in sizes for r in range(reps)
-    ]
-
+    samples: list[tuple[str, int, int, float]] = []
     fits = []
     for scheme in schemes:
-        groups = [[v for s, n, _, v in samples if (s, n) == (scheme, size)] for size in sizes]
-        means = [float(np.mean(g)) for g in groups]
-        stds = [float(np.std(g)) for g in groups]
+        means, stds = [], []
+        for size in sizes:
+            spec = CommunitySpec(size, size, size, scheme) if coupled else CommunitySpec(size, scheme=scheme)
+            base = build_communities(spec)
+            step = batch_rows(*base.assignment.shape)
+            mu2: list[float] = []
+            for lo in range(0, reps, step):
+                stack = np.stack([
+                    rewire(base, spec, substream(seed, "scaling", scheme, size, rep)).assignment
+                    for rep in range(lo, min(lo + step, reps))
+                ])
+                mu2 += mu2_batch(np.broadcast_to(base.energies, (len(stack), base.n_tasks)), stack).tolist()
+            samples += [(scheme, size, rep, m) for rep, m in enumerate(mu2)]
+            means.append(float(np.mean(mu2)))
+            stds.append(float(np.std(mu2)))
         fit = fit_power_law(np.array(sizes, dtype=float), np.array(means))
         fits.append(
             ScalingFit(
@@ -538,13 +529,7 @@ def budget_sweep(
             sample = _sample_subinstance(inst, size, rng)
             gseed = int(rng.integers(2**63))
             for beta in multipliers:
-                relaxed = ProblemInstance(
-                    agent_ids=sample.agent_ids,
-                    budgets=np.asarray(sample.budgets) * beta,
-                    task_ids=sample.task_ids,
-                    energies=sample.energies,
-                    assignment=sample.assignment,
-                )
+                relaxed = replace(sample, budgets=sample.budgets * beta)
                 result = greedy_optimize(relaxed, GreedyParams(seed=gseed))
                 points.append(
                     BudgetPoint(

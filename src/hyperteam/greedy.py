@@ -49,9 +49,11 @@ class GreedyParams:
         for name, kind in (("packet_size", Integral), ("random_threshold", Integral), ("seed", Integral),
                            ("phase2_temperature", Real), ("stochastic_accept", bool)):
             value = getattr(self, name)
-            # bool is an Integral, but a flag is no count or rate
-            if not isinstance(value, kind) or (kind is not bool and isinstance(value, bool)):
-                what = {Integral: "an integer", Real: "a real number", bool: "True or False"}[kind]
+            # bool is an Integral, but a flag is no count or rate; nor is NaN
+            # or an infinity (compared, not converted: an int may be huge)
+            if (not isinstance(value, kind) or (kind is not bool and isinstance(value, bool))
+                    or not -math.inf < value < math.inf):
+                what = {Integral: "an integer", Real: "a finite real number", bool: "True or False"}[kind]
                 raise ValueError(f"{name} must be {what}, not {value!r}")
         if self.packet_size < 1:
             raise ValueError("packet_size must be >= 1")
@@ -92,11 +94,6 @@ def centralized_init(inst: ProblemInstance) -> np.ndarray:
             assignment[agent, k] += 1
             budget -= 1
             covered.append(k)
-        if not covered and uncovered:
-            # chain-only hub: no coverage progress, try the next agent
-            if touched:
-                prev_hub_covered, prev_hub_touched = covered, touched
-            continue
         prev_hub_covered, prev_hub_touched = covered, touched + covered
     if uncovered:
         raise StallError(

@@ -286,19 +286,24 @@ class SpectralBundle:
 def spectral_bundle(inst: ProblemInstance, *, allow_disconnected: bool = False) -> SpectralBundle:
     """Full spectral chain for an instance.
 
-    The checked stationary solve decides connectivity; components are
-    labelled only for a reducible chain. A disconnected instance raises
-    ``DisconnectedError`` unless ``allow_disconnected`` is set; then pi is
-    solved on each component's block of P, with mass proportional to its size,
-    so the Laplacian keeps one zero eigenvalue per component.
+    The walk's degree check and the checked stationary solve decide
+    connectivity; components are labelled only when one of them fails. A
+    disconnected instance raises ``DisconnectedError`` unless
+    ``allow_disconnected`` is set; then pi is solved on each component's block
+    of P, with mass proportional to its size, so the Laplacian keeps one zero
+    eigenvalue per component. An agent in no task or a task without agents
+    has no walk, so with ``allow_disconnected`` such an instance raises the
+    ``DegreeError`` of ``walk_blocks``.
     """
-    P = transition_matrix(inst.energies, inst.assignment)
     try:
+        P = transition_matrix(inst.energies, inst.assignment)
         pi = stationary_distribution(P)
-    except ReducibleChainError:
+    except (DegreeError, ReducibleChainError) as exc:
         count, agent_label, _ = bipartite_components(inst.incidence())
         if not allow_disconnected:
             raise DisconnectedError(f"hypergraph has {count} components") from None
+        if isinstance(exc, DegreeError):
+            raise
         pi = np.zeros(len(P))
         for comp in range(count):
             rows = np.flatnonzero(agent_label == comp)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import subprocess
 import sys
 
@@ -200,15 +201,24 @@ def test_optimize_usage_errors(workdir, tmp_path):
     assert proc.returncode == 2
 
 
+# The rejection lists in this file give every case an explicit id, so a row
+# added in the middle renames no other case. The ids of the older rows are the
+# positional ones pytest gave them, kept so that lists citing them stay valid.
 @pytest.mark.parametrize(
     "method, config",
     [
-        ("csa", {"max_iters": "5"}),
-        ("csa", {"pack_size": 1.5}),
-        ("csa", {"moves_per_step": 2.5}),
-        ("csa-bipartite", {"cooling": True}),
-        ("greedy", {"packet_size": 1.5}),
-        ("greedy", {"stochastic_accept": "no"}),
+        pytest.param("csa", {"max_iters": "5"}, id="csa-config0"),
+        pytest.param("csa", {"pack_size": 1.5}, id="csa-config1"),
+        pytest.param("csa", {"moves_per_step": 2.5}, id="csa-config2"),
+        pytest.param("csa-bipartite", {"cooling": True}, id="csa-bipartite-config3"),
+        pytest.param("greedy", {"packet_size": 1.5}, id="greedy-config4"),
+        pytest.param("greedy", {"stochastic_accept": "no"}, id="greedy-config5"),
+        # written to the file as NaN and Infinity, which json reads back
+        pytest.param("csa", {"task_penalty": math.nan}, id="csa-task_penalty-NaN"),
+        pytest.param("csa", {"t0": math.inf}, id="csa-t0-Infinity"),
+        pytest.param("csa", {"teammates_factor": -math.inf}, id="csa-teammates_factor--Infinity"),
+        pytest.param("greedy", {"phase2_temperature": math.nan}, id="greedy-phase2_temperature-NaN"),
+        pytest.param("greedy", {"phase2_temperature": math.inf}, id="greedy-phase2_temperature-Infinity"),
     ],
 )
 def test_optimize_rejects_config_values_of_the_wrong_type(workdir, tmp_path, capsys, method, config):
@@ -224,7 +234,11 @@ def test_optimize_rejects_config_values_of_the_wrong_type(workdir, tmp_path, cap
 
 @pytest.mark.parametrize(
     "method, config",
-    [("csa", {"moves_per_step": 0}), ("csa", {"pack_size": 0}), ("greedy", {"packet_size": 0})],
+    [
+        pytest.param("csa", {"moves_per_step": 0}, id="csa-config0"),
+        pytest.param("csa", {"pack_size": 0}, id="csa-config1"),
+        pytest.param("greedy", {"packet_size": 0}, id="greedy-config2"),
+    ],
 )
 def test_optimize_rejects_out_of_range_config_values(workdir, tmp_path, capsys, method, config):
     # rejected when the parameters are built, before the run writes anything
@@ -468,17 +482,18 @@ def test_experiment_budget_sweep(workdir, tmp_path):
     [
         # sizes and sub-sizes below 2 exit 2 in the parser's checks; these
         # pass them and fail in the library
-        ["experiment", "scaling", "--sizes", "2", "2", "3", "--reps", "1"],
-        ["experiment", "scaling", "--sizes", "2", "3", "--reps", "1"],
-        ["experiment", "budget-sweep", "--sub-sizes", "999", "4", "6", "--reps", "1", "--input", "{hub}"],
-        ["stats", "--input", "{empty}"],
+        pytest.param(["experiment", "scaling", "--sizes", "2", "2", "3", "--reps", "1"], id="args0"),
+        pytest.param(["experiment", "scaling", "--sizes", "2", "3", "--reps", "1"], id="args1"),
+        pytest.param(["experiment", "budget-sweep", "--sub-sizes", "999", "4", "6", "--reps", "1", "--input", "{hub}"],
+                     id="args2"),
+        pytest.param(["stats", "--input", "{empty}"], id="args3"),
     ],
 )
 def test_experiment_rejects_bad_arguments_before_running(workdir, tmp_path, capsys, monkeypatch, args):
     def drawing(*_):
         raise AssertionError("the arguments should be rejected before any draw")
 
-    monkeypatch.setattr(experiments, "_one_scaling_rep", drawing)
+    monkeypatch.setattr(experiments, "rewire", drawing)
     monkeypatch.setattr(experiments, "_sample_subinstance", drawing)
     # an instance file the loader rejects: agents given as a count, no tasks
     empty = tmp_path / "empty.json"
@@ -556,23 +571,24 @@ def test_experiment_diffuse_bipartite_spectrum(tmp_path):
 @pytest.mark.parametrize(
     "args, flag",
     [
-        (["diffuse", "--representatives", "0"], "--representatives"),
-        (["diffuse", "--representatives", "-1"], "--representatives"),
-        (["diffuse", "--steps", "0"], "--steps"),
-        (["diffuse", "--nodes", "-1"], "--nodes"),
-        (["diffuse", "--edges", "-2"], "--edges"),
-        (["enumerate", "--nodes", "-1"], "--nodes"),
-        (["enumerate", "--edges", "-1"], "--edges"),
-        (["scaling", "--reps", "0"], "--reps"),
-        (["budget-sweep", "--input", str(toy_path("coauthor_small")), "--reps", "0"], "--reps"),
-        (["budget-sweep", "--input", str(toy_path("coauthor_small")), "--multipliers", "0", "2", "3"],
-         "--multipliers"),
-        (["scaling", "--sizes", "1", "2", "3", "--reps", "1"], "--sizes"),
-        (["budget-sweep", "--input", str(toy_path("coauthor_small")), "--sub-sizes", "0", "--reps", "1"],
-         "--sub-sizes"),
-        (["diffuse", "--t-max", "-1"], "--t-max"),
-        (["diffuse", "--t-max", "nan"], "--t-max"),
-        (["diffuse", "--t-max", "inf"], "--t-max"),
+        pytest.param(["diffuse", "--representatives", "0"], "--representatives", id="args0---representatives"),
+        pytest.param(["diffuse", "--representatives", "-1"], "--representatives", id="args1---representatives"),
+        pytest.param(["diffuse", "--steps", "0"], "--steps", id="args2---steps"),
+        pytest.param(["diffuse", "--nodes", "-1"], "--nodes", id="args3---nodes"),
+        pytest.param(["diffuse", "--edges", "-2"], "--edges", id="args4---edges"),
+        pytest.param(["enumerate", "--nodes", "-1"], "--nodes", id="args5---nodes"),
+        pytest.param(["enumerate", "--edges", "-1"], "--edges", id="args6---edges"),
+        pytest.param(["scaling", "--reps", "0"], "--reps", id="args7---reps"),
+        pytest.param(["budget-sweep", "--input", str(toy_path("coauthor_small")), "--reps", "0"], "--reps",
+                     id="args8---reps"),
+        pytest.param(["budget-sweep", "--input", str(toy_path("coauthor_small")), "--multipliers", "0", "2", "3"],
+                     "--multipliers", id="args9---multipliers"),
+        pytest.param(["scaling", "--sizes", "1", "2", "3", "--reps", "1"], "--sizes", id="args10---sizes"),
+        pytest.param(["budget-sweep", "--input", str(toy_path("coauthor_small")), "--sub-sizes", "0", "--reps", "1"],
+                     "--sub-sizes", id="args11---sub-sizes"),
+        pytest.param(["diffuse", "--t-max", "-1"], "--t-max", id="args12---t-max"),
+        pytest.param(["diffuse", "--t-max", "nan"], "--t-max", id="args13---t-max"),
+        pytest.param(["diffuse", "--t-max", "inf"], "--t-max", id="args14---t-max"),
     ],
 )
 def test_experiment_rejects_out_of_range_counts(tmp_path, capsys, args, flag):

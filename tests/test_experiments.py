@@ -27,7 +27,7 @@ from hyperteam.experiments import (
 )
 from hyperteam.instance import ProblemInstance, bipartite_components
 from hyperteam.seeds import substream
-from hyperteam.spectral import mu2_batch
+from hyperteam.spectral import batch_rows, mu2_batch, mu2_of_assignment
 
 
 def test_enumeration_count_small():
@@ -258,6 +258,24 @@ def test_scaling_experiment_fixed_layout():
     assert math.isfinite(fits[0].exponent)
 
 
+@pytest.mark.parametrize(
+    "coupled, sizes, reps", [(True, (2, 8, 10), 5), (False, (2, 3, 4), 3)], ids=["coupled", "fixed"]
+)
+def test_scaling_samples_are_the_mu2_of_each_reps_rewiring(coupled, sizes, reps):
+    # reps are scored as stacks in pieces of batch_rows; each sample must be
+    # the single-state mu2 of that rep's own rewiring, bit for bit
+    if coupled:
+        # the 5 reps go in one piece at size 2, in pieces of 4 and 1 at size 8,
+        # and one by one at size 10 (N = 100)
+        assert [batch_rows(n * n, n * n) for n in sizes] == [1024, 4, 1]
+    _, samples = scaling_experiment(SCHEMES, sizes, reps=reps, seed=3, coupled=coupled)
+    assert [s[:3] for s in samples] == [(s, n, r) for s in SCHEMES for n in sizes for r in range(reps)]
+    for scheme, size, rep, mu2 in samples:
+        spec = CommunitySpec(size, size, size, scheme) if coupled else CommunitySpec(size, scheme=scheme)
+        rewired = rewire(build_communities(spec), spec, substream(3, "scaling", scheme, size, rep))
+        assert mu2 == mu2_of_assignment(rewired.energies, rewired.assignment)
+
+
 def _hub_instance(n_tasks=12, members=4, pattern=(1, 3)):
     """Task-transitive family: dedicated members plus one coordinator on all."""
     n = n_tasks * members + 1
@@ -315,7 +333,7 @@ def _no_draws(monkeypatch):
     def drawing(*_):
         raise AssertionError("the arguments should be rejected before any draw")
 
-    monkeypatch.setattr(experiments, "_one_scaling_rep", drawing)
+    monkeypatch.setattr(experiments, "rewire", drawing)
     monkeypatch.setattr(experiments, "_sample_subinstance", drawing)
 
 

@@ -521,6 +521,13 @@ def test_bundle_disconnected_mode():
     eigs = spectral_bundle(three, allow_disconnected=True).eigenvalues
     assert (np.abs(eigs) < 1e-10).sum() == 3
 
+    # an agent in no task is a component of its own, but it has no walk
+    idle = make_instance([[1, 1], [1, 1], [0, 0]], energies=[2, 2])
+    with pytest.raises(DisconnectedError, match="hypergraph has 2 components"):
+        spectral_bundle(idle)
+    with pytest.raises(DegreeError, match="agent 2 belongs to no task"):
+        spectral_bundle(idle, allow_disconnected=True)
+
 
 @pytest.mark.parametrize("objective", [spectral, bipartite], ids=["hypergraph", "bipartite"])
 def test_both_objectives_need_a_whole_assignment(objective):
