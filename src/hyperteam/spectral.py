@@ -35,17 +35,34 @@ is searched only when the solve fails or mu2 is at most that. Both
 lift's, score through it. ``mu2_batch`` solves whole stacks and leaves
 connectivity to its callers, which test it with ``reaches_all``.
 
-The symmetric eigen solves, ``spectrum``'s ``eigvalsh`` and ``diffuse``'s
-``eigh``, run on one OpenBLAS thread when the matrix is 65 to 511 on a side,
-and then restore the caller's thread count. OpenBLAS threads them from 65 on,
-but on a 2-core VM two threads first paid at about 500: a 77x77 solve (the
-bipartite lift of coauthor_small) ran at cpu/wall 2.0 and no faster than on
-one thread; 400x400 took 7.6 ms on one thread and 8.8 ms on two, 512x512 15.7
-and 14.1 ms, so coauthor_large's 781x781 solve keeps its threads. Within
-that range the eigenvalues no longer depend on the host's core count. The
-thread count is process-wide: while such a solve runs, numpy in other Python
-threads also sees one BLAS thread. OpenBLAS is found through /proc/self/maps,
-so on other platforms, or on another BLAS, the solves run as numpy runs them.
+mu2 itself comes from one private kernel, ``_mu2``, in ``certified_mu2`` and
+in each chunk of ``mu2_batch``, so a single score and a batched one agree bit
+for bit. A Laplacian under 2x2 scores 0.0. From 24 on a side the kernel asks
+LAPACK's ``dsyevr`` for the second eigenvalue alone (by bisection, index
+range 2..2), one call per matrix, through the ``LAPACKE_dsyevr_work`` export
+of the OpenBLAS that numpy loads. Below 24, or when no such export is found,
+it reads entry 1 of the stacked ``eigvalsh``. Per matrix on a 2-core VM
+(numpy 2.4.6, OpenBLAS 0.3.31), ``eigvalsh`` against ``dsyevr``: 22.3 and
+23.5 us alone at n = 20 (18.6 and 16.8 in a stack of six), 30.0 and 27.2 at
+24, 108 and 70 at 52 (a coauthor_small state) and 225 and 126 at 77 (its
+bipartite lift). Only the ILP64 export is bound,
+``scipy_LAPACKE_dsyevr_work64_`` in numpy 2.x wheels; whether numpy 1.24's
+wheels export one that the lookup finds was not checked, and without it
+every score takes ``eigvalsh``. ``spectrum``, and so ``spectral_bundle``,
+and ``diffuse`` keep the full solvers.
+
+The symmetric eigen solves, ``spectrum``'s ``eigvalsh``, the mu2 kernel and
+``diffuse``'s ``eigh``, run on one OpenBLAS thread when the matrix is 65 to
+511 on a side, and then restore the caller's thread count. OpenBLAS threads
+them from 65 on, but on a 2-core VM two threads first paid at about 500: a
+77x77 solve (the bipartite lift of coauthor_small) ran at cpu/wall 2.0 and
+no faster than on one thread; 400x400 took 7.6 ms on one thread and 8.8 ms
+on two, 512x512 15.7 and 14.1 ms, so coauthor_large's 781x781 solve keeps
+its threads. Within that range the eigenvalues no longer depend on the
+host's core count. The thread count is process-wide: while such a solve
+runs, numpy in other Python threads also sees one BLAS thread. OpenBLAS is
+found through /proc/self/maps, on the first solve that needs it, so on other
+platforms, or on another BLAS, the solves run as numpy runs them.
 """
 
 from __future__ import annotations
@@ -88,6 +105,11 @@ _REDUCIBLE = "chain is reducible; no unique stationary distribution"
 # threads them from 65 on, and two threads first pay at about 500 (measured in
 # the module docstring).
 _SERIAL_SIZES = range(65, 512)
+
+# Laplacians from this size on get mu2 alone from LAPACK's dsyevr; below it
+# the full eigvalsh is faster (measured in the module docstring).
+_DSYEVR_FROM = 24
+_ABSTOL = 2 * np.finfo(np.float64).tiny
 
 
 def walk_blocks(energies: np.ndarray, assignment: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -146,9 +168,11 @@ def _solve_stationary(P: np.ndarray) -> np.ndarray:
     alike. A singular system, mass below -1e-9 or a residual
     |pi P - pi|_1 above 1e-9 in any chain raise ``ConvergenceError``.
     Reducibility is not tested: a split chain may solve to a mix of its
-    closed classes.
+    closed classes. A chain without states has the empty distribution.
     """
     n = P.shape[-1]
+    if n == 0:
+        return np.zeros(P.shape[:-1])
     A = np.swapaxes(P, -1, -2).copy()
     # the copy is C-ordered, so its flat view holds each diagonal at a stride
     # of n + 1; cheaper than fancy indexing
@@ -205,14 +229,15 @@ def laplacian(P: np.ndarray, pi: np.ndarray) -> np.ndarray:
     return L
 
 
-@functools.cache
-def _blas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | None:
-    """The (get, set) thread-count functions of the loaded OpenBLAS, or None.
+def _openblas(names: tuple[str, ...], suffixes: tuple[str, ...]) -> list | None:
+    """The exports ``names`` of the loaded OpenBLAS, as ctypes functions, or None.
 
     The library is found by its path in /proc/self/maps, so on Linux only,
     numpy's own copy first should another package have loaded a second one.
-    Its exports may carry a ``scipy_`` prefix and a ``64_`` suffix, as in
-    numpy's wheels. A numpy on another BLAS, or another platform, gets None.
+    Its exports may carry a ``scipy_`` prefix, as in numpy's wheels, and one
+    of ``suffixes``; all of ``names`` must be found under the same pair. A
+    numpy on another BLAS, or another platform, gets None. Each binding
+    below runs this search once, on its first call.
     """
     try:
         with open("/proc/self/maps", encoding="utf-8") as maps:
@@ -224,14 +249,44 @@ def _blas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | None:
             lib = ctypes.CDLL(path)
         except OSError:
             continue
-        for prefix, suffix in itertools.product(("scipy_", ""), ("64_", "")):
-            get = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}", None)
-            put = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}", None)
-            if get is not None and put is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                put.argtypes, put.restype = [ctypes.c_int], None
-                return get, put
+        for prefix, suffix in itertools.product(("scipy_", ""), suffixes):
+            found = [getattr(lib, f"{prefix}{name}{suffix}", None) for name in names]
+            if None not in found:
+                return found
     return None
+
+
+@functools.cache
+def _blas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | None:
+    """The (get, set) thread-count functions of the loaded OpenBLAS, or None."""
+    found = _openblas(("openblas_get_num_threads", "openblas_set_num_threads"), ("64_", ""))
+    if found is None:
+        return None
+    get, put = found
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    return get, put
+
+
+@functools.cache
+def _dsyevr() -> Callable[..., int] | None:
+    """LAPACKE's ``dsyevr_work`` of the loaded OpenBLAS, with 64-bit integers, or None.
+
+    Only the ILP64 export is bound, ``scipy_LAPACKE_dsyevr_work64_`` in
+    numpy 2.x wheels: an export without the ``64_`` suffix may take 32-bit
+    integers. Pointers are passed as addresses.
+    """
+    found = _openblas(("LAPACKE_dsyevr_work",), ("64_",))
+    if found is None:
+        return None
+    (dsyevr,) = found
+    i64, ptr, f64, char = ctypes.c_int64, ctypes.c_void_p, ctypes.c_double, ctypes.c_char
+    # layout, jobz, range, uplo, n, a, lda, vl, vu, il, iu, abstol, m, w, z,
+    # ldz, isuppz, work, lwork, iwork, liwork
+    dsyevr.argtypes = [ctypes.c_int, char, char, char, i64, ptr, i64, f64, f64, i64, i64, f64]
+    dsyevr.argtypes += [ptr, ptr, ptr, i64, ptr, ptr, i64, ptr, i64]
+    dsyevr.restype = i64
+    return dsyevr
 
 
 def _serial_solve(solve: Callable[[np.ndarray], object], L: np.ndarray):
@@ -257,6 +312,55 @@ def spectrum(L: np.ndarray) -> np.ndarray:
     return _serial_solve(np.linalg.eigvalsh, L)
 
 
+def _mu2(L: np.ndarray):
+    """Second-smallest eigenvalue of a Laplacian, or of each in a stack.
+
+    A Laplacian under 2x2 has no mixing to measure and scores 0.0. The solve
+    runs under ``_serial_solve``'s thread rule; see ``_second_eigenvalues``.
+    """
+    if np.shape(L)[-1] < 2:
+        return np.zeros(np.shape(L)[:-2])
+    return _serial_solve(_second_eigenvalues, L)
+
+
+def _second_eigenvalues(L: np.ndarray):
+    """``eigvalsh(L)[..., 1]``, computed alone by LAPACK's dsyevr from ``_DSYEVR_FROM`` on.
+
+    Each matrix of the stack gets one ``dsyevr`` call (eigenvalues only,
+    index range 2..2, column-major: L is symmetric, so its C-ordered copy
+    needs no transpose), all in one workspace. The bisection runs to twice
+    the underflow threshold, LAPACK's most accurate setting. Smaller
+    matrices, or a numpy without the binding, take the stacked ``eigvalsh``.
+    A failed call raises ``ConvergenceError``.
+    """
+    n = L.shape[-1]
+    dsyevr = _dsyevr() if n >= _DSYEVR_FROM else None
+    if dsyevr is None:
+        return np.linalg.eigvalsh(L)[..., 1]
+    lwork, liwork = 26 * n, 10 * n  # dsyevr's minimal workspace
+    # one buffer: the matrix, which dsyevr overwrites, w and work, then the
+    # 64-bit integers m, isuppz and iwork
+    buf = np.empty(n * n + n + lwork + 3 + liwork)
+    a = buf[: n * n].reshape(n, n)
+    ints = buf[n * n + n + lwork :].view(np.int64)
+    ints[0] = 0  # a call that reports no count fails the check below
+    base = buf.__array_interface__["data"][0]
+    w = base + 8 * n * n
+    m = w + 8 * (n + lwork)
+    # 102 is LAPACK_COL_MAJOR, which reads the symmetric C-ordered copy as is
+    args = (102, b"N", b"I", b"L", n, base, n, 0.0, 0.0, 2, 2, _ABSTOL)
+    args += (m, w, None, 1, m + 8, w + 8 * n, lwork, m + 24, liwork)
+    stack = np.reshape(L, (-1, n, n))
+    out = np.empty(len(stack))
+    for i, matrix in enumerate(stack):
+        np.copyto(a, matrix)
+        info = dsyevr(*args)
+        if info != 0 or ints[0] != 1:
+            raise ConvergenceError(f"dsyevr failed: info {info}, {ints[0]} eigenvalues found")
+        out[i] = buf[n * n]
+    return out.reshape(np.shape(L)[:-2])
+
+
 def diffuse(L: np.ndarray, x0: np.ndarray, times: np.ndarray) -> np.ndarray:
     """Heat-equation trajectory x(t) = exp(-L t) x0 sampled at the given times.
 
@@ -265,8 +369,8 @@ def diffuse(L: np.ndarray, x0: np.ndarray, times: np.ndarray) -> np.ndarray:
     """
     x0 = np.asarray(x0, dtype=np.float64)
     times = np.asarray(times, dtype=np.float64)
-    if np.any(times < 0):
-        raise ValueError("diffusion times must be >= 0")
+    if not np.all((times >= 0) & (times < np.inf)):
+        raise ValueError("diffusion times must be finite and >= 0")
     evals, evecs = _serial_solve(np.linalg.eigh, L)
     coeff = evecs.T @ x0
     decay = np.exp(-np.outer(times, evals))
@@ -337,7 +441,7 @@ def certified_mu2(
         if not _irreducible(P):
             raise ReducibleChainError(_REDUCIBLE) from None
         raise
-    mu2 = float(spectrum(laplacian(P, pi) if laplacian_of is None else laplacian_of(pi))[1])
+    mu2 = float(_mu2(laplacian(P, pi) if laplacian_of is None else laplacian_of(pi)))
     if mu2 <= _CERTIFIED_MU2 and not _irreducible(P):
         raise ReducibleChainError(_REDUCIBLE)
     return mu2
@@ -347,12 +451,12 @@ def mu2_of_assignment(energies: np.ndarray, assignment: np.ndarray) -> float:
     """Algebraic connectivity of the hypergraph a whole assignment induces.
 
     Every agent and task needs a positive entry, or ``walk_blocks`` raises
-    ``DegreeError``. One agent has no mixing to measure and scores 0.
-    Otherwise ``certified_mu2`` scores the agent chain, so a disconnected
-    assignment, whose agent chain is reducible, raises ``ReducibleChainError``.
+    ``DegreeError``. ``certified_mu2`` scores the agent chain, so a
+    disconnected assignment, whose agent chain is reducible, raises
+    ``ReducibleChainError``, and one agent, with no mixing to measure,
+    scores 0.
     """
-    P = transition_matrix(energies, assignment)
-    return certified_mu2(P) if len(P) > 1 else 0.0
+    return certified_mu2(transition_matrix(energies, assignment))
 
 
 def batch_rows(n: int, k: int) -> int:
@@ -386,11 +490,9 @@ def mu2_batch(energies: np.ndarray, stack: np.ndarray) -> np.ndarray:
     energies = np.asarray(energies)
     if energies.shape != (c, k):
         raise ValueError("energies must be (C, K), one row per assignment")
-    if n < 2:
-        return np.zeros(c)
     out = np.empty(c)
     size = batch_rows(n, k)
     for lo in range(0, c, size):
         P = transition_matrix(energies[lo : lo + size], stack[lo : lo + size])
-        out[lo : lo + size] = spectrum(laplacian(P, _solve_stationary(P)))[:, 1]
+        out[lo : lo + size] = _mu2(laplacian(P, _solve_stationary(P)))
     return out

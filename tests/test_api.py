@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import collections
 import importlib
 import inspect
 import pkgutil
@@ -187,24 +188,44 @@ def test_symmetric_eigen_reads_sees_imports_and_attributes():
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_symmetric_eigen_solves_go_through_the_thread_rule(path):
-    """Only spectral calls eigh or eigvalsh, each through ``_serial_solve``.
+    """Only spectral solves a symmetric eigenproblem, each solve through ``_serial_solve``.
 
     ``_serial_solve`` runs the solves that OpenBLAS would thread at a loss
-    on one thread, so a caller elsewhere would bypass that rule.
+    on one thread, so a caller elsewhere would bypass that rule. A solve is
+    an ``eigh`` or ``eigvalsh`` read or a read of the LAPACK binding
+    ``_dsyevr``. It goes through the rule when it is an argument of
+    ``_serial_solve``, or when it is read inside a function of spectral's
+    own that is read nowhere but as such an argument.
     """
     source = path.read_text(encoding="utf-8")
     if path.name != "spectral.py":
         assert linalg_reads(source, SYMMETRIC_EIGEN) == []
         return
-    through_rule = [
-        ast.unparse(node.args[0])
-        for node in ast.walk(ast.parse(source))
+    tree = ast.parse(source)
+    rule_args = [
+        node.args[0]
+        for node in ast.walk(tree)
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_serial_solve"
     ]
-    assert sorted(linalg_reads(source, SYMMETRIC_EIGEN)) == sorted(through_rule) == [
-        "np.linalg.eigh",
-        "np.linalg.eigvalsh",
-    ]
+    reads = collections.Counter(node.id for node in ast.walk(tree) if isinstance(node, ast.Name))
+    wrapped = {arg.id for arg in rule_args if isinstance(arg, ast.Name) and reads[arg.id] == 1}
+    direct, within, bypassing = [], [], []
+    for top in tree.body:
+        for node in ast.walk(top):
+            if not (
+                (isinstance(node, ast.Attribute) and node.attr in SYMMETRIC_EIGEN)
+                or (isinstance(node, ast.Name) and node.id == "_dsyevr")
+            ):
+                continue
+            if any(node is arg for arg in rule_args):
+                direct.append(ast.unparse(node))
+            elif isinstance(top, ast.FunctionDef) and top.name in wrapped:
+                within.append(ast.unparse(node))
+            else:
+                bypassing.append(ast.unparse(node))
+    assert bypassing == []
+    assert sorted(direct) == ["np.linalg.eigh", "np.linalg.eigvalsh"]
+    assert sorted(within) == ["_dsyevr", "np.linalg.eigvalsh"]
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)

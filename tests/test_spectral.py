@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import ctypes
 import io
+import subprocess
+import sys
+import types
 
 import numpy as np
 import pytest
@@ -13,11 +17,13 @@ from conftest import (
     component_bundle,
     eig_mu2,
     eig_stationary,
+    full_lift_mu2,
     make_instance,
     random_active_assignment,
     random_connected_instance,
+    subprocess_env,
 )
-from hyperteam import bipartite, greedy, spectral
+from hyperteam import bipartite, csa, greedy, spectral
 from hyperteam.errors import ConvergenceError, DegreeError, DisconnectedError, ReducibleChainError
 from hyperteam.greedy import centralized_init
 from hyperteam.instance import bipartite_components
@@ -416,6 +422,13 @@ def test_diffusion_basics():
         diffuse(bundle.L, x0, np.array([-1.0]))
 
 
+@pytest.mark.parametrize("times", [[-1.0], [np.nan], [np.inf], [0.0, 1.0, np.nan], [-np.inf]])
+def test_diffusion_rejects_negative_and_non_finite_times(times):
+    bundle = spectral_bundle(_triple())
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        diffuse(bundle.L, np.array([1.0, 0.0, 0.0]), np.array(times))
+
+
 def test_bundle_builds_the_weight_matrices_once(monkeypatch):
     inst = random_connected_instance(np.random.default_rng(4), 6, 3)
     calls = []
@@ -546,6 +559,26 @@ def test_both_objectives_need_a_whole_assignment(objective):
         assert spectral.mu2_of_assignment(energies, np.array([[2, 1]])) == 0.0
 
 
+def test_a_one_state_chain_scores_zero_through_every_path():
+    # a Laplacian under 2x2 has no mixing to measure: mu2 is 0.0
+    assert spectral.certified_mu2(np.ones((1, 1))) == 0.0
+    assert spectral._mu2(np.zeros((1, 1))) == 0.0
+    assert spectral._mu2(np.zeros((3, 1, 1))).tolist() == [0.0] * 3
+    # one agent: the hypergraph objective and mu2_batch score 0.0
+    energies, lone = np.array([2, 1]), np.array([[2, 1]])
+    assert spectral.mu2_of_assignment(energies, lone) == 0.0
+    crews = np.array([[[2, 1]], [[1, 4]]])
+    assert mu2_batch(np.array([[2, 1], [3, 3]]), crews).tolist() == [0.0, 0.0]
+    # one task: the lift's task chain is 1x1, and the lift's mu2 is the oracle's
+    energies, crew = np.array([3]), np.array([[1], [2], [1]])
+    got = bipartite.mu2_of_assignment(energies, crew)
+    want = full_lift_mu2(energies, crew)
+    assert want > 0 and abs(got - want) <= 1e-12 * want
+    # the stack's precondition holds under two agents too
+    with pytest.raises(DegreeError, match="task 1 has no agents"):
+        mu2_batch(np.array([[2, 1]]), np.array([[[2, 0]]]))
+
+
 def test_mu2_matches_bundle():
     rng = np.random.default_rng(41)
     for _ in range(10):
@@ -643,7 +676,7 @@ def test_mu2_of_assignment_runs_each_chain_function_once(monkeypatch):
         "certified_mu2",
         "_solve_stationary",
         "laplacian",
-        "spectrum",
+        "_mu2",
     )
     calls = []
     for name in (*names, "stationary_distribution", "_irreducible"):
@@ -871,3 +904,188 @@ def test_the_lookup_resolves_numpys_openblas(monkeypatch):
     spectrum(_symmetric(77))
     assert seen == [1]
     assert get() == before
+
+
+# -- mu2 alone from LAPACK's dsyevr ----------------------------------------
+
+
+def _csa_laplacians(inst, count: int) -> np.ndarray:
+    """Laplacians of ``count`` connected states on a CSA move stream from ``inst``'s assignment."""
+    params, rng = csa.CsaParams(seed=0), np.random.default_rng(5)
+    a, out = np.asarray(inst.assignment), []
+    for _ in range(200):
+        a, _ = csa.perturb(a, np.asarray(inst.energies) - a.sum(axis=0), params, rng)
+        try:
+            P = transition_matrix(inst.energies, a)
+            out.append(laplacian(P, stationary_distribution(P)))
+        except (DegreeError, ReducibleChainError):
+            continue
+        if len(out) == count:
+            return np.stack(out)
+    raise AssertionError("too few connected states")
+
+
+def _walk_laplacians(energies, stack) -> np.ndarray:
+    P = transition_matrix(energies, stack)
+    return laplacian(P, spectral._solve_stationary(P))
+
+
+def _lift_77(inst) -> np.ndarray:
+    A, B = walk_blocks(inst.energies, inst.assignment)
+    return bipartite._lift_laplacian(A, B, stationary_distribution(B @ A))
+
+
+def _chains_515() -> np.ndarray:
+    # the three 515-agent chains of test_one_assignment_through_both_solvers
+    rng = np.random.default_rng(3)
+    stack = rng.integers(1, 4, size=(3, 515, 5)) * (rng.random((3, 515, 5)) < 0.5)
+    stack[:, :, 0] = np.maximum(stack[:, :, 0], 1)
+    stack[:, 0, :] = np.maximum(stack[:, 0, :], 1)
+    return _walk_laplacians(rng.integers(1, 6, size=(3, 5)), stack)
+
+
+def _across_the_crossover(n: int) -> np.ndarray:
+    rng = np.random.default_rng(n)
+    insts = [random_connected_instance(rng, n, max(2, n // 3)) for _ in range(4)]
+    return np.stack([_walk_laplacians(inst.energies, inst.assignment) for inst in insts])
+
+
+_SHAPES = {
+    "csa-52": lambda small: _csa_laplacians(small, 6),
+    "lift-77": _lift_77,
+    "515-agent": lambda small: _chains_515(),
+    **{f"stack-{n}": lambda small, n=n: _across_the_crossover(n) for n in (16, 23, 24, 25, 32)},
+}
+
+
+def _counting_dsyevr(monkeypatch) -> list[int]:
+    """The size of each matrix the binding is called on; none without a binding."""
+    real, sizes = spectral._dsyevr(), []
+
+    def counting(*args):
+        sizes.append(args[4])
+        return real(*args)
+
+    if real is not None:
+        monkeypatch.setattr(spectral, "_dsyevr", lambda: counting)
+    return sizes
+
+
+@pytest.mark.parametrize("shape", sorted(_SHAPES))
+def test_mu2_alone_agrees_with_the_full_spectrum(coauthor_small, monkeypatch, shape):
+    L = _SHAPES[shape](coauthor_small)
+    L = L if L.ndim == 3 else L[np.newaxis]
+    want = np.linalg.eigvalsh(L)[:, 1]
+    assert want.min() > 0
+    sizes = _counting_dsyevr(monkeypatch)
+    got = spectral._mu2(L)
+    assert np.all(np.abs(got - want) <= 1e-12 * want)
+    # a stack's entries are exactly the single scores, and the input is kept
+    assert got.tolist() == [float(spectral._mu2(matrix)) for matrix in L]
+    np.testing.assert_array_equal(np.linalg.eigvalsh(L)[:, 1], want)
+    n = L.shape[-1]
+    if spectral._dsyevr() is not None:
+        assert sizes == ([n] * 2 * len(L) if n >= spectral._DSYEVR_FROM else [])
+
+
+def test_mu2_alone_on_coauthor_large_is_not_mu3(coauthor_large):
+    # its mu2 and mu3 lie 2% apart; dsyevr must return the second eigenvalue
+    L = spectral_bundle(coauthor_large).L
+    mu2, mu3 = np.linalg.eigvalsh(L)[1:3]
+    got = float(spectral._mu2(L))
+    assert abs(got - mu2) <= 1e-12 * mu2
+    assert round(got, 10) == 1.5226e-6 and round(mu3, 10) == 1.5549e-6
+
+
+@pytest.mark.parametrize("n", [2, 6, 23, 24, 52, 77])
+def test_without_the_binding_mu2_is_the_stacked_eigvalsh(monkeypatch, n):
+    monkeypatch.setattr(spectral, "_dsyevr", lambda: None)
+    L = np.stack([_symmetric(n), _symmetric(n) + np.eye(n)])
+    # spectrum is the stacked eigvalsh under the same thread rule
+    assert spectral._mu2(L).tolist() == spectrum(L)[:, 1].tolist()
+    assert float(spectral._mu2(L[1])) == spectrum(L[1])[1]
+
+
+@pytest.mark.parametrize(("info", "found"), [(-6, 0), (3, 1), (0, 0), (0, 2)])
+def test_a_failed_dsyevr_raises_and_restores_the_thread_count(monkeypatch, info, found):
+    fake = _fake_blas(monkeypatch, 2)
+    seen = []
+
+    def failing(*args):
+        seen.append(fake.count)
+        ctypes.c_int64.from_address(args[12]).value = found  # m, the count found
+        return info
+
+    monkeypatch.setattr(spectral, "_dsyevr", lambda: failing)
+    with pytest.raises(ConvergenceError, match=f"dsyevr failed: info {info}, {found} eigenvalues"):
+        spectral._mu2(_symmetric(77))
+    assert seen == [1]
+    assert fake.sets == [1, 2] and fake.count == 2
+
+
+@pytest.mark.skipif("openblas" not in _numpy_blas().lower(), reason="numpy is not on OpenBLAS")
+def test_a_failed_dsyevr_restores_openblas_own_thread_count(monkeypatch):
+    get, _ = spectral._blas_threads()
+    before, seen = get(), []
+    monkeypatch.setattr(spectral, "_dsyevr", lambda: lambda *args: seen.append(get()) or -1)
+    with pytest.raises(ConvergenceError):
+        spectral._mu2(_symmetric(77))
+    assert seen == [1] and get() == before
+
+
+@pytest.mark.skipif(
+    "openblas" not in _numpy_blas().lower() or np.lib.NumpyVersion(np.__version__) < "2.0.0",
+    reason="the ILP64 LAPACKE export was checked on numpy 2.x's OpenBLAS only",
+)
+def test_the_lookup_binds_numpys_dsyevr():
+    assert spectral._dsyevr() is not None
+
+
+@pytest.mark.parametrize(
+    ("exports", "bound"),
+    [
+        (("openblas_get_num_threads", "openblas_set_num_threads", "LAPACKE_dsyevr_work"), False),
+        (("openblas_get_num_threads64_", "openblas_set_num_threads64_", "LAPACKE_dsyevr_work64_"), True),
+    ],
+    ids=["lp64", "ilp64"],
+)
+def test_only_an_ilp64_dsyevr_is_bound(monkeypatch, exports, bound):
+    # both bindings search the same mapping; the thread functions take any
+    # suffix, dsyevr only the 64_ one, since an unsuffixed export may take
+    # 32-bit integers
+    maps = "7f00-7f01 r-xp 00000000 fe:00 1  /opt/lib/libopenblas.so\n"
+    monkeypatch.setattr(spectral, "open", lambda *args, **kwargs: io.StringIO(maps), raising=False)
+    library = types.SimpleNamespace(**{name: lambda *args: 0 for name in exports})
+    monkeypatch.setattr(spectral.ctypes, "CDLL", lambda path: library)
+    assert spectral._blas_threads.__wrapped__() is not None
+    assert (spectral._dsyevr.__wrapped__() is not None) == bound
+
+
+def test_importing_the_package_runs_no_lookup():
+    code = (
+        "import sys\n"
+        "opened = []\n"
+        "sys.addaudithook(lambda event, args: event == 'open' and args[0] == '/proc/self/maps'"
+        " and opened.append(args[0]))\n"
+        "import numpy as np\n"
+        "import hyperteam\n"
+        "from hyperteam import spectral\n"
+        "def state():\n"
+        "    caches = (spectral._blas_threads, spectral._dsyevr)\n"
+        "    print(len(opened), *(cache.cache_info().currsize for cache in caches))\n"
+        "state()\n"
+        "spectral._mu2(np.eye(77))\n"
+        "state()\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=subprocess_env(),
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout.split("\n")
+    assert out[0] == "0 0 0"
+    # the first score of a large enough Laplacian runs both lookups
+    assert out[1].endswith(" 1 1")
+    if sys.platform.startswith("linux"):
+        assert out[1] == "2 1 1"
