@@ -229,15 +229,15 @@ def laplacian(P: np.ndarray, pi: np.ndarray) -> np.ndarray:
     return L
 
 
-def _openblas(names: tuple[str, ...], suffixes: tuple[str, ...]) -> list | None:
-    """The exports ``names`` of the loaded OpenBLAS, as ctypes functions, or None.
+@functools.cache
+def _openblas() -> ctypes.CDLL | None:
+    """The loaded OpenBLAS, or None; found once, on the first call.
 
     The library is found by its path in /proc/self/maps, so on Linux only,
     numpy's own copy first should another package have loaded a second one.
-    Its exports may carry a ``scipy_`` prefix, as in numpy's wheels, and one
-    of ``suffixes``; all of ``names`` must be found under the same pair. A
-    numpy on another BLAS, or another platform, gets None. Each binding
-    below runs this search once, on its first call.
+    Both bindings below take their exports from this one copy, so the solve
+    runs in the library whose thread count ``_serial_solve`` sets. A numpy
+    on another BLAS, or another platform, gets None.
     """
     try:
         with open("/proc/self/maps", encoding="utf-8") as maps:
@@ -246,20 +246,32 @@ def _openblas(names: tuple[str, ...], suffixes: tuple[str, ...]) -> list | None:
         return None
     for path in sorted(paths, key=lambda p: ("numpy" not in p, p)):
         try:
-            lib = ctypes.CDLL(path)
+            return ctypes.CDLL(path)
         except OSError:
             continue
-        for prefix, suffix in itertools.product(("scipy_", ""), suffixes):
-            found = [getattr(lib, f"{prefix}{name}{suffix}", None) for name in names]
-            if None not in found:
-                return found
+    return None
+
+
+def _exports(names: tuple[str, ...], suffixes: tuple[str, ...]) -> list | None:
+    """The exports ``names`` of ``_openblas()``, as ctypes functions, or None.
+
+    Exports may carry a ``scipy_`` prefix, as in numpy's wheels, and one of
+    ``suffixes``; all of ``names`` must be found under the same pair.
+    """
+    lib = _openblas()
+    if lib is None:
+        return None
+    for prefix, suffix in itertools.product(("scipy_", ""), suffixes):
+        found = [getattr(lib, f"{prefix}{name}{suffix}", None) for name in names]
+        if None not in found:
+            return found
     return None
 
 
 @functools.cache
 def _blas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | None:
     """The (get, set) thread-count functions of the loaded OpenBLAS, or None."""
-    found = _openblas(("openblas_get_num_threads", "openblas_set_num_threads"), ("64_", ""))
+    found = _exports(("openblas_get_num_threads", "openblas_set_num_threads"), ("64_", ""))
     if found is None:
         return None
     get, put = found
@@ -276,7 +288,7 @@ def _dsyevr() -> Callable[..., int] | None:
     numpy 2.x wheels: an export without the ``64_`` suffix may take 32-bit
     integers. Pointers are passed as addresses.
     """
-    found = _openblas(("LAPACKE_dsyevr_work",), ("64_",))
+    found = _exports(("LAPACKE_dsyevr_work",), ("64_",))
     if found is None:
         return None
     (dsyevr,) = found
@@ -343,7 +355,6 @@ def _second_eigenvalues(L: np.ndarray):
     buf = np.empty(n * n + n + lwork + 3 + liwork)
     a = buf[: n * n].reshape(n, n)
     ints = buf[n * n + n + lwork :].view(np.int64)
-    ints[0] = 0  # a call that reports no count fails the check below
     base = buf.__array_interface__["data"][0]
     w = base + 8 * n * n
     m = w + 8 * (n + lwork)
@@ -354,6 +365,7 @@ def _second_eigenvalues(L: np.ndarray):
     out = np.empty(len(stack))
     for i, matrix in enumerate(stack):
         np.copyto(a, matrix)
+        ints[0] = 0  # a call that reports no count fails the check below
         info = dsyevr(*args)
         if info != 0 or ints[0] != 1:
             raise ConvergenceError(f"dsyevr failed: info {info}, {ints[0]} eigenvalues found")

@@ -192,8 +192,8 @@ def test_symmetric_eigen_solves_go_through_the_thread_rule(path):
 
     ``_serial_solve`` runs the solves that OpenBLAS would thread at a loss
     on one thread, so a caller elsewhere would bypass that rule. A solve is
-    an ``eigh`` or ``eigvalsh`` read or a read of the LAPACK binding
-    ``_dsyevr``. It goes through the rule when it is an argument of
+    an ``eigh`` or ``eigvalsh`` read or import or a read of the LAPACK
+    binding ``_dsyevr``. It goes through the rule when it is an argument of
     ``_serial_solve``, or when it is read inside a function of spectral's
     own that is read nowhere but as such an argument.
     """
@@ -214,7 +214,7 @@ def test_symmetric_eigen_solves_go_through_the_thread_rule(path):
         for node in ast.walk(top):
             if not (
                 (isinstance(node, ast.Attribute) and node.attr in SYMMETRIC_EIGEN)
-                or (isinstance(node, ast.Name) and node.id == "_dsyevr")
+                or (isinstance(node, ast.Name) and node.id in SYMMETRIC_EIGEN | {"_dsyevr"})
             ):
                 continue
             if any(node is arg for arg in rule_args):
@@ -226,6 +226,10 @@ def test_symmetric_eigen_solves_go_through_the_thread_rule(path):
     assert bypassing == []
     assert sorted(direct) == ["np.linalg.eigh", "np.linalg.eigvalsh"]
     assert sorted(within) == ["_dsyevr", "np.linalg.eigvalsh"]
+    # every read linalg_reads sees, imports included, is one of those above
+    assert sorted(linalg_reads(source, SYMMETRIC_EIGEN)) == sorted(
+        direct + [read for read in within if read != "_dsyevr"]
+    )
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)

@@ -881,7 +881,24 @@ def test_the_lookup_finds_nothing_without_an_openblas_mapping(monkeypatch, maps)
         return io.StringIO(maps)
 
     monkeypatch.setattr(spectral, "open", fake_open, raising=False)
+    assert spectral._openblas.__wrapped__() is None
+    # without a library neither binding is found
+    monkeypatch.setattr(spectral, "_openblas", lambda: None)
     assert spectral._blas_threads.__wrapped__() is None
+    assert spectral._dsyevr.__wrapped__() is None
+
+
+def test_the_lookup_loads_numpys_copy_first(monkeypatch):
+    maps = (
+        "7f00-7f01 r-xp 00000000 fe:00 1  /opt/a/libopenblas.so\n"
+        "7f02-7f03 r-xp 00000000 fe:00 2  /site/numpy.libs/libscipy_openblas64_.so\n"
+        "7f04-7f05 r--p 00000000 fe:00 2  /site/numpy.libs/libscipy_openblas64_.so\n"
+    )
+    monkeypatch.setattr(spectral, "open", lambda *args, **kwargs: io.StringIO(maps), raising=False)
+    loaded = []
+    monkeypatch.setattr(spectral.ctypes, "CDLL", lambda path: loaded.append(path) or path)
+    assert spectral._openblas.__wrapped__() == "/site/numpy.libs/libscipy_openblas64_.so"
+    assert len(loaded) == 1
 
 
 def _numpy_blas() -> str:
@@ -1006,21 +1023,42 @@ def test_without_the_binding_mu2_is_the_stacked_eigvalsh(monkeypatch, n):
     assert float(spectral._mu2(L[1])) == spectrum(L[1])[1]
 
 
-@pytest.mark.parametrize(("info", "found"), [(-6, 0), (3, 1), (0, 0), (0, 2)])
+@pytest.mark.parametrize(("info", "found"), [(-6, 0), (3, 1), (0, 0), (0, 2), (0, None)])
 def test_a_failed_dsyevr_raises_and_restores_the_thread_count(monkeypatch, info, found):
     fake = _fake_blas(monkeypatch, 2)
     seen = []
 
     def failing(*args):
         seen.append(fake.count)
-        ctypes.c_int64.from_address(args[12]).value = found  # m, the count found
+        if found is not None:  # None leaves m unwritten
+            ctypes.c_int64.from_address(args[12]).value = found  # m, the count found
         return info
 
     monkeypatch.setattr(spectral, "_dsyevr", lambda: failing)
-    with pytest.raises(ConvergenceError, match=f"dsyevr failed: info {info}, {found} eigenvalues"):
+    message = f"dsyevr failed: info {info}, {found or 0} eigenvalues"
+    with pytest.raises(ConvergenceError, match=message):
         spectral._mu2(_symmetric(77))
     assert seen == [1]
     assert fake.sets == [1, 2] and fake.count == 2
+
+
+def test_a_second_call_that_reports_no_count_fails(monkeypatch):
+    # the first matrix's count of 1 must not stand for the second's
+    real, calls = spectral._dsyevr(), []
+
+    def second_silent(*args):
+        calls.append(args[4])
+        if len(calls) == 2:
+            return 0
+        if real is not None:
+            return real(*args)
+        ctypes.c_int64.from_address(args[12]).value = 1
+        return 0
+
+    monkeypatch.setattr(spectral, "_dsyevr", lambda: second_silent)
+    with pytest.raises(ConvergenceError, match="dsyevr failed: info 0, 0 eigenvalues"):
+        spectral._mu2(np.stack([_symmetric(77), _symmetric(77) + 1.0, _symmetric(77)]))
+    assert calls == [77, 77]
 
 
 @pytest.mark.skipif("openblas" not in _numpy_blas().lower(), reason="numpy is not on OpenBLAS")
@@ -1050,13 +1088,11 @@ def test_the_lookup_binds_numpys_dsyevr():
     ids=["lp64", "ilp64"],
 )
 def test_only_an_ilp64_dsyevr_is_bound(monkeypatch, exports, bound):
-    # both bindings search the same mapping; the thread functions take any
+    # both bindings probe the same library; the thread functions take any
     # suffix, dsyevr only the 64_ one, since an unsuffixed export may take
     # 32-bit integers
-    maps = "7f00-7f01 r-xp 00000000 fe:00 1  /opt/lib/libopenblas.so\n"
-    monkeypatch.setattr(spectral, "open", lambda *args, **kwargs: io.StringIO(maps), raising=False)
     library = types.SimpleNamespace(**{name: lambda *args: 0 for name in exports})
-    monkeypatch.setattr(spectral.ctypes, "CDLL", lambda path: library)
+    monkeypatch.setattr(spectral, "_openblas", lambda: library)
     assert spectral._blas_threads.__wrapped__() is not None
     assert (spectral._dsyevr.__wrapped__() is not None) == bound
 
@@ -1071,7 +1107,7 @@ def test_importing_the_package_runs_no_lookup():
         "import hyperteam\n"
         "from hyperteam import spectral\n"
         "def state():\n"
-        "    caches = (spectral._blas_threads, spectral._dsyevr)\n"
+        "    caches = (spectral._openblas, spectral._blas_threads, spectral._dsyevr)\n"
         "    print(len(opened), *(cache.cache_info().currsize for cache in caches))\n"
         "state()\n"
         "spectral._mu2(np.eye(77))\n"
@@ -1084,8 +1120,9 @@ def test_importing_the_package_runs_no_lookup():
         text=True,
         check=True,
     ).stdout.split("\n")
-    assert out[0] == "0 0 0"
-    # the first score of a large enough Laplacian runs both lookups
-    assert out[1].endswith(" 1 1")
+    assert out[0] == "0 0 0 0"
+    # the first score of a large enough Laplacian finds the library once and
+    # binds both exports from it
+    assert out[1].endswith(" 1 1 1")
     if sys.platform.startswith("linux"):
-        assert out[1] == "2 1 1"
+        assert out[1] == "1 1 1 1"
