@@ -32,10 +32,12 @@ from . import __version__, bipartite
 from .csa import CsaParams, anneal
 from .errors import HyperteamError
 from .experiments import (
+    ENUMERATION_GUARD,
     SCHEMES,
     budget_sweep,
     diffusion_comparison,
     enumerate_small,
+    enumeration_size,
     scaling_experiment,
     to_instance,
 )
@@ -213,6 +215,17 @@ def _check_at_least(params: dict, **lows: int) -> None:
             raise UsageError(f"--{name.replace('_', '-')} must be at least {low}")
 
 
+def _check_enumeration_size(params: dict) -> None:
+    """Reject --nodes and --edges whose enumeration exceeds the guard."""
+    nodes, edges = params["nodes"], params["edges"]
+    size = enumeration_size(nodes, edges)
+    if size > ENUMERATION_GUARD:
+        raise UsageError(
+            f"--nodes {nodes} with --edges {edges} gives {size} candidate edge sets, "
+            f"more than the {ENUMERATION_GUARD} enumeration allows; lower --nodes or --edges"
+        )
+
+
 def _representative_indices(total: int, count: int) -> list[int]:
     if count > total:
         raise UsageError(f"asked for {count} representatives but only {total} hypergraphs exist")
@@ -223,6 +236,7 @@ def _run_experiment(params: dict, out_dir: Path, to_stdout: bool) -> list[str]:
     kind = params["kind"]
     if kind == "enumerate":
         _check_at_least(params, nodes=0, edges=0)
+        _check_enumeration_size(params)
         found = enumerate_small(params["nodes"], params["edges"], dedup=params["dedup"])
         # rows are written directly: _csv's per-cell type checks cost more than the rest
         label = {e: "-".join(map(str, e)) for e in {e for h in found for e in h.edges}}
@@ -281,6 +295,7 @@ def _run_experiment(params: dict, out_dir: Path, to_stdout: bool) -> list[str]:
         _check_at_least(params, nodes=0, edges=0, representatives=1, steps=1)
         if not 0 <= params["t_max"] < math.inf:
             raise UsageError("--t-max must be a finite number >= 0")
+        _check_enumeration_size(params)
         found = enumerate_small(params["nodes"], params["edges"])
         picked = _representative_indices(len(found), params["representatives"])
         instances = [to_instance(found[i].edges, params["nodes"]) for i in picked]

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import combinations, islice, permutations
+from itertools import chain, combinations, islice, permutations
 
 import numpy as np
 
@@ -41,6 +41,8 @@ __all__ = [
     "BudgetPoint",
     "BudgetCurve",
     "BudgetSweepResult",
+    "ENUMERATION_GUARD",
+    "enumeration_size",
     "enumerate_small",
     "to_instance",
     "diffusion_comparison",
@@ -55,7 +57,8 @@ SCHEMES = ("one_node", "one_edge", "head2tail", "random")
 
 _SWAP_RETRIES = 64
 _REWIRE_RETRIES = 1000
-_ENUMERATION_GUARD = 10**6
+# the most candidate edge sets enumerate_small scans
+ENUMERATION_GUARD = 10**6
 _SAMPLE_TRIES = 200
 
 
@@ -154,6 +157,18 @@ def _canonical_masks(masks: np.ndarray, n_nodes: int) -> np.ndarray:
     return best
 
 
+def enumeration_size(n_nodes: int, n_edges: int) -> int:
+    """Candidate edge sets that ``enumerate_small`` scans.
+
+    Each is a set of ``n_edges`` distinct subsets of two or more of the
+    ``n_nodes`` nodes. Counted without listing them, so a size far past
+    ``ENUMERATION_GUARD`` is refused at once.
+    """
+    if n_nodes < 0 or n_edges < 0:
+        raise ValueError("n_nodes and n_edges must be >= 0")
+    return math.comb(2**n_nodes - n_nodes - 1, n_edges)
+
+
 def enumerate_small(
     n_nodes: int = 5,
     n_edges: int = 3,
@@ -170,33 +185,45 @@ def enumerate_small(
     With ``dedup`` set, one representative per node-relabelling class is
     kept (the enumeration is over labelled hypergraphs by default).
     """
-    subsets = [s for r in range(2, n_nodes + 1) for s in combinations(range(n_nodes), r)]
-    n_candidates = math.comb(len(subsets), n_edges)
-    if n_candidates > _ENUMERATION_GUARD:
+    n_candidates = enumeration_size(n_nodes, n_edges)
+    if n_candidates > ENUMERATION_GUARD:
         raise ValueError(
             f"{n_candidates} candidate edge sets exceeds the enumeration guard "
-            f"({_ENUMERATION_GUARD}); reduce n_nodes or n_edges"
+            f"({ENUMERATION_GUARD}); reduce n_nodes or n_edges"
         )
+    subsets = [s for r in range(2, n_nodes + 1) for s in combinations(range(n_nodes), r)]
     members = np.zeros((len(subsets), n_nodes), dtype=np.int8)
     for s, subset in enumerate(subsets):
         members[s, list(subset)] = 1
     combos = combinations(range(len(subsets)), n_edges)
     size = batch_rows(n_nodes, n_edges)
-    results: list[SmallHypergraph] = []
-    while chunk := list(islice(combos, size)):
-        picks = np.array(chunk, dtype=np.intp).reshape(len(chunk), n_edges)
+    kept, scores = [], []
+    while (flat := np.fromiter(chain.from_iterable(islice(combos, size)), dtype=np.intp)).size:
+        picks = flat.reshape(-1, n_edges)
         stack = np.swapaxes(members[picks], 1, 2)  # (candidate, node, edge)
         connected = reaches_all(stack > 0)
         picks, stack = picks[connected], stack[connected]
-        mu2 = mu2_batch(stack.sum(axis=1), stack)
-        results += [
-            SmallHypergraph(edges=tuple(subsets[s] for s in pick), mu2=float(m))
-            for pick, m in zip(picks.tolist(), mu2)
-        ]
-    results.sort(key=lambda h: (-h.mu2, h.edges))
+        kept.append(picks)
+        scores.append(mu2_batch(stack.sum(axis=1), stack))
+    if not kept:
+        # no candidates, or only the empty edge set, which connects nothing
+        return []
+    picks, mu2 = np.concatenate(kept), np.concatenate(scores)
+    # highest mu2 first, then by edges as tuples compare them: a pick lists
+    # its subsets in index order, and a subset's rank in tuple order is not
+    # its index, since (0, 1, 2) precedes (0, 2)
+    tuple_rank = np.empty(len(subsets), dtype=np.intp)
+    tuple_rank[sorted(range(len(subsets)), key=subsets.__getitem__)] = np.arange(len(subsets))
+    ranked = tuple_rank[picks]
+    order = np.lexsort([ranked[:, e] for e in reversed(range(n_edges))] + [-mu2])
+    picks = picks[order]
+    results = [
+        SmallHypergraph(edges=tuple(map(subsets.__getitem__, pick)), mu2=m)
+        for pick, m in zip(picks.tolist(), mu2[order].tolist())
+    ]
     if dedup:
-        masks = np.array([[sum(1 << v for v in e) for e in h.edges] for h in results], dtype=np.int32)
-        canon = _canonical_masks(masks.reshape(len(results), n_edges), n_nodes)
+        masks = (members @ (1 << np.arange(n_nodes))).astype(np.int32)
+        canon = _canonical_masks(masks[picks], n_nodes)
         _, first = np.unique(canon, axis=0, return_index=True)
         results = [results[i] for i in np.sort(first)]
     return results

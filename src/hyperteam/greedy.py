@@ -164,30 +164,25 @@ def _eig_mu2(energies: np.ndarray, stack: np.ndarray) -> np.ndarray:
     return spectral.spectrum(spectral.laplacian(P, pi))[:, 1]
 
 
-def _best_offer(
+def _offer_mu2(
     inst: ProblemInstance,
     b: np.ndarray,
+    base: float,
     agents: np.ndarray,
     tasks: np.ndarray,
     units: np.ndarray,
-) -> tuple[float, float, int, int, int]:
-    """(base mu2, gain, agent, task, units) of the best offer on ``b``.
+) -> np.ndarray:
+    """mu2 of the active part after each offer; 0 for a split one.
 
-    Offer i puts ``units[i]`` more on (agents[i], tasks[i]). The gain is the
-    mu2 change per unit; offers come in (agent, task) order and the first
-    maximum wins. A candidate's active part is the base's plus the offer's
-    agent and task, so offers fall into at most four active shapes: waking
-    an idle agent or not, filling an empty task or not. Each shape is
-    stacked and scored with ``mu2_batch`` in slices of the size it scores
-    in one chunk. Offers that wake an idle agent onto an active task are
-    scored once per (task, units) class, by the class's first offer, whose
-    mu2 every member takes: they differ only by a row permutation. The
-    offers whose gain lies within ``1e-9 * max mu2`` of the top are then
-    re-scored one by one with ``_eig_mu2``, and the first maximum of those
-    wins: the solve and ``eig`` agree to about 1e-14, far inside the
-    window, so this is the offer an all-``eig`` scan would pick.
+    Offer i puts ``units[i]`` more on (agents[i], tasks[i]) of ``b``, whose
+    active part scores ``base``. A candidate's active part is the base's
+    plus the offer's agent and task, so offers fall into at most four active
+    shapes: waking an idle agent or not, filling an empty task or not. Each
+    shape is stacked and scored with ``mu2_batch`` in slices of the size it
+    scores in one chunk. Offers that wake an idle agent onto an active task
+    are scored once per (task, units) class, by the class's first offer,
+    whose mu2 every member takes: they differ only by a row permutation.
     """
-    base = _mu2(inst, b)
     # an offer that joins the base's agents or tasks keeps a connected base
     # connected; a base of 0 (split, or under two active agents) gets every
     # candidate checked, and a split candidate scores 0
@@ -204,10 +199,14 @@ def _best_offer(
         woken, filled = key < 2, key % 2 == 0
         # waking any idle agent with the same units on the same task gives the
         # same hypergraph up to a row permutation, and mu2 and connectivity
-        # ignore row order: each such class scores its first offer
-        classes = np.column_stack([tasks[group], units[group]]) if key == 1 else group
-        _, first, members = np.unique(classes, axis=0, return_index=True, return_inverse=True)
-        offers = group[first]
+        # ignore row order: each such class, keyed by one integer per (task,
+        # units), scores its first offer; every other offer is its own class
+        members = slice(None)
+        offers = group
+        if key == 1:
+            codes = tasks[group] * (units[group].max() + 1) + units[group]
+            _, first, members = np.unique(codes, return_index=True, return_inverse=True)
+            offers = group[first]
         scored = np.zeros(offers.size)
         size = spectral.batch_rows(int(rows_on.sum() + woken), int(cols_on.sum() + filled))
         for lo in range(0, offers.size, size):
@@ -215,13 +214,37 @@ def _best_offer(
             stack, cols = _offer_stack(b, rows_on, cols_on, agents[sel], tasks[sel], units[sel])
             keep = reaches_all(stack > 0) if check else slice(None)
             scored[lo : lo + size][keep] = spectral.mu2_batch(inst.energies[cols[keep]], stack[keep])
-        mu2[group] = scored[members.reshape(-1)]
+        mu2[group] = scored[members]
+    return mu2
+
+
+def _best_offer(
+    inst: ProblemInstance,
+    b: np.ndarray,
+    agents: np.ndarray,
+    tasks: np.ndarray,
+    units: np.ndarray,
+) -> tuple[float, float, int, int, int]:
+    """(base mu2, gain, agent, task, units) of the best offer on ``b``.
+
+    Offer i puts ``units[i]`` more on (agents[i], tasks[i]). The gain is the
+    mu2 change per unit; offers come in (agent, task) order and the first
+    maximum wins. Every offer is scored by ``_offer_mu2``. The offers whose
+    gain lies within ``1e-9 * max mu2`` of the top are then re-scored one by
+    one with ``_eig_mu2``, and the first maximum of those wins: the solve and
+    ``eig`` agree to about 1e-14, far inside the window, so this is the
+    offer an all-``eig`` scan would pick.
+    """
+    base = _mu2(inst, b)
+    mu2 = _offer_mu2(inst, b, base, agents, tasks, units)
     gains = (mu2 - base) / units
     window = np.flatnonzero(gains >= gains.max() - 1e-9 * mu2.max())
     # only connected candidates of two agents or more score above 0
     rescore = window[mu2[window] > 0]
-    for key in np.unique(shape[rescore]):
-        sel = rescore[shape[rescore] == key]
+    rows_on, cols_on = b.sum(axis=1) > 0, b.sum(axis=0) > 0
+    shape = 2 * rows_on[agents[rescore]] + cols_on[tasks[rescore]]
+    for key in np.unique(shape):
+        sel = rescore[shape == key]
         stack, cols = _offer_stack(b, rows_on, cols_on, agents[sel], tasks[sel], units[sel])
         gains[sel] = (_eig_mu2(inst.energies[cols], stack) - base) / units[sel]
     i = int(window[np.argmax(gains[window])])

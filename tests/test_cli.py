@@ -589,6 +589,9 @@ def test_experiment_diffuse_bipartite_spectrum(tmp_path):
         pytest.param(["diffuse", "--t-max", "-1"], "--t-max", id="args12---t-max"),
         pytest.param(["diffuse", "--t-max", "nan"], "--t-max", id="args13---t-max"),
         pytest.param(["diffuse", "--t-max", "inf"], "--t-max", id="args14---t-max"),
+        # past the enumeration guard: 151,348,015 candidate edge sets
+        pytest.param(["enumerate", "--nodes", "8", "--edges", "4"], "--nodes", id="enumerate-guard"),
+        pytest.param(["diffuse", "--nodes", "8", "--edges", "4"], "--edges", id="diffuse-guard"),
     ],
 )
 def test_experiment_rejects_out_of_range_counts(tmp_path, capsys, args, flag):

@@ -20,6 +20,7 @@ from hyperteam.experiments import (
     build_communities,
     diffusion_comparison,
     enumerate_small,
+    enumeration_size,
     fit_power_law,
     rewire,
     scaling_experiment,
@@ -67,6 +68,30 @@ def test_enumeration_matches_the_candidate_loop(n_nodes, n_edges):
     assert got == _loop_enumeration(n_nodes, n_edges)
 
 
+@pytest.mark.parametrize("n_nodes, n_edges", [(6, 3), (5, 4)])
+def test_enumeration_ranks_tied_mu2_by_edge_tuples(n_nodes, n_edges):
+    # a subset's index (by size, then lexicographic) and its tuple order
+    # differ: (0, 1, 2) has the larger index but precedes (0, 2)
+    found = enumerate_small(n_nodes, n_edges)
+    assert found == sorted(found, key=lambda h: (-h.mu2, h.edges))
+    subsets = [s for r in range(2, n_nodes + 1) for s in combinations(range(n_nodes), r)]
+    index = {s: i for i, s in enumerate(subsets)}
+    # some exactly tied neighbours are told apart by two subsets that the
+    # index orders the other way round
+    decided = [
+        next((x, y) for x, y in zip(a.edges, b.edges) if x != y)
+        for a, b in zip(found, found[1:])
+        if a.mu2 == b.mu2
+    ]
+    assert any(index[x] > index[y] for x, y in decided)
+
+
+@pytest.mark.parametrize("n_nodes, n_edges", [(0, 2), (1, 1), (4, 0)])
+def test_enumeration_without_candidates_is_empty(n_nodes, n_edges):
+    assert enumerate_small(n_nodes, n_edges) == []
+    assert enumerate_small(n_nodes, n_edges, dedup=True) == []
+
+
 def test_enumeration_sorted_and_connected():
     found = enumerate_small(4, 2)
     mu2s = [h.mu2 for h in found]
@@ -111,6 +136,18 @@ def test_enumeration_dedup_keeps_what_the_permutation_loop_kept(n_nodes, n_edges
 def test_enumeration_guard():
     with pytest.raises(ValueError):
         enumerate_small(8, 4)
+
+
+def test_enumeration_size_counts_candidates_without_listing_them():
+    for n_nodes in range(7):
+        subsets = [s for r in range(2, n_nodes + 1) for s in combinations(range(n_nodes), r)]
+        for n_edges in range(5):
+            assert enumeration_size(n_nodes, n_edges) == math.comb(len(subsets), n_edges)
+    # refused before any subset is listed: 2**40 of them would not fit in memory
+    with pytest.raises(ValueError, match="enumeration guard"):
+        enumerate_small(40, 1)
+    with pytest.raises(ValueError, match=">= 0"):
+        enumeration_size(-1, 2)
 
 
 def test_to_instance_marginals():

@@ -462,6 +462,66 @@ def test_idle_agents_woken_onto_one_task_score_alike():
     assert seen == {False, True}
 
 
+def _idle_budget_instance(rng):
+    """A connected team among five idle agents whose budgets run 1 to 5.
+
+    Every task is short by 3 to 5 units, which the idle agents' budgets
+    cover, and each team agent has 0 to 2 spare units. In phase 1's first
+    round the idle agents offer packets of 1, 2 and 3 units to each task.
+    """
+    team = np.asarray(random_connected_instance(rng, int(rng.integers(2, 5)), int(rng.integers(2, 4))).assignment)
+    order = rng.permutation(len(team) + 5)
+    seed = np.vstack([team, np.zeros((5, team.shape[1]), dtype=np.int64)])[order]
+    spare = rng.integers(0, 3, size=len(team))
+    budgets = np.concatenate([team.sum(axis=1) + spare, rng.permutation(np.arange(1, 6))])[order]
+    inst = ProblemInstance(
+        agent_ids=tuple(f"a{i}" for i in range(len(seed))),
+        budgets=budgets,
+        task_ids=tuple(f"t{k}" for k in range(seed.shape[1])),
+        energies=team.sum(axis=0) + rng.integers(3, 6, size=team.shape[1]),
+        assignment=np.zeros_like(seed),
+    )
+    return inst, seed
+
+
+def test_idle_agent_classes_key_on_task_and_units(monkeypatch):
+    # greedy groups idle agents' offers onto an active task by one integer
+    # code per (task, units); with three or more unit counts on one task,
+    # every offer still takes the mu2 of its own active part, and every
+    # decision and trace mu2 is that of scoring all offers by eig
+    best_offer, spread, rounds = greedy._best_offer, [], []
+
+    def checking(inst, b, agents, tasks, units):
+        woken = (b[agents].sum(axis=1) == 0) & (b.sum(axis=0)[tasks] > 0)
+        spread.append(max((np.unique(units[woken & (tasks == k)]).size for k in tasks[woken]), default=0))
+        base = greedy._mu2(inst, b)
+        own = []
+        for j, k, u in zip(agents, tasks, units):
+            b[j, k] += u
+            rows, cols = b.sum(axis=1) > 0, b.sum(axis=0) > 0
+            part = b[np.ix_(rows, cols)][np.newaxis]
+            own.append(mu2_batch(inst.energies[cols][np.newaxis], part)[0] if reaches_all(part > 0)[0] else 0.0)
+            b[j, k] -= u
+        got = greedy._offer_mu2(inst, b, base, agents, tasks, units)
+        assert np.allclose(got, own, rtol=1e-12, atol=0)
+        return best_offer(inst, b, agents, tasks, units)
+
+    rng = np.random.default_rng(25)
+    params = GreedyParams(packet_size=3)
+    for _ in range(12):
+        inst, seed = _idle_budget_instance(rng)
+        with monkeypatch.context() as patch:
+            patch.setattr(greedy, "_best_offer", checking)
+            got, got_trace = _phases(inst, seed, params)
+        with monkeypatch.context() as patch:
+            patch.setattr(greedy, "_best_offer", _all_eig_best_offer(rounds))
+            want, want_trace = _phases(inst, seed, params)
+        assert np.array_equal(got, want)
+        assert [row.mu2 for row in got_trace] == [row.mu2 for row in want_trace]
+    assert max(spread) >= 3
+    assert all(100 * drift <= width for drift, width in rounds)
+
+
 def test_greedy_scores_one_offer_per_idle_agent_class(coauthor_small, monkeypatch):
     # one default run scores 40,009 offers, 39,275 of which wake an idle
     # agent; those fall into 865 (task, units) classes
