@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import chain, combinations, islice, permutations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -128,33 +128,35 @@ class ScalingFit:
     std_mu2: tuple[float, ...]
 
 
-def _canonical_masks(masks: np.ndarray, n_nodes: int) -> np.ndarray:
-    """One row per node-relabelling class: the least relabelled edge set.
+def _relabelling_classes(picks: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """The least row of each row's node-relabelling class.
 
-    Row r of the (R, E) ``masks`` is one hypergraph, bit v of ``masks[r, e]``
-    set when node v is in its edge e. Every relabelling maps the bitmasks
-    through a table of ``2**n_nodes`` entries; each image's edges are sorted
-    and the lexicographically least image over all relabellings is the
-    class's canonical form, an exhaustive-search form in the sense of McKay
-    and Piperno (2014). Relabellings and rows go in chunks of about 2**21
-    bitmasks.
+    ``picks`` lists every combination of the subsets in ``members`` in
+    combination order, so a sorted pick's lexicographic rank is its row. Each
+    adjacent transposition (v, v + 1) maps every row to the row of its image;
+    these generate all relabellings, and their components are labelled by
+    min-label propagation with pointer jumping, in work linear in rows x nodes.
     """
-    bits = (np.arange(1 << n_nodes)[:, np.newaxis] >> np.arange(n_nodes)) & 1
-    best = np.sort(masks, axis=1)
-    relabellings = permutations(range(n_nodes))
-    while perms := list(islice(relabellings, max(1, 2**20 >> n_nodes))):
-        table = (bits @ (1 << np.array(perms, dtype=np.int32)).T).T.astype(masks.dtype)
-        rows = max(1, 2**21 // (len(perms) * max(1, masks.shape[1])))
-        for lo in range(0, len(masks), rows):
-            relabelled = np.sort(table[:, masks[lo : lo + rows]], axis=-1)
-            images = np.concatenate([best[np.newaxis, lo : lo + rows], relabelled])
-            # keep the images that tie the least one edge by edge
-            least = np.ones(images.shape[:2], dtype=bool)
-            for e in range(images.shape[2]):
-                edge = np.where(least, images[:, :, e], 1 << n_nodes)
-                least &= edge == edge.min(axis=0)
-            best[lo : lo + rows] = images[least.argmax(axis=0), np.arange(images.shape[1])]
-    return best
+    n_subsets, n_nodes = members.shape
+    rows, n_edges = picks.shape
+    masks = members.astype(np.intp) @ (1 << np.arange(n_nodes))
+    subset_of = np.zeros(1 << n_nodes, dtype=np.intp)
+    subset_of[masks] = np.arange(n_subsets)
+    # rank = rows - 1 - sum_j comb(S - 1 - pick[j], E - j), capped where no pick reaches
+    terms = np.array([[min(math.comb(n_subsets - 1 - s, n_edges - j), rows) for j in range(n_edges)]
+                      for s in range(n_subsets)], dtype=np.intp)
+    moves = []
+    for v in range(n_nodes - 1):
+        bit = ((masks >> v) ^ (masks >> (v + 1))) & 1
+        image = np.sort(subset_of[masks ^ (bit << v | bit << (v + 1))][picks], axis=1)
+        moves.append(rows - 1 - terms[image, np.arange(n_edges)].sum(axis=1))
+    cls, grown = None, np.arange(rows)
+    while not np.array_equal(grown, cls):
+        cls = grown
+        for move in moves:
+            grown = np.minimum(grown, grown[move])
+        grown = grown[grown]
+    return cls
 
 
 def enumeration_size(n_nodes: int, n_edges: int) -> int:
@@ -180,10 +182,12 @@ def enumerate_small(
     Hyperedges are distinct node subsets of cardinality two or more; every
     membership carries weight 1, budgets and energies are the row and column
     sums. Only single-component hypergraphs that touch every node survive
-    the filter. Sorted by algebraic connectivity, highest first.
+    the filter. Sorted by ``(-mu2, edges)``, highest connectivity first.
 
-    With ``dedup`` set, one representative per node-relabelling class is
-    kept (the enumeration is over labelled hypergraphs by default).
+    Relabelling nodes keeps connectivity and mu2, so each node-relabelling
+    class is tested and scored once, on its first member in combination
+    order: its members tie bit for bit and are ordered by ``edges``. With
+    ``dedup`` set, only each class's first row, its least edge tuple, is kept.
     """
     n_candidates = enumeration_size(n_nodes, n_edges)
     if n_candidates > ENUMERATION_GUARD:
@@ -191,24 +195,25 @@ def enumerate_small(
             f"{n_candidates} candidate edge sets exceeds the enumeration guard "
             f"({ENUMERATION_GUARD}); reduce n_nodes or n_edges"
         )
+    if n_candidates == 0 or n_edges == 0:
+        # no candidates, or only the empty edge set, which connects nothing
+        return []
     subsets = [s for r in range(2, n_nodes + 1) for s in combinations(range(n_nodes), r)]
     members = np.zeros((len(subsets), n_nodes), dtype=np.int8)
     for s, subset in enumerate(subsets):
         members[s, list(subset)] = 1
     combos = combinations(range(len(subsets)), n_edges)
-    size = batch_rows(n_nodes, n_edges)
-    kept, scores = [], []
-    while (flat := np.fromiter(chain.from_iterable(islice(combos, size)), dtype=np.intp)).size:
-        picks = flat.reshape(-1, n_edges)
-        stack = np.swapaxes(members[picks], 1, 2)  # (candidate, node, edge)
-        connected = reaches_all(stack > 0)
-        picks, stack = picks[connected], stack[connected]
-        kept.append(picks)
-        scores.append(mu2_batch(stack.sum(axis=1), stack))
-    if not kept:
-        # no candidates, or only the empty edge set, which connects nothing
-        return []
-    picks, mu2 = np.concatenate(kept), np.concatenate(scores)
+    picks = np.fromiter(chain.from_iterable(combos), dtype=np.intp).reshape(-1, n_edges)
+    cls = _relabelling_classes(picks, members)
+    reps = np.flatnonzero(cls == np.arange(len(cls)))
+    stack = np.swapaxes(members[picks[reps]], 1, 2)  # (class, node, edge)
+    connected = reaches_all(stack > 0)
+    reps, stack = reps[connected], stack[connected]
+    scored = np.zeros(len(picks))
+    scored[reps] = mu2_batch(stack.sum(axis=1), stack)
+    keep = np.isin(cls, reps)
+    picks, cls = picks[keep], cls[keep]
+    mu2 = scored[cls]
     # highest mu2 first, then by edges as tuples compare them: a pick lists
     # its subsets in index order, and a subset's rank in tuple order is not
     # its index, since (0, 1, 2) precedes (0, 2)
@@ -216,17 +221,11 @@ def enumerate_small(
     tuple_rank[sorted(range(len(subsets)), key=subsets.__getitem__)] = np.arange(len(subsets))
     ranked = tuple_rank[picks]
     order = np.lexsort([ranked[:, e] for e in reversed(range(n_edges))] + [-mu2])
-    picks = picks[order]
-    results = [
-        SmallHypergraph(edges=tuple(map(subsets.__getitem__, pick)), mu2=m)
-        for pick, m in zip(picks.tolist(), mu2[order].tolist())
-    ]
     if dedup:
-        masks = (members @ (1 << np.arange(n_nodes))).astype(np.int32)
-        canon = _canonical_masks(masks[picks], n_nodes)
-        _, first = np.unique(canon, axis=0, return_index=True)
-        results = [results[i] for i in np.sort(first)]
-    return results
+        _, first = np.unique(cls[order], return_index=True)
+        order = order[np.sort(first)]
+    edges = zip(*([subsets[s] for s in column] for column in picks[order].T.tolist()))
+    return [SmallHypergraph(edges=e, mu2=m) for e, m in zip(edges, mu2[order].tolist())]
 
 
 def _unit_instance(assignment: np.ndarray, agent: str, task: str) -> ProblemInstance:

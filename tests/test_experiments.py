@@ -45,8 +45,9 @@ def test_enumeration_count_default_size():
 def _loop_enumeration(n_nodes, n_edges):
     """The per-candidate enumeration loop: component count, then one mu2 each.
 
-    Each candidate is a ``mu2_batch`` batch of one, bit-identical to its entry
-    in the stacks that ``enumerate_small`` scores.
+    Connected candidates in combination order. Each is a ``mu2_batch`` batch
+    of one, bit-identical to its entry in the stacks that ``enumerate_small``
+    scores.
     """
     subsets = [s for r in range(2, n_nodes + 1) for s in combinations(range(n_nodes), r)]
     found = []
@@ -57,32 +58,86 @@ def _loop_enumeration(n_nodes, n_edges):
         if bipartite_components(incidence > 0)[0] == 1:
             energies = incidence.sum(axis=0)[np.newaxis]
             found.append((edges, mu2_batch(energies, incidence[np.newaxis])[0]))
-    found.sort(key=lambda h: (-h[1], h[0]))
     return found
+
+
+def _canonical(edges, n_nodes):
+    """Least sorted relabelled edge tuple over all relabellings: the oracle of dedup."""
+    return min(
+        tuple(sorted(tuple(sorted(perm[v] for v in e)) for e in edges))
+        for perm in permutations(range(n_nodes))
+    )
 
 
 @pytest.mark.parametrize("n_nodes, n_edges", [(4, 2), (5, 3)])
 def test_enumeration_matches_the_candidate_loop(n_nodes, n_edges):
-    # identical edge lists and bit-identical mu2, not merely close ones
-    got = [(h.edges, h.mu2) for h in enumerate_small(n_nodes, n_edges)]
-    assert got == _loop_enumeration(n_nodes, n_edges)
+    # each relabelling class is scored once, on its first candidate in
+    # combination order: every row carries that candidate's loop mu2 bit for
+    # bit, and lies within 1e-12 relative of its own loop mu2
+    loop = _loop_enumeration(n_nodes, n_edges)
+    first = {}
+    for edges, mu2 in loop:
+        first.setdefault(_canonical(edges, n_nodes), mu2)
+    found = enumerate_small(n_nodes, n_edges)
+    assert {h.edges for h in found} == {edges for edges, _ in loop}
+    own = dict(loop)
+    for h in found:
+        assert h.mu2 == first[_canonical(h.edges, n_nodes)]
+        assert h.mu2 == pytest.approx(own[h.edges], rel=1e-12, abs=0)
+    assert found == sorted(found, key=lambda h: (-h.mu2, h.edges))
+
+
+@pytest.mark.parametrize("n_nodes, n_edges", [(4, 2), (4, 3), (5, 3)])
+def test_relabelled_copies_score_bit_equal_in_the_oracle_classes(n_nodes, n_edges):
+    subsets = [s for r in range(2, n_nodes + 1) for s in combinations(range(n_nodes), r)]
+    members = np.zeros((len(subsets), n_nodes), dtype=np.int8)
+    for s, subset in enumerate(subsets):
+        members[s, list(subset)] = 1
+    picks = np.array(list(combinations(range(len(subsets)), n_edges)))
+    cls = experiments._relabelling_classes(picks, members)
+    # every candidate, connected or not, is classed as the oracle classes it,
+    # and each class is labelled by its first candidate
+    oracle = [_canonical([subsets[s] for s in pick], n_nodes) for pick in picks.tolist()]
+    first = {}
+    for row, canon in enumerate(oracle):
+        first.setdefault(canon, row)
+    assert cls.tolist() == [first[canon] for canon in oracle]
+    # a relabelled copy of a row is a row with the same mu2, bit for bit
+    found = {h.edges: h.mu2 for h in enumerate_small(n_nodes, n_edges)}
+    rng = np.random.default_rng(n_nodes * 10 + n_edges)
+    for edges, mu2 in found.items():
+        perm = rng.permutation(n_nodes)
+        # edges list their subsets in index order: by size, then as tuples
+        copy = tuple(sorted((tuple(sorted(int(perm[v]) for v in e)) for e in edges), key=lambda e: (len(e), e)))
+        assert found[copy] == mu2
+
+
+@pytest.mark.parametrize("n_nodes, n_edges", [(10, 1), (9, 2)])
+def test_enumeration_of_many_nodes_stays_linear_in_the_candidates(n_nodes, n_edges):
+    # the classes come from n - 1 transpositions, not a table of all n!
+    # relabellings, which at 10 nodes would hold 3.6e6 x 1,013 entries
+    found = enumerate_small(n_nodes, n_edges)
+    assert len(found) == count_connected_covering(n_nodes, n_edges)
 
 
 @pytest.mark.parametrize("n_nodes, n_edges", [(6, 3), (5, 4)])
-def test_enumeration_ranks_tied_mu2_by_edge_tuples(n_nodes, n_edges):
+def test_enumeration_ranks_tied_mu2_by_edge_tuples(n_nodes, n_edges, monkeypatch):
     # a subset's index (by size, then lexicographic) and its tuple order
     # differ: (0, 1, 2) has the larger index but precedes (0, 2)
     found = enumerate_small(n_nodes, n_edges)
     assert found == sorted(found, key=lambda h: (-h.mu2, h.edges))
+    # the members of one class list subsets of the same sizes, so the two
+    # orders agree on them; only ties between classes, which roundoff
+    # decides, can tell the orders apart. Score every class alike, so that
+    # every row ties with every other
+    monkeypatch.setattr(experiments, "mu2_batch", lambda energies, stack: np.ones(len(stack)))
+    tied = enumerate_small(n_nodes, n_edges)
+    assert [h.edges for h in tied] == sorted(h.edges for h in found)
     subsets = [s for r in range(2, n_nodes + 1) for s in combinations(range(n_nodes), r)]
     index = {s: i for i, s in enumerate(subsets)}
-    # some exactly tied neighbours are told apart by two subsets that the
-    # index orders the other way round
-    decided = [
-        next((x, y) for x, y in zip(a.edges, b.edges) if x != y)
-        for a, b in zip(found, found[1:])
-        if a.mu2 == b.mu2
-    ]
+    # some neighbours are told apart by two subsets that the index orders the
+    # other way round
+    decided = [next((x, y) for x, y in zip(a.edges, b.edges) if x != y) for a, b in zip(tied, tied[1:])]
     assert any(index[x] > index[y] for x, y in decided)
 
 
@@ -103,14 +158,6 @@ def test_enumeration_sorted_and_connected():
         assert count == 1
 
 
-def _canonical(edges, n_nodes):
-    """Least sorted relabelled edge tuple over all relabellings: the oracle of dedup."""
-    return min(
-        tuple(sorted(tuple(sorted(perm[v] for v in e)) for e in edges))
-        for perm in permutations(range(n_nodes))
-    )
-
-
 def test_enumeration_dedup_covers_all_classes():
     full = enumerate_small(4, 2)
     reps = enumerate_small(4, 2, dedup=True)
@@ -122,8 +169,8 @@ def test_enumeration_dedup_covers_all_classes():
 
 @pytest.mark.parametrize("n_nodes, n_edges", [(4, 2), (4, 3), (4, 5), (5, 2), (5, 3)])
 def test_enumeration_dedup_keeps_what_the_permutation_loop_kept(n_nodes, n_edges):
-    # the numpy canonical form against the per-hypergraph loop over all
-    # relabellings that it replaced: the same first member of each class
+    # dedup keeps the first ranked row of each class, with the classes from a
+    # loop over all relabellings
     kept, seen = [], set()
     for h in enumerate_small(n_nodes, n_edges):
         canon = _canonical(h.edges, n_nodes)
