@@ -15,16 +15,27 @@ preserve row sums, budget overruns can never appear once the chain starts
 from a full-budget state.
 
 A candidate is scored on its budgeted rows, whole, by the objective's
-``mu2_of_assignment``. It raises ``DegreeError`` for an idle budgeted agent or
+``mu2_of_assignment``; when every agent has a budget that is the candidate
+itself, with no copy. It raises ``DegreeError`` for an idle budgeted agent or
 a task that no budgeted agent holds, and ``ReducibleChainError`` for a split
 candidate; either way the candidate is disconnected, evaluates to -inf and
 is never accepted.
+
+The annealer holds each task's holders, in ascending order, as member lists
+of its current state. ``perturb`` draws agents from them, where it once ran
+``np.flatnonzero`` on two columns per swap, and replaces each list a move
+changes with a new one; it works on a shallow copy, which becomes the current
+state's lists when the candidate is accepted. The lists equal those columns'
+nonzero rows, so every draw, and so every chain, is as before. On a
+coauthor_small state a ``perturb`` call took 33 us instead of 40 (2-core
+VM, medians of 10 alternating runs); called without the lists, it builds
+them first and took 43 us.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_right, insort
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from itertools import accumulate
@@ -211,11 +222,36 @@ def _weighted_pick(rng: np.random.Generator, weights: list[int]) -> int:
     return min(bisect_right(cum, rng.random() * cum[-1]), len(weights) - 1)
 
 
+def _member_lists(assignment: np.ndarray) -> list[list[int]]:
+    """Each task's holders in ascending order: ``np.flatnonzero(assignment[:, j] > 0)``."""
+    tasks, agents = np.nonzero(assignment.T > 0)  # task-major, agents ascending
+    bounds = np.searchsorted(tasks, np.arange(assignment.shape[1] + 1)).tolist()
+    agents = agents.tolist()
+    return [agents[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _shift(b: np.ndarray, members: list[list[int]], agent: int, source: int, target: int) -> None:
+    """Move one of ``agent``'s units from task ``source`` to ``target``, keeping ``members``.
+
+    A changed list is replaced by a new one, never edited in place, so a
+    shallow copy of ``members`` taken before keeps the old lists.
+    """
+    left, held = b.item(agent, source) - 1, b.item(agent, target) + 1
+    b[agent, source], b[agent, target] = left, held
+    if not left:
+        members[source] = [i for i in members[source] if i != agent]
+    if held == 1:
+        members[target] = joined = members[target].copy()
+        insort(joined, agent)
+
+
 def perturb(
     assignment: np.ndarray,
     e_tilde: np.ndarray,
     params: CsaParams,
     rng: np.random.Generator,
+    *,
+    members: list[list[int]] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Apply one batch of moves; returns new (assignment, shortfall) copies.
 
@@ -224,10 +260,17 @@ def perturb(
     chosen proportional to surplus and the recipient proportional to deficit;
     otherwise one unit is swapped between two random non-empty tasks, which
     leaves all task totals unchanged.
+
+    ``members``, when given, is each task's ascending holder list of
+    ``assignment`` (see ``anneal``); it is updated in place to the returned
+    assignment's, each changed task getting a new list. Without it the lists
+    are built from ``assignment``. Either way the moves and draws are the same.
     """
     b = np.array(assignment, dtype=np.int64)
     e = np.asarray(e_tilde, dtype=np.int64).tolist()
     k = b.shape[1]
+    if members is None:
+        members = _member_lists(b)
     # swaps keep every task total and guided moves only shrink entries: scan once, then prune
     surplus, deficit = [j for j, x in enumerate(e) if x < 0], [j for j, x in enumerate(e) if x > 0]
     spare, need = [-e[j] for j in surplus], [e[j] for j in deficit]
@@ -235,10 +278,9 @@ def perturb(
         if deficit and surplus and rng.random() < params.p_guided:
             i, j = _weighted_pick(rng, spare), _weighted_pick(rng, need)
             donor, recipient = surplus[i], deficit[j]
-            members = np.flatnonzero(b[:, donor] > 0)
-            agent = int(members[rng.integers(members.size)])
-            b[agent, donor] -= 1
-            b[agent, recipient] += 1
+            held = members[donor]
+            agent = held[rng.integers(len(held))]
+            _shift(b, members, agent, donor, recipient)
             e[donor] += 1
             e[recipient] -= 1
             spare[i] -= 1
@@ -252,15 +294,12 @@ def perturb(
             continue
         for _ in range(_SWAP_RETRIES):
             k1, k2 = rng.choice(k, size=2, replace=False)
-            m1 = np.flatnonzero(b[:, k1] > 0)
-            m2 = np.flatnonzero(b[:, k2] > 0)
-            if m1.size and m2.size:
-                u = int(m1[rng.integers(m1.size)])
-                v = int(m2[rng.integers(m2.size)])
-                b[u, k1] -= 1
-                b[u, k2] += 1
-                b[v, k2] -= 1
-                b[v, k1] += 1
+            m1, m2 = members[k1], members[k2]
+            if m1 and m2:
+                u = m1[rng.integers(len(m1))]
+                v = m2[rng.integers(len(m2))]
+                _shift(b, members, u, k1, k2)
+                _shift(b, members, v, k2, k1)
                 break
         # all retries hit an empty task: the move degrades to a no-op
     return b, np.array(e, dtype=np.int64)
@@ -299,21 +338,27 @@ def anneal(
         current = given.astype(np.int64)
 
     mu2_of, rows, row_sums = _objective(params), inst.budgets > 0, current.sum(axis=1)
+    # scored whole when every agent has a budget, with no copy of the rows
+    budgeted = (lambda b: b) if rows.all() else (lambda b: b[rows])
     overrun, e_tilde = _overrun(current, inst), inst.energies - current.sum(axis=0)
-    penalty, mu2 = _evaluate_full(current[rows], e_tilde, overrun, inst, params, mu2_of)
+    penalty, mu2 = _evaluate_full(budgeted(current), e_tilde, overrun, inst, params, mu2_of)
     feasible = _feasible(e_tilde, overrun, penalty)
     best = (feasible, penalty, mu2, current.copy())
 
     temperature = params.t0
     trace = [TraceRow(0, temperature, penalty, mu2, feasible, True)]
+    members = _member_lists(current)
     t = 0
     while temperature > params.t_threshold and t < params.max_iters:
-        candidate, cand_e = perturb(current, e_tilde, params, rng_chain)
+        # perturb replaces the lists it changes, so the current state keeps its own
+        cand_members = members.copy()
+        candidate, cand_e = perturb(current, e_tilde, params, rng_chain, members=cand_members)
         if __debug__ and t % 1000 == 0:
             assert np.array_equal(cand_e, inst.energies - candidate.sum(axis=0)), "shortfall drifted"
             assert np.array_equal(candidate.sum(axis=1), row_sums), "a move changed a row sum"
+            assert cand_members == _member_lists(candidate), "a member list drifted"
         cand_penalty, cand_mu2 = _evaluate_full(
-            candidate[rows], cand_e, overrun, inst, params, mu2_of
+            budgeted(candidate), cand_e, overrun, inst, params, mu2_of
         )
         if math.isinf(cand_penalty) and cand_penalty < 0:
             accepted = False
@@ -323,6 +368,7 @@ def anneal(
             accepted = rng_chain.random() < math.exp((cand_penalty - penalty) / temperature)
         if accepted:
             current, penalty, mu2, e_tilde = candidate, cand_penalty, cand_mu2, cand_e
+            members = cand_members
             feasible = _feasible(e_tilde, overrun, penalty)
             if (feasible, penalty) > best[:2]:
                 best = (feasible, penalty, mu2, current.copy())

@@ -86,7 +86,9 @@ class CommunitySpec:
             raise ValueError(f"unknown scheme {self.scheme!r}; choose from {SCHEMES}")
 
 
-@dataclass(frozen=True)
+# slots: enumerate_small builds one per row, and slotted rows carry no
+# __dict__ and are built faster
+@dataclass(frozen=True, slots=True)
 class SmallHypergraph:
     """One enumerated hypergraph: its edge sets and algebraic connectivity."""
 

@@ -26,14 +26,37 @@ built from them. ``walk_blocks``, ``transition_matrix``, ``laplacian`` and
 ``stationary_distribution`` solves one chain.
 
 Stationary distributions come from one normalized linear solve at every size,
-for one chain or a stack. ``stationary_distribution`` also rejects reducible
-chains with ``ReducibleChainError``, after a search of the chain's support.
+for one chain or a stack. One chain is solved by LAPACK's ``dgesv`` through
+the ``LAPACKE_dgesv_work`` export, bound as ``dsyevr`` is below; a stack, or
+a numpy without the export, goes through ``np.linalg.solve``, which runs the
+same ``dgesv`` on the same column-major system, so pi is the same bit for
+bit. ``stationary_distribution`` also rejects reducible chains with
+``ReducibleChainError``, after a search of the chain's support.
 ``certified_mu2`` scores one chain and reads connectivity off the spectrum
 instead: a mu2 above 5e-10 certifies the chain irreducible, and the support
 is searched only when the solve fails or mu2 is at most that. Both
 ``mu2_of_assignment`` objectives, the hypergraph one here and the bipartite
 lift's, score through it. ``mu2_batch`` solves whole stacks and leaves
 connectivity to its callers, which test it with ``reaches_all``.
+
+One score works in reused arrays. Each thread keeps its own sets in a
+``threading.local``, one per kind and shape: at most 8 sets, and none above
+255 on a side, where a solve takes milliseconds and a set megabytes; such a
+score builds its sets and lets them go. The stationary solve keeps dgesv's
+matrix, pivots, right-hand side and residual, and ``_mu2`` keeps dsyevr's
+workspace, so the bipartite lift's score reuses both. ``mu2_of_assignment``
+also writes W, R and the degrees, the agent chain ``A B`` and the Laplacian
+with ``out=`` products and in-place ufuncs, the Laplacian straight into the
+matrix that ``dsyevr`` solves. It runs the same floating-point operations in
+the same order as the fresh-array chain ``walk_blocks``, ``_solve_stationary``,
+``laplacian`` and ``_mu2``, so every mu2, and every error raised, is that
+chain's. A score of a coauthor_small state (52x25) took 133 us instead of
+154, and of its lift 189 instead of 211 (2-core VM, medians of 10
+alternating runs of the best of 15 x 300 calls); about 30 us of it is
+``dgesv`` and 70 us ``dsyevr``, and most of the rest numpy's dispatch of
+some 30 small ufuncs and products. Written in place, the lift's walk and
+Laplacian saved about 2% more of its score, too little for a second scorer.
+The sets' contents last until the thread's next score.
 
 mu2 itself comes from one private kernel, ``_mu2``, in ``certified_mu2`` and
 in each chunk of ``mu2_batch``, so a single score and a batched one agree bit
@@ -70,6 +93,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import itertools
+import threading
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -111,6 +135,33 @@ _SERIAL_SIZES = range(65, 512)
 _DSYEVR_FROM = 24
 _ABSTOL = 2 * np.finfo(np.float64).tiny
 
+# Scratch sets that each thread keeps for reuse; see _scratch.
+_KEPT_SETS = 8
+_KEPT_SIDE = 255
+_kept = threading.local()
+
+
+def _scratch(make: type, *shape: int):
+    """``make(*shape)``, reused by this thread's later calls with the same arguments.
+
+    Each thread keeps at most ``_KEPT_SETS`` sets, dropping the oldest first,
+    and none with a side above ``_KEPT_SIDE``: there one solve takes
+    milliseconds and one kept set megabytes. A set's contents last until the
+    thread's next score, which overwrites them.
+    """
+    kept = getattr(_kept, "sets", None)
+    if kept is None:
+        kept = _kept.sets = {}
+    key = (make, shape)
+    found = kept.get(key)
+    if found is None:
+        found = make(*shape)
+        if max(shape) <= _KEPT_SIDE:
+            if len(kept) >= _KEPT_SETS:
+                del kept[next(iter(kept))]
+            kept[key] = found
+    return found
+
 
 def walk_blocks(energies: np.ndarray, assignment: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The walk's two steps ``(A, B) = (D_V^-1 W, D_E^-1 R^T)`` of an assignment.
@@ -118,12 +169,25 @@ def walk_blocks(energies: np.ndarray, assignment: np.ndarray) -> tuple[np.ndarra
     ``assignment`` is (N, K) or a (C, N, K) stack, and A and B are (..., N, K)
     and (..., K, N). ``energies`` broadcasts against the leading axes: (K,)
     for all, or one row per assignment. An agent in no task or a task without
-    agents raises ``DegreeError``, which names it by its index.
+    agents raises ``DegreeError``, which names it by its index. W and R are
+    C-ordered whatever the assignment's layout, as in the objectives' reused
+    arrays: the reductions and products that follow sum in memory order, so
+    their last bits would otherwise follow the layout.
     """
     energies, assignment = np.asarray(energies), np.asarray(assignment)
-    W = (assignment > 0) * energies[..., np.newaxis, :].astype(np.float64)
-    R = assignment.astype(np.float64)
-    d_v, d_e = W.sum(axis=-1), R.sum(axis=-2)
+    W = np.multiply(assignment > 0, energies[..., np.newaxis, :].astype(np.float64), order="C")
+    R = assignment.astype(np.float64, order="C")
+    return _walk_steps(W, R)
+
+
+def _walk_steps(
+    W: np.ndarray, R: np.ndarray, d_v: np.ndarray | None = None, d_e: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(A, B)`` from the weights W and R, normalized in place; the one degree check.
+
+    The degrees go into d_v and d_e when they are given.
+    """
+    d_v, d_e = W.sum(axis=-1, out=d_v), R.sum(axis=-2, out=d_e)
     for d, message in ((d_v, "agent {} belongs to no task"), (d_e, "task {} has no agents")):
         if not d.all():
             raise DegreeError(message.format(np.flatnonzero(d == 0)[0] % d.shape[-1]))
@@ -159,36 +223,73 @@ def _irreducible(P: np.ndarray) -> bool:
     return True
 
 
+class _Solve:
+    """dgesv's arrays for one (n, n) stationary system, and its arguments."""
+
+    def __init__(self, n: int):
+        self.matrix = np.empty((n, n))
+        self.diagonal = self.matrix.reshape(n * n)[:: n + 1]
+        self.pivots = np.empty(n, dtype=np.int64)
+        self.rhs = np.empty(n)
+        self.residual = np.empty(n)
+        # 102 is LAPACK_COL_MAJOR: the C-ordered copy of P reads as P^T
+        self.args = (102, n, 1, self.matrix.ctypes.data, n, self.pivots.ctypes.data)
+        self.args += (self.rhs.ctypes.data, n)
+
+
 def _solve_stationary(P: np.ndarray) -> np.ndarray:
     """Stationary pi of an (n, n) chain, or of each chain of a (C, n, n) stack.
 
     One normalized linear solve per chain: ``pi (P - I) = 0`` with the last
-    balance equation replaced by ``sum(pi) = 1``. The right-hand side is
-    (..., n, 1), a stack of one-column matrices under numpy 1.x and 2.x
-    alike. A singular system, mass below -1e-9 or a residual
-    |pi P - pi|_1 above 1e-9 in any chain raise ``ConvergenceError``.
-    Reducibility is not tested: a split chain may solve to a mix of its
-    closed classes. A chain without states has the empty distribution.
+    balance equation replaced by ``sum(pi) = 1``. One chain is solved by
+    LAPACK's dgesv in the thread's scratch arrays; a stack, or any chain on a
+    numpy without the binding, goes through ``np.linalg.solve``, whose
+    right-hand side is (..., n, 1), a stack of one-column matrices under
+    numpy 1.x and 2.x alike. Both run the same dgesv on the same column-major
+    system. A singular system, mass below -1e-9 or a residual |pi P - pi|_1
+    above 1e-9 in any chain raise ``ConvergenceError``. Reducibility is not
+    tested: a split chain may solve to a mix of its closed classes. A chain
+    without states has the empty distribution.
     """
     n = P.shape[-1]
     if n == 0:
         return np.zeros(P.shape[:-1])
-    A = np.swapaxes(P, -1, -2).copy()
-    # the copy is C-ordered, so its flat view holds each diagonal at a stride
-    # of n + 1; cheaper than fancy indexing
-    A.reshape(P.shape[:-2] + (n * n,))[..., :: n + 1] -= 1.0
-    A[..., -1, :] = 1.0
-    rhs = np.zeros(P.shape[:-1] + (1,))
-    rhs[..., -1, 0] = 1.0
-    try:
-        pi = np.linalg.solve(A, rhs)[..., 0]
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError("singular stationary system") from exc
+    dgesv = _dgesv() if P.ndim == 2 else None
+    drift = None  # where one chain's pi P goes
+    if dgesv is None:
+        A = np.swapaxes(P, -1, -2).copy()
+        # the copy is C-ordered, so its flat view holds each diagonal at a
+        # stride of n + 1; cheaper than fancy indexing
+        A.reshape(P.shape[:-2] + (n * n,))[..., :: n + 1] -= 1.0
+        A[..., -1, :] = 1.0
+        rhs = np.zeros(P.shape[:-1] + (1,))
+        rhs[..., -1, 0] = 1.0
+        try:
+            pi = np.linalg.solve(A, rhs)[..., 0]
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError("singular stationary system") from exc
+    else:
+        work = _scratch(_Solve, n)
+        # column-major, the C-ordered copy of P is the system's P^T: its last
+        # column is the last equation, replaced by sum(pi) = 1
+        np.copyto(work.matrix, P)
+        work.diagonal -= 1.0
+        work.matrix[:, -1] = 1.0
+        work.rhs.fill(0.0)
+        work.rhs[-1] = 1.0
+        info = dgesv(*work.args)
+        if info > 0:
+            raise ConvergenceError("singular stationary system")
+        if info < 0:
+            raise ConvergenceError(f"dgesv failed: info {info}")
+        pi, drift = work.rhs.copy(), work.residual
     if pi.min() < -1e-9:
         raise ConvergenceError("stationary solution has negative mass")
     if pi.ndim == 1:
         # one chain: the scalar form costs half as much as the stacked one
-        residual = float(np.abs(pi @ P - pi).sum())
+        drift = np.matmul(pi, P, out=drift)
+        drift -= pi
+        residual = float(np.abs(drift, out=drift).sum())
         converged = residual <= 1e-9
     else:
         residual = np.abs((pi[..., np.newaxis, :] @ P)[..., 0, :] - pi).sum(axis=-1)
@@ -220,12 +321,17 @@ def laplacian(P: np.ndarray, pi: np.ndarray) -> np.ndarray:
 
     Exactly symmetric as built, so it needs no symmetrizing pass.
     """
-    pip = pi[..., np.newaxis] * P
-    L = pip + np.swapaxes(pip, -1, -2)
+    return _laplacian_into(P, pi, np.empty(np.shape(P)), np.empty(np.shape(P)))
+
+
+def _laplacian_into(P: np.ndarray, pi: np.ndarray, pip: np.ndarray, L: np.ndarray) -> np.ndarray:
+    """``laplacian(P, pi)`` written into the C-ordered L, with ``Pi P`` in pip."""
+    np.multiply(pi[..., np.newaxis], P, out=pip)
+    np.add(pip, np.swapaxes(pip, -1, -2), out=L)
     L *= -0.5
     L += 0.0  # turns -0 into +0
-    diag = np.arange(P.shape[-1])
-    L[..., diag, diag] += pi
+    n = P.shape[-1]
+    L.reshape(L.shape[:-2] + (n * n,))[..., :: n + 1] += pi
     return L
 
 
@@ -301,6 +407,24 @@ def _dsyevr() -> Callable[..., int] | None:
     return dsyevr
 
 
+@functools.cache
+def _dgesv() -> Callable[..., int] | None:
+    """LAPACKE's ``dgesv_work`` of the loaded OpenBLAS, with 64-bit integers, or None.
+
+    Bound as ``_dsyevr`` is: the ILP64 export alone, ``scipy_LAPACKE_dgesv_work64_``
+    in numpy 2.x wheels, with pointers passed as addresses.
+    """
+    found = _exports(("LAPACKE_dgesv_work",), ("64_",))
+    if found is None:
+        return None
+    (dgesv,) = found
+    i64, ptr = ctypes.c_int64, ctypes.c_void_p
+    # layout, n, nrhs, a, lda, ipiv, b, ldb
+    dgesv.argtypes = [ctypes.c_int, i64, i64, ptr, i64, ptr, ptr, i64]
+    dgesv.restype = i64
+    return dgesv
+
+
 def _serial_solve(solve: Callable[[np.ndarray], object], L: np.ndarray):
     """``solve(L)``, on one OpenBLAS thread when L's size is in ``_SERIAL_SIZES``.
 
@@ -335,41 +459,53 @@ def _mu2(L: np.ndarray):
     return _serial_solve(_second_eigenvalues, L)
 
 
+class _Eigen:
+    """dsyevr's arrays for one (n, n) symmetric matrix, and its arguments.
+
+    One buffer holds the matrix, which dsyevr overwrites, w and work, then
+    the 64-bit integers m, isuppz and iwork.
+    """
+
+    def __init__(self, n: int):
+        lwork, liwork = 26 * n, 10 * n  # dsyevr's minimal workspace
+        buf = np.empty(n * n + n + lwork + 3 + liwork)
+        self.a = buf[: n * n].reshape(n, n)
+        self.w = buf[n * n : n * n + 1]
+        self.ints = buf[n * n + n + lwork :].view(np.int64)
+        base = buf.ctypes.data
+        w = base + 8 * n * n
+        m = w + 8 * (n + lwork)
+        # 102 is LAPACK_COL_MAJOR, which reads the symmetric C-ordered matrix as is
+        self.args = (102, b"N", b"I", b"L", n, base, n, 0.0, 0.0, 2, 2, _ABSTOL)
+        self.args += (m, w, None, 1, m + 8, w + 8 * n, lwork, m + 24, liwork)
+
+
 def _second_eigenvalues(L: np.ndarray):
     """``eigvalsh(L)[..., 1]``, computed alone by LAPACK's dsyevr from ``_DSYEVR_FROM`` on.
 
     Each matrix of the stack gets one ``dsyevr`` call (eigenvalues only,
     index range 2..2, column-major: L is symmetric, so its C-ordered copy
-    needs no transpose), all in one workspace. The bisection runs to twice
-    the underflow threshold, LAPACK's most accurate setting. Smaller
-    matrices, or a numpy without the binding, take the stacked ``eigvalsh``.
-    A failed call raises ``ConvergenceError``.
+    needs no transpose), all in one reused workspace. A Laplacian written
+    straight into that workspace's matrix is solved there, without a copy.
+    The bisection runs to twice the underflow threshold, LAPACK's most
+    accurate setting. Smaller matrices, or a numpy without the binding, take
+    the stacked ``eigvalsh``. A failed call raises ``ConvergenceError``.
     """
     n = L.shape[-1]
     dsyevr = _dsyevr() if n >= _DSYEVR_FROM else None
     if dsyevr is None:
         return np.linalg.eigvalsh(L)[..., 1]
-    lwork, liwork = 26 * n, 10 * n  # dsyevr's minimal workspace
-    # one buffer: the matrix, which dsyevr overwrites, w and work, then the
-    # 64-bit integers m, isuppz and iwork
-    buf = np.empty(n * n + n + lwork + 3 + liwork)
-    a = buf[: n * n].reshape(n, n)
-    ints = buf[n * n + n + lwork :].view(np.int64)
-    base = buf.__array_interface__["data"][0]
-    w = base + 8 * n * n
-    m = w + 8 * (n + lwork)
-    # 102 is LAPACK_COL_MAJOR, which reads the symmetric C-ordered copy as is
-    args = (102, b"N", b"I", b"L", n, base, n, 0.0, 0.0, 2, 2, _ABSTOL)
-    args += (m, w, None, 1, m + 8, w + 8 * n, lwork, m + 24, liwork)
-    stack = np.reshape(L, (-1, n, n))
+    work = _scratch(_Eigen, n)
+    stack = [L] if L is work.a else np.reshape(L, (-1, n, n))
     out = np.empty(len(stack))
     for i, matrix in enumerate(stack):
-        np.copyto(a, matrix)
-        ints[0] = 0  # a call that reports no count fails the check below
-        info = dsyevr(*args)
-        if info != 0 or ints[0] != 1:
-            raise ConvergenceError(f"dsyevr failed: info {info}, {ints[0]} eigenvalues found")
-        out[i] = buf[n * n]
+        if matrix is not work.a:
+            np.copyto(work.a, matrix)
+        work.ints[0] = 0  # a call that reports no count fails the check below
+        info = dsyevr(*work.args)
+        if info != 0 or work.ints[0] != 1:
+            raise ConvergenceError(f"dsyevr failed: info {info}, {work.ints[0]} eigenvalues found")
+        out[i] = work.w[0]
     return out.reshape(np.shape(L)[:-2])
 
 
@@ -459,16 +595,38 @@ def certified_mu2(
     return mu2
 
 
-def mu2_of_assignment(energies: np.ndarray, assignment: np.ndarray) -> float:
-    """Algebraic connectivity of the hypergraph a whole assignment induces.
+class _Walk:
+    """Reused arrays of one (n, k) assignment's walk, its agent chain and ``Pi P``."""
 
-    Every agent and task needs a positive entry, or ``walk_blocks`` raises
-    ``DegreeError``. ``certified_mu2`` scores the agent chain, so a
-    disconnected assignment, whose agent chain is reducible, raises
-    ``ReducibleChainError``, and one agent, with no mixing to measure,
-    scores 0.
+    def __init__(self, n: int, k: int):
+        self.W, self.R = np.empty((n, k)), np.empty((n, k))
+        self.d_v, self.d_e = np.empty(n), np.empty(k)
+        self.chain, self.weighted = np.empty((n, n)), np.empty((n, n))
+
+
+def mu2_of_assignment(energies: np.ndarray, assignment: np.ndarray) -> float:
+    """Algebraic connectivity of the hypergraph a whole (N, K) assignment induces.
+
+    Every agent and task needs a positive entry, or the walk's degree check
+    raises ``DegreeError`` as ``walk_blocks`` does. ``certified_mu2`` scores
+    the agent chain ``A B``, so a disconnected assignment, whose agent chain
+    is reducible, raises ``ReducibleChainError``, and one agent, with no
+    mixing to measure, scores 0. The walk, the chain and the Laplacian are
+    written into this thread's scratch sets for the assignment's shape, the
+    Laplacian straight into the eigen solve's matrix; see the module
+    docstring.
     """
-    return certified_mu2(transition_matrix(energies, assignment))
+    assignment = np.asarray(assignment)
+    n, k = assignment.shape
+    work = _scratch(_Walk, n, k)
+    # walk_blocks' weights, written in place
+    np.greater(assignment, 0, out=work.W)
+    work.W *= np.asarray(energies)
+    np.copyto(work.R, assignment)
+    A, B = _walk_steps(work.W, work.R, work.d_v, work.d_e)
+    P = np.matmul(A, B, out=work.chain)
+    L = _scratch(_Eigen, n).a
+    return certified_mu2(P, lambda pi: _laplacian_into(P, pi, work.weighted, L))
 
 
 def batch_rows(n: int, k: int) -> int:

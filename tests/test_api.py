@@ -11,6 +11,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hyperteam
@@ -234,6 +235,28 @@ def test_symmetric_eigen_solves_go_through_the_thread_rule(path):
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_one_stationary_solver(path):
-    """Only spectral solves a linear system; greedy's eig is the one exemption."""
-    found = linalg_reads(path.read_text(encoding="utf-8"), STATIONARY)
+    """Only spectral solves a linear system; greedy's eig is the one exemption.
+
+    spectral's LAPACK binding ``_dgesv`` counts too: it is read once, inside
+    the stationary solve ``_solve_stationary``, and nowhere else.
+    """
+    source = path.read_text(encoding="utf-8")
+    found = linalg_reads(source, STATIONARY)
     assert found == STATIONARY_READS.get(path.name, [])
+    readers = [
+        getattr(top, "name", None)
+        for top in ast.parse(source).body
+        for node in ast.walk(top)
+        if "_dgesv" in (getattr(node, "id", None), getattr(node, "attr", None))
+    ]
+    assert readers == (["_solve_stationary"] if path.name == "spectral.py" else [])
+
+
+def test_both_lapack_exports_bind_on_numpys_openblas():
+    # a renamed export would silently send every score to the numpy solvers
+    if spectral._openblas() is None:
+        pytest.skip("numpy's OpenBLAS is not found")
+    if np.lib.NumpyVersion(np.__version__) < "2.0.0":
+        pytest.skip("the ILP64 LAPACKE exports were checked on numpy 2.x's OpenBLAS only")
+    assert spectral._dgesv() is not None
+    assert spectral._dsyevr() is not None

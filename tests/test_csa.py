@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import collections
+import copy
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -187,8 +190,8 @@ def test_anneal_scores_each_candidate_as_the_connectivity_oracle_does(monkeypatc
     states, finite = [], []
     step, score = csa.perturb, csa._evaluate_full
 
-    def recording_step(*args):
-        candidate, e = step(*args)
+    def recording_step(*args, **kwargs):
+        candidate, e = step(*args, **kwargs)
         states.append(candidate)
         return candidate, e
 
@@ -379,6 +382,47 @@ def test_perturb_matches_the_numpy_oracle():
     assert min(seen.values()) >= 10, seen
 
 
+def _columns(b):
+    return [np.flatnonzero(b[:, j] > 0).tolist() for j in range(b.shape[1])]
+
+
+@pytest.mark.parametrize("objective", ["hypergraph", "bipartite"])
+def test_anneal_held_member_lists_follow_the_chain(monkeypatch, objective):
+    # the lists anneal holds are the current state's after accepted and
+    # rejected candidates alike, guided moves included, and each move draws
+    # as the numpy oracle does
+    move, guided, changed = csa.perturb, [], []
+
+    def checking(assignment, e_tilde, params, rng, *, members):
+        assert members == _columns(assignment)
+        before, oracle_rng = list(members), copy.deepcopy(rng)
+        b, e = move(assignment, e_tilde, params, rng, members=members)
+        want_b, want_e = _perturb_oracle(assignment, e_tilde, params, oracle_rng)
+        assert np.array_equal(b, want_b) and np.array_equal(e, want_e)
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+        assert members == _columns(b)
+        # a changed list is a new one: the current state's lists stay as they were
+        assert before == _columns(assignment)
+        guided.append(not np.array_equal(e, e_tilde))
+        changed.append(any(new is not old for new, old in zip(members, before)))
+        return b, e
+
+    monkeypatch.setattr(csa, "perturb", checking)
+    # no task penalty and packs of three: deficits last, and guided
+    # candidates are rejected now and then
+    inst = _slack_instance(seed=6, n=20, k=6, slack=0)
+    params = CsaParams(
+        t0=1e-3, cooling=0.99, t_threshold=1e-5, task_penalty=0.0, pack_size=3, seed=2,
+        objective=objective,
+    )
+    result = anneal(inst, params)
+    accepted = [row.accepted for row in result.trace[1:]]
+    assert len(guided) == len(accepted) == result.iterations_run
+    outcomes = collections.Counter(zip(guided, accepted))
+    assert min(outcomes[kind] for kind in itertools.product((True, False), repeat=2)) >= 2, outcomes
+    assert sum(changed) > len(changed) / 2
+
+
 def test_perturb_single_covered_task_is_noop():
     a0 = np.array([[3], [2]])
     a, e = perturb(a0, np.array([-1]), CsaParams(moves_per_step=2), np.random.default_rng(0))
@@ -497,8 +541,8 @@ def test_anneal_checks_the_carried_bookkeeping(monkeypatch, drift, message):
     # catch a carried vector or a row sum that no longer matches the state
     move = csa.perturb
 
-    def drifting(assignment, e_tilde, params, rng):
-        b, e = move(assignment, e_tilde, params, rng)
+    def drifting(assignment, e_tilde, params, rng, **kwargs):
+        b, e = move(assignment, e_tilde, params, rng, **kwargs)
         b[0, 0] += drift[0]
         b[1, 0] += drift[1]
         e[0] += drift[2]

@@ -6,6 +6,7 @@ import ctypes
 import io
 import subprocess
 import sys
+import threading
 import types
 
 import numpy as np
@@ -669,17 +670,20 @@ def test_stacked_solve_is_each_chains_solve_and_checks_every_chain():
 
 
 def test_mu2_of_assignment_runs_each_chain_function_once(monkeypatch):
-    # the certified path solves once and never searches a connected chain
-    names = (
+    # the certified path solves once and never searches a connected chain;
+    # the walk and the Laplacian are written in reused arrays, so neither
+    # public builder runs
+    calls = []
+    for name in (
         "transition_matrix",
         "walk_blocks",
         "certified_mu2",
+        "stationary_distribution",
+        "_irreducible",
         "_solve_stationary",
         "laplacian",
         "_mu2",
-    )
-    calls = []
-    for name in (*names, "stationary_distribution", "_irreducible"):
+    ):
 
         def recording(*args, _name=name, _fn=getattr(spectral, name)):
             calls.append(_name)
@@ -688,7 +692,7 @@ def test_mu2_of_assignment_runs_each_chain_function_once(monkeypatch):
         monkeypatch.setattr(spectral, name, recording)
     inst = random_connected_instance(np.random.default_rng(8), 7, 4)
     mu2_of_assignment(inst.energies, inst.assignment)
-    assert calls == list(names)
+    assert calls == ["certified_mu2", "_solve_stationary", "_mu2"]
 
 
 def _searched_mu2(P: np.ndarray) -> float:
@@ -1126,3 +1130,153 @@ def test_importing_the_package_runs_no_lookup():
     assert out[1].endswith(" 1 1 1")
     if sys.platform.startswith("linux"):
         assert out[1] == "1 1 1 1"
+
+
+# -- the scorer's reused arrays ---------------------------------------------
+
+_OBJECTIVES = {"hypergraph": spectral.mu2_of_assignment, "lift": bipartite.mu2_of_assignment}
+
+
+def _unbuffered_mu2(energies, assignment, objective: str) -> float:
+    """mu2 by the composition the scorer ran before it reused arrays; kept as its oracle.
+
+    ``walk_blocks``, the chain's solve as a stack of one (``np.linalg.solve``),
+    ``laplacian`` or the lift's ``_lift_laplacian`` in fresh arrays, then
+    ``_mu2``, with ``certified_mu2``'s certificate and search around them.
+    """
+    A, B = walk_blocks(energies, assignment)
+    P = B @ A if objective == "lift" else A @ B
+    try:
+        pi = spectral._solve_stationary(P[np.newaxis])[0]
+    except ConvergenceError:
+        if not spectral._irreducible(P):
+            raise ReducibleChainError(spectral._REDUCIBLE) from None
+        raise
+    L = bipartite._lift_laplacian(A, B, pi) if objective == "lift" else laplacian(P, pi)
+    mu2 = float(spectral._mu2(L))
+    if mu2 <= spectral._CERTIFIED_MU2 and not spectral._irreducible(P):
+        raise ReducibleChainError(spectral._REDUCIBLE)
+    return mu2
+
+
+def _csa_states(inst, count: int, seed: int = 5) -> list[np.ndarray]:
+    """``count`` connected states on a CSA move stream from ``inst``'s assignment."""
+    params, rng = csa.CsaParams(seed=0), np.random.default_rng(seed)
+    a, out = np.asarray(inst.assignment), []
+    while len(out) < count:
+        a, _ = csa.perturb(a, np.asarray(inst.energies) - a.sum(axis=0), params, rng)
+        if bipartite_components(a > 0)[0] == 1 and (a.sum(axis=1) > 0).all():
+            out.append(a)
+    return out
+
+
+def _outcome(score, energies, assignment):
+    """``float.hex`` of a score, or the type and message of what it raised."""
+    try:
+        return float(score(energies, assignment)).hex()
+    except (DegreeError, ReducibleChainError, ConvergenceError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("objective", sorted(_OBJECTIVES))
+def test_the_scorer_matches_its_unbuffered_oracle_bit_for_bit(coauthor_small, objective):
+    energies = coauthor_small.energies
+    for a in _csa_states(coauthor_small, 20):
+        got = _OBJECTIVES[objective](energies, a)
+        assert float(got).hex() == _unbuffered_mu2(energies, a, objective).hex()
+        # the walk is C-ordered whatever the assignment's layout
+        fortran = np.asfortranarray(a)
+        assert float(_OBJECTIVES[objective](energies, fortran)).hex() == float(got).hex()
+        assert _unbuffered_mu2(energies, fortran, objective).hex() == float(got).hex()
+
+
+def test_no_stale_array_leaks_between_shapes(coauthor_small):
+    # each shape, objective and thread has its own arrays; switching between
+    # them must leave every score as the oracle computes it
+    big = _csa_states(coauthor_small, 3, seed=7)
+    rng = np.random.default_rng(17)
+    small = [random_connected_instance(rng, 6, 3) for _ in range(3)]
+    sequence = [(coauthor_small.energies, big[0]), (small[0].energies, small[0].assignment)]
+    sequence += [(coauthor_small.energies, big[1]), (small[1].energies, small[1].assignment)]
+    sequence += [(coauthor_small.energies, big[2]), (small[2].energies, small[2].assignment)]
+    for energies, a in sequence:
+        for objective in ("hypergraph", "lift", "hypergraph"):
+            got = _OBJECTIVES[objective](energies, a)
+            assert float(got).hex() == _unbuffered_mu2(energies, a, objective).hex()
+
+
+def test_without_the_dgesv_binding_the_scorer_solves_with_numpy(coauthor_small, monkeypatch):
+    states = _csa_states(coauthor_small, 5, seed=11)
+    energies = coauthor_small.energies
+    bound = [[_OBJECTIVES[name](energies, a) for name in sorted(_OBJECTIVES)] for a in states]
+    monkeypatch.setattr(spectral, "_dgesv", lambda: None)
+    solve, calls = np.linalg.solve, []
+    monkeypatch.setattr(np.linalg, "solve", lambda A, b: calls.append(A.shape) or solve(A, b))
+    for a, want in zip(states, bound):
+        got = [_OBJECTIVES[name](energies, a) for name in sorted(_OBJECTIVES)]
+        oracle = [_unbuffered_mu2(energies, a, name) for name in sorted(_OBJECTIVES)]
+        assert [x.hex() for x in got] == [x.hex() for x in oracle] == [x.hex() for x in want]
+    # each score solved its chain through numpy; the oracle solves stacks of one
+    assert calls.count((25, 25)) == calls.count((52, 52)) == len(states)
+    assert calls.count((1, 25, 25)) == calls.count((1, 52, 52)) == len(states)
+
+
+@pytest.mark.parametrize("objective", sorted(_OBJECTIVES))
+def test_the_scorer_raises_as_its_oracle_does(objective):
+    energies = np.array([2, 1, 3])
+    cases = {
+        "idle agent": np.array([[1, 1, 1], [0, 0, 0], [1, 0, 1]]),
+        "empty task": np.array([[1, 0, 1], [2, 0, 1]]),
+        "split": np.array([[1, 0, 0], [1, 0, 0], [0, 1, 1], [0, 2, 1]]),
+    }
+    kinds = set()
+    for a in cases.values():
+        got = _outcome(_OBJECTIVES[objective], energies, a)
+        assert got == _outcome(lambda e, x: _unbuffered_mu2(e, x, objective), energies, a)
+        kinds.add(got[0])
+    assert kinds == {"DegreeError", "ReducibleChainError"}
+
+
+def test_the_kept_arrays_stay_bounded():
+    rng = np.random.default_rng(23)
+    for n in range(2, 20):
+        inst = random_connected_instance(rng, n, 3)
+        mu2_of_assignment(inst.energies, inst.assignment)
+        bipartite.mu2_of_assignment(inst.energies, inst.assignment)
+    # a chain of 300 agents is scored in sets that are not kept, as the
+    # oracle scores it
+    wide = rng.integers(1, 3, size=(300, 2))
+    got = mu2_of_assignment(np.array([2, 3]), wide)
+    assert got.hex() == _unbuffered_mu2(np.array([2, 3]), wide, "hypergraph").hex()
+    kept = spectral._kept.sets
+    assert len(kept) == spectral._KEPT_SETS
+    assert max(max(shape) for _, shape in kept) <= spectral._KEPT_SIDE
+
+
+def test_threads_score_in_their_own_arrays(coauthor_small):
+    rng = np.random.default_rng(29)
+    jobs = [(coauthor_small.energies, a) for a in _csa_states(coauthor_small, 4, seed=13)]
+    small = [random_connected_instance(rng, 6, 3) for _ in range(4)]
+    jobs += [(inst.energies, inst.assignment) for inst in small]
+    want = [[_OBJECTIVES[name](e, a) for name in sorted(_OBJECTIVES)] for e, a in jobs]
+    wrong = []
+
+    def run(order):
+        for _ in range(25):
+            for i in order:
+                e, a = jobs[i]
+                if [_OBJECTIVES[name](e, a) for name in sorted(_OBJECTIVES)] != want[i]:
+                    wrong.append(i)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        orders = ([0, 4, 1, 5, 2, 6, 3, 7], [7, 3, 6, 2, 5, 1, 4, 0])
+        threads = [threading.Thread(target=run, args=(order,)) for order in orders]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        sys.setswitchinterval(switch)
+    assert wrong == []
