@@ -22,14 +22,12 @@ candidate; either way the candidate is disconnected, evaluates to -inf and
 is never accepted.
 
 The annealer holds each task's holders, in ascending order, as member lists
-of its current state. ``perturb`` draws agents from them, where it once ran
-``np.flatnonzero`` on two columns per swap, and replaces each list a move
-changes with a new one; it works on a shallow copy, which becomes the current
-state's lists when the candidate is accepted. The lists equal those columns'
-nonzero rows, so every draw, and so every chain, is as before. On a
-coauthor_small state a ``perturb`` call took 33 us instead of 40 (2-core
-VM, medians of 10 alternating runs); called without the lists, it builds
-them first and took 43 us.
+of its current state: the first of the two lists ``instance.member_lists``
+builds, which equal the columns' ``np.flatnonzero``. ``perturb`` draws
+agents from them and replaces each list a move changes with a new one; it
+works on a shallow copy, which becomes the current state's lists when the
+candidate is accepted. Called without the lists, it builds them first.
+README gives the timings.
 """
 
 from __future__ import annotations
@@ -45,7 +43,7 @@ import numpy as np
 
 from . import bipartite, spectral
 from .errors import DegreeError, InfeasibleError, ReducibleChainError
-from .instance import ProblemInstance, factor_metrics, reaches_all
+from .instance import ProblemInstance, factor_metrics, member_lists, reaches_all
 from .seeds import substream
 
 __all__ = [
@@ -222,14 +220,6 @@ def _weighted_pick(rng: np.random.Generator, weights: list[int]) -> int:
     return min(bisect_right(cum, rng.random() * cum[-1]), len(weights) - 1)
 
 
-def _member_lists(assignment: np.ndarray) -> list[list[int]]:
-    """Each task's holders in ascending order: ``np.flatnonzero(assignment[:, j] > 0)``."""
-    tasks, agents = np.nonzero(assignment.T > 0)  # task-major, agents ascending
-    bounds = np.searchsorted(tasks, np.arange(assignment.shape[1] + 1)).tolist()
-    agents = agents.tolist()
-    return [agents[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-
-
 def _shift(b: np.ndarray, members: list[list[int]], agent: int, source: int, target: int) -> None:
     """Move one of ``agent``'s units from task ``source`` to ``target``, keeping ``members``.
 
@@ -270,7 +260,7 @@ def perturb(
     e = np.asarray(e_tilde, dtype=np.int64).tolist()
     k = b.shape[1]
     if members is None:
-        members = _member_lists(b)
+        members = member_lists(b)[0]
     # swaps keep every task total and guided moves only shrink entries: scan once, then prune
     surplus, deficit = [j for j, x in enumerate(e) if x < 0], [j for j, x in enumerate(e) if x > 0]
     spare, need = [-e[j] for j in surplus], [e[j] for j in deficit]
@@ -347,7 +337,7 @@ def anneal(
 
     temperature = params.t0
     trace = [TraceRow(0, temperature, penalty, mu2, feasible, True)]
-    members = _member_lists(current)
+    members = member_lists(current)[0]
     t = 0
     while temperature > params.t_threshold and t < params.max_iters:
         # perturb replaces the lists it changes, so the current state keeps its own
@@ -356,7 +346,7 @@ def anneal(
         if __debug__ and t % 1000 == 0:
             assert np.array_equal(cand_e, inst.energies - candidate.sum(axis=0)), "shortfall drifted"
             assert np.array_equal(candidate.sum(axis=1), row_sums), "a move changed a row sum"
-            assert cand_members == _member_lists(candidate), "a member list drifted"
+            assert cand_members == member_lists(candidate)[0], "a member list drifted"
         cand_penalty, cand_mu2 = _evaluate_full(
             budgeted(candidate), cand_e, overrun, inst, params, mu2_of
         )

@@ -31,6 +31,7 @@ __all__ = [
     "reaches_all",
     "summary_stats",
     "co_membership_graph",
+    "member_lists",
     "factor_metrics",
 ]
 
@@ -38,11 +39,17 @@ __all__ = [
 def _frozen_int_array(values, name: str, ndim: int) -> np.ndarray:
     arr = np.asarray(values)
     if arr.dtype.kind not in "iu":
-        # tolerate float arrays that are exactly integral (json numbers)
-        rounded = np.rint(arr)
-        if not np.all(np.isfinite(arr)) or np.any(rounded != arr):
+        # tolerate float arrays that are exactly integral (json numbers); an
+        # object array holds a Python int that fits no integer dtype
+        try:
+            arr = arr.astype(np.float64) if arr.dtype.kind in "bfO" else None
+        except (TypeError, ValueError):
+            arr = None
+        if arr is None or not np.all(np.isfinite(arr)) or np.any(np.rint(arr) != arr):
             raise ValueError(f"{name} must be integer-valued")
-        arr = rounded
+    # no signed integer array needs the test, which numpy 1.x makes in float64
+    if arr.dtype.kind != "i" and (np.any(arr < -(2**63)) or np.any(arr >= 2**63)):
+        raise ValueError(f"{name} must be at least -2**63 and below 2**63")
     arr = np.ascontiguousarray(arr, dtype=np.int64)
     if arr.ndim != ndim:
         raise ValueError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
@@ -255,6 +262,21 @@ def co_membership_graph(inst_or_assignment) -> np.ndarray:
     return adj
 
 
+def member_lists(assignment: np.ndarray) -> tuple[list[list[int]], list[list[int]]]:
+    """Ascending members of each task and tasks of each agent, over the entries above 0.
+
+    As lists of Python ints: ``np.flatnonzero`` of each column, then of each row.
+    """
+    held = np.asarray(assignment) > 0
+    lists = []
+    for rows in (held.T, held):
+        keys, values = np.nonzero(rows)  # keys sorted, values ascending within a key
+        ends = np.cumsum(np.bincount(keys, minlength=len(rows))).tolist()
+        flat = values.tolist()
+        lists.append([flat[lo:hi] for lo, hi in zip([0, *ends[:-1]], ends)])
+    return lists[0], lists[1]
+
+
 def factor_metrics(assignment: np.ndarray) -> tuple[float, float]:
     """(mean tasks per agent, mean distinct teammates per agent) of a matrix."""
     x = np.asarray(assignment) > 0
@@ -305,8 +327,8 @@ def parse_instance_json(text: str) -> ProblemInstance:
         if not isinstance(entry, dict) or "id" not in entry or value_key not in entry:
             raise FormatError(f"each {kind} needs 'id' and {value_key!r}")
         value = entry[value_key]
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise FormatError(f"{kind} {entry['id']!r}: {value_key} must be an integer")
+        if not isinstance(value, int) or isinstance(value, bool) or value >= 2**63:
+            raise FormatError(f"{kind} {entry['id']!r}: {value_key} must be an integer below 2**63")
         return str(entry["id"]), value
 
     a_index: dict[str, int] = {}
@@ -344,8 +366,8 @@ def parse_instance_json(text: str) -> ProblemInstance:
             w = entry["weight"]
         except KeyError as exc:
             raise FormatError(f"assignment entry refers to unknown id or misses a key: {entry}") from exc
-        if not isinstance(w, int) or isinstance(w, bool):
-            raise FormatError(f"assignment weight must be an integer: {entry}")
+        if not isinstance(w, int) or isinstance(w, bool) or w >= 2**63:
+            raise FormatError(f"assignment weight must be an integer below 2**63: {entry}")
         if w < 0:
             raise FormatError(f"negative weight: {entry}")
         if w == 0:
@@ -391,8 +413,8 @@ def parse_edge_list(text: str) -> ProblemInstance:
         energy = None
         if m.group("energy") is not None:
             energy = int(m.group("energy"))
-            if energy < 1:
-                raise FormatError(f"line {lineno}: task energy must be >= 1")
+            if not 1 <= energy < 2**63:
+                raise FormatError(f"line {lineno}: task {tid!r}: energy must be >= 1 and below 2**63")
         if tid in task_seen:
             raise FormatError(f"line {lineno}: duplicate id {tid!r}")
         task_seen.add(tid)
@@ -410,6 +432,8 @@ def parse_edge_list(text: str) -> ProblemInstance:
                 raise FormatError(f"line {lineno}: negative weight in {token!r}")
             if weight == 0:
                 raise FormatError(f"line {lineno}: zero weight in {token!r}")
+            if weight >= 2**63:
+                raise FormatError(f"line {lineno}: weight not below 2**63 in {token!r}")
             if aid in member_ids:
                 raise FormatError(f"line {lineno}: duplicate id {aid!r} within task")
             member_ids.add(aid)

@@ -7,22 +7,22 @@ so on through the co-membership graph of the surviving assignment. A unit
 recruited at ring r costs r + 1. Recruitment never leaves the task's
 component, so deficits can remain; those are reported as unsatisfied energy.
 
-Patching walks index lists, not matrices: the ascending member list of each
-task and task list of each agent of the damaged assignment, with spare
-budgets and shortfalls as Python ints. An attack run therefore allocates no
-(agents, tasks) array. Its result keeps the recruits and one frozen snapshot
-of the assignment it started from, and builds ``patched_assignment`` when
-that is read.
+``patch`` and every attack run take one path: from a base assignment's
+member lists (``instance.member_lists``), spare budgets and shortfalls, a
+run drops the removed agents and recruits, on index lists, not matrices. An
+attack experiment builds these once for all its runs; ``patch`` is one run
+from the damaged assignment. Each result keeps its recruits and a frozen
+snapshot of its base, and builds ``patched_assignment`` when that is read.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
-from .instance import ProblemInstance
+from .instance import ProblemInstance, member_lists
 from .seeds import substream
 
 __all__ = [
@@ -92,23 +92,6 @@ def _snapshot(assignment: np.ndarray) -> np.ndarray:
     return out
 
 
-def _split(values: np.ndarray, keys: np.ndarray, n: int) -> list[list[int]]:
-    """``values`` grouped by the sorted ``keys`` into ``n`` lists."""
-    ends = np.cumsum(np.bincount(keys, minlength=n)).tolist()
-    flat = values.tolist()
-    return [flat[lo:hi] for lo, hi in zip([0] + ends[:-1], ends)]
-
-
-def _member_lists(assignment: np.ndarray) -> tuple[list[list[int]], list[list[int]]]:
-    """Ascending members of each task and tasks of each agent (entries > 0)."""
-    n, k = assignment.shape
-    held = assignment > 0
-    agents, tasks = np.nonzero(held)
-    tasks_of = _split(tasks, agents, n)
-    tasks, agents = np.nonzero(held.T)
-    return _split(agents, tasks, k), tasks_of
-
-
 def _recruit(
     members: list[list[int]],
     tasks_of: list[list[int]],
@@ -163,6 +146,36 @@ def _recruit(
     return recruits, cost
 
 
+def _runner(
+    inst: ProblemInstance, base: np.ndarray, members: list[list[int]], tasks_of: list[list[int]]
+) -> Callable[[tuple[int, ...]], AttackResult]:
+    """``run(removed)``, which removes agents from the snapshot ``base`` and patches it.
+
+    ``members, tasks_of`` are ``member_lists(base)``; spare budgets,
+    shortfalls and over-budget agents are found once, here. A run raises
+    ``ValueError`` when an over-budget agent survives.
+    """
+    spare = (inst.budgets - base.sum(axis=1)).tolist()
+    over_budget = [agent for agent, left in enumerate(spare) if left < 0]
+    shortfall = inst.energies - base.sum(axis=0)
+
+    def run(removed: tuple[int, ...]) -> AttackResult:
+        gone = set(removed)
+        if any(agent not in gone for agent in over_budget):
+            raise ValueError("assignment exceeds a surviving budget")
+        run_spare, run_members = list(spare), list(members)
+        for agent in removed:
+            run_spare[agent] = 0
+            for task in tasks_of[agent]:
+                run_members[task] = [a for a in run_members[task] if a not in gone]
+        run_shortfall = (shortfall + base[list(removed), :].sum(axis=0)).tolist()
+        recruits, cost = _recruit(run_members, tasks_of, run_spare, run_shortfall)
+        unsatisfied = np.array(run_shortfall, dtype=np.int64)
+        return AttackResult(removed, cost, unsatisfied, base, tuple(recruits))
+
+    return run
+
+
 def patch(inst: ProblemInstance, damaged: np.ndarray, removed: Sequence[int]) -> AttackResult:
     """Repair task shortfalls with surviving spare budget, nearest ring first.
 
@@ -178,20 +191,7 @@ def patch(inst: ProblemInstance, damaged: np.ndarray, removed: Sequence[int]) ->
     damaged = _snapshot(damaged)
     if damaged[list(removed), :].any():
         raise ValueError("damaged assignment still has units from removed agents")
-    budgets = inst.budgets.copy()
-    budgets[list(removed)] = 0
-    spare = budgets - damaged.sum(axis=1)
-    if np.any(spare < 0):
-        raise ValueError("assignment exceeds a surviving budget")
-    shortfall = (inst.energies - damaged.sum(axis=0)).tolist()
-    recruits, cost = _recruit(*_member_lists(damaged), spare.tolist(), shortfall)
-    return AttackResult(
-        removed=removed,
-        patching_cost=cost,
-        unsatisfied=np.array(shortfall, dtype=np.int64),
-        base=damaged,
-        recruits=tuple(recruits),
-    )
+    return _runner(inst, damaged, *member_lists(damaged))(removed)
 
 
 def attack_experiment(
@@ -207,10 +207,10 @@ def attack_experiment(
 
     ``strategy`` is 'random' (uniform agent subsets, one RNG stream per run)
     or 'degree' (deterministic removal of the highest weighted-degree agents).
-    Every run patches as ``patch(inst, remove_agents(assignment, removed),
-    removed)`` would, but from member lists and sums built once per
-    experiment, and its result shares one read-only snapshot of
-    ``assignment``.
+    Every run is the run ``patch(inst, remove_agents(assignment, removed),
+    removed)`` makes, but from ``assignment`` with its member lists and sums
+    built once per experiment, and its result shares one read-only snapshot
+    of ``assignment``.
     """
     if not 0 < m < inst.n_agents:
         raise ValueError("m must be between 1 and the number of agents minus 1")
@@ -219,10 +219,8 @@ def attack_experiment(
     if strategy not in ("random", "degree"):
         raise ValueError("strategy must be 'random' or 'degree'")
     base = _snapshot(assignment)
-    members, tasks_of = _member_lists(base)
-    spare = (inst.budgets - base.sum(axis=1)).tolist()
-    over_budget = [agent for agent, left in enumerate(spare) if left < 0]
-    shortfall = inst.energies - base.sum(axis=0)
+    members, tasks_of = member_lists(base)
+    remove_and_patch = _runner(inst, base, members, tasks_of)
     if strategy == "degree":
         # targeted variant: remove the agents with the largest weighted degree
         energy = inst.energies.tolist()
@@ -235,26 +233,7 @@ def attack_experiment(
         else:
             rng = substream(seed, "attack", run)
             removed = tuple(rng.choice(inst.n_agents, size=m, replace=False).tolist())
-        gone = set(removed)
-        if any(agent not in gone for agent in over_budget):
-            raise ValueError("assignment exceeds a surviving budget")
-        run_spare = list(spare)
-        run_members = list(members)
-        for agent in removed:
-            run_spare[agent] = 0
-            for task in tasks_of[agent]:
-                run_members[task] = [a for a in run_members[task] if a not in gone]
-        run_shortfall = (shortfall + base[list(removed), :].sum(axis=0)).tolist()
-        recruits, cost = _recruit(run_members, tasks_of, run_spare, run_shortfall)
-        runs.append(
-            AttackResult(
-                removed=removed,
-                patching_cost=cost,
-                unsatisfied=np.array(run_shortfall, dtype=np.int64),
-                base=base,
-                recruits=tuple(recruits),
-            )
-        )
+        runs.append(remove_and_patch(removed))
     costs = np.array([r.patching_cost for r in runs])
     deficits = np.array([float(r.unsatisfied_sum) for r in runs])
 

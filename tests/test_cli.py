@@ -262,6 +262,44 @@ def test_stats_rejects_a_section_that_is_not_a_list(tmp_path, capsys, section):
     assert capsys.readouterr().err == f"error: '{section}' must be a list\n"
 
 
+_HUGE = 10**23
+
+
+@pytest.mark.parametrize(
+    "name, text, message",
+    [
+        (
+            "budget.json",
+            json.dumps({
+                "agents": [{"id": "a", "budget": 10**30}],
+                "tasks": [{"id": "t", "energy": 1}],
+                "assignment": [{"agent": "a", "task": "t", "weight": 1}],
+            }),
+            "agent 'a': budget must be an integer below 2**63",
+        ),
+        (
+            "weight.json",
+            json.dumps({
+                "agents": [{"id": "a", "budget": 1}],
+                "tasks": [{"id": "t", "energy": 1}],
+                "assignment": [{"agent": "a", "task": "t", "weight": _HUGE}],
+            }),
+            "assignment weight must be an integer below 2**63",
+        ),
+        ("energy.edges", f"t1({_HUGE}): a b\n", "line 1: task 't1': energy must be >= 1 and below 2**63"),
+        ("weight.edges", f"t1: a:{_HUGE} b\n", f"line 1: weight not below 2**63 in 'a:{_HUGE}'"),
+    ],
+)
+def test_stats_rejects_an_integer_outside_int64(tmp_path, capsys, name, text, message):
+    path = tmp_path / name
+    path.write_text(text)
+    out = tmp_path / "out"
+    assert main(["stats", "--input", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+    assert not out.exists()
+
+
 def test_attack_outputs(workdir, tmp_path):
     proc = run_cli(
         "attack",

@@ -19,6 +19,7 @@ from hyperteam.instance import (
     co_membership_graph,
     is_connected,
     load_instance,
+    member_lists,
     parse_edge_list,
     parse_instance_json,
     reaches_all,
@@ -210,6 +211,55 @@ def test_instance_validation_guards():
         )
     with pytest.raises(ValueError):
         make_instance([[1, 0], [0, 1]], budgets=[1, 2, 3])
+
+
+@pytest.mark.parametrize(
+    "budgets, message",
+    [
+        ([10**30, 1], "budgets must be at least -2**63 and below 2**63"),
+        ([2**63, 1], "budgets must be at least -2**63 and below 2**63"),
+        (np.array([2**64 - 1, 1], dtype=np.uint64), "budgets must be at least -2**63 and below 2**63"),
+        (np.array([1e30, 1.0]), "budgets must be at least -2**63 and below 2**63"),
+        (np.array([2.0**63, 1.0]), "budgets must be at least -2**63 and below 2**63"),
+        ([-(10**30), 1], "budgets must be at least -2**63 and below 2**63"),
+        (["1", "2"], "budgets must be integer-valued"),
+    ],
+)
+def test_values_outside_int64_are_rejected(budgets, message):
+    # a value no int64 holds is named as such, never cast into one
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ProblemInstance(("a", "b"), budgets, ("t",), [2], [[1], [1]])
+
+
+def test_int64_extremes_are_kept():
+    inst = ProblemInstance(("a", "b"), [2**63 - 1, 1], ("t",), [2], [[1], [1]])
+    assert inst.budgets.tolist() == [2**63 - 1, 1]
+    inst = ProblemInstance(("a", "b"), np.array([2**63 - 1, 1], dtype=np.uint64), ("t",), [2], [[1], [1]])
+    assert inst.budgets.tolist() == [2**63 - 1, 1]
+
+
+def _member_lists_oracle(a):
+    members = [np.flatnonzero(a[:, k] > 0).tolist() for k in range(a.shape[1])]
+    return members, [np.flatnonzero(row > 0).tolist() for row in a]
+
+
+def test_member_lists_match_flatnonzero():
+    rng = np.random.default_rng(11)
+    shapes = [(1, 1), (1, 6), (6, 1)] + [tuple(rng.integers(1, 30, size=2)) for _ in range(40)]
+    idle = empty = 0
+    for n, k in shapes:
+        # sparse enough to leave idle agents and empty tasks
+        a = rng.integers(0, 4, size=(n, k)) * (rng.random((n, k)) < rng.random())
+        idle += int((a.sum(axis=1) == 0).any())
+        empty += int((a.sum(axis=0) == 0).any())
+        strided = np.repeat(a, 2, axis=1)[:, ::2]
+        for layout in (np.ascontiguousarray(a), np.asfortranarray(a), strided):
+            got = member_lists(layout)
+            assert got == _member_lists_oracle(a)
+            assert all(type(i) is int for lists in got for entries in lists for i in entries)
+    assert idle >= 10 and empty >= 10
+    members, tasks_of = member_lists(np.zeros((3, 2), dtype=np.int64))
+    assert members == [[], []] and tasks_of == [[], [], []]
 
 
 def test_integral_floats_accepted():

@@ -230,6 +230,40 @@ def test_patch_validates_damaged_matrix():
         patch(inst, over, [3])
 
 
+def _over_budget(agent):
+    """The chain instance's assignment with ``agent`` spending 9 units beyond its budget."""
+    inst = _chain_instance()
+    a = np.array(inst.assignment)
+    a[agent, np.flatnonzero(a[agent])[0]] += 9
+    return inst, a
+
+
+def test_patch_runs_only_without_an_over_budget_survivor():
+    inst, a = _over_budget(0)
+    with pytest.raises(ValueError, match="exceeds a surviving budget"):
+        patch(inst, remove_agents(a, [3]), [3])
+    # removing the agent that overspends leaves nothing to object to
+    _assert_matches_oracle(inst, remove_agents(a, [0]), [0])
+    _assert_matches_oracle(inst, remove_agents(a, [0, 3]), [0, 3])
+
+
+def test_attack_runs_only_without_an_over_budget_survivor():
+    # a0 carries the largest weighted degree, so strategy 'degree' removes it
+    inst, a = _over_budget(0)
+    summary = attack_experiment(inst, a, m=1, n_exp=2, strategy="degree")
+    for run in summary.runs:
+        assert run.removed == (0,)
+        _assert_run_matches_patch_and_oracle(inst, a, run)
+    # a1 comes second: one removal leaves it standing, two take it out
+    inst, a = _over_budget(1)
+    with pytest.raises(ValueError, match="exceeds a surviving budget"):
+        attack_experiment(inst, a, m=1, n_exp=2, strategy="degree")
+    summary = attack_experiment(inst, a, m=2, n_exp=2, strategy="degree")
+    for run in summary.runs:
+        assert run.removed == (0, 1)
+        _assert_run_matches_patch_and_oracle(inst, a, run)
+
+
 def test_patch_never_overdraws():
     rng = np.random.default_rng(4)
     for _ in range(50):
