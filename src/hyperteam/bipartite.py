@@ -29,8 +29,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import spectral
-from .errors import DisconnectedError
-from .instance import ProblemInstance, is_connected
+from .errors import DegreeError, DisconnectedError, ReducibleChainError
+from .instance import ProblemInstance
 
 __all__ = [
     "bipartite_laplacian",
@@ -73,8 +73,8 @@ def mu2_of_assignment(energies: np.ndarray, assignment: np.ndarray) -> float:
     """Alternating-walk mu2 of an assignment; a split one raises ``ReducibleChainError``.
 
     Every agent and task needs a positive entry, or ``walk_blocks`` raises
-    ``DegreeError``. ``bipartite_connectivity`` checks that first; the
-    annealer scores -inf on either error.
+    ``DegreeError``. ``bipartite_connectivity`` turns either error into
+    ``DisconnectedError``; the annealer scores -inf on either.
     """
     A, B = spectral.walk_blocks(energies, assignment)
     return spectral.certified_mu2(B @ A, lambda q: _lift_laplacian(A, B, q))
@@ -82,20 +82,23 @@ def mu2_of_assignment(energies: np.ndarray, assignment: np.ndarray) -> float:
 
 def bipartite_connectivity(inst: ProblemInstance) -> float:
     """Second-smallest eigenvalue of the alternating-walk Laplacian."""
-    if not is_connected(inst):
-        raise DisconnectedError("bipartite connectivity needs a connected instance")
-    return mu2_of_assignment(inst.energies, inst.assignment)
+    try:
+        return mu2_of_assignment(inst.energies, inst.assignment)
+    except (DegreeError, ReducibleChainError):
+        raise DisconnectedError("bipartite connectivity needs a connected instance") from None
 
 
 def side_laplacians(inst: ProblemInstance) -> tuple[np.ndarray, np.ndarray]:
     """Laplacians of the agent chain ``A B`` (N x N) and the task chain ``B A`` (K x K).
 
     Each is taken at its side's half of the lift's distribution, so each
-    side carries stationary mass 1/2.
+    side carries stationary mass 1/2. The walk's degree check and the task
+    chain's reducibility search reject a disconnected instance.
     """
-    if not is_connected(inst):
-        raise DisconnectedError("side chains need a connected instance")
-    A, B = spectral.walk_blocks(inst.energies, inst.assignment)
-    pi_b = _lift_stationary(B, spectral.stationary_distribution(B @ A))
+    try:
+        A, B = spectral.walk_blocks(inst.energies, inst.assignment)
+        pi_b = _lift_stationary(B, spectral.stationary_distribution(B @ A))
+    except (DegreeError, ReducibleChainError):
+        raise DisconnectedError("side chains need a connected instance") from None
     n = len(A)
     return spectral.laplacian(A @ B, pi_b[:n]), spectral.laplacian(B @ A, pi_b[n:])

@@ -1,14 +1,18 @@
 """Command-line entry point.
 
 Subcommands wire ingestion, the optimizers, attack simulations, and the
-structural experiments into reproducible runs. Every run writes its output
-files plus a ``manifest.json`` recording the command, resolved parameters,
-input digests, and tool version; ``hyperteam rerun manifest.json`` replays
-the run and reproduces the same CSV bytes on the same platform.
+structural experiments into reproducible runs. Each command builds its
+output files as an ordered ``{name: text}`` dict; ``_execute`` alone writes
+them, plus a ``manifest.json`` recording the command, resolved parameters,
+input digests, tool version and the files in the order written. Files appear
+together once the run has built them all, so a run that fails writes none.
+``hyperteam rerun manifest.json`` replays the run and reproduces the same
+CSV bytes on the same platform.
 
 Exit codes: 0 on success, 1 on runtime failure, 2 on usage errors. Set
 ``HYPERTEAM_LOG=debug|info|warning|error`` to control stderr logging. With
-``--stdout`` the primary CSV streams to stdout and nothing else does.
+``--stdout`` the primary CSV, the run's first CSV file, streams to stdout and
+nothing else does.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ import numpy as np
 
 from . import __version__, bipartite
 from .csa import CsaParams, anneal
-from .errors import HyperteamError
+from .errors import DegreeError, HyperteamError, ReducibleChainError
 from .experiments import (
     ENUMERATION_GUARD,
     SCHEMES,
@@ -42,7 +46,7 @@ from .experiments import (
     to_instance,
 )
 from .greedy import GreedyParams, greedy_optimize
-from .instance import is_connected, load_instance, summary_stats
+from .instance import load_instance, summary_stats
 from .resilience import attack_experiment, gain
 from .spectral import mu2_of_assignment, spectrum
 
@@ -68,7 +72,6 @@ def _csv(header: list[str], rows: list[list]) -> str:
 
 
 def _atomic_write(path: Path, text: str) -> None:
-    # the output directory appears with the first file, so a rejected run leaves none
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=path.name, suffix=".tmp")
     try:
@@ -79,12 +82,6 @@ def _atomic_write(path: Path, text: str) -> None:
         with contextlib.suppress(OSError):
             os.unlink(tmp)
         raise
-
-
-def _emit(out_dir: Path, name: str, text: str, to_stdout: bool) -> None:
-    _atomic_write(out_dir / name, text)
-    if to_stdout:
-        sys.stdout.write(text)
 
 
 def _sha256(path: str) -> str:
@@ -99,27 +96,24 @@ def _input_paths(params: dict) -> list[str]:
     return [params[key] for key in ("input", "assignment") if params.get(key)]
 
 
-def _run_stats(params: dict, out_dir: Path, to_stdout: bool) -> list[str]:
+def _run_stats(params: dict) -> dict[str, str]:
     inst = load_instance(params["input"], params["format"])
     rec = summary_stats(inst)
-    text = _csv(
-        ["name", "N", "K", "mean_budget", "mean_energy", "Tbar", "Abar", "Ahat"],
-        [[
-            params["name"],
-            rec.n_agents,
-            rec.n_tasks,
-            rec.mean_budget,
-            rec.mean_energy,
-            rec.tasks_per_agent,
-            rec.agents_per_task,
-            rec.teammates_per_agent,
-        ]],
-    )
-    _emit(out_dir, "stats.csv", text, to_stdout)
-    return ["stats.csv"]
+    header = ["name", "N", "K", "mean_budget", "mean_energy", "Tbar", "Abar", "Ahat"]
+    row = [
+        params["name"],
+        rec.n_agents,
+        rec.n_tasks,
+        rec.mean_budget,
+        rec.mean_energy,
+        rec.tasks_per_agent,
+        rec.agents_per_task,
+        rec.teammates_per_agent,
+    ]
+    return {"stats.csv": _csv(header, [row])}
 
 
-def _run_optimize(params: dict, out_dir: Path, to_stdout: bool) -> list[str]:
+def _run_optimize(params: dict) -> dict[str, str]:
     inst = load_instance(params["input"], params["format"])
     method = params["method"]
     if method == "greedy":
@@ -127,11 +121,13 @@ def _run_optimize(params: dict, out_dir: Path, to_stdout: bool) -> list[str]:
     else:
         result = anneal(inst, CsaParams(**params["optimizer"]))
 
-    # the input is scored with the run's own objective, so gain compares like with like
+    # the input is scored with the run's own objective, so gain compares like
+    # with like; the objective's degree check and solve reject a split input
     mu2_of = bipartite.mu2_of_assignment if method == "csa-bipartite" else mu2_of_assignment
-    mu2_original = None
-    if is_connected(inst):
-        mu2_original = mu2_of(np.asarray(inst.energies), np.asarray(inst.assignment))
+    try:
+        mu2_original = mu2_of(inst.energies, inst.assignment)
+    except (DegreeError, ReducibleChainError):
+        mu2_original = None
     meta = {
         "method": method,
         "seed": params["seed"],
@@ -145,10 +141,6 @@ def _run_optimize(params: dict, out_dir: Path, to_stdout: bool) -> list[str]:
         "gain": gain(result.best_mu2, mu2_original) if mu2_original else None,
     }
     optimized = inst.with_assignment(result.best_assignment)
-    _atomic_write(
-        out_dir / "result.json",
-        json.dumps(optimized.to_json_obj(meta=meta), indent=2) + "\n",
-    )
 
     header = ["iter", "temperature", "penalty", "mu2", "feasible", "accepted"]
     with_phase = method == "greedy"
@@ -160,11 +152,13 @@ def _run_optimize(params: dict, out_dir: Path, to_stdout: bool) -> list[str]:
         if with_phase:
             cells.append(row.phase)
         rows.append(cells)
-    _emit(out_dir, "trace.csv", _csv(header, rows), to_stdout)
-    return ["result.json", "trace.csv"]
+    return {
+        "result.json": json.dumps(optimized.to_json_obj(meta=meta), indent=2) + "\n",
+        "trace.csv": _csv(header, rows),
+    }
 
 
-def _run_attack(params: dict, out_dir: Path, to_stdout: bool) -> list[str]:
+def _run_attack(params: dict) -> dict[str, str]:
     _check_at_least(params, n_exp=1)
     inst = load_instance(params["input"], params["format"])
     if params.get("assignment"):
@@ -188,23 +182,14 @@ def _run_attack(params: dict, out_dir: Path, to_stdout: bool) -> list[str]:
     for i, run in enumerate(summary.runs):
         ids = ";".join(inst.agent_ids[a] for a in run.removed)
         rows.append([i, ids, run.patching_cost, run.unsatisfied_sum, run.success])
-    _emit(
-        out_dir,
-        "attack_runs.csv",
-        _csv(["run", "removed_ids", "patching_cost", "unsatisfied_sum", "success"], rows),
-        to_stdout,
-    )
     summary_rows = [
         ["patching_cost", summary.patching_cost_mean, summary.patching_cost_stderr, summary.n_runs],
         ["unsatisfied_sum", summary.unsatisfied_mean, summary.unsatisfied_stderr, summary.n_runs],
     ]
-    _emit(
-        out_dir,
-        "attack_summary.csv",
-        _csv(["metric", "mean", "stderr", "n_exp"], summary_rows),
-        False,
-    )
-    return ["attack_runs.csv", "attack_summary.csv"]
+    return {
+        "attack_runs.csv": _csv(["run", "removed_ids", "patching_cost", "unsatisfied_sum", "success"], rows),
+        "attack_summary.csv": _csv(["metric", "mean", "stderr", "n_exp"], summary_rows),
+    }
 
 
 def _check_at_least(params: dict, **lows: int) -> None:
@@ -232,7 +217,7 @@ def _representative_indices(total: int, count: int) -> list[int]:
     return sorted(set(int(round(x)) for x in np.linspace(0, total - 1, count)))
 
 
-def _run_experiment(params: dict, out_dir: Path, to_stdout: bool) -> list[str]:
+def _run_experiment(params: dict) -> dict[str, str]:
     kind = params["kind"]
     if kind == "enumerate":
         _check_at_least(params, nodes=0, edges=0)
@@ -243,8 +228,7 @@ def _run_experiment(params: dict, out_dir: Path, to_stdout: bool) -> list[str]:
         value = {m: repr(m) for m in {h.mu2 for h in found}}
         lines = ["rank,mu2,edges"]
         lines += [f"{rank},{value[h.mu2]},{';'.join([label[e] for e in h.edges])}" for rank, h in enumerate(found, 1)]
-        _emit(out_dir, "enumeration.csv", "\n".join(lines) + "\n", to_stdout)
-        return ["enumeration.csv"]
+        return {"enumeration.csv": "\n".join(lines) + "\n"}
 
     if kind == "scaling":
         _check_at_least(params, reps=1, sizes=2)
@@ -255,15 +239,11 @@ def _run_experiment(params: dict, out_dir: Path, to_stdout: bool) -> list[str]:
             params["seed"],
             coupled=params["coupled"],
         )
-        _emit(
-            out_dir,
-            "scaling.csv",
-            _csv(["scheme", "N_c", "rep", "mu2"], [list(s) for s in samples]),
-            to_stdout,
-        )
         fit_rows = [[f.scheme, f.exponent, f.intercept, f.r_squared] for f in fits]
-        _emit(out_dir, "scaling_fit.csv", _csv(["scheme", "exponent", "intercept", "R2"], fit_rows), False)
-        return ["scaling.csv", "scaling_fit.csv"]
+        return {
+            "scaling.csv": _csv(["scheme", "N_c", "rep", "mu2"], [list(s) for s in samples]),
+            "scaling_fit.csv": _csv(["scheme", "exponent", "intercept", "R2"], fit_rows),
+        }
 
     if kind == "budget-sweep":
         _check_at_least(params, reps=1, multipliers=1, sub_sizes=2)
@@ -279,18 +259,14 @@ def _run_experiment(params: dict, out_dir: Path, to_stdout: bool) -> list[str]:
             [p.target_tasks, p.rep, p.multiplier, p.n_agents, p.n_tasks, p.mu2]
             for p in result.points
         ]
-        _emit(
-            out_dir,
-            "budget_sweep.csv",
-            _csv(["target_tasks", "rep", "multiplier", "n_agents", "n_tasks", "mu2"], point_rows),
-            to_stdout,
-        )
         fit_rows = [
             [c.multiplier, c.fit.exponent, c.fit.intercept, c.fit.r_squared]
             for c in result.curves
         ]
-        _emit(out_dir, "budget_fit.csv", _csv(["multiplier", "exponent", "intercept", "R2"], fit_rows), False)
-        return ["budget_sweep.csv", "budget_fit.csv"]
+        return {
+            "budget_sweep.csv": _csv(["target_tasks", "rep", "multiplier", "n_agents", "n_tasks", "mu2"], point_rows),
+            "budget_fit.csv": _csv(["multiplier", "exponent", "intercept", "R2"], fit_rows),
+        }
 
     if kind == "diffuse":
         _check_at_least(params, nodes=0, edges=0, representatives=1, steps=1)
@@ -302,13 +278,11 @@ def _run_experiment(params: dict, out_dir: Path, to_stdout: bool) -> list[str]:
         instances = [to_instance(found[i].edges, params["nodes"]) for i in picked]
         times = np.linspace(0.0, params["t_max"], params["steps"])
         traces = diffusion_comparison(instances, times=times)
-        outputs = []
+        files = {}
         for j, trace in enumerate(traces):
             header = ["t"] + [f"x_{q}" for q in range(params["nodes"])]
             rows = [[t] + list(state) for t, state in zip(trace.times, trace.states)]
-            name = f"diffusion_{j}.csv"
-            _emit(out_dir, name, _csv(header, rows), to_stdout and j == 0)
-            outputs.append(name)
+            files[f"diffusion_{j}.csv"] = _csv(header, rows)
             if params["representation"] == "bipartite":
                 upper, lower = map(spectrum, bipartite.side_laplacians(instances[j]))
                 n = len(upper)
@@ -318,10 +292,8 @@ def _run_experiment(params: dict, out_dir: Path, to_stdout: bool) -> list[str]:
             else:
                 spec_rows = [[i, v] for i, v in enumerate(trace.eigenvalues)]
                 spec_header = ["index", "eigenvalue"]
-            spec_name = f"spectrum_{j}.csv"
-            _emit(out_dir, spec_name, _csv(spec_header, spec_rows), False)
-            outputs.append(spec_name)
-        return outputs
+            files[f"spectrum_{j}.csv"] = _csv(spec_header, spec_rows)
+        return files
 
     raise UsageError(f"unknown experiment kind {kind!r}")
 
@@ -337,20 +309,24 @@ _DISPATCH = {
 def _execute(command: str, params: dict, out_dir: Path, to_stdout: bool) -> int:
     inputs = {p: _sha256(p) for p in _input_paths(params)}
     start = time.monotonic()
-    outputs = _DISPATCH[command](params, out_dir, to_stdout)
+    files = _DISPATCH[command](params)
+    for name, text in files.items():
+        _atomic_write(out_dir / name, text)
+    if to_stdout:
+        sys.stdout.write(next(text for name, text in files.items() if name.endswith(".csv")))
     manifest = {
         "command": command,
         "version": __version__,
         "seed": params.get("seed"),
         "params": params,
         "inputs": inputs,
-        "outputs": outputs,
+        "outputs": list(files),
         "duration_seconds": round(time.monotonic() - start, 6),
     }
     _atomic_write(out_dir / "manifest.json", json.dumps(manifest, indent=2) + "\n")
     log.info("%s finished in %.3fs", command, manifest["duration_seconds"])
     if not to_stdout:
-        for name in outputs + ["manifest.json"]:
+        for name in [*files, "manifest.json"]:
             print(out_dir / name)
     return 0
 

@@ -57,6 +57,20 @@ def _frozen_int_array(values, name: str, ndim: int) -> np.ndarray:
     return arr
 
 
+def _reaches_2_63(arr: np.ndarray, axis: int | None = None):
+    """Whether sums of non-negative int64 entries reach 2**63, over ``axis`` or all.
+
+    Exact and without overflow. A float64 sum of n entries is within a factor
+    ``1 + n * 2**-53`` of the exact one, so float sums below 2**62 give False
+    without a temporary array. Otherwise the sums of each entry's high and
+    low 32 bits fit int64, and ``high + low // 2**32`` is the sum's quotient
+    by 2**32.
+    """
+    if (arr.sum(axis, dtype=np.float64) < 2**62).all():
+        return False
+    return (arr >> 32).sum(axis) + ((arr & 0xFFFFFFFF).sum(axis) >> 32) >= 2**31
+
+
 @dataclass(frozen=True)
 class ProblemInstance:
     """Immutable problem data. Arrays are read-only after construction."""
@@ -93,6 +107,10 @@ class ProblemInstance:
             raise ValueError("task energies must be >= 1")
         if np.any(assignment < 0):
             raise ValueError("assignment weights must be >= 0")
+        # then every row, column and total sum of the three fits int64
+        for name, arr in (("budget", budgets), ("energy", energies), ("assigned units", assignment)):
+            if _reaches_2_63(arr):
+                raise ValueError(f"total {name} must be below 2**63")
         object.__setattr__(self, "agent_ids", agent_ids)
         object.__setattr__(self, "task_ids", task_ids)
         object.__setattr__(self, "budgets", budgets)
@@ -378,7 +396,7 @@ def parse_instance_json(text: str) -> ProblemInstance:
             )
         seen.add((i, k))
         assignment[i, k] = w
-    empty = np.flatnonzero(assignment.sum(axis=0) == 0)
+    empty = np.flatnonzero(~assignment.any(axis=0))
     if empty.size:
         raise FormatError(f"empty hyperedge: task {task_ids[int(empty[0])]!r} has no agents")
     return ProblemInstance(agent_ids, budgets, task_ids, energies, assignment)
@@ -447,15 +465,21 @@ def parse_edge_list(text: str) -> ProblemInstance:
     if not tasks:
         raise FormatError("no tasks found")
     assignment = np.zeros((len(agent_ids), len(tasks)), dtype=np.int64)
-    energies = np.zeros(len(tasks), dtype=np.int64)
-    task_ids = []
-    for k, (tid, energy, members) in enumerate(tasks):
-        task_ids.append(tid)
+    for k, (_, _, members) in enumerate(tasks):
         for i, w in members:
             assignment[i, k] = w
-        energies[k] = energy if energy is not None else assignment[:, k].sum()
+    task_ids = tuple(tid for tid, _, _ in tasks)
+    # budgets and default energies are row and column sums, so each must fit
+    for ids, axis, kind in ((agent_ids, 1, "agent"), (task_ids, 0, "task")):
+        over = np.flatnonzero(_reaches_2_63(assignment, axis))
+        if over.size:
+            raise FormatError(f"{kind} {ids[over[0]]!r}: weights sum to 2**63 or more")
+    energies = assignment.sum(axis=0)
+    for k, (_, energy, _) in enumerate(tasks):
+        if energy is not None:
+            energies[k] = energy
     budgets = assignment.sum(axis=1)
-    return ProblemInstance(tuple(agent_ids), budgets, tuple(task_ids), energies, assignment)
+    return ProblemInstance(tuple(agent_ids), budgets, task_ids, energies, assignment)
 
 
 def load_instance(path: str | Path, fmt: str | None = None) -> ProblemInstance:

@@ -74,6 +74,15 @@ def make_instance(assignment, budgets=None, energies=None) -> ProblemInstance:
     )
 
 
+# Two instances with no walk to score: an agent with a budget but no task,
+# which the walk's degree check rejects, and two teams that share no agent,
+# which its reducibility search rejects.
+DISCONNECTED = {
+    "idle-agent": make_instance([[1, 1], [1, 0], [0, 1], [0, 0]], budgets=[2, 1, 1, 2]),
+    "split": make_instance([[1, 0], [1, 0], [0, 1], [0, 1]]),
+}
+
+
 def random_connected_instance(
     rng: np.random.Generator,
     n_agents: int,

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    DISCONNECTED,
     bipartite_bundle,
     eig_stationary,
     full_lift,
@@ -137,6 +138,14 @@ def test_connectivity_requires_connected():
         bipartite_connectivity(two)
     with pytest.raises(DisconnectedError):
         side_laplacians(two)
+
+
+@pytest.mark.parametrize("case", DISCONNECTED)
+def test_connectivity_and_side_chains_reject_a_disconnected_instance(case):
+    with pytest.raises(DisconnectedError, match="bipartite connectivity needs a connected instance"):
+        bipartite_connectivity(DISCONNECTED[case])
+    with pytest.raises(DisconnectedError, match="side chains need a connected instance"):
+        side_laplacians(DISCONNECTED[case])
 
 
 def test_bundle_consistency():

@@ -7,11 +7,13 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import (
+    DISCONNECTED,
     bipartite_bundle,
     make_instance,
     random_connected_instance,
@@ -21,6 +23,7 @@ from conftest import (
 from hyperteam import bipartite, cli, experiments, spectral
 from hyperteam.experiments import enumerate_small, to_instance
 from hyperteam.cli import main
+from hyperteam.errors import DisconnectedError
 from hyperteam.instance import load_instance, save_instance
 from hyperteam.spectral import mu2_of_assignment
 
@@ -163,6 +166,21 @@ def test_optimize_csa_bipartite_gain_compares_bipartite_mu2s(workdir, tmp_path):
     assert meta["gain"] == meta["mu2"] / original
 
 
+@pytest.mark.parametrize("method", ["csa", "csa-bipartite"])
+@pytest.mark.parametrize("case", DISCONNECTED)
+def test_optimize_reports_no_gain_over_an_input_with_no_walk(tmp_path, case, method):
+    # the objective's own degree check and solve reject the input
+    path = tmp_path / "input.json"
+    save_instance(DISCONNECTED[case], str(path))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"cooling": 0.9}))
+    out = tmp_path / "out"
+    assert main(["optimize", "--input", str(path), "--method", method, "--config", str(config),
+                 "--out", str(out)]) == 0
+    meta = json.loads((out / "result.json").read_text())["meta"]
+    assert meta["mu2_original"] is None and meta["gain"] is None
+
+
 def test_optimize_usage_errors(workdir, tmp_path):
     bad_config = tmp_path / "bad.json"
     bad_config.write_text(json.dumps({"not_a_knob": 1}))
@@ -288,6 +306,26 @@ _HUGE = 10**23
         ),
         ("energy.edges", f"t1({_HUGE}): a b\n", "line 1: task 't1': energy must be >= 1 and below 2**63"),
         ("weight.edges", f"t1: a:{_HUGE} b\n", f"line 1: weight not below 2**63 in 'a:{_HUGE}'"),
+        # weights that each fit int64 but whose sums do not
+        pytest.param(
+            "budget-sum.edges",
+            "t1: a:5000000000000000000\nt2: a:5000000000000000000 b\n",
+            "agent 'a': weights sum to 2**63 or more",
+            id="budget-sum.edges",
+        ),
+        pytest.param(
+            "column-sum.json",
+            json.dumps({
+                "agents": [{"id": "a", "budget": 1}, {"id": "b", "budget": 1}],
+                "tasks": [{"id": "t", "energy": 1}],
+                "assignment": [
+                    {"agent": "a", "task": "t", "weight": 5 * 10**18},
+                    {"agent": "b", "task": "t", "weight": 5 * 10**18},
+                ],
+            }),
+            "total assigned units must be below 2**63",
+            id="column-sum.json",
+        ),
     ],
 )
 def test_stats_rejects_an_integer_outside_int64(tmp_path, capsys, name, text, message):
@@ -674,6 +712,72 @@ def test_experiment_diffuse_builds_one_bundle_per_representative(tmp_path, monke
             "--steps", "5", "--representation", representation, "--out", str(tmp_path)]
     assert main(argv) == 0
     assert len(calls) == 3
+
+
+CSA_SCHEDULE = Path(__file__).resolve().parents[1] / "bench" / "csa_schedule.json"
+
+# one run of every command and experiment kind
+OUTPUT_RUNS = {
+    "stats": ["stats", "--input", "{small}"],
+    "optimize-greedy": ["optimize", "--input", "{small}", "--method", "greedy"],
+    "optimize-csa": ["optimize", "--input", "{small}", "--method", "csa", "--config", "{schedule}"],
+    "optimize-csa-bipartite": [
+        "optimize", "--input", "{small}", "--method", "csa-bipartite", "--config", "{schedule}",
+    ],
+    "attack": ["attack", "--input", "{small}", "-m", "4", "--n-exp", "5"],
+    "enumerate": ["experiment", "enumerate", "--nodes", "4", "--edges", "2"],
+    "scaling": ["experiment", "scaling", "--reps", "2", "--sizes", "2", "3", "4"],
+    "budget-sweep": [
+        "experiment", "budget-sweep", "--input", "{hub}", "--multipliers", "1", "2",
+        "--sub-sizes", "3", "4", "6", "--reps", "1",
+    ],
+    "diffuse-hypergraph": ["experiment", "diffuse", "--nodes", "4", "--edges", "2", "--steps", "5"],
+    "diffuse-bipartite": [
+        "experiment", "diffuse", "--nodes", "4", "--edges", "2", "--steps", "5",
+        "--representation", "bipartite",
+    ],
+}
+
+
+@pytest.mark.parametrize("run", OUTPUT_RUNS)
+def test_stdout_streams_the_first_csv_and_the_manifest_lists_files_as_written(
+    workdir, tmp_path, capsys, monkeypatch, run
+):
+    written, write = [], cli._atomic_write
+
+    def recording(path, text):
+        written.append(path.name)
+        write(path, text)
+
+    monkeypatch.setattr(cli, "_atomic_write", recording)
+    paths = {"small": toy_path("coauthor_small"), "schedule": CSA_SCHEDULE, "hub": workdir / "hub.json"}
+    argv = [arg.format(**paths) for arg in OUTPUT_RUNS[run]]
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out), "--stdout"]) == 0
+    outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+    assert written == [*outputs, "manifest.json"]
+    assert sorted(p.name for p in out.iterdir()) == sorted(written)
+    primary = next(name for name in outputs if name.endswith(".csv"))
+    assert capsys.readouterr().out.encode() == (out / primary).read_bytes()
+
+
+def test_a_run_that_fails_after_building_part_of_its_output_writes_nothing(tmp_path, capsys, monkeypatch):
+    calls, build = [], bipartite.side_laplacians
+
+    def failing_on_the_second(inst):
+        calls.append(inst)
+        if len(calls) == 2:
+            raise DisconnectedError("side chains need a connected instance")
+        return build(inst)
+
+    monkeypatch.setattr(bipartite, "side_laplacians", failing_on_the_second)
+    out = tmp_path / "out"
+    argv = ["experiment", "diffuse", "--nodes", "4", "--edges", "2", "--representatives", "3",
+            "--steps", "5", "--representation", "bipartite", "--out", str(out)]
+    assert main(argv) == 1
+    assert len(calls) == 2
+    assert capsys.readouterr().err == "error: side chains need a connected instance\n"
+    assert not out.exists()
 
 
 def test_rerun_reproduces_and_checks_digests(workdir, tmp_path):

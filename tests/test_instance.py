@@ -232,10 +232,13 @@ def test_values_outside_int64_are_rejected(budgets, message):
 
 
 def test_int64_extremes_are_kept():
-    inst = ProblemInstance(("a", "b"), [2**63 - 1, 1], ("t",), [2], [[1], [1]])
-    assert inst.budgets.tolist() == [2**63 - 1, 1]
-    inst = ProblemInstance(("a", "b"), np.array([2**63 - 1, 1], dtype=np.uint64), ("t",), [2], [[1], [1]])
-    assert inst.budgets.tolist() == [2**63 - 1, 1]
+    # the largest int64 is kept as long as the total stays below 2**63
+    inst = ProblemInstance(("a", "b"), [2**63 - 1, 0], ("t",), [2], [[1], [1]])
+    assert inst.budgets.tolist() == [2**63 - 1, 0]
+    inst = ProblemInstance(("a", "b"), np.array([2**63 - 1, 0], dtype=np.uint64), ("t",), [2], [[1], [1]])
+    assert inst.budgets.tolist() == [2**63 - 1, 0]
+    with pytest.raises(ValueError, match=re.escape("total budget must be below 2**63")):
+        ProblemInstance(("a", "b"), [2**63 - 1, 1], ("t",), [2], [[1], [1]])
 
 
 def _member_lists_oracle(a):
