@@ -74,8 +74,11 @@ def mu2_of_assignment(energies: np.ndarray, assignment: np.ndarray) -> float:
 
     Every agent and task needs a positive entry, or ``walk_blocks`` raises
     ``DegreeError``. ``bipartite_connectivity`` turns either error into
-    ``DisconnectedError``; the annealer scores -inf on either.
+    ``DisconnectedError``; the annealer scores -inf on either. An assignment
+    that is not 2-D raises ``ValueError`` before any work.
     """
+    if np.ndim(assignment) != 2:
+        raise ValueError("assignment must be (N, K)")
     A, B = spectral.walk_blocks(energies, assignment)
     return spectral.certified_mu2(B @ A, lambda q: _lift_laplacian(A, B, q))
 

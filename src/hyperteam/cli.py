@@ -128,12 +128,14 @@ def _run_optimize(params: dict) -> dict[str, str]:
         mu2_original = mu2_of(inst.energies, inst.assignment)
     except (DegreeError, ReducibleChainError):
         mu2_original = None
+    # a run that met no connected state scores nan and -inf, which JSON lacks
+    mu2, penalty = (x if math.isfinite(x) else None for x in (result.best_mu2, result.best_penalty))
     meta = {
         "method": method,
         "seed": params["seed"],
         "params": params["optimizer"],
-        "mu2": result.best_mu2,
-        "penalty": result.best_penalty,
+        "mu2": mu2,
+        "penalty": penalty,
         "feasible": result.feasible,
         "iterations": result.iterations_run,
         "notes": list(result.notes),
@@ -153,7 +155,7 @@ def _run_optimize(params: dict) -> dict[str, str]:
             cells.append(row.phase)
         rows.append(cells)
     return {
-        "result.json": json.dumps(optimized.to_json_obj(meta=meta), indent=2) + "\n",
+        "result.json": json.dumps(optimized.to_json_obj(meta=meta), indent=2, allow_nan=False) + "\n",
         "trace.csv": _csv(header, rows),
     }
 
@@ -323,7 +325,7 @@ def _execute(command: str, params: dict, out_dir: Path, to_stdout: bool) -> int:
         "outputs": list(files),
         "duration_seconds": round(time.monotonic() - start, 6),
     }
-    _atomic_write(out_dir / "manifest.json", json.dumps(manifest, indent=2) + "\n")
+    _atomic_write(out_dir / "manifest.json", json.dumps(manifest, indent=2, allow_nan=False) + "\n")
     log.info("%s finished in %.3fs", command, manifest["duration_seconds"])
     if not to_stdout:
         for name in [*files, "manifest.json"]:

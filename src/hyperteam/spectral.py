@@ -39,24 +39,19 @@ is searched only when the solve fails or mu2 is at most that. Both
 lift's, score through it. ``mu2_batch`` solves whole stacks and leaves
 connectivity to its callers, which test it with ``reaches_all``.
 
-One score works in reused arrays. Each thread keeps its own sets in a
+One score reuses its LAPACK workspaces. Each thread keeps its own sets in a
 ``threading.local``, one per kind and shape: at most 8 sets, and none above
 255 on a side, where a solve takes milliseconds and a set megabytes; such a
 score builds its sets and lets them go. The stationary solve keeps dgesv's
 matrix, pivots, right-hand side and residual, and ``_mu2`` keeps dsyevr's
-workspace, so the bipartite lift's score reuses both. ``mu2_of_assignment``
-also writes W, R and the degrees, the agent chain ``A B`` and the Laplacian
-with ``out=`` products and in-place ufuncs, the Laplacian straight into the
-matrix that ``dsyevr`` solves. It runs the same floating-point operations in
-the same order as the fresh-array chain ``walk_blocks``, ``_solve_stationary``,
-``laplacian`` and ``_mu2``, so every mu2, and every error raised, is that
-chain's. A score of a coauthor_small state (52x25) took 133 us instead of
-154, and of its lift 189 instead of 211 (2-core VM, medians of 10
-alternating runs of the best of 15 x 300 calls); about 30 us of it is
-``dgesv`` and 70 us ``dsyevr``, and most of the rest numpy's dispatch of
-some 30 small ufuncs and products. Written in place, the lift's walk and
-Laplacian saved about 2% more of its score, too little for a second scorer.
-The sets' contents last until the thread's next score.
+workspace, so both objectives reuse both. ``certified_mu2`` writes its
+default Laplacian, the hypergraph objective's, straight into the matrix that
+``dsyevr`` solves. The walk and the chain are built in fresh arrays by
+``walk_blocks`` and ``transition_matrix``, as every walk is: written in
+place they saved nothing measurable, 142.8 us a coauthor_small score with
+the copy against 142.2 without (2-core VM, medians of 10 alternating runs of
+the best of 15 x 300 calls over 20 states). The sets' contents last until
+the thread's next score.
 
 mu2 itself comes from one private kernel, ``_mu2``, in ``certified_mu2`` and
 in each chunk of ``mu2_batch``, so a single score and a batched one agree bit
@@ -170,24 +165,14 @@ def walk_blocks(energies: np.ndarray, assignment: np.ndarray) -> tuple[np.ndarra
     and (..., K, N). ``energies`` broadcasts against the leading axes: (K,)
     for all, or one row per assignment. An agent in no task or a task without
     agents raises ``DegreeError``, which names it by its index. W and R are
-    C-ordered whatever the assignment's layout, as in the objectives' reused
-    arrays: the reductions and products that follow sum in memory order, so
-    their last bits would otherwise follow the layout.
+    C-ordered whatever the assignment's layout: the reductions and products
+    that follow sum in memory order, so their last bits would otherwise
+    follow the layout.
     """
     energies, assignment = np.asarray(energies), np.asarray(assignment)
     W = np.multiply(assignment > 0, energies[..., np.newaxis, :].astype(np.float64), order="C")
     R = assignment.astype(np.float64, order="C")
-    return _walk_steps(W, R)
-
-
-def _walk_steps(
-    W: np.ndarray, R: np.ndarray, d_v: np.ndarray | None = None, d_e: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """``(A, B)`` from the weights W and R, normalized in place; the one degree check.
-
-    The degrees go into d_v and d_e when they are given.
-    """
-    d_v, d_e = W.sum(axis=-1, out=d_v), R.sum(axis=-2, out=d_e)
+    d_v, d_e = W.sum(axis=-1), R.sum(axis=-2)
     for d, message in ((d_v, "agent {} belongs to no task"), (d_e, "task {} has no agents")):
         if not d.all():
             raise DegreeError(message.format(np.flatnonzero(d == 0)[0] % d.shape[-1]))
@@ -570,11 +555,13 @@ def certified_mu2(
     """mu2 of an (n, n) chain's Laplacian, with connectivity read off the spectrum.
 
     pi comes from one normalized solve of ``P``; ``laplacian_of(pi)`` builds
-    the Laplacian, ``laplacian(P, pi)`` by default, and mu2 is its
-    second-smallest eigenvalue. A split chain that passes the solve's 1e-9
-    residual check leaves each closed class an indicator vector whose
-    Rayleigh quotient is at most residual/2 (residual/4 on the bipartite
-    lift's Laplacian), so a mu2 above 5e-10 certifies ``P`` irreducible.
+    the Laplacian, and mu2 is its second-smallest eigenvalue. By default the
+    Laplacian is ``laplacian(P, pi)``, written straight into the matrix that
+    ``dsyevr`` solves in this thread's eigen workspace, so ``_mu2`` needs no
+    copy. A split chain that passes the solve's 1e-9 residual check leaves
+    each closed class an indicator vector whose Rayleigh quotient is at most
+    residual/2 (residual/4 on the bipartite lift's Laplacian), so a mu2
+    above 5e-10 certifies ``P`` irreducible.
     Only when the solve raises ``ConvergenceError`` or mu2 is at most that
     bound is the support searched: a reducible chain then raises
     ``ReducibleChainError``, and an irreducible one returns its mu2 or
@@ -589,44 +576,29 @@ def certified_mu2(
         if not _irreducible(P):
             raise ReducibleChainError(_REDUCIBLE) from None
         raise
-    mu2 = float(_mu2(laplacian(P, pi) if laplacian_of is None else laplacian_of(pi)))
+    if laplacian_of is None:
+        L = _laplacian_into(P, pi, np.empty(P.shape), _scratch(_Eigen, len(P)).a)
+    else:
+        L = laplacian_of(pi)
+    mu2 = float(_mu2(L))
     if mu2 <= _CERTIFIED_MU2 and not _irreducible(P):
         raise ReducibleChainError(_REDUCIBLE)
     return mu2
 
 
-class _Walk:
-    """Reused arrays of one (n, k) assignment's walk, its agent chain and ``Pi P``."""
-
-    def __init__(self, n: int, k: int):
-        self.W, self.R = np.empty((n, k)), np.empty((n, k))
-        self.d_v, self.d_e = np.empty(n), np.empty(k)
-        self.chain, self.weighted = np.empty((n, n)), np.empty((n, n))
-
-
 def mu2_of_assignment(energies: np.ndarray, assignment: np.ndarray) -> float:
     """Algebraic connectivity of the hypergraph a whole (N, K) assignment induces.
 
-    Every agent and task needs a positive entry, or the walk's degree check
-    raises ``DegreeError`` as ``walk_blocks`` does. ``certified_mu2`` scores
-    the agent chain ``A B``, so a disconnected assignment, whose agent chain
-    is reducible, raises ``ReducibleChainError``, and one agent, with no
-    mixing to measure, scores 0. The walk, the chain and the Laplacian are
-    written into this thread's scratch sets for the assignment's shape, the
-    Laplacian straight into the eigen solve's matrix; see the module
-    docstring.
+    ``certified_mu2`` of the agent chain ``transition_matrix(energies,
+    assignment)``. Every agent and task needs a positive entry, or
+    ``walk_blocks``' degree check raises ``DegreeError``; a disconnected
+    assignment, whose agent chain is reducible, raises
+    ``ReducibleChainError``, and one agent, with no mixing to measure, scores
+    0. An assignment that is not 2-D raises ``ValueError`` before any work.
     """
-    assignment = np.asarray(assignment)
-    n, k = assignment.shape
-    work = _scratch(_Walk, n, k)
-    # walk_blocks' weights, written in place
-    np.greater(assignment, 0, out=work.W)
-    work.W *= np.asarray(energies)
-    np.copyto(work.R, assignment)
-    A, B = _walk_steps(work.W, work.R, work.d_v, work.d_e)
-    P = np.matmul(A, B, out=work.chain)
-    L = _scratch(_Eigen, n).a
-    return certified_mu2(P, lambda pi: _laplacian_into(P, pi, work.weighted, L))
+    if np.ndim(assignment) != 2:
+        raise ValueError("assignment must be (N, K)")
+    return certified_mu2(transition_matrix(energies, assignment))
 
 
 def batch_rows(n: int, k: int) -> int:

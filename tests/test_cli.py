@@ -181,6 +181,29 @@ def test_optimize_reports_no_gain_over_an_input_with_no_walk(tmp_path, case, met
     assert meta["mu2_original"] is None and meta["gain"] is None
 
 
+def _strict_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("method", ["csa", "csa-bipartite"])
+def test_optimize_writes_null_scores_for_a_split_input(tmp_path, method):
+    # two teams that share no agent never meet a connected state, so the
+    # best mu2 is nan and its penalty -inf: result.json says null, which a
+    # strict parser reads, and the trace keeps its float cells
+    path = tmp_path / "input.json"
+    save_instance(DISCONNECTED["split"], str(path))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"cooling": 0.9}))
+    out = tmp_path / "out"
+    assert main(["optimize", "--input", str(path), "--method", method, "--config", str(config),
+                 "--out", str(out)]) == 0
+    meta = json.loads((out / "result.json").read_text(), parse_constant=_strict_constant)["meta"]
+    assert meta["mu2"] is None and meta["penalty"] is None
+    json.loads((out / "manifest.json").read_text(), parse_constant=_strict_constant)
+    rows = (out / "trace.csv").read_text().splitlines()[1:]
+    assert rows and all(row.split(",")[2:4] == ["-inf", "nan"] for row in rows)
+
+
 def test_optimize_usage_errors(workdir, tmp_path):
     bad_config = tmp_path / "bad.json"
     bad_config.write_text(json.dumps({"not_a_knob": 1}))

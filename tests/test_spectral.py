@@ -560,6 +560,18 @@ def test_both_objectives_need_a_whole_assignment(objective):
         assert spectral.mu2_of_assignment(energies, np.array([[2, 1]])) == 0.0
 
 
+@pytest.mark.parametrize("objective", [spectral, bipartite], ids=["hypergraph", "bipartite"])
+def test_both_objectives_reject_an_assignment_that_is_not_2d(objective, monkeypatch):
+    # one ValueError before any work, for a row and for a stack alike
+    built = []
+    monkeypatch.setattr(spectral, "walk_blocks", lambda *args: built.append(args))
+    energies = np.array([2, 1])
+    for assignment in (np.array([1, 1]), np.ones((2, 3, 2), dtype=np.int64)):
+        with pytest.raises(ValueError, match=r"^assignment must be \(N, K\)$"):
+            objective.mu2_of_assignment(energies, assignment)
+    assert built == []
+
+
 def test_a_one_state_chain_scores_zero_through_every_path():
     # a Laplacian under 2x2 has no mixing to measure: mu2 is 0.0
     assert spectral.certified_mu2(np.ones((1, 1))) == 0.0
@@ -670,9 +682,9 @@ def test_stacked_solve_is_each_chains_solve_and_checks_every_chain():
 
 
 def test_mu2_of_assignment_runs_each_chain_function_once(monkeypatch):
-    # the certified path solves once and never searches a connected chain;
-    # the walk and the Laplacian are written in reused arrays, so neither
-    # public builder runs
+    # the objective is certified_mu2 of the one walk builder's chain: it
+    # solves once and never searches a connected chain, and the Laplacian is
+    # written into the eigen workspace, so the public laplacian does not run
     calls = []
     for name in (
         "transition_matrix",
@@ -692,7 +704,7 @@ def test_mu2_of_assignment_runs_each_chain_function_once(monkeypatch):
         monkeypatch.setattr(spectral, name, recording)
     inst = random_connected_instance(np.random.default_rng(8), 7, 4)
     mu2_of_assignment(inst.energies, inst.assignment)
-    assert calls == ["certified_mu2", "_solve_stationary", "_mu2"]
+    assert calls == ["transition_matrix", "walk_blocks", "certified_mu2", "_solve_stationary", "_mu2"]
 
 
 def _searched_mu2(P: np.ndarray) -> float:
@@ -1251,6 +1263,24 @@ def test_the_kept_arrays_stay_bounded():
     kept = spectral._kept.sets
     assert len(kept) == spectral._KEPT_SETS
     assert max(max(shape) for _, shape in kept) <= spectral._KEPT_SIDE
+
+
+def test_the_objectives_keep_only_the_lapack_workspaces(coauthor_small):
+    # a fresh thread's sets after one score of each objective: the solve's
+    # and the eigen solve's, and no copy of the walk
+    kept = []
+
+    def run():
+        mu2_of_assignment(coauthor_small.energies, coauthor_small.assignment)
+        bipartite.mu2_of_assignment(coauthor_small.energies, coauthor_small.assignment)
+        kept.extend(spectral._kept.sets)
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert (spectral._Eigen, (52,)) in kept
+    assert {make for make, _ in kept} <= {spectral._Solve, spectral._Eigen}
 
 
 def test_threads_score_in_their_own_arrays(coauthor_small):
