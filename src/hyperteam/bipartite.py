@@ -35,7 +35,6 @@ from .instance import ProblemInstance
 __all__ = [
     "bipartite_laplacian",
     "mu2_of_assignment",
-    "bipartite_connectivity",
     "side_laplacians",
 ]
 
@@ -73,22 +72,13 @@ def mu2_of_assignment(energies: np.ndarray, assignment: np.ndarray) -> float:
     """Alternating-walk mu2 of an assignment; a split one raises ``ReducibleChainError``.
 
     Every agent and task needs a positive entry, or ``walk_blocks`` raises
-    ``DegreeError``. ``bipartite_connectivity`` turns either error into
-    ``DisconnectedError``; the annealer scores -inf on either. An assignment
+    ``DegreeError``; the annealer scores -inf on either error. An assignment
     that is not 2-D raises ``ValueError`` before any work.
     """
     if np.ndim(assignment) != 2:
         raise ValueError("assignment must be (N, K)")
     A, B = spectral.walk_blocks(energies, assignment)
     return spectral.certified_mu2(B @ A, lambda q: _lift_laplacian(A, B, q))
-
-
-def bipartite_connectivity(inst: ProblemInstance) -> float:
-    """Second-smallest eigenvalue of the alternating-walk Laplacian."""
-    try:
-        return mu2_of_assignment(inst.energies, inst.assignment)
-    except (DegreeError, ReducibleChainError):
-        raise DisconnectedError("bipartite connectivity needs a connected instance") from None
 
 
 def side_laplacians(inst: ProblemInstance) -> tuple[np.ndarray, np.ndarray]:

@@ -43,7 +43,7 @@ import numpy as np
 
 from . import bipartite, spectral
 from .errors import DegreeError, InfeasibleError, ReducibleChainError
-from .instance import ProblemInstance, factor_metrics, member_lists, reaches_all
+from .instance import ProblemInstance, factor_metrics, member_lists
 from .seeds import substream
 
 __all__ = [
@@ -51,14 +51,11 @@ __all__ = [
     "TraceRow",
     "OptimizationResult",
     "initialize_assignment",
-    "evaluate",
     "perturb",
     "anneal",
-    "random_feasible_assignment",
 ]
 
 _SWAP_RETRIES = 16
-_SAMPLE_RETRIES = 1000
 
 
 @dataclass
@@ -200,18 +197,6 @@ def _evaluate_full(
 def _feasible(e_tilde: np.ndarray, overrun: float, penalty: float) -> bool:
     """Within every budget, every task met, and connected (a finite penalty)."""
     return overrun == 0 and bool((e_tilde <= 0).all()) and math.isfinite(penalty)
-
-
-def evaluate(
-    assignment: np.ndarray, inst: ProblemInstance, params: CsaParams
-) -> tuple[float, np.ndarray]:
-    """Penalty value and per-task shortfall vector for a candidate."""
-    assignment = np.asarray(assignment)
-    e_tilde = inst.energies - assignment.sum(axis=0)
-    overrun, mu2_of = _overrun(assignment, inst), _objective(params)
-    sub = assignment[inst.budgets > 0]
-    penalty, _ = _evaluate_full(sub, e_tilde, overrun, inst, params, mu2_of)
-    return penalty, e_tilde
 
 
 def _weighted_pick(rng: np.random.Generator, weights: list[int]) -> int:
@@ -377,25 +362,3 @@ def anneal(
         notes=() if best_feasible else ("no feasible state visited",),
     )
 
-
-def random_feasible_assignment(inst: ProblemInstance, rng: np.random.Generator) -> np.ndarray:
-    """Random assignment meeting every task's energy within every budget.
-
-    Budget units are dealt as shuffled tokens to tasks in order of need;
-    leftover tokens stay unspent. Retries until the result is connected.
-    """
-    if inst.budgets.sum() < inst.energies.sum():
-        raise InfeasibleError("total budget cannot cover total energy")
-    tokens = np.repeat(np.arange(inst.n_agents), inst.budgets)
-    need = inst.energies
-    for _ in range(_SAMPLE_RETRIES):
-        rng.shuffle(tokens)
-        assignment = np.zeros((inst.n_agents, inst.n_tasks), dtype=np.int64)
-        pos = 0
-        for k in range(inst.n_tasks):
-            for agent in tokens[pos : pos + int(need[k])]:
-                assignment[agent, k] += 1
-            pos += int(need[k])
-        if reaches_all(assignment[inst.budgets > 0] > 0):
-            return assignment
-    raise RuntimeError("could not sample a connected feasible assignment")

@@ -25,7 +25,7 @@ import numpy as np
 from . import spectral
 from .csa import OptimizationResult, TraceRow
 from .errors import ConvergenceError, InfeasibleError, ReducibleChainError, StallError
-from .instance import ProblemInstance, reaches_all, validate
+from .instance import ProblemInstance, reaches_all
 from .seeds import substream
 
 __all__ = [
@@ -383,15 +383,16 @@ def greedy_optimize(inst: ProblemInstance, params: GreedyParams | None = None) -
     else:
         final = phase2(inst, filled, params, trace)
     mu2 = _mu2(inst, final)
-    report = validate(inst.with_assignment(final))
-    # connectivity is judged over participating agents only: an agent that
-    # spends nothing is not part of the produced hypergraph
-    active = final.sum(axis=1) > 0
+    spent = final.sum(axis=1)
+    # every task met within every budget; connectivity is judged over
+    # participating agents only: an agent that spends nothing is not part of
+    # the produced hypergraph
+    feasible = (inst.energies <= final.sum(axis=0)).all() and (spent <= inst.budgets).all()
     return OptimizationResult(
         best_assignment=final,
         best_penalty=mu2,
         best_mu2=mu2,
-        feasible=report.feasible and bool(reaches_all(final[active] > 0)),
+        feasible=bool(feasible and reaches_all(final[spent > 0] > 0)),
         trace=trace,
         iterations_run=len(trace) - 1,
         notes=notes,

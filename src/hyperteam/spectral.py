@@ -46,12 +46,14 @@ score builds its sets and lets them go. The stationary solve keeps dgesv's
 matrix, pivots, right-hand side and residual, and ``_mu2`` keeps dsyevr's
 workspace, so both objectives reuse both. ``certified_mu2`` writes its
 default Laplacian, the hypergraph objective's, straight into the matrix that
-``dsyevr`` solves. The walk and the chain are built in fresh arrays by
-``walk_blocks`` and ``transition_matrix``, as every walk is: written in
-place they saved nothing measurable, 142.8 us a coauthor_small score with
-the copy against 142.2 without (2-core VM, medians of 10 alternating runs of
-the best of 15 x 300 calls over 20 states). The sets' contents last until
-the thread's next score.
+``dsyevr`` solves once an earlier score kept that workspace: from 24 to 255
+on a side, with the binding found. Elsewhere no eigen set is taken for it.
+The walk and the chain are built in fresh arrays by ``walk_blocks`` and
+``transition_matrix``, as every walk is: written in place they saved
+nothing measurable, 142.8 us a coauthor_small score with the copy against
+142.2 without (2-core VM, medians of 10 alternating runs of the best of 15
+x 300 calls over 20 states). The sets' contents last until the thread's
+next score.
 
 mu2 itself comes from one private kernel, ``_mu2``, in ``certified_mu2`` and
 in each chunk of ``mu2_batch``, so a single score and a batched one agree bit
@@ -520,31 +522,19 @@ class SpectralBundle:
     eigenvalues: np.ndarray
 
 
-def spectral_bundle(inst: ProblemInstance, *, allow_disconnected: bool = False) -> SpectralBundle:
-    """Full spectral chain for an instance.
+def spectral_bundle(inst: ProblemInstance) -> SpectralBundle:
+    """Full spectral chain for a connected instance.
 
     The walk's degree check and the checked stationary solve decide
-    connectivity; components are labelled only when one of them fails. A
-    disconnected instance raises ``DisconnectedError`` unless
-    ``allow_disconnected`` is set; then pi is solved on each component's block
-    of P, with mass proportional to its size, so the Laplacian keeps one zero
-    eigenvalue per component. An agent in no task or a task without agents
-    has no walk, so with ``allow_disconnected`` such an instance raises the
-    ``DegreeError`` of ``walk_blocks``.
+    connectivity. When either fails, an idle agent, an empty task or a split
+    team, the components are counted and ``DisconnectedError`` is raised.
     """
     try:
         P = transition_matrix(inst.energies, inst.assignment)
         pi = stationary_distribution(P)
-    except (DegreeError, ReducibleChainError) as exc:
-        count, agent_label, _ = bipartite_components(inst.incidence())
-        if not allow_disconnected:
-            raise DisconnectedError(f"hypergraph has {count} components") from None
-        if isinstance(exc, DegreeError):
-            raise
-        pi = np.zeros(len(P))
-        for comp in range(count):
-            rows = np.flatnonzero(agent_label == comp)
-            pi[rows] = rows.size / len(P) * stationary_distribution(P[np.ix_(rows, rows)])
+    except (DegreeError, ReducibleChainError):
+        count = bipartite_components(inst.incidence())[0]
+        raise DisconnectedError(f"hypergraph has {count} components") from None
     L = laplacian(P, pi)
     return SpectralBundle(P=P, pi=pi, L=L, eigenvalues=spectrum(L))
 
@@ -556,13 +546,15 @@ def certified_mu2(
 
     pi comes from one normalized solve of ``P``; ``laplacian_of(pi)`` builds
     the Laplacian, and mu2 is its second-smallest eigenvalue. By default the
-    Laplacian is ``laplacian(P, pi)``, written straight into the matrix that
-    ``dsyevr`` solves in this thread's eigen workspace, so ``_mu2`` needs no
-    copy. A split chain that passes the solve's 1e-9 residual check leaves
-    each closed class an indicator vector whose Rayleigh quotient is at most
-    residual/2 (residual/4 on the bipartite lift's Laplacian), so a mu2
-    above 5e-10 certifies ``P`` irreducible.
-    Only when the solve raises ``ConvergenceError`` or mu2 is at most that
+    Laplacian is ``laplacian(P, pi)``, written straight into the matrix of
+    this thread's kept eigen workspace of P's size when an earlier solve
+    left one, so ``_mu2`` needs no copy, and else into a fresh array:
+    ``dsyevr`` keeps a workspace only from ``_DSYEVR_FROM`` to
+    ``_KEPT_SIDE``, and only when it is bound. A split chain that passes the
+    solve's 1e-9 residual check leaves each closed class an indicator vector
+    whose Rayleigh quotient is at most residual/2 (residual/4 on the
+    bipartite lift's Laplacian), so a mu2 above 5e-10 certifies ``P``
+    irreducible. Only when the solve raises ``ConvergenceError`` or mu2 is at most that
     bound is the support searched: a reducible chain then raises
     ``ReducibleChainError``, and an irreducible one returns its mu2 or
     re-raises the solve's error. pi and mu2 are those of
@@ -576,10 +568,12 @@ def certified_mu2(
         if not _irreducible(P):
             raise ReducibleChainError(_REDUCIBLE) from None
         raise
-    if laplacian_of is None:
-        L = _laplacian_into(P, pi, np.empty(P.shape), _scratch(_Eigen, len(P)).a)
-    else:
+    if laplacian_of is not None:
         L = laplacian_of(pi)
+    elif (work := getattr(_kept, "sets", {}).get((_Eigen, (len(P),)))) is not None:
+        L = _laplacian_into(P, pi, np.empty(P.shape), work.a)
+    else:
+        L = laplacian(P, pi)
     mu2 = float(_mu2(L))
     if mu2 <= _CERTIFIED_MU2 and not _irreducible(P):
         raise ReducibleChainError(_REDUCIBLE)

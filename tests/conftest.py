@@ -12,8 +12,13 @@ import numpy as np
 import pytest
 
 import hyperteam
-from hyperteam.instance import ProblemInstance, bipartite_components, load_instance
-from hyperteam.spectral import laplacian, stationary_distribution, transition_matrix
+from hyperteam import csa
+from hyperteam.csa import CsaParams
+from hyperteam.errors import InfeasibleError
+from hyperteam.instance import ProblemInstance, load_instance, reaches_all
+from hyperteam.spectral import laplacian, transition_matrix
+
+_SAMPLE_RETRIES = 1000
 
 
 def subprocess_env() -> dict[str, str]:
@@ -194,32 +199,39 @@ def eig_mu2_batch(energies, stack) -> np.ndarray:
     return np.linalg.eigvalsh(laplacian(P, pi))[:, 1]
 
 
-def component_bundle(inst: ProblemInstance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(P, pi, L) of a possibly disconnected instance, assembled per component.
+def evaluate(
+    assignment: np.ndarray, inst: ProblemInstance, params: CsaParams
+) -> tuple[float, np.ndarray]:
+    """Penalty value and per-task shortfall vector for a candidate, as the annealer scores it."""
+    assignment = np.asarray(assignment)
+    e_tilde = inst.energies - assignment.sum(axis=0)
+    overrun, mu2_of = csa._overrun(assignment, inst), csa._objective(params)
+    sub = assignment[inst.budgets > 0]
+    penalty, _ = csa._evaluate_full(sub, e_tilde, overrun, inst, params, mu2_of)
+    return penalty, e_tilde
 
-    The former disconnected branch of ``spectral_bundle``, kept as its
-    oracle: each component's chain is built from its own sub-assignment and
-    solved alone, component c carries stationary mass |c| / N, and a
-    one-agent component gets P = 1 and a zero Laplacian block.
+
+def random_feasible_assignment(inst: ProblemInstance, rng: np.random.Generator) -> np.ndarray:
+    """Random assignment meeting every task's energy within every budget.
+
+    Budget units are dealt as shuffled tokens to tasks in order of need;
+    leftover tokens stay unspent. Retries until the result is connected.
     """
-    count, agent_label, _ = bipartite_components(inst.incidence())
-    n = inst.n_agents
-    P, pi, L = np.zeros((n, n)), np.zeros(n), np.zeros((n, n))
-    for comp in range(count):
-        rows = np.flatnonzero(agent_label == comp)
-        if rows.size == 1:
-            P[rows[0], rows[0]] = 1.0
-            pi[rows[0]] = 1.0 / n
-            continue
-        cols = np.flatnonzero(inst.assignment[rows].sum(axis=0) > 0)
-        sub = inst.assignment[np.ix_(rows, cols)]
-        Pc = transition_matrix(inst.energies[cols], sub)
-        pic = stationary_distribution(Pc)
-        alpha = rows.size / n
-        P[np.ix_(rows, rows)] = Pc
-        pi[rows] = alpha * pic
-        L[np.ix_(rows, rows)] = alpha * laplacian(Pc, pic)
-    return P, pi, L
+    if inst.budgets.sum() < inst.energies.sum():
+        raise InfeasibleError("total budget cannot cover total energy")
+    tokens = np.repeat(np.arange(inst.n_agents), inst.budgets)
+    need = inst.energies
+    for _ in range(_SAMPLE_RETRIES):
+        rng.shuffle(tokens)
+        assignment = np.zeros((inst.n_agents, inst.n_tasks), dtype=np.int64)
+        pos = 0
+        for k in range(inst.n_tasks):
+            for agent in tokens[pos : pos + int(need[k])]:
+                assignment[agent, k] += 1
+            pos += int(need[k])
+        if reaches_all(assignment[inst.budgets > 0] > 0):
+            return assignment
+    raise RuntimeError("could not sample a connected feasible assignment")
 
 
 def lift_adjacency(energies, assignment) -> np.ndarray:

@@ -20,14 +20,11 @@ from conftest import (
     full_lift,
     make_instance,
     random_connected_instance,
+    random_feasible_assignment,
     subprocess_env,
 )
-from hyperteam.csa import (
-    CsaParams,
-    anneal,
-    perturb,
-    random_feasible_assignment,
-)
+from hyperteam.csa import CsaParams, anneal, perturb
+from hyperteam.errors import DisconnectedError
 from hyperteam.experiments import (
     SCHEMES,
     budget_sweep,
@@ -144,7 +141,7 @@ def test_02_chain_invariants_hold_on_random_teams():
         assert np.abs(bundle.L @ np.ones(n)).max() < 1e-10
         assert bundle.eigenvalues[1] > 0
 
-    # split teams keep one zero eigenvalue per component
+    # a split team has no single walk: the bundle counts its components
     for _ in range(20):
         blocks = [
             random_connected_instance(
@@ -169,8 +166,8 @@ def test_02_chain_invariants_hold_on_random_teams():
             energies=np.concatenate([b.energies for b in blocks]),
             assignment=assignment,
         )
-        eigs = spectral_bundle(merged, allow_disconnected=True).eigenvalues
-        assert (np.abs(eigs) < 1e-10).sum() == len(blocks)
+        with pytest.raises(DisconnectedError, match=f"hypergraph has {len(blocks)} components"):
+            spectral_bundle(merged)
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,8 @@ from conftest import (
     random_connected_instance,
 )
 from hyperteam import bipartite, spectral
-from hyperteam.bipartite import bipartite_connectivity, bipartite_laplacian, side_laplacians
-from hyperteam.errors import ConvergenceError, DisconnectedError, ReducibleChainError
+from hyperteam.bipartite import bipartite_laplacian, side_laplacians
+from hyperteam.errors import ConvergenceError, DegreeError, DisconnectedError, ReducibleChainError
 from hyperteam.instance import bipartite_components
 from hyperteam.spectral import (
     laplacian,
@@ -129,23 +129,26 @@ def test_two_step_laplacian_agent_block_halves_the_hypergraph():
 
 def test_connectivity_positive_when_connected():
     for inst in _instances(10, 6):
-        assert bipartite_connectivity(inst) > 0
+        assert bipartite.mu2_of_assignment(inst.energies, inst.assignment) > 0
 
 
 def test_connectivity_requires_connected():
     two = make_instance([[1, 0], [1, 0], [0, 1], [0, 1]])
-    with pytest.raises(DisconnectedError):
-        bipartite_connectivity(two)
+    with pytest.raises(ReducibleChainError):
+        bipartite.mu2_of_assignment(two.energies, two.assignment)
     with pytest.raises(DisconnectedError):
         side_laplacians(two)
 
 
 @pytest.mark.parametrize("case", DISCONNECTED)
 def test_connectivity_and_side_chains_reject_a_disconnected_instance(case):
-    with pytest.raises(DisconnectedError, match="bipartite connectivity needs a connected instance"):
-        bipartite_connectivity(DISCONNECTED[case])
+    inst = DISCONNECTED[case]
+    # the idle agent fails the walk's degree check, the split team its search
+    error = {"idle-agent": DegreeError, "split": ReducibleChainError}[case]
+    with pytest.raises(error):
+        bipartite.mu2_of_assignment(inst.energies, inst.assignment)
     with pytest.raises(DisconnectedError, match="side chains need a connected instance"):
-        side_laplacians(DISCONNECTED[case])
+        side_laplacians(inst)
 
 
 def test_bundle_consistency():

@@ -19,22 +19,21 @@ import pytest
 
 from conftest import (
     eig_mu2,
+    evaluate,
     full_lift_mu2,
     make_instance,
     random_connected_instance,
+    random_feasible_assignment,
     subprocess_env,
     toy_path,
 )
 from hyperteam import bipartite, csa, spectral
-from hyperteam.bipartite import bipartite_connectivity
 from hyperteam.csa import (
     CsaParams,
     anneal,
-    evaluate,
     factor_metrics,
     initialize_assignment,
     perturb,
-    random_feasible_assignment,
 )
 from hyperteam.errors import ConvergenceError, InfeasibleError, ReducibleChainError
 from hyperteam.instance import ProblemInstance, bipartite_components, reaches_all, summary_stats
@@ -668,8 +667,8 @@ def test_anneal_bipartite_objective():
     params = CsaParams(t_threshold=0.2, objective="bipartite", seed=2)
     result = anneal(inst, params)
     assert result.feasible
-    optimized = inst.with_assignment(result.best_assignment)
-    assert math.isclose(result.best_mu2, bipartite_connectivity(optimized), abs_tol=1e-12)
+    mu2 = bipartite.mu2_of_assignment(inst.energies, result.best_assignment)
+    assert math.isclose(result.best_mu2, mu2, abs_tol=1e-12)
 
 
 def test_bipartite_anneal_follows_the_full_lift_trace(monkeypatch, coauthor_small):

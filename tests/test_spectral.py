@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
-    component_bundle,
     eig_mu2,
     eig_stationary,
     full_lift_mu2,
@@ -461,21 +460,13 @@ def _disconnected_instance(rng):
     return make_instance(a[rng.permutation(i)][:, rng.permutation(k)]), [len(b) for b in blocks]
 
 
-def test_disconnected_bundle_matches_the_per_component_assembly():
+def test_disconnected_bundle_names_its_component_count():
     rng = np.random.default_rng(13)
     singletons = 0
     for _ in range(60):
         inst, sizes = _disconnected_instance(rng)
-        count = len(sizes)
         singletons += 1 in sizes
-        bundle = spectral_bundle(inst, allow_disconnected=True)
-        P, pi, L = component_bundle(inst)
-        assert np.abs(bundle.P - P).max() <= 1e-14
-        assert np.abs(bundle.pi - pi).max() <= 1e-14
-        assert np.abs(bundle.L - L).max() <= 1e-14
-        assert np.abs(bundle.eigenvalues - np.linalg.eigvalsh(L)).max() <= 1e-14
-        assert (np.abs(bundle.eigenvalues) < 1e-10).sum() == count
-        with pytest.raises(DisconnectedError, match=f"hypergraph has {count} components"):
+        with pytest.raises(DisconnectedError, match=f"hypergraph has {len(sizes)} components"):
             spectral_bundle(inst)
     assert singletons
 
@@ -500,7 +491,8 @@ def test_disconnected_bundle_builds_the_weight_matrices_once(monkeypatch):
         return build(energies, assignment)
 
     monkeypatch.setattr(spectral, "walk_blocks", recording)
-    spectral_bundle(inst, allow_disconnected=True)
+    with pytest.raises(DisconnectedError):
+        spectral_bundle(inst)
     assert calls == [inst.assignment.shape]
 
 
@@ -518,29 +510,22 @@ def test_diffusion_rate_tracks_connectivity():
 
 def test_bundle_rejects_disconnected():
     two = make_instance([[1, 0], [1, 0], [0, 1], [0, 1]])
-    with pytest.raises(DisconnectedError):
+    with pytest.raises(DisconnectedError, match="hypergraph has 2 components"):
         spectral_bundle(two)
 
 
 def test_bundle_disconnected_mode():
-    two = make_instance([[1, 0], [1, 0], [0, 1], [0, 1]])
-    bundle = spectral_bundle(two, allow_disconnected=True)
-    eigs = bundle.eigenvalues
-    assert (np.abs(eigs) < 1e-10).sum() == 2
-    assert np.isclose(bundle.pi.sum(), 1.0, atol=1e-12)
-
+    # there is no disconnected mode: every split instance raises, naming
+    # its component count
     three = make_instance(
         [[1, 0, 0], [1, 0, 0], [0, 1, 0], [0, 1, 0], [0, 0, 1], [0, 0, 1]]
     )
-    eigs = spectral_bundle(three, allow_disconnected=True).eigenvalues
-    assert (np.abs(eigs) < 1e-10).sum() == 3
-
-    # an agent in no task is a component of its own, but it has no walk
+    with pytest.raises(DisconnectedError, match="hypergraph has 3 components"):
+        spectral_bundle(three)
+    # an agent in no task has no walk, and is a component of its own
     idle = make_instance([[1, 1], [1, 1], [0, 0]], energies=[2, 2])
     with pytest.raises(DisconnectedError, match="hypergraph has 2 components"):
         spectral_bundle(idle)
-    with pytest.raises(DegreeError, match="agent 2 belongs to no task"):
-        spectral_bundle(idle, allow_disconnected=True)
 
 
 @pytest.mark.parametrize("objective", [spectral, bipartite], ids=["hypergraph", "bipartite"])
@@ -683,8 +668,9 @@ def test_stacked_solve_is_each_chains_solve_and_checks_every_chain():
 
 def test_mu2_of_assignment_runs_each_chain_function_once(monkeypatch):
     # the objective is certified_mu2 of the one walk builder's chain: it
-    # solves once and never searches a connected chain, and the Laplacian is
-    # written into the eigen workspace, so the public laplacian does not run
+    # solves once and never searches a connected chain, and where dsyevr kept
+    # its workspace the Laplacian is written into it, so the public laplacian
+    # does not run
     calls = []
     for name in (
         "transition_matrix",
@@ -702,9 +688,16 @@ def test_mu2_of_assignment_runs_each_chain_function_once(monkeypatch):
             return _fn(*args)
 
         monkeypatch.setattr(spectral, name, recording)
-    inst = random_connected_instance(np.random.default_rng(8), 7, 4)
+    rng = np.random.default_rng(8)
+    chain = ["transition_matrix", "walk_blocks", "certified_mu2", "_solve_stationary"]
+    inst = random_connected_instance(rng, 7, 4)
     mu2_of_assignment(inst.energies, inst.assignment)
-    assert calls == ["transition_matrix", "walk_blocks", "certified_mu2", "_solve_stationary", "_mu2"]
+    assert calls == chain + ["laplacian", "_mu2"]
+    inst = random_connected_instance(rng, 30, 4)
+    mu2_of_assignment(inst.energies, inst.assignment)
+    calls.clear()
+    mu2_of_assignment(inst.energies, inst.assignment)
+    assert calls == chain + (["_mu2"] if spectral._dsyevr() is not None else ["laplacian", "_mu2"])
 
 
 def _searched_mu2(P: np.ndarray) -> float:
@@ -1281,6 +1274,29 @@ def test_the_objectives_keep_only_the_lapack_workspaces(coauthor_small):
     assert not thread.is_alive()
     assert (spectral._Eigen, (52,)) in kept
     assert {make for make, _ in kept} <= {spectral._Solve, spectral._Eigen}
+
+
+def test_the_eigen_workspace_is_taken_only_where_dsyevr_solves_in_it(monkeypatch):
+    # below _DSYEVR_FROM eigvalsh solves a fresh Laplacian, so a fresh
+    # thread's 4x3 score keeps only the stationary solve's set
+    kept = []
+
+    def run():
+        mu2_of_assignment(np.array([2, 3, 1]), np.array([[1, 1, 0], [1, 0, 1], [0, 1, 1], [1, 1, 1]]))
+        kept.extend(spectral._kept.sets)
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert kept == ([(spectral._Solve, (4,))] if spectral._dgesv() is not None else [])
+    # above _KEPT_SIDE one unkept set serves the score, with no second one
+    built, make = [], spectral._Eigen
+    monkeypatch.setattr(spectral, "_Eigen", lambda n: built.append(n) or make(n))
+    wide = np.random.default_rng(31).integers(1, 3, size=(300, 2))
+    got = mu2_of_assignment(np.array([2, 3]), wide)
+    assert built == ([300] if spectral._dsyevr() is not None else [])
+    assert got.hex() == _unbuffered_mu2(np.array([2, 3]), wide, "hypergraph").hex()
 
 
 def test_threads_score_in_their_own_arrays(coauthor_small):
