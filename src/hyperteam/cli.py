@@ -224,12 +224,13 @@ def _run_experiment(params: dict) -> dict[str, str]:
     if kind == "enumerate":
         _check_at_least(params, nodes=0, edges=0)
         _check_enumeration_size(params)
-        found = enumerate_small(params["nodes"], params["edges"], dedup=params["dedup"])
-        # rows skip _csv, whose per-cell checks cost most; each label and mu2 is formatted once
-        label = {e: "-".join(map(str, e)) for e in {e for h in found for e in h.edges}}
-        value = {m: repr(m) for m in {h.mu2 for h in found}}
+        table = enumerate_small(params["nodes"], params["edges"], dedup=params["dedup"])
+        # from the arrays, not _csv: one label per subset, one repr per distinct mu2
+        label = np.array(["-".join(map(str, s)) for s in table.subsets], dtype=object)
+        values, which = np.unique(table.mu2, return_inverse=True)
+        value = np.array([repr(m) for m in values.tolist()], dtype=object)[which].tolist()
         lines = ["rank,mu2,edges"]
-        lines += [f"{rank},{value[h.mu2]},{';'.join([label[e] for e in h.edges])}" for rank, h in enumerate(found, 1)]
+        lines += [f"{i + 1},{value[i]},{';'.join(edges)}" for i, edges in enumerate(label[table.picks].tolist())]
         return {"enumeration.csv": "\n".join(lines) + "\n"}
 
     if kind == "scaling":

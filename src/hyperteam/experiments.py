@@ -20,6 +20,7 @@ schemes are supported:
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from itertools import chain, combinations
 
@@ -35,6 +36,7 @@ __all__ = [
     "SCHEMES",
     "CommunitySpec",
     "SmallHypergraph",
+    "Enumeration",
     "DiffusionTrace",
     "ScalingFit",
     "PowerLawFit",
@@ -86,14 +88,37 @@ class CommunitySpec:
             raise ValueError(f"unknown scheme {self.scheme!r}; choose from {SCHEMES}")
 
 
-# slots: enumerate_small builds one per row, and slotted rows carry no
-# __dict__ and are built faster
+# slots: rows that an Enumeration builds on access carry no __dict__
 @dataclass(frozen=True, slots=True)
 class SmallHypergraph:
     """One enumerated hypergraph: its edge sets and algebraic connectivity."""
 
     edges: tuple[tuple[int, ...], ...]
     mu2: float
+
+
+@dataclass(frozen=True, eq=False)
+class Enumeration(Sequence):
+    """The ranked rows of ``enumerate_small`` as a read-only table.
+
+    Row i has the edges ``subsets[s]`` for s in ``picks[i]`` and mu2 ``mu2[i]``; its
+    ``SmallHypergraph`` is built when the row is indexed, sliced (into a list) or iterated.
+    """
+
+    subsets: tuple[tuple[int, ...], ...]  # every node subset of two or more nodes, by index
+    picks: np.ndarray  # (rows, n_edges) subset indices, in rank order
+    mu2: np.ndarray  # (rows,)
+
+    def __post_init__(self) -> None:
+        self.picks.flags.writeable = self.mu2.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.mu2)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(len(self))[index]]
+        return SmallHypergraph(tuple(self.subsets[s] for s in self.picks[index].tolist()), self.mu2[index].item())
 
 
 @dataclass(frozen=True)
@@ -130,6 +155,19 @@ class ScalingFit:
     std_mu2: tuple[float, ...]
 
 
+def _sorting_network(n: int) -> list[tuple[int, int]]:
+    """Batcher's odd-even merge sort on any n inputs as compare-exchanges (i, j), i < j."""
+    network, p = [], 1
+    while p < n:
+        k = p
+        while k:
+            network += [(i + j, i + j + k) for j in range(k % p, n - k, 2 * k) for i in range(min(k, n - j - k))
+                        if (i + j) // (2 * p) == (i + j + k) // (2 * p)]
+            k //= 2
+        p *= 2
+    return network
+
+
 def _relabelling_classes(picks: np.ndarray, members: np.ndarray) -> np.ndarray:
     """The least row of each row's node-relabelling class.
 
@@ -138,6 +176,7 @@ def _relabelling_classes(picks: np.ndarray, members: np.ndarray) -> np.ndarray:
     adjacent transposition (v, v + 1) maps every row to the row of its image;
     these generate all relabellings, and their components are labelled by
     min-label propagation with pointer jumping, in work linear in rows x nodes.
+    Each image is sorted by a compare-exchange network over its edge columns.
     """
     n_subsets, n_nodes = members.shape
     rows, n_edges = picks.shape
@@ -145,13 +184,16 @@ def _relabelling_classes(picks: np.ndarray, members: np.ndarray) -> np.ndarray:
     subset_of = np.zeros(1 << n_nodes, dtype=np.intp)
     subset_of[masks] = np.arange(n_subsets)
     # rank = rows - 1 - sum_j comb(S - 1 - pick[j], E - j), capped where no pick reaches
-    terms = np.array([[min(math.comb(n_subsets - 1 - s, n_edges - j), rows) for j in range(n_edges)]
-                      for s in range(n_subsets)], dtype=np.intp)
+    terms = np.array([[min(math.comb(n_subsets - 1 - s, n_edges - j), rows) for s in range(n_subsets)]
+                      for j in range(n_edges)], dtype=np.intp)
     moves = []
     for v in range(n_nodes - 1):
         bit = ((masks >> v) ^ (masks >> (v + 1))) & 1
-        image = np.sort(subset_of[masks ^ (bit << v | bit << (v + 1))][picks], axis=1)
-        moves.append(rows - 1 - terms[image, np.arange(n_edges)].sum(axis=1))
+        swapped = subset_of[masks ^ (bit << v | bit << (v + 1))]
+        image = [swapped[column] for column in picks.T]
+        for i, j in _sorting_network(n_edges):
+            image[i], image[j] = np.minimum(image[i], image[j]), np.maximum(image[i], image[j])
+        moves.append(rows - 1 - sum(terms[j][column] for j, column in enumerate(image)))
     cls, grown = None, np.arange(rows)
     while not np.array_equal(grown, cls):
         cls = grown
@@ -178,8 +220,8 @@ def enumerate_small(
     n_edges: int = 3,
     *,
     dedup: bool = False,
-) -> list[SmallHypergraph]:
-    """All connected hypergraphs with the given node and edge counts.
+) -> Enumeration:
+    """All connected hypergraphs with the given node and edge counts, as a table.
 
     Hyperedges are distinct node subsets of cardinality two or more; every
     membership carries weight 1, budgets and energies are the row and column
@@ -190,6 +232,7 @@ def enumerate_small(
     class is tested and scored once, on its first member in combination
     order: its members tie bit for bit and are ordered by ``edges``. With
     ``dedup`` set, only each class's first row, its least edge tuple, is kept.
+    The rows are held as arrays and built only when read (``Enumeration``).
     """
     n_candidates = enumeration_size(n_nodes, n_edges)
     if n_candidates > ENUMERATION_GUARD:
@@ -199,8 +242,8 @@ def enumerate_small(
         )
     if n_candidates == 0 or n_edges == 0:
         # no candidates, or only the empty edge set, which connects nothing
-        return []
-    subsets = [s for r in range(2, n_nodes + 1) for s in combinations(range(n_nodes), r)]
+        return Enumeration((), np.zeros((0, n_edges), dtype=np.intp), np.zeros(0))
+    subsets = tuple(s for r in range(2, n_nodes + 1) for s in combinations(range(n_nodes), r))
     members = np.zeros((len(subsets), n_nodes), dtype=np.int8)
     for s, subset in enumerate(subsets):
         members[s, list(subset)] = 1
@@ -226,8 +269,7 @@ def enumerate_small(
     if dedup:
         _, first = np.unique(cls[order], return_index=True)
         order = order[np.sort(first)]
-    edges = zip(*([subsets[s] for s in column] for column in picks[order].T.tolist()))
-    return [SmallHypergraph(edges=e, mu2=m) for e, m in zip(edges, mu2[order].tolist())]
+    return Enumeration(subsets, picks[order], mu2[order])
 
 
 def _unit_instance(assignment: np.ndarray, agent: str, task: str) -> ProblemInstance:

@@ -19,14 +19,11 @@ from .errors import FormatError
 
 __all__ = [
     "ProblemInstance",
-    "ValidationReport",
     "StatsRecord",
     "load_instance",
     "parse_instance_json",
     "parse_edge_list",
     "save_instance",
-    "validate",
-    "is_connected",
     "bipartite_components",
     "reaches_all",
     "summary_stats",
@@ -163,22 +160,6 @@ class ProblemInstance:
 
 
 @dataclass(frozen=True)
-class ValidationReport:
-    """Feasibility diagnostics for an instance's current assignment."""
-
-    feasible_total: bool
-    task_deficiency: np.ndarray  # E_k minus delivered units; > 0 means short
-    agent_overrun: np.ndarray  # units spent above budget, clipped at 0
-    connected: bool
-
-    @property
-    def feasible(self) -> bool:
-        return bool(
-            np.all(self.task_deficiency <= 0) and np.all(self.agent_overrun == 0)
-        )
-
-
-@dataclass(frozen=True)
 class StatsRecord:
     """Dataset summary row."""
 
@@ -189,20 +170,6 @@ class StatsRecord:
     tasks_per_agent: float
     agents_per_task: float
     teammates_per_agent: float
-
-
-def validate(inst: ProblemInstance) -> ValidationReport:
-    """Compute deficiency/overrun vectors and connectivity for an instance."""
-    delivered = inst.assignment.sum(axis=0)
-    spent = inst.assignment.sum(axis=1)
-    deficiency = inst.energies - delivered
-    overrun = np.maximum(spent - inst.budgets, 0)
-    return ValidationReport(
-        feasible_total=bool(inst.budgets.sum() >= inst.energies.sum()),
-        task_deficiency=deficiency,
-        agent_overrun=overrun,
-        connected=is_connected(inst),
-    )
 
 
 def bipartite_components(incidence: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
@@ -256,14 +223,6 @@ def reaches_all(incidence: np.ndarray) -> np.ndarray:
         if np.array_equal(grown, agents):
             return agents.all(axis=-1) & tasks.all(axis=-1) & (min(x.shape[-2:]) > 0)
         agents = grown
-
-
-def is_connected(inst: ProblemInstance) -> bool:
-    """True when all agents and tasks sit in a single bipartite component.
-
-    ``reaches_all`` on the instance's incidence.
-    """
-    return bool(reaches_all(inst.incidence()))
 
 
 def co_membership_graph(inst_or_assignment) -> np.ndarray:

@@ -114,9 +114,9 @@ def random_connected_instance(
                 energies=inst.energies,
                 assignment=inst.assignment,
             )
-        from hyperteam.instance import is_connected
+        from hyperteam.instance import reaches_all
 
-        if is_connected(inst):
+        if reaches_all(inst.incidence()):
             return inst
     raise RuntimeError("could not draw a connected instance")
 

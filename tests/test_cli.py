@@ -519,7 +519,22 @@ def test_experiment_enumerate(tmp_path):
     assert len(lines) > 2
 
 
-@pytest.mark.parametrize("nodes", ["0", "1"])
+@pytest.mark.parametrize("dedup", [False, True])
+@pytest.mark.parametrize("nodes, edges", [(4, 2), (5, 3), (6, 3)])
+def test_enumerate_writes_what_the_rows_format_to(tmp_path, nodes, edges, dedup):
+    # the table's arrays give the bytes that formatting each SmallHypergraph
+    # row gives: labels joined by "-", edges by ";", mu2 by repr
+    rows = list(enumerate_small(nodes, edges, dedup=dedup))
+    lines = ["rank,mu2,edges"] + [
+        f"{rank},{h.mu2!r},{';'.join('-'.join(map(str, e)) for e in h.edges)}" for rank, h in enumerate(rows, 1)
+    ]
+    flag = ["--dedup"] if dedup else []
+    assert main(["experiment", "enumerate", "--nodes", str(nodes), "--edges", str(edges), *flag,
+                 "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "enumeration.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
+@pytest.mark.parametrize("nodes", ["0", "1", "40"])
 def test_enumerate_without_edges_writes_the_header_only(tmp_path, nodes):
     # a hypergraph with no edges connects nothing, not even one node
     out = tmp_path / "out"

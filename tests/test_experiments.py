@@ -16,6 +16,8 @@ from hyperteam.errors import ConvergenceError
 from hyperteam.experiments import (
     SCHEMES,
     CommunitySpec,
+    Enumeration,
+    SmallHypergraph,
     budget_sweep,
     build_communities,
     diffusion_comparison,
@@ -84,15 +86,101 @@ def test_enumeration_matches_the_candidate_loop(n_nodes, n_edges):
     for h in found:
         assert h.mu2 == first[_canonical(h.edges, n_nodes)]
         assert h.mu2 == pytest.approx(own[h.edges], rel=1e-12, abs=0)
-    assert found == sorted(found, key=lambda h: (-h.mu2, h.edges))
+    assert list(found) == sorted(found, key=lambda h: (-h.mu2, h.edges))
 
 
-@pytest.mark.parametrize("n_nodes, n_edges", [(4, 2), (4, 3), (5, 3)])
-def test_relabelled_copies_score_bit_equal_in_the_oracle_classes(n_nodes, n_edges):
+def _members(n_nodes):
+    """Every subset of two or more nodes, by index, and its 0/1 membership rows."""
     subsets = [s for r in range(2, n_nodes + 1) for s in combinations(range(n_nodes), r)]
     members = np.zeros((len(subsets), n_nodes), dtype=np.int8)
     for s, subset in enumerate(subsets):
         members[s, list(subset)] = 1
+    return subsets, members
+
+
+def _classes_by_row_sort(picks, members):
+    """The relabelling classes from transposition moves that ``np.sort`` each image's rows.
+
+    The reference for ``_relabelling_classes``: the same moves, ranks and
+    propagation, with a per-row sort and a 2-D gather where the function
+    runs a compare-exchange network over the edge columns.
+    """
+    n_subsets, n_nodes = members.shape
+    rows, n_edges = picks.shape
+    masks = members.astype(np.intp) @ (1 << np.arange(n_nodes))
+    subset_of = np.zeros(1 << n_nodes, dtype=np.intp)
+    subset_of[masks] = np.arange(n_subsets)
+    terms = np.array([[min(math.comb(n_subsets - 1 - s, n_edges - j), rows) for j in range(n_edges)]
+                      for s in range(n_subsets)], dtype=np.intp)
+    moves = []
+    for v in range(n_nodes - 1):
+        bit = ((masks >> v) ^ (masks >> (v + 1))) & 1
+        image = np.sort(subset_of[masks ^ (bit << v | bit << (v + 1))][picks], axis=1)
+        moves.append(rows - 1 - terms[image, np.arange(n_edges)].sum(axis=1))
+    cls, grown = None, np.arange(rows)
+    while not np.array_equal(grown, cls):
+        cls = grown
+        for move in moves:
+            grown = np.minimum(grown, grown[move])
+        grown = grown[grown]
+    return cls
+
+
+@pytest.mark.parametrize("n_nodes, n_edges", [(4, 2), (5, 3), (5, 4), (6, 3), (4, 8), (4, 9), (5, 24)])
+def test_relabelling_classes_match_the_row_sort(n_nodes, n_edges):
+    # the classes of every candidate, connected or not, up to networks of
+    # 24 inputs
+    _, members = _members(n_nodes)
+    picks = np.array(list(combinations(range(len(members)), n_edges)), dtype=np.intp)
+    assert np.array_equal(experiments._relabelling_classes(picks, members), _classes_by_row_sort(picks, members))
+
+
+def test_sorting_network_sorts_every_width():
+    # by the 0-1 principle a comparator network sorts every input once it
+    # sorts every 0/1 input; columns are the network's inputs
+    for n in range(1, 13):
+        bits = (np.arange(1 << n)[np.newaxis] >> np.arange(n)[:, np.newaxis]) & 1
+        columns = list(bits)
+        for i, j in experiments._sorting_network(n):
+            assert i < j < n
+            columns[i], columns[j] = np.minimum(columns[i], columns[j]), np.maximum(columns[i], columns[j])
+        assert np.array_equal(np.array(columns), np.sort(bits, axis=0))
+
+
+def test_enumeration_builds_the_same_rows_by_index_slice_and_iteration():
+    found = enumerate_small(5, 3)
+    rows = list(found)
+    assert len(rows) == len(found) == 1755
+    assert all(isinstance(h, SmallHypergraph) for h in rows)
+    assert [found[i] for i in range(len(found))] == rows
+    assert found[-1] == rows[-1]
+    assert found[:] == rows
+    assert found[10:20] == rows[10:20] and isinstance(found[10:20], list)
+    assert found[::-7] == rows[::-7]
+    # each row is the table's subsets at its picks, with its mu2
+    for h, pick, mu2 in zip(rows, found.picks.tolist(), found.mu2.tolist()):
+        assert h.edges == tuple(found.subsets[s] for s in pick)
+        assert h.mu2 == mu2 and type(h.mu2) is float
+    with pytest.raises(IndexError):
+        found[len(found)]
+    with pytest.raises(ValueError):
+        found.picks[0, 0] = 0
+    with pytest.raises(ValueError):
+        found.mu2[0] = 0.0
+
+
+def test_empty_enumeration_has_no_rows():
+    empty = enumerate_small(4, 0)
+    assert isinstance(empty, Enumeration)
+    assert len(empty) == 0 and list(empty) == [] and empty[:] == []
+    assert empty.picks.shape == (0, 0) and empty.mu2.shape == (0,)
+    with pytest.raises(IndexError):
+        empty[0]
+
+
+@pytest.mark.parametrize("n_nodes, n_edges", [(4, 2), (4, 3), (5, 3)])
+def test_relabelled_copies_score_bit_equal_in_the_oracle_classes(n_nodes, n_edges):
+    subsets, members = _members(n_nodes)
     picks = np.array(list(combinations(range(len(subsets)), n_edges)))
     cls = experiments._relabelling_classes(picks, members)
     # every candidate, connected or not, is classed as the oracle classes it,
@@ -125,7 +213,7 @@ def test_enumeration_ranks_tied_mu2_by_edge_tuples(n_nodes, n_edges, monkeypatch
     # a subset's index (by size, then lexicographic) and its tuple order
     # differ: (0, 1, 2) has the larger index but precedes (0, 2)
     found = enumerate_small(n_nodes, n_edges)
-    assert found == sorted(found, key=lambda h: (-h.mu2, h.edges))
+    assert list(found) == sorted(found, key=lambda h: (-h.mu2, h.edges))
     # the members of one class list subsets of the same sizes, so the two
     # orders agree on them; only ties between classes, which roundoff
     # decides, can tell the orders apart. Score every class alike, so that
@@ -141,10 +229,10 @@ def test_enumeration_ranks_tied_mu2_by_edge_tuples(n_nodes, n_edges, monkeypatch
     assert any(index[x] > index[y] for x, y in decided)
 
 
-@pytest.mark.parametrize("n_nodes, n_edges", [(0, 2), (1, 1), (4, 0)])
+@pytest.mark.parametrize("n_nodes, n_edges", [(0, 2), (1, 1), (4, 0), (40, 0)])
 def test_enumeration_without_candidates_is_empty(n_nodes, n_edges):
-    assert enumerate_small(n_nodes, n_edges) == []
-    assert enumerate_small(n_nodes, n_edges, dedup=True) == []
+    assert len(enumerate_small(n_nodes, n_edges)) == 0
+    assert len(enumerate_small(n_nodes, n_edges, dedup=True)) == 0
 
 
 def test_enumeration_sorted_and_connected():
@@ -177,7 +265,7 @@ def test_enumeration_dedup_keeps_what_the_permutation_loop_kept(n_nodes, n_edges
         if canon not in seen:
             seen.add(canon)
             kept.append(h)
-    assert enumerate_small(n_nodes, n_edges, dedup=True) == kept
+    assert list(enumerate_small(n_nodes, n_edges, dedup=True)) == kept
 
 
 def test_enumeration_guard():

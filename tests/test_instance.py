@@ -17,7 +17,6 @@ from hyperteam.instance import (
     ProblemInstance,
     bipartite_components,
     co_membership_graph,
-    is_connected,
     load_instance,
     member_lists,
     parse_edge_list,
@@ -25,7 +24,6 @@ from hyperteam.instance import (
     reaches_all,
     save_instance,
     summary_stats,
-    validate,
 )
 
 
@@ -57,10 +55,9 @@ def test_edge_list_weights_and_energy():
 
 def test_edge_list_is_exactly_feasible():
     inst = parse_edge_list("t1(4): a:3 b\nt2: b c\n")
-    report = validate(inst)
-    assert report.feasible
-    assert not report.task_deficiency.any()
-    assert not report.agent_overrun.any()
+    # every task gets its energy and every agent spends its budget
+    assert np.array_equal(inst.assignment.sum(axis=0), inst.energies)
+    assert np.array_equal(inst.assignment.sum(axis=1), inst.budgets)
 
 
 @pytest.mark.parametrize(
@@ -288,22 +285,11 @@ def test_arrays_are_read_only():
         inst.incidence()[0, 0] = False
 
 
-def test_validate_arithmetic():
-    inst = make_instance([[2, 0], [0, 1]], budgets=[1, 4], energies=[3, 1])
-    report = validate(inst)
-    assert np.array_equal(report.task_deficiency, [1, 0])
-    assert np.array_equal(report.agent_overrun, [1, 0])
-    assert not report.feasible
-
-    short = make_instance([[1]], budgets=[1], energies=[5])
-    assert not validate(short).feasible_total
-
-
 def test_connectivity_checks():
-    assert is_connected(make_instance([[1], [1], [1]]))
-    assert not is_connected(make_instance([[1, 0], [1, 0], [0, 1], [0, 1]]))
+    assert reaches_all(make_instance([[1], [1], [1]]).incidence())
+    assert not reaches_all(make_instance([[1, 0], [1, 0], [0, 1], [0, 1]]).incidence())
     chain = make_instance([[1, 0], [1, 1], [0, 1]])
-    assert is_connected(chain)
+    assert reaches_all(chain.incidence())
 
 
 def test_bipartite_components_isolates():
@@ -418,9 +404,10 @@ def test_small_dataset_snapshot(coauthor_small):
     assert rec.n_tasks == 25
     assert abs(rec.mean_budget - 7.200) <= 0.02
     assert abs(rec.mean_energy - 3.462) <= 0.02
-    report = validate(coauthor_small)
-    assert report.feasible and report.connected
-    assert not report.task_deficiency.any()
+    # every task gets exactly its energy, no agent overspends, and one component
+    assert np.array_equal(coauthor_small.assignment.sum(axis=0), coauthor_small.energies)
+    assert (coauthor_small.assignment.sum(axis=1) <= coauthor_small.budgets).all()
+    assert reaches_all(coauthor_small.incidence())
 
 
 def test_large_dataset_snapshot(coauthor_large):
@@ -429,8 +416,10 @@ def test_large_dataset_snapshot(coauthor_large):
     assert rec.n_tasks == 704
     assert round(rec.mean_budget, 3) == 16.672
     assert round(rec.mean_energy, 3) == 15.028
-    report = validate(coauthor_large)
-    assert report.feasible and report.connected
+    # every task gets at least its energy, no agent overspends, and one component
+    assert (coauthor_large.assignment.sum(axis=0) >= coauthor_large.energies).all()
+    assert (coauthor_large.assignment.sum(axis=1) <= coauthor_large.budgets).all()
+    assert reaches_all(coauthor_large.incidence())
 
 
 def test_toy_files_load_by_path():
