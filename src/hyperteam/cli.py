@@ -140,7 +140,7 @@ def _run_optimize(params: dict) -> dict[str, str]:
         "iterations": result.iterations_run,
         "notes": list(result.notes),
         "mu2_original": mu2_original,
-        "gain": gain(result.best_mu2, mu2_original) if mu2_original else None,
+        "gain": gain(mu2, mu2_original) if mu2 is not None and mu2_original else None,
     }
     optimized = inst.with_assignment(result.best_assignment)
 

@@ -172,12 +172,27 @@ class StatsRecord:
     teammates_per_agent: float
 
 
+def _reach(x: np.ndarray, agents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (agents, tasks) that the agent mask ``agents`` reaches in the bool incidence ``x``.
+
+    ``x`` is (..., N, K) and ``agents`` (..., N): each incidence of a stack grows its own mask.
+    """
+    while True:
+        tasks = (x & agents[..., :, np.newaxis]).any(axis=-2)
+        grown = agents | (x & tasks[..., np.newaxis, :]).any(axis=-1)
+        if np.array_equal(grown, agents):
+            return agents, tasks
+        agents = grown
+
+
 def bipartite_components(incidence: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
     """Label the connected components of the agent-task bipartite graph.
 
-    Returns (count, agent_labels, task_labels). Agents with no tasks and
-    tasks with no agents each form their own component. This is for callers
-    that read the labels; ``reaches_all`` answers "is it connected?".
+    Returns (count, agent_labels, task_labels). Components are numbered in
+    the order of their first agent, an agent with no tasks alone in its own;
+    tasks with no agents follow, one component each, in index order. This is
+    for callers that read the labels; ``reaches_all`` answers "is it
+    connected?".
     """
     x = np.asarray(incidence, dtype=bool)
     n, k = x.shape
@@ -185,23 +200,13 @@ def bipartite_components(incidence: np.ndarray) -> tuple[int, np.ndarray, np.nda
     task_label = np.full(k, -1, dtype=np.int64)
     comp = 0
     for start in range(n):
-        if agent_label[start] >= 0:
-            continue
-        agent_frontier = np.zeros(n, dtype=bool)
-        agent_frontier[start] = True
-        agent_label[start] = comp
-        while agent_frontier.any():
-            tasks_hit = x[agent_frontier].any(axis=0) & (task_label < 0)
-            task_label[tasks_hit] = comp
-            agents_hit = x[:, tasks_hit].any(axis=1) & (agent_label < 0)
-            agent_label[agents_hit] = comp
-            agent_frontier = agents_hit
-        comp += 1
-    for kk in range(k):
-        if task_label[kk] < 0:
-            task_label[kk] = comp
+        if agent_label[start] < 0:
+            agents, tasks = _reach(x, np.arange(n) == start)
+            agent_label[agents] = task_label[tasks] = comp
             comp += 1
-    return comp, agent_label, task_label
+    empty = np.flatnonzero(task_label < 0)
+    task_label[empty] = comp + np.arange(len(empty))
+    return comp + len(empty), agent_label, task_label
 
 
 def reaches_all(incidence: np.ndarray) -> np.ndarray:
@@ -215,14 +220,10 @@ def reaches_all(incidence: np.ndarray) -> np.ndarray:
     entry. An incidence with no agents or no tasks is not connected.
     """
     x = np.asarray(incidence, dtype=bool)
-    agents = np.zeros(x.shape[:-1], dtype=bool)
-    agents[..., :1] = True
-    while True:
-        tasks = (x & agents[..., :, np.newaxis]).any(axis=-2)
-        grown = agents | (x & tasks[..., np.newaxis, :]).any(axis=-1)
-        if np.array_equal(grown, agents):
-            return agents.all(axis=-1) & tasks.all(axis=-1) & (min(x.shape[-2:]) > 0)
-        agents = grown
+    start = np.zeros(x.shape[:-1], dtype=bool)
+    start[..., :1] = True
+    agents, tasks = _reach(x, start)
+    return agents.all(axis=-1) & tasks.all(axis=-1) & (min(x.shape[-2:]) > 0)
 
 
 def co_membership_graph(inst_or_assignment) -> np.ndarray:

@@ -26,12 +26,13 @@ built from them. ``walk_blocks``, ``transition_matrix``, ``laplacian`` and
 ``stationary_distribution`` solves one chain.
 
 Stationary distributions come from one normalized linear solve at every size,
-for one chain or a stack. One chain is solved by LAPACK's ``dgesv`` through
-the ``LAPACKE_dgesv_work`` export, bound as ``dsyevr`` is below; a stack, or
-a numpy without the export, goes through ``np.linalg.solve``, which runs the
-same ``dgesv`` on the same column-major system, so pi is the same bit for
-bit. ``stationary_distribution`` also rejects reducible chains with
-``ReducibleChainError``, after a search of the chain's support.
+for one chain or a stack. The system is built in one place, one C-ordered
+array per chain that LAPACK reads column-major. One chain is solved in it by
+LAPACK's ``dgesv`` through the ``LAPACKE_dgesv_work`` export; a stack, or a
+numpy without the export, passes its transposed view to ``np.linalg.solve``,
+which runs the same ``dgesv`` on the same column-major system, so pi is the
+same bit for bit. ``stationary_distribution`` also rejects reducible chains
+with ``ReducibleChainError``, after a search of the chain's support.
 ``certified_mu2`` scores one chain and reads connectivity off the spectrum
 instead: a mu2 above 5e-10 certifies the chain irreducible, and the support
 is searched only when the solve fails or mu2 is at most that. Both
@@ -65,11 +66,12 @@ it reads entry 1 of the stacked ``eigvalsh``. Per matrix on a 2-core VM
 (numpy 2.4.6, OpenBLAS 0.3.31), ``eigvalsh`` against ``dsyevr``: 22.3 and
 23.5 us alone at n = 20 (18.6 and 16.8 in a stack of six), 30.0 and 27.2 at
 24, 108 and 70 at 52 (a coauthor_small state) and 225 and 126 at 77 (its
-bipartite lift). Only the ILP64 export is bound,
-``scipy_LAPACKE_dsyevr_work64_`` in numpy 2.x wheels; whether numpy 1.24's
-wheels export one that the lookup finds was not checked, and without it
-every score takes ``eigvalsh``. ``spectrum``, and so ``spectral_bundle``,
-and ``diffuse`` keep the full solvers.
+bipartite lift). One binder, ``_lapacke``, binds both LAPACKE exports, and
+only in their ILP64 form, ``scipy_LAPACKE_dsyevr_work64_`` and
+``scipy_LAPACKE_dgesv_work64_`` in numpy 2.x wheels; whether numpy 1.24's
+wheels export them in a form the lookup finds was not checked, and without
+them every score takes ``eigvalsh`` and ``np.linalg.solve``. ``spectrum``,
+and so ``spectral_bundle``, and ``diffuse`` keep the full solvers.
 
 The symmetric eigen solves, ``spectrum``'s ``eigvalsh``, the mu2 kernel and
 ``diffuse``'s ``eigh``, run on one OpenBLAS thread when the matrix is 65 to
@@ -215,11 +217,10 @@ class _Solve:
 
     def __init__(self, n: int):
         self.matrix = np.empty((n, n))
-        self.diagonal = self.matrix.reshape(n * n)[:: n + 1]
         self.pivots = np.empty(n, dtype=np.int64)
         self.rhs = np.empty(n)
         self.residual = np.empty(n)
-        # 102 is LAPACK_COL_MAJOR: the C-ordered copy of P reads as P^T
+        # 102 is LAPACK_COL_MAJOR: the C-ordered system reads as its transpose
         self.args = (102, n, 1, self.matrix.ctypes.data, n, self.pivots.ctypes.data)
         self.args += (self.rhs.ctypes.data, n)
 
@@ -228,40 +229,38 @@ def _solve_stationary(P: np.ndarray) -> np.ndarray:
     """Stationary pi of an (n, n) chain, or of each chain of a (C, n, n) stack.
 
     One normalized linear solve per chain: ``pi (P - I) = 0`` with the last
-    balance equation replaced by ``sum(pi) = 1``. One chain is solved by
-    LAPACK's dgesv in the thread's scratch arrays; a stack, or any chain on a
-    numpy without the binding, goes through ``np.linalg.solve``, whose
-    right-hand side is (..., n, 1), a stack of one-column matrices under
-    numpy 1.x and 2.x alike. Both run the same dgesv on the same column-major
-    system. A singular system, mass below -1e-9 or a residual |pi P - pi|_1
-    above 1e-9 in any chain raise ``ConvergenceError``. Reducibility is not
-    tested: a split chain may solve to a mix of its closed classes. A chain
-    without states has the empty distribution.
+    balance equation replaced by ``sum(pi) = 1``. The system is built once:
+    P, C-ordered, with its diagonal shifted by -1 and its last column set to
+    1, which LAPACK reads column-major. dgesv solves one chain in place in
+    the thread's scratch arrays; a stack, or any chain on a numpy without
+    the binding, passes the system's transposed view to ``np.linalg.solve``
+    (right-hand side (..., n, 1), one-column matrices under numpy 1.x and
+    2.x alike), which runs the same dgesv. A singular system, mass below
+    -1e-9 or a residual |pi P - pi|_1 above 1e-9 in any chain raise
+    ``ConvergenceError``. Reducibility is not tested: a split chain may
+    solve to a mix of its closed classes. A chain without states has the
+    empty distribution.
     """
     n = P.shape[-1]
     if n == 0:
         return np.zeros(P.shape[:-1])
     dgesv = _dgesv() if P.ndim == 2 else None
+    work = _scratch(_Solve, n) if dgesv is not None else None
+    system = np.empty(P.shape) if work is None else work.matrix
+    np.copyto(system, P)
+    # C-ordered, so its flat view holds each diagonal at a stride of n + 1;
+    # cheaper than fancy indexing
+    system.reshape(P.shape[:-2] + (n * n,))[..., :: n + 1] -= 1.0
+    system[..., -1] = 1.0
     drift = None  # where one chain's pi P goes
-    if dgesv is None:
-        A = np.swapaxes(P, -1, -2).copy()
-        # the copy is C-ordered, so its flat view holds each diagonal at a
-        # stride of n + 1; cheaper than fancy indexing
-        A.reshape(P.shape[:-2] + (n * n,))[..., :: n + 1] -= 1.0
-        A[..., -1, :] = 1.0
+    if work is None:
         rhs = np.zeros(P.shape[:-1] + (1,))
         rhs[..., -1, 0] = 1.0
         try:
-            pi = np.linalg.solve(A, rhs)[..., 0]
+            pi = np.linalg.solve(np.swapaxes(system, -1, -2), rhs)[..., 0]
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError("singular stationary system") from exc
     else:
-        work = _scratch(_Solve, n)
-        # column-major, the C-ordered copy of P is the system's P^T: its last
-        # column is the last equation, replaced by sum(pi) = 1
-        np.copyto(work.matrix, P)
-        work.diagonal -= 1.0
-        work.matrix[:, -1] = 1.0
         work.rhs.fill(0.0)
         work.rhs[-1] = 1.0
         info = dgesv(*work.args)
@@ -373,43 +372,40 @@ def _blas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | None:
     return get, put
 
 
-@functools.cache
-def _dsyevr() -> Callable[..., int] | None:
-    """LAPACKE's ``dsyevr_work`` of the loaded OpenBLAS, with 64-bit integers, or None.
+_CTYPES = {"i": ctypes.c_int, "q": ctypes.c_int64, "d": ctypes.c_double, "c": ctypes.c_char, "P": ctypes.c_void_p}
 
-    Only the ILP64 export is bound, ``scipy_LAPACKE_dsyevr_work64_`` in
-    numpy 2.x wheels: an export without the ``64_`` suffix may take 32-bit
-    integers. Pointers are passed as addresses.
+
+def _lapacke(name: str, argtypes: str) -> Callable[..., int] | None:
+    """LAPACKE's ``name`` export of the loaded OpenBLAS, with 64-bit integers, or None.
+
+    Only the ILP64 export is bound, ``scipy_LAPACKE_{name}64_`` in numpy 2.x
+    wheels: an export without the ``64_`` suffix may take 32-bit integers.
+    ``argtypes`` spells the arguments in struct format codes: ``i`` int,
+    ``q`` int64, ``d`` double, ``c`` char and ``P`` a pointer, passed as an
+    address. The result is LAPACKE's int64 info.
     """
-    found = _exports(("LAPACKE_dsyevr_work",), ("64_",))
+    found = _exports((f"LAPACKE_{name}",), ("64_",))
     if found is None:
         return None
-    (dsyevr,) = found
-    i64, ptr, f64, char = ctypes.c_int64, ctypes.c_void_p, ctypes.c_double, ctypes.c_char
+    (function,) = found
+    function.argtypes = [_CTYPES[code] for code in argtypes]
+    function.restype = ctypes.c_int64
+    return function
+
+
+@functools.cache
+def _dsyevr() -> Callable[..., int] | None:
+    """LAPACKE's ``dsyevr_work``, or None; see ``_lapacke``."""
     # layout, jobz, range, uplo, n, a, lda, vl, vu, il, iu, abstol, m, w, z,
     # ldz, isuppz, work, lwork, iwork, liwork
-    dsyevr.argtypes = [ctypes.c_int, char, char, char, i64, ptr, i64, f64, f64, i64, i64, f64]
-    dsyevr.argtypes += [ptr, ptr, ptr, i64, ptr, ptr, i64, ptr, i64]
-    dsyevr.restype = i64
-    return dsyevr
+    return _lapacke("dsyevr_work", "icccqPqddqqdPPPqPPqPq")
 
 
 @functools.cache
 def _dgesv() -> Callable[..., int] | None:
-    """LAPACKE's ``dgesv_work`` of the loaded OpenBLAS, with 64-bit integers, or None.
-
-    Bound as ``_dsyevr`` is: the ILP64 export alone, ``scipy_LAPACKE_dgesv_work64_``
-    in numpy 2.x wheels, with pointers passed as addresses.
-    """
-    found = _exports(("LAPACKE_dgesv_work",), ("64_",))
-    if found is None:
-        return None
-    (dgesv,) = found
-    i64, ptr = ctypes.c_int64, ctypes.c_void_p
+    """LAPACKE's ``dgesv_work``, or None; see ``_lapacke``."""
     # layout, n, nrhs, a, lda, ipiv, b, ldb
-    dgesv.argtypes = [ctypes.c_int, i64, i64, ptr, i64, ptr, ptr, i64]
-    dgesv.restype = i64
-    return dgesv
+    return _lapacke("dgesv_work", "iqqPqPPq")
 
 
 def _serial_solve(solve: Callable[[np.ndarray], object], L: np.ndarray):

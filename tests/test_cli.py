@@ -204,6 +204,24 @@ def test_optimize_writes_null_scores_for_a_split_input(tmp_path, method):
     assert rows and all(row.split(",")[2:4] == ["-inf", "nan"] for row in rows)
 
 
+@pytest.mark.parametrize("method", ["csa", "csa-bipartite"])
+def test_optimize_reports_no_gain_when_the_run_met_no_connected_state(tmp_path, method):
+    # a connected input scores, but with no iterations seeds 1, 2 and 7 start
+    # the anneal from a split state and keep it: the best mu2 is nan, so the
+    # gain over the input is null rather than a nan that JSON lacks
+    path = tmp_path / "input.json"
+    save_instance(make_instance([[1, 1], [1, 0], [0, 1]], budgets=[2, 1, 1]), str(path))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"max_iters": 0}))
+    for seed in ("1", "2", "7"):
+        out = tmp_path / f"out{seed}"
+        assert main(["optimize", "--input", str(path), "--method", method, "--config", str(config),
+                     "--seed", seed, "--out", str(out)]) == 0
+        meta = json.loads((out / "result.json").read_text(), parse_constant=_strict_constant)["meta"]
+        assert meta["mu2_original"] > 0
+        assert meta["mu2"] is None and meta["gain"] is None
+
+
 def test_optimize_usage_errors(workdir, tmp_path):
     bad_config = tmp_path / "bad.json"
     bad_config.write_text(json.dumps({"not_a_knob": 1}))

@@ -302,6 +302,55 @@ def test_bipartite_components_isolates():
     assert tasks[1] not in (agents[0], agents[1])
 
 
+def _components_oracle(x: np.ndarray) -> tuple[int, list[int], list[int]]:
+    """The labelling by one frontier search per unlabelled agent; kept as an oracle.
+
+    Components are numbered in the order of their first agent, then each
+    task with no agents in index order: the numbering whose "first largest
+    component" the budget sweep's sampler keeps.
+    """
+    n, k = x.shape
+    agent_label = np.full(n, -1, dtype=np.int64)
+    task_label = np.full(k, -1, dtype=np.int64)
+    comp = 0
+    for start in range(n):
+        if agent_label[start] >= 0:
+            continue
+        agent_frontier = np.zeros(n, dtype=bool)
+        agent_frontier[start] = True
+        agent_label[start] = comp
+        while agent_frontier.any():
+            tasks_hit = x[agent_frontier].any(axis=0) & (task_label < 0)
+            task_label[tasks_hit] = comp
+            agents_hit = x[:, tasks_hit].any(axis=1) & (agent_label < 0)
+            agent_label[agents_hit] = comp
+            agent_frontier = agents_hit
+        comp += 1
+    for kk in range(k):
+        if task_label[kk] < 0:
+            task_label[kk] = comp
+            comp += 1
+    return comp, agent_label.tolist(), task_label.tolist()
+
+
+def test_bipartite_components_match_the_per_start_oracle():
+    rng = np.random.default_rng(23)
+    shapes = [(0, 0), (0, 3), (1, 0), (4, 0), (1, 1)]
+    shapes += [tuple(rng.integers(1, 12, size=2)) for _ in range(200)]
+    idle = empty = several = 0
+    for n, k in shapes:
+        # sparse enough to leave idle agents, empty tasks and several components
+        x = rng.random((n, k)) < rng.random() * 0.6
+        count, agents, tasks = bipartite_components(x)
+        assert type(count) is int
+        assert agents.dtype == tasks.dtype == np.int64
+        assert (count, agents.tolist(), tasks.tolist()) == _components_oracle(x)
+        idle += int((~x.any(axis=1)).any())
+        empty += int((~x.any(axis=0)).any())
+        several += int(count > 2)
+    assert idle >= 50 and empty >= 50 and several >= 50
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(
     seed=st.integers(0, 2**32 - 1),

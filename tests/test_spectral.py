@@ -1088,22 +1088,22 @@ def test_the_lookup_binds_numpys_dsyevr():
     assert spectral._dsyevr() is not None
 
 
-@pytest.mark.parametrize(
-    ("exports", "bound"),
-    [
-        (("openblas_get_num_threads", "openblas_set_num_threads", "LAPACKE_dsyevr_work"), False),
-        (("openblas_get_num_threads64_", "openblas_set_num_threads64_", "LAPACKE_dsyevr_work64_"), True),
-    ],
-    ids=["lp64", "ilp64"],
-)
-def test_only_an_ilp64_dsyevr_is_bound(monkeypatch, exports, bound):
-    # both bindings probe the same library; the thread functions take any
-    # suffix, dsyevr only the 64_ one, since an unsuffixed export may take
-    # 32-bit integers
-    library = types.SimpleNamespace(**{name: lambda *args: 0 for name in exports})
+@pytest.mark.parametrize("suffix", ["", "64_"], ids=["lp64", "ilp64"])
+def test_only_an_ilp64_dsyevr_is_bound(monkeypatch, suffix):
+    # every binding probes the same library; the thread functions take any
+    # suffix, the LAPACKE exports (dsyevr and dgesv, through one binder) only
+    # the 64_ one, since an unsuffixed export may take 32-bit integers
+    names = ["openblas_get_num_threads", "openblas_set_num_threads", "LAPACKE_dsyevr_work", "LAPACKE_dgesv_work"]
+    library = types.SimpleNamespace(**{name + suffix: lambda *args: 0 for name in names})
     monkeypatch.setattr(spectral, "_openblas", lambda: library)
     assert spectral._blas_threads.__wrapped__() is not None
-    assert (spectral._dsyevr.__wrapped__() is not None) == bound
+    bound = [spectral._dsyevr.__wrapped__(), spectral._dgesv.__wrapped__()]
+    if not suffix:
+        assert bound == [None, None]
+        return
+    assert bound == [library.LAPACKE_dsyevr_work64_, library.LAPACKE_dgesv_work64_]
+    assert [len(function.argtypes) for function in bound] == [21, 8]
+    assert all(function.restype is ctypes.c_int64 for function in bound)
 
 
 def test_importing_the_package_runs_no_lookup():
