@@ -90,8 +90,9 @@ def side_laplacians(inst: ProblemInstance) -> tuple[np.ndarray, np.ndarray]:
     """
     try:
         A, B = spectral.walk_blocks(inst.energies, inst.assignment)
-        pi_b = _lift_stationary(B, spectral.stationary_distribution(B @ A))
+        task_chain = B @ A
+        pi_b = _lift_stationary(B, spectral.stationary_distribution(task_chain))
     except (DegreeError, ReducibleChainError):
         raise DisconnectedError("side chains need a connected instance") from None
     n = len(A)
-    return spectral.laplacian(A @ B, pi_b[:n]), spectral.laplacian(B @ A, pi_b[n:])
+    return spectral.laplacian(A @ B, pi_b[:n]), spectral.laplacian(task_chain, pi_b[n:])

@@ -235,14 +235,15 @@ def _run_experiment(params: dict) -> dict[str, str]:
 
     if kind == "scaling":
         _check_at_least(params, reps=1, sizes=2)
-        fits, samples = scaling_experiment(
+        curves, samples = scaling_experiment(
             tuple(params["schemes"]),
             tuple(params["sizes"]),
             params["reps"],
             params["seed"],
             coupled=params["coupled"],
         )
-        fit_rows = [[f.scheme, f.exponent, f.intercept, f.r_squared] for f in fits]
+        # the decay exponent a = -slope, so a > 0 means connectivity decays with size
+        fit_rows = [[c.label, -c.fit.exponent, c.fit.intercept, c.fit.r_squared] for c in curves]
         return {
             "scaling.csv": _csv(["scheme", "N_c", "rep", "mu2"], [list(s) for s in samples]),
             "scaling_fit.csv": _csv(["scheme", "exponent", "intercept", "R2"], fit_rows),
@@ -262,10 +263,7 @@ def _run_experiment(params: dict) -> dict[str, str]:
             [p.target_tasks, p.rep, p.multiplier, p.n_agents, p.n_tasks, p.mu2]
             for p in result.points
         ]
-        fit_rows = [
-            [c.multiplier, c.fit.exponent, c.fit.intercept, c.fit.r_squared]
-            for c in result.curves
-        ]
+        fit_rows = [[c.label, c.fit.exponent, c.fit.intercept, c.fit.r_squared] for c in result.curves]
         return {
             "budget_sweep.csv": _csv(["target_tasks", "rep", "multiplier", "n_agents", "n_tasks", "mu2"], point_rows),
             "budget_fit.csv": _csv(["multiplier", "exponent", "intercept", "R2"], fit_rows),

@@ -15,6 +15,11 @@ schemes are supported:
   producing a chain.
 * ``random``: uniformly random inter-community swaps, resampled whole until
   the result is connected.
+
+Both the scaling study and the budget sweep report a ``Curve`` per scheme or
+multiplier: the mean and spread of mu2 at each x, and a ``PowerLawFit`` of
+the means whose ``exponent`` is the raw log-log slope. The decay exponent
+a = -slope is applied only where the CLI writes ``scaling_fit.csv``.
 """
 
 from __future__ import annotations
@@ -38,10 +43,9 @@ __all__ = [
     "SmallHypergraph",
     "Enumeration",
     "DiffusionTrace",
-    "ScalingFit",
     "PowerLawFit",
+    "Curve",
     "BudgetPoint",
-    "BudgetCurve",
     "BudgetSweepResult",
     "ENUMERATION_GUARD",
     "enumeration_size",
@@ -138,21 +142,25 @@ class PowerLawFit:
 
 
 @dataclass(frozen=True)
-class ScalingFit:
-    """Power-law fit mu2 ~ N_c^(-a) for one rewiring scheme.
+class Curve:
+    """Mean and spread of mu2 at each x of a study, and the log-log fit of the means.
 
-    ``exponent`` is a itself (positive when connectivity decays with size),
-    i.e. the negated slope of the log-log fit on per-size means.
+    ``fit.exponent`` is the raw slope, negative when connectivity decays with x.
     """
 
-    scheme: str
-    exponent: float
-    intercept: float
-    r_squared: float
-    exponent_stderr: float
-    sizes: tuple[int, ...]
+    label: str | int  # the scaling study's scheme or the budget sweep's multiplier
+    xs: tuple[float, ...]
     mean_mu2: tuple[float, ...]
     std_mu2: tuple[float, ...]
+    fit: PowerLawFit
+
+
+def _curve(label: str | int, xs: Sequence[float], samples: Sequence[Sequence[float]]) -> Curve:
+    """The curve of the mu2 ``samples`` taken at each x of ``xs``."""
+    xs = tuple(map(float, xs))
+    mean = tuple(float(np.mean(s)) for s in samples)
+    std = tuple(float(np.std(s)) for s in samples)
+    return Curve(label, xs, mean, std, fit_power_law(np.array(xs), np.array(mean)))
 
 
 def _sorting_network(n: int) -> list[tuple[int, int]]:
@@ -442,15 +450,17 @@ def scaling_experiment(
     seed: int = 0,
     *,
     coupled: bool = True,
-) -> tuple[list[ScalingFit], list[tuple[str, int, int, float]]]:
+) -> tuple[list[Curve], list[tuple[str, int, int, float]]]:
     """Finite-size scaling of connectivity under each rewiring scheme.
 
     In coupled mode (the default) the community size tracks the community
     count: size N_c means N_c communities of N_c nodes and N_c hyperedges.
-    Otherwise communities stay at the fixed 6x6 layout. Returns the per-
-    scheme power-law fits plus every raw (scheme, size, rep, mu2) sample.
-    The fit runs on per-size means of mu2 against N_c in log-log space and
-    reports a = -slope, so a > 0 means connectivity decays with size.
+    Otherwise communities stay at the fixed 6x6 layout. Returns one ``Curve``
+    per scheme, labelled by the scheme over the sizes, plus every raw
+    (scheme, size, rep, mu2) sample. Its fit runs on per-size means of mu2
+    against N_c in log-log space, and ``fit.exponent`` is the raw slope; the
+    CLI's ``scaling_fit.csv`` writes the decay exponent a = -slope, so a > 0
+    means connectivity decays with size.
     Each (scheme, size) layout is built once. Its reps are rewired from it,
     each from its own substream, and scored as stacks by ``mu2_batch`` in
     pieces of ``batch_rows(N, K)``: a rewiring is connected and keeps every
@@ -462,9 +472,9 @@ def scaling_experiment(
     if min(sizes, default=0) < 2 or len(set(sizes)) < 3:
         raise ValueError(f"scaling needs 3 or more distinct sizes, each >= 2; got {tuple(sizes)}")
     samples: list[tuple[str, int, int, float]] = []
-    fits = []
+    curves = []
     for scheme in schemes:
-        means, stds = [], []
+        per_size = []
         for size in sizes:
             spec = CommunitySpec(size, size, size, scheme) if coupled else CommunitySpec(size, scheme=scheme)
             base = build_communities(spec)
@@ -477,22 +487,9 @@ def scaling_experiment(
                 ])
                 mu2 += mu2_batch(np.broadcast_to(base.energies, (len(stack), base.n_tasks)), stack).tolist()
             samples += [(scheme, size, rep, m) for rep, m in enumerate(mu2)]
-            means.append(float(np.mean(mu2)))
-            stds.append(float(np.std(mu2)))
-        fit = fit_power_law(np.array(sizes, dtype=float), np.array(means))
-        fits.append(
-            ScalingFit(
-                scheme=scheme,
-                exponent=-fit.exponent,
-                intercept=fit.intercept,
-                r_squared=fit.r_squared,
-                exponent_stderr=fit.stderr,
-                sizes=tuple(sizes),
-                mean_mu2=tuple(means),
-                std_mu2=tuple(stds),
-            )
-        )
-    return fits, samples
+            per_size.append(mu2)
+        curves.append(_curve(scheme, sizes, per_size))
+    return curves, samples
 
 
 @dataclass(frozen=True)
@@ -506,18 +503,9 @@ class BudgetPoint:
 
 
 @dataclass(frozen=True)
-class BudgetCurve:
-    multiplier: int
-    mean_agents: tuple[float, ...]
-    mean_mu2: tuple[float, ...]
-    std_mu2: tuple[float, ...]
-    fit: PowerLawFit
-
-
-@dataclass(frozen=True)
 class BudgetSweepResult:
     points: tuple[BudgetPoint, ...]
-    curves: tuple[BudgetCurve, ...]
+    curves: tuple[Curve, ...]  # one per multiplier, over the mean agent counts
 
 
 def _sample_subinstance(
@@ -583,15 +571,19 @@ def budget_sweep(
     shared across all budget multipliers so the comparison is paired: only
     the budgets change between runs. Each multiplied sub-instance is
     optimized with the greedy algorithm and its final connectivity recorded.
-    Curves aggregate per (multiplier, size) and carry a log-log fit of mean
-    connectivity against mean agent count. Reps or a multiplier below 1, or
-    a size below 2 or above the task count, raise ``ValueError`` before any draw.
+    Each multiplier's ``Curve`` aggregates its points per size and fits mean
+    connectivity against mean agent count; ``fit.exponent`` is the raw slope,
+    which the CLI's ``budget_fit.csv`` writes as it is. Reps or a multiplier
+    below 1, a size below 2 or above the task count, or under 3 distinct
+    sizes raise ``ValueError`` before any draw, the range checked first.
     """
     if reps < 1 or min(multipliers, default=1) < 1:
         raise ValueError(f"reps and multipliers must be >= 1; got {reps} and {tuple(multipliers)}")
     for size in sub_sizes:
         if not 2 <= size <= inst.n_tasks:
             raise ValueError(f"sub-size {size} is outside 2..{inst.n_tasks} tasks")
+    if len(set(sub_sizes)) < 3:
+        raise ValueError(f"budget sweep needs 3 or more distinct sub-sizes; got {tuple(sub_sizes)}")
     points: list[BudgetPoint] = []
     for size in sub_sizes:
         for rep in range(reps):
@@ -613,22 +605,9 @@ def budget_sweep(
                 )
     curves = []
     for beta in multipliers:
-        mean_agents, mean_mu2, std_mu2 = [], [], []
-        for size in sub_sizes:
-            pts = [p for p in points if p.multiplier == beta and p.target_tasks == size]
-            mean_agents.append(float(np.mean([p.n_agents for p in pts])))
-            mean_mu2.append(float(np.mean([p.mu2 for p in pts])))
-            std_mu2.append(float(np.std([p.mu2 for p in pts])))
-        fit = fit_power_law(np.array(mean_agents), np.array(mean_mu2))
-        curves.append(
-            BudgetCurve(
-                multiplier=beta,
-                mean_agents=tuple(mean_agents),
-                mean_mu2=tuple(mean_mu2),
-                std_mu2=tuple(std_mu2),
-                fit=fit,
-            )
-        )
+        groups = [[p for p in points if p.multiplier == beta and p.target_tasks == size] for size in sub_sizes]
+        mean_agents = [np.mean([p.n_agents for p in pts]) for pts in groups]
+        curves.append(_curve(beta, mean_agents, [[p.mu2 for p in pts] for pts in groups]))
     return BudgetSweepResult(points=tuple(points), curves=tuple(curves))
 
 
@@ -641,17 +620,19 @@ def fit_power_law(xs: np.ndarray, ys: np.ndarray) -> PowerLawFit:
     if np.any(xs <= 0) or np.any(ys <= 0):
         raise ValueError("power-law fit needs strictly positive data")
     lx, ly = np.log(xs), np.log(ys)
+    # on the logs, not their spread: three equal logs of 17 leave 5.9e-31
+    # about their rounded mean, and distinct x near 1e300 can share a log
+    if (lx == lx[0]).all():
+        raise ValueError("all x values identical")
     n = len(lx)
     sxx = float(((lx - lx.mean()) ** 2).sum())
-    if sxx == 0:
-        raise ValueError("all x values identical")
     slope = float(((lx - lx.mean()) * (ly - ly.mean())).sum() / sxx)
     intercept = float(ly.mean() - slope * lx.mean())
     resid = ly - (intercept + slope * lx)
     ss_res = float((resid**2).sum())
     ss_tot = float(((ly - ly.mean()) ** 2).sum())
     r_squared = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
-    stderr = math.sqrt(ss_res / (n - 2) / sxx) if n > 2 else 0.0
+    stderr = math.sqrt(ss_res / (n - 2) / sxx)
     return PowerLawFit(
         exponent=slope, intercept=intercept, r_squared=r_squared, stderr=stderr
     )

@@ -66,6 +66,21 @@ def count_connected_covering(n_nodes: int, n_edges: int) -> int:
     return count
 
 
+def hub(n_tasks: int = 40, members: int = 4, pattern: tuple[int, ...] = (1, 3)) -> ProblemInstance:
+    """The README's budget-sweep input: dedicated task groups plus one coordinator on every task.
+
+    The members' budgets cycle through ``pattern``; the coordinator's is its task count.
+    """
+    n = n_tasks * members + 1
+    a = np.zeros((n, n_tasks), dtype=np.int64)
+    for k in range(n_tasks):
+        a[k * members : (k + 1) * members, k] = 1
+    a[-1, :] = 1
+    budgets = a.sum(axis=1)
+    budgets[:-1] = np.tile(pattern, n_tasks * members // len(pattern))
+    return make_instance(a, budgets=budgets)
+
+
 def make_instance(assignment, budgets=None, energies=None) -> ProblemInstance:
     """Instance from a matrix; budgets/energies default to row/column sums."""
     a = np.asarray(assignment, dtype=np.int64)

@@ -18,6 +18,7 @@ import pytest
 from conftest import (
     count_connected_covering,
     full_lift,
+    hub,
     make_instance,
     random_connected_instance,
     random_feasible_assignment,
@@ -52,24 +53,6 @@ def _crew(n_agents=40, n_tasks=10, budget=2, energy=8):
         task_ids=tuple(f"t{k}" for k in range(n_tasks)),
         energies=np.full(n_tasks, energy, dtype=np.int64),
         assignment=np.zeros((n_agents, n_tasks), dtype=np.int64),
-    )
-
-
-def _hub(n_tasks=40, members=4, pattern=(1, 3)):
-    """Dedicated task members plus one coordinator sitting on every task."""
-    n = n_tasks * members + 1
-    a = np.zeros((n, n_tasks), dtype=np.int64)
-    for k in range(n_tasks):
-        a[k * members : (k + 1) * members, k] = 1
-    a[-1, :] = 1
-    budgets = a.sum(axis=1)
-    budgets[:-1] = np.tile(pattern, n_tasks * members // len(pattern))
-    return ProblemInstance(
-        agent_ids=tuple(f"a{i}" for i in range(n)),
-        budgets=budgets,
-        task_ids=tuple(f"t{k}" for k in range(n_tasks)),
-        energies=a.sum(axis=0),
-        assignment=a,
     )
 
 
@@ -260,14 +243,15 @@ def test_04_enumeration_extremes_and_diffusion_order():
 
 
 def test_05_rewiring_schemes_order_by_decay_exponent():
-    fits, _ = scaling_experiment(SCHEMES, (2, 3, 4, 5, 6, 7, 8), reps=30, seed=0)
-    by_scheme = {f.scheme: f for f in fits}
-    assert all(f.exponent > 0 for f in fits)
-    assert by_scheme["head2tail"].exponent > by_scheme["random"].exponent
-    assert by_scheme["random"].exponent > by_scheme["one_edge"].exponent
+    curves, _ = scaling_experiment(SCHEMES, (2, 3, 4, 5, 6, 7, 8), reps=30, seed=0)
+    by_scheme = {c.label: c.fit for c in curves}
+    # each fit's exponent is the slope, -a: the faster decay is the lower slope
+    assert all(c.fit.exponent < 0 for c in curves)
+    assert by_scheme["head2tail"].exponent < by_scheme["random"].exponent
+    assert by_scheme["random"].exponent < by_scheme["one_edge"].exponent
 
     one_edge, one_node = by_scheme["one_edge"], by_scheme["one_node"]
-    half_width = 1.96 * np.hypot(one_edge.exponent_stderr, one_node.exponent_stderr)
+    half_width = 1.96 * np.hypot(one_edge.stderr, one_node.stderr)
     assert abs(one_edge.exponent - one_node.exponent) <= half_width
 
 
@@ -328,11 +312,11 @@ def test_07_annealing_beats_greedy_beats_random_start(crew_runs):
 @pytest.mark.kernel_pinned
 def test_08_budget_multipliers_lift_curves_without_breaking_decay():
     sweep = budget_sweep(
-        _hub(), multipliers=(1, 3, 5), sub_sizes=(3, 4, 6, 9), reps=3, seed=0
+        hub(), multipliers=(1, 3, 5), sub_sizes=(3, 4, 6, 9), reps=3, seed=0
     )
     for curve in sweep.curves:
         assert -1.3 <= curve.fit.exponent <= -0.7
-    by_mult = {c.multiplier: c for c in sweep.curves}
+    by_mult = {c.label: c for c in sweep.curves}
     for i in range(4):
         assert by_mult[3].mean_mu2[i] >= by_mult[1].mean_mu2[i] - 1e-12
         assert by_mult[5].mean_mu2[i] >= by_mult[3].mean_mu2[i] - 1e-12
@@ -418,8 +402,8 @@ def test_10_every_command_line_run_replays_byte_identically(tmp_path):
     tiny.write_text("t0: a b\n")
     small = tmp_path / "small.json"
     save_instance(random_connected_instance(np.random.default_rng(0), 8, 3, slack=1), small)
-    hub = tmp_path / "hub.json"
-    save_instance(_hub(n_tasks=10), hub)
+    hub_path = tmp_path / "hub.json"
+    save_instance(hub(n_tasks=10), hub_path)
     config = tmp_path / "csa.json"
     config.write_text(json.dumps({"t_threshold": 0.2, "max_iters": 2000}))
 
@@ -458,7 +442,7 @@ def test_10_every_command_line_run_replays_byte_identically(tmp_path):
             "experiment",
             "budget-sweep",
             "--input",
-            str(hub),
+            str(hub_path),
             "--multipliers",
             "1",
             "2",

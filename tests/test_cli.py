@@ -15,6 +15,7 @@ import pytest
 from conftest import (
     DISCONNECTED,
     bipartite_bundle,
+    hub,
     make_instance,
     random_connected_instance,
     subprocess_env,
@@ -51,15 +52,7 @@ def workdir(tmp_path_factory):
     inst = random_connected_instance(rng, 8, 3, slack=1)
     save_instance(inst, str(d / "small.json"))
 
-    n_tasks, members = 10, 4
-    a = np.zeros((n_tasks * members + 1, n_tasks), dtype=np.int64)
-    for k in range(n_tasks):
-        a[k * members : (k + 1) * members, k] = 1
-    a[-1, :] = 1
-    budgets = a.sum(axis=1)
-    budgets[:-1] = np.tile((1, 3), n_tasks * members // 2)
-    hub = make_instance(a, budgets=budgets)
-    save_instance(hub, str(d / "hub.json"))
+    save_instance(hub(10), str(d / "hub.json"))
     return d
 
 
@@ -609,6 +602,59 @@ def test_experiment_budget_sweep(workdir, tmp_path):
     assert len(fits) == 3
 
 
+def _fit_rows(path, keys, x, exponent_sign):
+    """Per-curve (exponent, intercept, R2) fitted with ``np.polyfit`` from a sample CSV.
+
+    Rows are grouped by ``keys`` (curve, x group) in order of appearance; each
+    curve fits the log mean mu2 against the log mean of column ``x``.
+    """
+    header, *lines = path.read_text().splitlines()
+    column = {name: i for i, name in enumerate(header.split(","))}
+    groups: dict[tuple[str, str], list[tuple[float, float]]] = {}
+    for line in lines:
+        row = line.split(",")
+        groups.setdefault(tuple(row[column[k]] for k in keys), []).append(
+            (float(row[column[x]]), float(row[column["mu2"]]))
+        )
+    fits = {}
+    for curve in dict.fromkeys(label for label, _ in groups):
+        means = np.array([np.mean(g, axis=0) for (label, _), g in groups.items() if label == curve])
+        lx, ly = np.log(means).T
+        slope, intercept = np.polyfit(lx, ly, 1)
+        r2 = 1 - ((ly - (intercept + slope * lx)) ** 2).sum() / ((ly - ly.mean()) ** 2).sum()
+        fits[curve] = (exponent_sign * slope, intercept, r2)
+    return fits
+
+
+@pytest.mark.parametrize(
+    "args, samples, fits, keys, x, sign",
+    [
+        (["scaling", "--reps", "3", "--sizes", "2", "3", "4", "5"],
+         "scaling.csv", "scaling_fit.csv", ("scheme", "N_c"), "N_c", -1),
+        (["scaling", "--reps", "2", "--sizes", "2", "3", "4", "--fixed-communities"],
+         "scaling.csv", "scaling_fit.csv", ("scheme", "N_c"), "N_c", -1),
+        (["budget-sweep", "--input", "{hub}", "--multipliers", "1", "3", "5", "--sub-sizes", "3", "4", "6", "9",
+          "--reps", "3"],
+         "budget_sweep.csv", "budget_fit.csv", ("multiplier", "target_tasks"), "n_agents", 1),
+    ],
+    ids=["scaling", "scaling-fixed", "budget-sweep"],
+)
+def test_fit_csv_is_the_power_law_of_its_sample_csv(tmp_path, args, samples, fits, keys, x, sign):
+    # scaling_fit.csv holds the decay exponent a = -slope, budget_fit.csv the slope
+    path = tmp_path / "hub.json"
+    save_instance(hub(), str(path))
+    out = tmp_path / "out"
+    assert main(["experiment", *(a.format(hub=path) for a in args), "--out", str(out)]) == 0
+    expected = _fit_rows(out / samples, keys, x, sign)
+    header, *lines = (out / fits).read_text().splitlines()
+    assert header.split(",")[1:] == ["exponent", "intercept", "R2"]
+    assert [line.split(",")[0] for line in lines] == list(expected)
+    for line in lines:
+        label, *values = line.split(",")
+        for value, want in zip(map(float, values), expected[label], strict=True):
+            assert math.isclose(value, want, rel_tol=1e-12), (label, value, want)
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -619,6 +665,11 @@ def test_experiment_budget_sweep(workdir, tmp_path):
         pytest.param(["experiment", "budget-sweep", "--sub-sizes", "999", "4", "6", "--reps", "1", "--input", "{hub}"],
                      id="args2"),
         pytest.param(["stats", "--input", "{empty}"], id="args3"),
+        # a power-law fit needs three distinct sub-sizes
+        pytest.param(["experiment", "budget-sweep", "--sub-sizes", "3", "4", "--reps", "1", "--input", "{hub}"],
+                     id="two-sub-sizes"),
+        pytest.param(["experiment", "budget-sweep", "--sub-sizes", "4", "4", "4", "--reps", "1", "--input", "{hub}"],
+                     id="one-distinct-sub-size"),
     ],
 )
 def test_experiment_rejects_bad_arguments_before_running(workdir, tmp_path, capsys, monkeypatch, args):

@@ -10,7 +10,7 @@ from itertools import combinations, permutations
 import numpy as np
 import pytest
 
-from conftest import count_connected_covering, make_instance
+from conftest import count_connected_covering, hub, make_instance
 from hyperteam import experiments
 from hyperteam.errors import ConvergenceError
 from hyperteam.experiments import (
@@ -28,7 +28,7 @@ from hyperteam.experiments import (
     scaling_experiment,
     to_instance,
 )
-from hyperteam.instance import ProblemInstance, bipartite_components
+from hyperteam.instance import bipartite_components
 from hyperteam.seeds import substream
 from hyperteam.spectral import batch_rows, mu2_batch, mu2_of_assignment
 
@@ -412,22 +412,22 @@ def test_rewire_structural_requirements():
 
 
 def test_scaling_experiment_smoke():
-    fits, samples = scaling_experiment(("random",), (2, 3, 4), reps=2, seed=0)
+    curves, samples = scaling_experiment(("random",), (2, 3, 4), reps=2, seed=0)
     assert len(samples) == 6
     assert {s[1] for s in samples} == {2, 3, 4}
     assert all(v > 0 for *_, v in samples)
-    fit = fits[0]
-    assert fit.scheme == "random"
-    assert math.isfinite(fit.exponent)
-    assert len(fit.mean_mu2) == 3
+    curve = curves[0]
+    assert curve.label == "random"
+    assert math.isfinite(curve.fit.exponent)
+    assert len(curve.mean_mu2) == 3
 
 
 def test_scaling_experiment_fixed_layout():
-    fits, samples = scaling_experiment(
+    curves, samples = scaling_experiment(
         ("head2tail",), (2, 3, 4), reps=1, seed=1, coupled=False
     )
     assert len(samples) == 3
-    assert math.isfinite(fits[0].exponent)
+    assert math.isfinite(curves[0].fit.exponent)
 
 
 @pytest.mark.parametrize(
@@ -448,33 +448,15 @@ def test_scaling_samples_are_the_mu2_of_each_reps_rewiring(coupled, sizes, reps)
         assert mu2 == mu2_of_assignment(rewired.energies, rewired.assignment)
 
 
-def _hub_instance(n_tasks=12, members=4, pattern=(1, 3)):
-    """Task-transitive family: dedicated members plus one coordinator on all."""
-    n = n_tasks * members + 1
-    a = np.zeros((n, n_tasks), dtype=np.int64)
-    for k in range(n_tasks):
-        a[k * members : (k + 1) * members, k] = 1
-    a[-1, :] = 1
-    budgets = a.sum(axis=1)
-    budgets[:-1] = np.tile(pattern, n_tasks * members // len(pattern))
-    return ProblemInstance(
-        agent_ids=tuple(f"a{i}" for i in range(n)),
-        budgets=budgets,
-        task_ids=tuple(f"t{k}" for k in range(n_tasks)),
-        energies=a.sum(axis=0),
-        assignment=a,
-    )
-
-
 def test_budget_sweep_grouping():
-    inst = _hub_instance()
+    inst = hub(12)
     result = budget_sweep(inst, multipliers=(1, 2), sub_sizes=(3, 4, 6), reps=2, seed=0)
     assert len(result.points) == 12
     for p in result.points:
         assert p.multiplier in (1, 2)
         assert abs(p.n_agents - 4 * p.n_tasks) <= 0.4 * p.n_tasks
         assert p.mu2 > 0
-    assert [c.multiplier for c in result.curves] == [1, 2]
+    assert [c.label for c in result.curves] == [1, 2]
     for curve in result.curves:
         assert len(curve.mean_mu2) == 3
         assert math.isfinite(curve.fit.exponent)
@@ -484,21 +466,26 @@ def test_budget_sweep_needs_suitable_ratio(coauthor_small):
     # a two-agents-per-task dataset never hits the four-to-one window; the
     # error names the window and the nearest ratio the draws reached
     with pytest.raises(ConvergenceError, match=r"3\.6-4\.4 agents per task.* had 3\.50$"):
-        budget_sweep(coauthor_small, multipliers=(1,), sub_sizes=(4,), reps=1, seed=0)
+        budget_sweep(coauthor_small, multipliers=(1,), sub_sizes=(4, 6, 9), reps=1, seed=0)
 
 
 def test_budget_sweep_error_without_two_task_draws():
     # four disjoint tasks: every two-task draw splits into one-task components
     disjoint = make_instance(np.kron(np.eye(4, dtype=np.int64), np.ones((4, 1), dtype=np.int64)))
     with pytest.raises(ConvergenceError, match=r"3\.6-4\.4 agents per task, and no draw had two"):
-        budget_sweep(disjoint, multipliers=(1,), sub_sizes=(2,), reps=1, seed=0)
+        budget_sweep(disjoint, multipliers=(1,), sub_sizes=(2, 3, 4), reps=1, seed=0)
 
 
 @pytest.mark.parametrize("bad", [0, 1, 26])
-def test_budget_sweep_rejects_sub_sizes_before_any_draw(coauthor_small, bad):
+def test_budget_sweep_rejects_sub_sizes_before_any_draw(monkeypatch, coauthor_small, bad):
+    _no_draws(monkeypatch)
     # size 4 comes first and alone would fail its draws with ConvergenceError
     with pytest.raises(ValueError, match=rf"sub-size {bad} is outside 2\.\.25"):
         budget_sweep(coauthor_small, multipliers=(1,), sub_sizes=(4, bad), reps=1, seed=0)
+    # in range, a fit needs three distinct sizes
+    for sizes in [(3, 4), (4, 4, 4)]:
+        with pytest.raises(ValueError, match=re.escape(f"3 or more distinct sub-sizes; got {sizes}")):
+            budget_sweep(coauthor_small, multipliers=(1,), sub_sizes=sizes, reps=1, seed=0)
 
 
 def _no_draws(monkeypatch):
@@ -564,3 +551,7 @@ def test_fit_power_law_guards():
         fit_power_law(np.array([1.0, 2.0, 0.0]), np.array([1.0, 2.0, 3.0]))
     with pytest.raises(ValueError):
         fit_power_law(np.array([2.0, 2.0, 2.0]), np.array([1.0, 2.0, 3.0]))
+    # three equal logs of 6 or 17 leave a spread of 1.5e-31 or 5.9e-31 about their rounded mean
+    for x in (5.0, 6.0, 7.5, 10.0, 17.0):
+        with pytest.raises(ValueError, match="all x values identical"):
+            fit_power_law(np.full(3, x), np.array([1.0, 2.0, 3.0]))
