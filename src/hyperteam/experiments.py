@@ -163,6 +163,12 @@ def _curve(label: str | int, xs: Sequence[float], samples: Sequence[Sequence[flo
     return Curve(label, xs, mean, std, fit_power_law(np.array(xs), np.array(mean)))
 
 
+def _given_once(kind: str, values: Sequence) -> None:
+    """Raise ``ValueError`` if ``values`` repeats one: its points would enter a fit twice."""
+    if len(set(values)) < len(values):
+        raise ValueError(f"each {kind} must be given once; got {tuple(values)}")
+
+
 def _sorting_network(n: int) -> list[tuple[int, int]]:
     """Batcher's odd-even merge sort on any n inputs as compare-exchanges (i, j), i < j."""
     network, p = [], 1
@@ -465,12 +471,15 @@ def scaling_experiment(
     each from its own substream, and scored as stacks by ``mu2_batch`` in
     pieces of ``batch_rows(N, K)``: a rewiring is connected and keeps every
     row and column sum, so every rep has the layout's energies.
-    Reps below 1, a size below 2 or under 3 distinct sizes raise ValueError first.
+    Reps below 1, a size below 2, under 3 distinct sizes, or a size or
+    scheme given twice raise ValueError first: sizes and schemes are distinct.
     """
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
     if min(sizes, default=0) < 2 or len(set(sizes)) < 3:
         raise ValueError(f"scaling needs 3 or more distinct sizes, each >= 2; got {tuple(sizes)}")
+    _given_once("size", sizes)
+    _given_once("scheme", schemes)
     samples: list[tuple[str, int, int, float]] = []
     curves = []
     for scheme in schemes:
@@ -574,8 +583,9 @@ def budget_sweep(
     Each multiplier's ``Curve`` aggregates its points per size and fits mean
     connectivity against mean agent count; ``fit.exponent`` is the raw slope,
     which the CLI's ``budget_fit.csv`` writes as it is. Reps or a multiplier
-    below 1, a size below 2 or above the task count, or under 3 distinct
-    sizes raise ``ValueError`` before any draw, the range checked first.
+    below 1, a size below 2 or above the task count, under 3 distinct sizes,
+    or a size or multiplier given twice raise ``ValueError`` before any draw,
+    in that order: sub-sizes and multipliers are distinct.
     """
     if reps < 1 or min(multipliers, default=1) < 1:
         raise ValueError(f"reps and multipliers must be >= 1; got {reps} and {tuple(multipliers)}")
@@ -584,6 +594,8 @@ def budget_sweep(
             raise ValueError(f"sub-size {size} is outside 2..{inst.n_tasks} tasks")
     if len(set(sub_sizes)) < 3:
         raise ValueError(f"budget sweep needs 3 or more distinct sub-sizes; got {tuple(sub_sizes)}")
+    _given_once("sub-size", sub_sizes)
+    _given_once("multiplier", multipliers)
     points: list[BudgetPoint] = []
     for size in sub_sizes:
         for rep in range(reps):

@@ -43,18 +43,17 @@ connectivity to its callers, which test it with ``reaches_all``.
 One score reuses its LAPACK workspaces. Each thread keeps its own sets in a
 ``threading.local``, one per kind and shape: at most 8 sets, and none above
 255 on a side, where a solve takes milliseconds and a set megabytes; such a
-score builds its sets and lets them go. The stationary solve keeps dgesv's
-matrix, pivots, right-hand side and residual, and ``_mu2`` keeps dsyevr's
-workspace, so both objectives reuse both. ``certified_mu2`` writes its
-default Laplacian, the hypergraph objective's, straight into the matrix that
-``dsyevr`` solves once an earlier score kept that workspace: from 24 to 255
-on a side, with the binding found. Elsewhere no eigen set is taken for it.
-The walk and the chain are built in fresh arrays by ``walk_blocks`` and
-``transition_matrix``, as every walk is: written in place they saved
-nothing measurable, 142.8 us a coauthor_small score with the copy against
+score builds its sets and lets them go. Only the two LAPACK calls take
+sets: the stationary solve keeps dgesv's matrix, pivots, right-hand side
+and residual, and ``_mu2`` keeps dsyevr's workspace, so both objectives
+reuse both. Everything else is built fresh, on every score alike: the walk
+and the chain by ``walk_blocks`` and ``transition_matrix``, and the
+Laplacian by its one writer, ``laplacian`` (or the lift's own), which the
+eigen kernel copies into dsyevr's matrix. Written in place they saved
+little: the walk 142.8 us a coauthor_small score with the copy against
 142.2 without (2-core VM, medians of 10 alternating runs of the best of 15
-x 300 calls over 20 states). The sets' contents last until the thread's
-next score.
+x 300 calls over 20 states), and the Laplacian about 3 us. The sets'
+contents last until the thread's next score.
 
 mu2 itself comes from one private kernel, ``_mu2``, in ``certified_mu2`` and
 in each chunk of ``mu2_batch``, so a single score and a batched one agree bit
@@ -305,15 +304,11 @@ def stationary_distribution(P: np.ndarray) -> np.ndarray:
 def laplacian(P: np.ndarray, pi: np.ndarray) -> np.ndarray:
     """Pi - (Pi P + P^T Pi) / 2 of one chain or of a stack of them.
 
-    Exactly symmetric as built, so it needs no symmetrizing pass.
+    Exactly symmetric as built, so it needs no symmetrizing pass. It is
+    C-ordered whatever P's layout, so its flat view writes the diagonal.
     """
-    return _laplacian_into(P, pi, np.empty(np.shape(P)), np.empty(np.shape(P)))
-
-
-def _laplacian_into(P: np.ndarray, pi: np.ndarray, pip: np.ndarray, L: np.ndarray) -> np.ndarray:
-    """``laplacian(P, pi)`` written into the C-ordered L, with ``Pi P`` in pip."""
-    np.multiply(pi[..., np.newaxis], P, out=pip)
-    np.add(pip, np.swapaxes(pip, -1, -2), out=L)
+    pip = pi[..., np.newaxis] * P
+    L = np.add(pip, np.swapaxes(pip, -1, -2), order="C")
     L *= -0.5
     L += 0.0  # turns -0 into +0
     n = P.shape[-1]
@@ -466,11 +461,11 @@ class _Eigen:
 def _second_eigenvalues(L: np.ndarray):
     """``eigvalsh(L)[..., 1]``, computed alone by LAPACK's dsyevr from ``_DSYEVR_FROM`` on.
 
-    Each matrix of the stack gets one ``dsyevr`` call (eigenvalues only,
-    index range 2..2, column-major: L is symmetric, so its C-ordered copy
-    needs no transpose), all in one reused workspace. A Laplacian written
-    straight into that workspace's matrix is solved there, without a copy.
-    The bisection runs to twice the underflow threshold, LAPACK's most
+    Each matrix, a single one without a reshape or each of a stack, is
+    copied into one reused workspace and gets one ``dsyevr`` call there
+    (eigenvalues only, index range 2..2, column-major: L is symmetric, so
+    its C-ordered copy needs no transpose); L itself is left as it is. The
+    bisection runs to twice the underflow threshold, LAPACK's most
     accurate setting. Smaller matrices, or a numpy without the binding, take
     the stacked ``eigvalsh``. A failed call raises ``ConvergenceError``.
     """
@@ -479,11 +474,10 @@ def _second_eigenvalues(L: np.ndarray):
     if dsyevr is None:
         return np.linalg.eigvalsh(L)[..., 1]
     work = _scratch(_Eigen, n)
-    stack = [L] if L is work.a else np.reshape(L, (-1, n, n))
+    stack = [L] if L.ndim == 2 else np.reshape(L, (-1, n, n))
     out = np.empty(len(stack))
     for i, matrix in enumerate(stack):
-        if matrix is not work.a:
-            np.copyto(work.a, matrix)
+        np.copyto(work.a, matrix)
         work.ints[0] = 0  # a call that reports no count fails the check below
         info = dsyevr(*work.args)
         if info != 0 or work.ints[0] != 1:
@@ -541,17 +535,14 @@ def certified_mu2(
     """mu2 of an (n, n) chain's Laplacian, with connectivity read off the spectrum.
 
     pi comes from one normalized solve of ``P``; ``laplacian_of(pi)`` builds
-    the Laplacian, and mu2 is its second-smallest eigenvalue. By default the
-    Laplacian is ``laplacian(P, pi)``, written straight into the matrix of
-    this thread's kept eigen workspace of P's size when an earlier solve
-    left one, so ``_mu2`` needs no copy, and else into a fresh array:
-    ``dsyevr`` keeps a workspace only from ``_DSYEVR_FROM`` to
-    ``_KEPT_SIDE``, and only when it is bound. A split chain that passes the
+    the Laplacian, by default ``laplacian(P, pi)``, and mu2 is its
+    second-smallest eigenvalue from ``_mu2``: one route, whatever earlier
+    calls left in the thread's workspaces. A split chain that passes the
     solve's 1e-9 residual check leaves each closed class an indicator vector
     whose Rayleigh quotient is at most residual/2 (residual/4 on the
     bipartite lift's Laplacian), so a mu2 above 5e-10 certifies ``P``
-    irreducible. Only when the solve raises ``ConvergenceError`` or mu2 is at most that
-    bound is the support searched: a reducible chain then raises
+    irreducible. Only when the solve raises ``ConvergenceError`` or mu2 is
+    at most that bound is the support searched: a reducible chain then raises
     ``ReducibleChainError``, and an irreducible one returns its mu2 or
     re-raises the solve's error. pi and mu2 are those of
     ``stationary_distribution`` followed by the same Laplacian. The bound
@@ -564,12 +555,7 @@ def certified_mu2(
         if not _irreducible(P):
             raise ReducibleChainError(_REDUCIBLE) from None
         raise
-    if laplacian_of is not None:
-        L = laplacian_of(pi)
-    elif (work := getattr(_kept, "sets", {}).get((_Eigen, (len(P),)))) is not None:
-        L = _laplacian_into(P, pi, np.empty(P.shape), work.a)
-    else:
-        L = laplacian(P, pi)
+    L = laplacian(P, pi) if laplacian_of is None else laplacian_of(pi)
     mu2 = float(_mu2(L))
     if mu2 <= _CERTIFIED_MU2 and not _irreducible(P):
         raise ReducibleChainError(_REDUCIBLE)

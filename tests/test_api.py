@@ -243,13 +243,33 @@ def test_one_stationary_solver(path):
     source = path.read_text(encoding="utf-8")
     found = linalg_reads(source, STATIONARY)
     assert found == STATIONARY_READS.get(path.name, [])
-    readers = [
+    assert _readers(source, "_dgesv") == (["_solve_stationary"] if path.name == "spectral.py" else [])
+
+
+def _readers(source: str, name: str) -> list[str | None]:
+    """The top-level definition around each read of ``name``, None at module level."""
+    return [
         getattr(top, "name", None)
         for top in ast.parse(source).body
         for node in ast.walk(top)
-        if "_dgesv" in (getattr(node, "id", None), getattr(node, "attr", None))
+        if (isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load))
+        or (isinstance(node, ast.Attribute) and node.attr == name)
     ]
-    assert readers == (["_solve_stationary"] if path.name == "spectral.py" else [])
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_only_the_two_lapack_calls_take_kept_sets(path):
+    """Only ``_scratch`` reads the thread's kept sets, and only the two LAPACK calls take one.
+
+    The stationary solve and the eigen kernel own their workspaces; a caller
+    that wrote into them would score by another route once an earlier score
+    had left a set behind.
+    """
+    source = path.read_text(encoding="utf-8")
+    spectral_py = path.name == "spectral.py"
+    assert set(_readers(source, "_kept")) == ({"_scratch"} if spectral_py else set())
+    takers = sorted(_readers(source, "_scratch"))
+    assert takers == (["_second_eigenvalues", "_solve_stationary"] if spectral_py else [])
 
 
 def test_both_lapack_exports_bind_on_numpys_openblas():

@@ -670,6 +670,14 @@ def test_fit_csv_is_the_power_law_of_its_sample_csv(tmp_path, args, samples, fit
                      id="two-sub-sizes"),
         pytest.param(["experiment", "budget-sweep", "--sub-sizes", "4", "4", "4", "--reps", "1", "--input", "{hub}"],
                      id="one-distinct-sub-size"),
+        # a value given twice would enter its fit twice
+        pytest.param(["experiment", "scaling", "--sizes", "2", "2", "3", "4", "--reps", "1"], id="repeated-size"),
+        pytest.param(["experiment", "scaling", "--schemes", "random", "random", "--sizes", "2", "3", "4",
+                      "--reps", "1"], id="repeated-scheme"),
+        pytest.param(["experiment", "budget-sweep", "--sub-sizes", "3", "4", "4", "6", "--reps", "1",
+                      "--input", "{hub}"], id="repeated-sub-size"),
+        pytest.param(["experiment", "budget-sweep", "--multipliers", "1", "3", "3", "--sub-sizes", "3", "4", "6",
+                      "--reps", "1", "--input", "{hub}"], id="repeated-multiplier"),
     ],
 )
 def test_experiment_rejects_bad_arguments_before_running(workdir, tmp_path, capsys, monkeypatch, args):

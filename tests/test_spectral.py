@@ -668,9 +668,9 @@ def test_stacked_solve_is_each_chains_solve_and_checks_every_chain():
 
 def test_mu2_of_assignment_runs_each_chain_function_once(monkeypatch):
     # the objective is certified_mu2 of the one walk builder's chain: it
-    # solves once and never searches a connected chain, and where dsyevr kept
-    # its workspace the Laplacian is written into it, so the public laplacian
-    # does not run
+    # solves once, never searches a connected chain and builds its Laplacian
+    # through the public laplacian, on its first score of a shape and on
+    # every later one alike
     calls = []
     for name in (
         "transition_matrix",
@@ -694,10 +694,14 @@ def test_mu2_of_assignment_runs_each_chain_function_once(monkeypatch):
     mu2_of_assignment(inst.energies, inst.assignment)
     assert calls == chain + ["laplacian", "_mu2"]
     inst = random_connected_instance(rng, 30, 4)
-    mu2_of_assignment(inst.energies, inst.assignment)
-    calls.clear()
-    mu2_of_assignment(inst.energies, inst.assignment)
-    assert calls == chain + (["_mu2"] if spectral._dsyevr() is not None else ["laplacian", "_mu2"])
+    # an empty cache, so the first score is the thread's first of its shape
+    monkeypatch.setattr(spectral._kept, "sets", {}, raising=False)
+    scores = []
+    for _ in range(2):
+        calls.clear()
+        scores.append(mu2_of_assignment(inst.energies, inst.assignment).hex())
+        assert calls == chain + ["laplacian", "_mu2"]
+    assert scores[0] == scores[1]
 
 
 def _searched_mu2(P: np.ndarray) -> float:
