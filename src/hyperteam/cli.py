@@ -2,12 +2,16 @@
 
 Subcommands wire ingestion, the optimizers, attack simulations, and the
 structural experiments into reproducible runs. Each command builds its
-output files as an ordered ``{name: text}`` dict; ``_execute`` alone writes
-them, plus a ``manifest.json`` recording the command, resolved parameters,
-input digests, tool version and the files in the order written. Files appear
-together once the run has built them all, so a run that fails writes none.
-``hyperteam rerun manifest.json`` replays the run and reproduces the same
-CSV bytes on the same platform.
+output files as an ordered ``{name: text}`` dict; ``_execute`` alone encodes
+and writes them, plus a ``manifest.json`` recording the command, resolved
+parameters, input digests, tool version and, in the order written, each
+file's name and the sha256 of its bytes. Files appear together once the run
+has built them all, so a run that fails writes none.
+``hyperteam rerun manifest.json`` replays the run and compares each file it
+builds with the recorded digest before writing any; a file that differs, or
+a name missing or extra, fails the replay (exit 1) with nothing written. A
+manifest whose ``outputs`` is a list of names, as older versions wrote it,
+replays unchecked.
 
 Exit codes: 0 on success, 1 on runtime failure, 2 on usage errors. Set
 ``HYPERTEAM_LOG=debug|info|warning|error`` to control stderr logging. With
@@ -71,12 +75,12 @@ def _csv(header: list[str], rows: list[list]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _atomic_write(path: Path, text: str) -> None:
+def _atomic_write(path: Path, data: bytes) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=path.name, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -307,12 +311,21 @@ _DISPATCH = {
 }
 
 
-def _execute(command: str, params: dict, out_dir: Path, to_stdout: bool) -> int:
+def _execute(
+    command: str, params: dict, out_dir: Path, to_stdout: bool, expected: dict | None = None
+) -> int:
+    """Build the run's files, check a replay's against the ``expected`` digests, then write."""
     inputs = {p: _sha256(p) for p in _input_paths(params)}
     start = time.monotonic()
     files = _DISPATCH[command](params)
-    for name, text in files.items():
-        _atomic_write(out_dir / name, text)
+    data = {name: text.encode() for name, text in files.items()}
+    outputs = {name: hashlib.sha256(blob).hexdigest() for name, blob in data.items()}
+    if expected is not None:
+        moved = [name for name in {**expected, **outputs} if expected.get(name) != outputs.get(name)]
+        if moved:
+            raise HyperteamError(f"the replay differs from the manifest in {', '.join(moved)}; nothing was written")
+    for name, blob in data.items():
+        _atomic_write(out_dir / name, blob)
     if to_stdout:
         sys.stdout.write(next(text for name, text in files.items() if name.endswith(".csv")))
     manifest = {
@@ -321,10 +334,10 @@ def _execute(command: str, params: dict, out_dir: Path, to_stdout: bool) -> int:
         "seed": params.get("seed"),
         "params": params,
         "inputs": inputs,
-        "outputs": list(files),
+        "outputs": outputs,
         "duration_seconds": round(time.monotonic() - start, 6),
     }
-    _atomic_write(out_dir / "manifest.json", json.dumps(manifest, indent=2, allow_nan=False) + "\n")
+    _atomic_write(out_dir / "manifest.json", (json.dumps(manifest, indent=2, allow_nan=False) + "\n").encode())
     log.info("%s finished in %.3fs", command, manifest["duration_seconds"])
     if not to_stdout:
         for name in [*files, "manifest.json"]:
@@ -391,11 +404,24 @@ def _cmd_rerun(args) -> int:
     manifest_path = Path(args.manifest)
     try:
         manifest = json.loads(manifest_path.read_text())
-        command = manifest["command"]
-        params = manifest["params"]
-        recorded = manifest.get("inputs", {})
+        if not isinstance(manifest, dict):
+            raise ValueError("not a JSON object")
+        command, params = manifest["command"], manifest["params"]
+        recorded, outputs = manifest.get("inputs", {}), manifest.get("outputs", [])
+        for key, value, kind in (
+            ("command", command, str),
+            ("params", params, dict),
+            ("inputs", recorded, dict),
+            ("outputs", outputs, (dict, list)),
+        ):
+            if not isinstance(value, kind):
+                raise ValueError(f"{key} has the wrong type")
     except (KeyError, ValueError) as exc:
         raise UsageError(f"unreadable manifest {manifest_path}: {exc}") from exc
+    # older versions recorded the output names as a list, without digests
+    if isinstance(outputs, list):
+        log.warning("manifest %s records no output digests, so the replay is not checked", manifest_path)
+        outputs = None
     if command not in _DISPATCH:
         raise UsageError(f"manifest names unknown command {command!r}")
     if manifest.get("version") != __version__:
@@ -409,7 +435,7 @@ def _cmd_rerun(args) -> int:
             print(f"error: input {path} changed since the manifest was written", file=sys.stderr)
             return 1
     out_dir = Path(args.out) if args.out else manifest_path.parent
-    return _execute(command, params, out_dir, args.stdout)
+    return _execute(command, params, out_dir, args.stdout, expected=outputs)
 
 
 def _add_common(parser, *, with_input: bool) -> None:

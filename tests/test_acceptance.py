@@ -2,15 +2,13 @@
 
 Each test here restates a headline behavior of the package against an
 oracle that does not reuse the code path under test: hand-worked matrices,
-brute-force counters, naive eigensolves, or byte comparison of replayed
-runs. `pytest -v tests/test_acceptance.py` prints one verdict per line.
+brute-force counters or naive eigensolves. Byte-identical replay of every
+command-line run is checked in `tests/test_cli.py`, through `rerun`'s own
+digest compare. `pytest -v tests/test_acceptance.py` prints one verdict per
+line.
 """
 
 from __future__ import annotations
-
-import json
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -22,7 +20,6 @@ from conftest import (
     make_instance,
     random_connected_instance,
     random_feasible_assignment,
-    subprocess_env,
 )
 from hyperteam.csa import CsaParams, anneal, perturb
 from hyperteam.errors import DisconnectedError
@@ -35,7 +32,7 @@ from hyperteam.experiments import (
     to_instance,
 )
 from hyperteam.greedy import GreedyParams, greedy_optimize
-from hyperteam.instance import ProblemInstance, save_instance
+from hyperteam.instance import ProblemInstance
 from hyperteam.resilience import attack_experiment, patch, remove_agents
 from hyperteam.seeds import substream
 from hyperteam.spectral import mu2_of_assignment, spectral_bundle
@@ -378,93 +375,3 @@ def test_09_guided_moves_shrink_the_shortfall_by_exactly_one():
         moved, updated = perturb(board, shortfall, params, rng)
         assert np.array_equal(moved.sum(axis=0), board.sum(axis=0))
         assert np.array_equal(updated, shortfall)
-
-
-# ---------------------------------------------------------------------------
-# 10. every command-line run replays byte-identically from its manifest
-
-
-def _cli(args, cwd):
-    proc = subprocess.run(
-        [sys.executable, "-m", "hyperteam", *args],
-        capture_output=True,
-        text=True,
-        timeout=600,
-        cwd=str(cwd),
-        env=subprocess_env(),
-    )
-    assert proc.returncode == 0, proc.stderr
-    return proc
-
-
-def test_10_every_command_line_run_replays_byte_identically(tmp_path):
-    tiny = tmp_path / "tiny.edges"
-    tiny.write_text("t0: a b\n")
-    small = tmp_path / "small.json"
-    save_instance(random_connected_instance(np.random.default_rng(0), 8, 3, slack=1), small)
-    hub_path = tmp_path / "hub.json"
-    save_instance(hub(n_tasks=10), hub_path)
-    config = tmp_path / "csa.json"
-    config.write_text(json.dumps({"t_threshold": 0.2, "max_iters": 2000}))
-
-    cases = [
-        ["stats", "--input", str(tiny)],
-        ["optimize", "--input", str(small), "--method", "greedy", "--seed", "3"],
-        [
-            "optimize",
-            "--input",
-            str(small),
-            "--method",
-            "csa",
-            "--seed",
-            "7",
-            "--config",
-            str(config),
-        ],
-        ["attack", "--input", str(small), "--removals", "2", "--n-exp", "3", "--seed", "1"],
-        ["experiment", "enumerate", "--nodes", "4", "--edges", "2"],
-        [
-            "experiment",
-            "scaling",
-            "--schemes",
-            "random",
-            "one_node",
-            "--sizes",
-            "2",
-            "3",
-            "4",
-            "--reps",
-            "2",
-            "--seed",
-            "0",
-        ],
-        [
-            "experiment",
-            "budget-sweep",
-            "--input",
-            str(hub_path),
-            "--multipliers",
-            "1",
-            "2",
-            "--sub-sizes",
-            "3",
-            "4",
-            "6",
-            "--reps",
-            "1",
-            "--seed",
-            "0",
-        ],
-        ["experiment", "diffuse", "--nodes", "4", "--edges", "2", "--representatives", "2"],
-    ]
-    for i, args in enumerate(cases):
-        first = tmp_path / f"run{i}"
-        replay = tmp_path / f"replay{i}"
-        _cli([*args, "--out", str(first)], tmp_path)
-        _cli(["rerun", str(first / "manifest.json"), "--out", str(replay)], tmp_path)
-        outputs = json.loads((first / "manifest.json").read_text())["outputs"]
-        assert outputs, args
-        for name in outputs:
-            assert (replay / name).read_bytes() == (first / name).read_bytes(), (
-                f"{' '.join(args)} -> {name}"
-            )

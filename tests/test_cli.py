@@ -8,6 +8,7 @@ import math
 import subprocess
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -68,7 +69,7 @@ def test_stats_writes_exact_csv(workdir, tmp_path):
     assert (tmp_path / "stats.csv").read_text() == EXPECTED_TINY_STATS
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["command"] == "stats"
-    assert manifest["outputs"] == ["stats.csv"]
+    assert manifest["outputs"] == {"stats.csv": hashlib.sha256(EXPECTED_TINY_STATS.encode()).hexdigest()}
     # without --stdout the command reports where it wrote
     assert "stats.csv" in proc.stdout
     assert "manifest.json" in proc.stdout
@@ -449,15 +450,18 @@ def test_rerun_replays_a_manifest_that_records_jobs(workdir, tmp_path):
         "attack", "--input", str(workdir / "small.json"), "-m", "2", "--out", str(first)
     )
     assert proc.returncode == 0, proc.stderr
-    # manifests written while attack had --jobs carry it in their params
+    # manifests written while attack had --jobs carry it in their params, and
+    # list their outputs by name, without digests
     manifest = json.loads((first / "manifest.json").read_text())
     assert "jobs" not in manifest["params"]
     manifest["params"]["jobs"] = 2
+    manifest["outputs"] = list(manifest["outputs"])
     (first / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
     again = tmp_path / "again"
     proc = run_cli("rerun", str(first / "manifest.json"), "--out", str(again))
     assert proc.returncode == 0, proc.stderr
+    assert "records no output digests" in proc.stderr
     for name in ("attack_runs.csv", "attack_summary.csv"):
         assert (again / name).read_bytes() == (first / name).read_bytes()
 
@@ -829,51 +833,137 @@ def test_experiment_diffuse_builds_one_bundle_per_representative(tmp_path, monke
     assert len(calls) == 3
 
 
-CSA_SCHEDULE = Path(__file__).resolve().parents[1] / "bench" / "csa_schedule.json"
+ROOT = Path(__file__).resolve().parents[1]
+CSA_SCHEDULE = ROOT / "bench" / "csa_schedule.json"
 
-# one run of every command and experiment kind
-OUTPUT_RUNS = {
-    "stats": ["stats", "--input", "{small}"],
-    "optimize-greedy": ["optimize", "--input", "{small}", "--method", "greedy"],
-    "optimize-csa": ["optimize", "--input", "{small}", "--method", "csa", "--config", "{schedule}"],
-    "optimize-csa-bipartite": [
-        "optimize", "--input", "{small}", "--method", "csa-bipartite", "--config", "{schedule}",
-    ],
-    "attack": ["attack", "--input", "{small}", "-m", "4", "--n-exp", "5"],
-    "enumerate": ["experiment", "enumerate", "--nodes", "4", "--edges", "2"],
-    "scaling": ["experiment", "scaling", "--reps", "2", "--sizes", "2", "3", "4"],
-    "budget-sweep": [
-        "experiment", "budget-sweep", "--input", "{hub}", "--multipliers", "1", "2",
-        "--sub-sizes", "3", "4", "6", "--reps", "1",
-    ],
-    "diffuse-hypergraph": ["experiment", "diffuse", "--nodes", "4", "--edges", "2", "--steps", "5"],
-    "diffuse-bipartite": [
-        "experiment", "diffuse", "--nodes", "4", "--edges", "2", "--steps", "5",
-        "--representation", "bipartite",
-    ],
+
+class Run(NamedTuple):
+    """A command line of the run table, with the extra checks it needs."""
+
+    argv: list[str]
+    lines: int | None = None  # the primary CSV's line count, header included
+    optimized: bool = False  # also replayed by ``python -O``, which drops __debug__ checks
+
+
+# every command and experiment kind, each run and then replayed through rerun;
+# "{small}", "{schedule}" and "{hub}" stand for the paths in the test
+RUNS = {
+    "stats": Run(["stats", "--input", "{small}"]),
+    "optimize-greedy": Run(["optimize", "--input", "{small}", "--method", "greedy", "--seed", "3"]),
+    # csa.anneal keeps checks under __debug__ that -O drops
+    "optimize-csa": Run(
+        ["optimize", "--input", "{small}", "--method", "csa", "--config", "{schedule}", "--seed", "7"],
+        optimized=True,
+    ),
+    "optimize-csa-bipartite": Run(
+        ["optimize", "--input", "{small}", "--method", "csa-bipartite", "--config", "{schedule}"]
+    ),
+    "attack": Run(["attack", "--input", "{small}", "--removals", "4", "--n-exp", "5", "--seed", "1"]),
+    "enumerate": Run(["experiment", "enumerate", "--nodes", "4", "--edges", "2"]),
+    # one row for each of the 15,500 connected hypergraphs at 6x3, and one for
+    # each of their 109 relabelling classes
+    "enumerate-6x3": Run(["experiment", "enumerate", "--nodes", "6", "--edges", "3"], lines=15501),
+    "enumerate-6x3-dedup": Run(["experiment", "enumerate", "--nodes", "6", "--edges", "3", "--dedup"], lines=110),
+    # experiments.rewire keeps __debug__ checks too
+    "scaling": Run(["experiment", "scaling", "--reps", "2", "--sizes", "2", "3", "4"], optimized=True),
+    "scaling-fixed": Run(["experiment", "scaling", "--reps", "2", "--sizes", "2", "3", "4", "--fixed-communities"]),
+    # the README's sweep of the hub instance its own code block writes
+    "budget-sweep": Run(
+        ["experiment", "budget-sweep", "--input", "{hub}", "--multipliers", "1", "3", "5",
+         "--sub-sizes", "3", "4", "6", "9", "--reps", "3"]
+    ),
+    "diffuse-hypergraph": Run(["experiment", "diffuse"]),
+    "diffuse-bipartite": Run(["experiment", "diffuse", "--representation", "bipartite"]),
 }
 
 
-@pytest.mark.parametrize("run", OUTPUT_RUNS)
+@pytest.fixture
+def readme_hub(tmp_path, monkeypatch):
+    """The ``hub.json`` that README's ``def hub(`` block writes, run in ``tmp_path``."""
+    blocks = (ROOT / "README.md").read_text().split("```")
+    code = next(b.removeprefix("python\n") for b in blocks if b.startswith("python\n") and "def hub(" in b)
+    monkeypatch.chdir(tmp_path)
+    exec(code, {})
+    return tmp_path / "hub.json"
+
+
+@pytest.mark.parametrize("run", RUNS)
 def test_stdout_streams_the_first_csv_and_the_manifest_lists_files_as_written(
-    workdir, tmp_path, capsys, monkeypatch, run
+    readme_hub, tmp_path, capsys, monkeypatch, run
 ):
     written, write = [], cli._atomic_write
 
-    def recording(path, text):
+    def recording(path, data):
         written.append(path.name)
-        write(path, text)
+        write(path, data)
 
     monkeypatch.setattr(cli, "_atomic_write", recording)
-    paths = {"small": toy_path("coauthor_small"), "schedule": CSA_SCHEDULE, "hub": workdir / "hub.json"}
-    argv = [arg.format(**paths) for arg in OUTPUT_RUNS[run]]
+    paths = {"small": toy_path("coauthor_small"), "schedule": CSA_SCHEDULE, "hub": readme_hub}
+    argv, lines, optimized = RUNS[run]
     out = tmp_path / "out"
-    assert main([*argv, "--out", str(out), "--stdout"]) == 0
+    assert main([*(arg.format(**paths) for arg in argv), "--out", str(out), "--stdout"]) == 0
     outputs = json.loads((out / "manifest.json").read_text())["outputs"]
     assert written == [*outputs, "manifest.json"]
     assert sorted(p.name for p in out.iterdir()) == sorted(written)
-    primary = next(name for name in outputs if name.endswith(".csv"))
-    assert capsys.readouterr().out.encode() == (out / primary).read_bytes()
+    assert outputs == {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in outputs}
+    primary = (out / next(name for name in outputs if name.endswith(".csv"))).read_bytes()
+    assert capsys.readouterr().out.encode() == primary
+    if lines is not None:
+        assert primary.count(b"\n") == lines
+
+    # rerun builds every file again and exits 0 only if each matches its digest
+    assert main(["rerun", str(out / "manifest.json"), "--out", str(tmp_path / "replay")]) == 0
+    if optimized:
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "hyperteam", "rerun", str(out / "manifest.json"),
+             "--out", str(tmp_path / "optimized")],
+            capture_output=True, text=True, cwd=tmp_path, env=subprocess_env(), timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+
+
+def test_rerun_refuses_a_replay_whose_output_changed(workdir, tmp_path, capsys, monkeypatch):
+    first = tmp_path / "first"
+    argv = ["attack", "--input", str(workdir / "small.json"), "-m", "2", "--n-exp", "3", "--out", str(first)]
+    assert main(argv) == 0
+    run_attack = cli._DISPATCH["attack"]
+
+    def one_byte_off(params):
+        files = run_attack(params)
+        files["attack_summary.csv"] = files["attack_summary.csv"][:-2] + "9\n"
+        return files
+
+    monkeypatch.setitem(cli._DISPATCH, "attack", one_byte_off)
+    capsys.readouterr()
+    replay = tmp_path / "replay"
+    assert main(["rerun", str(first / "manifest.json"), "--out", str(replay)]) == 1
+    err = capsys.readouterr().err
+    assert "attack_summary.csv" in err and "attack_runs.csv" not in err
+    assert not replay.exists()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param("[1, 2]", id="not-an-object"),
+        pytest.param('{"command": ["stats"], "params": {}}', id="command"),
+        pytest.param('{"command": "stats", "params": [1]}', id="params"),
+        pytest.param('{"command": "stats", "params": {}, "inputs": ["a.json"]}', id="inputs"),
+        pytest.param('{"command": "stats", "params": {}, "outputs": "stats.csv"}', id="outputs"),
+    ],
+)
+def test_rerun_refuses_a_manifest_of_the_wrong_shape(tmp_path, capsys, monkeypatch, text):
+    def running(_):
+        raise AssertionError("the manifest should be refused before any run")
+
+    for command in cli._DISPATCH:
+        monkeypatch.setitem(cli._DISPATCH, command, running)
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(text)
+    out = tmp_path / "out"
+    assert main(["rerun", str(manifest), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: unreadable manifest {manifest}: ")
+    assert not out.exists()
 
 
 def test_a_run_that_fails_after_building_part_of_its_output_writes_nothing(tmp_path, capsys, monkeypatch):
