@@ -400,6 +400,28 @@ def _cmd_optimize(args) -> int:
     return _cmd_run(args, seed=resolved["seed"], optimizer=resolved)
 
 
+# params without which a run cannot start: the flags that argparse requires
+_REQUIRED_PARAMS = {
+    "stats": ("input",),
+    "optimize": ("input", "method"),
+    "attack": ("input",),
+    "experiment": ("kind",),
+}
+
+
+def _check_params(command: str, params: dict) -> None:
+    """``ValueError`` unless ``params`` holds the command's required keys and its paths are strings."""
+    required = _REQUIRED_PARAMS.get(command, ())
+    if command == "experiment" and params.get("kind") == "budget-sweep":
+        required += ("input",)
+    missing = [key for key in required if key not in params]
+    if missing:
+        raise ValueError(f"params lack {', '.join(missing)}")
+    for key in ("input", "assignment"):
+        if params.get(key) is not None and not isinstance(params[key], str):
+            raise ValueError(f"params {key} is not a path")
+
+
 def _cmd_rerun(args) -> int:
     manifest_path = Path(args.manifest)
     try:
@@ -416,6 +438,7 @@ def _cmd_rerun(args) -> int:
         ):
             if not isinstance(value, kind):
                 raise ValueError(f"{key} has the wrong type")
+        _check_params(command, params)
     except (KeyError, ValueError) as exc:
         raise UsageError(f"unreadable manifest {manifest_path}: {exc}") from exc
     # older versions recorded the output names as a list, without digests

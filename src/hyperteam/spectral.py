@@ -9,16 +9,37 @@ where ``W[i, k] = energy[k]`` on incidences, ``R[i, k] = assignment[i, k]``,
 ``D_V`` holds vertex degrees (sum of incident task energies) and ``D_E`` holds
 task degrees (sum of member weights). ``walk_blocks`` builds the two steps,
 ``A = D_V^-1 W`` (agent to task, N x K) and ``B = D_E^-1 R^T`` (task to agent,
-K x N), and holds the one degree check; every walk in the package is built
+K x N), and runs the one degree check; every walk in the package is built
 from them, ``transition_matrix`` as ``A B`` and the bipartite lift's task
-chain as ``B A``. The Laplacian is built from P and its stationary
-distribution pi:
+chain as ``B A``, except a large sparse agent walk, which takes the same
+steps and the same check at its incidences only. The Laplacian is built
+from P and its stationary distribution pi:
 
     L = Pi - (Pi P + P^T Pi) / 2.
 
 ``L`` is symmetric positive semidefinite with the all-ones vector in its
 kernel; the second-smallest eigenvalue is the algebraic connectivity that the
 optimizers maximize.
+
+``transition_matrix`` forms ``A B`` by one of two routes, chosen from the
+shape and the incidences. A and B hold one nonzero per incidence, so P's
+entries sum the member pairs of each task: ``sum_k c_k^2`` products for
+tasks of c_k members. One assignment whose pairs number at most 1/1024 of
+the dense product's N x N x K multiply-adds is built from its incidences,
+each task adding its pairs' products into a zeroed N x N array; a stack of
+more than one assignment, and every other shape, takes ``walk_blocks`` and
+the dense ``A @ B``. On a 2-core VM (numpy 2.4.6, OpenBLAS 0.3.31 on two
+threads, best of 15 calls, random walks of 60 to 1,000 agents) the two
+routes cost the same at about 300 multiply-adds per pair: the incidences
+took 1.48x the dense time at 178, 1.03x at 314, 0.90x at 364, 0.65x at 398
+and 0.32-0.51x from 950 on. The share stays at 1024, above that crossover,
+because the pairs are at least ``N^2 / K`` (Cauchy-Schwarz over the task
+sizes): no walk of under 32 tasks can pass, so none counts its pairs, and
+every coauthor_small shape (25 tasks) keeps the dense product bit for bit.
+coauthor_large (781 x 704, 10,580 incidences, 159,020 pairs: 2,700) went
+from 9.3 to 2.1 ms a walk (median of 30 calls). Its pairs are summed task
+by task, not in the product's order, so the last bits of P move: 7,386 of
+its 22,509 nonzeros, by at most 2.1e-17 (3.4e-16 relative).
 
 Each step of that chain is one public function, and the mu2 kernels are
 built from them. ``walk_blocks``, ``transition_matrix``, ``laplacian`` and
@@ -37,8 +58,9 @@ with ``ReducibleChainError``, after a search of the chain's support.
 instead: a mu2 above 5e-10 certifies the chain irreducible, and the support
 is searched only when the solve fails or mu2 is at most that. Both
 ``mu2_of_assignment`` objectives, the hypergraph one here and the bipartite
-lift's, score through it. ``mu2_batch`` solves whole stacks and leaves
-connectivity to its callers, which test it with ``reaches_all``.
+lift's, score through it, and ``spectral_bundle`` applies the same rule to
+the second value of its full spectrum. ``mu2_batch`` solves whole stacks and
+leaves connectivity to its callers, which test it with ``reaches_all``.
 
 One score reuses its LAPACK workspaces. Each thread keeps its own sets in a
 ``threading.local``, one per kind and shape: at most 8 sets, and none above
@@ -53,7 +75,12 @@ eigen kernel copies into dsyevr's matrix. Written in place they saved
 little: the walk 142.8 us a coauthor_small score with the copy against
 142.2 without (2-core VM, medians of 10 alternating runs of the best of 15
 x 300 calls over 20 states), and the Laplacian about 3 us. The sets'
-contents last until the thread's next score.
+contents last until the thread's next score. Kept at coauthor_large's 781
+they do not pay: with every side kept, a score of its own assignment took
+1,935-2,445 minor page faults against 2,603 (30 scores after one, two
+runs) and no measurable time, and raised max RSS by 4.0 MiB. Before its
+walk was built from its incidences, keeping raised the faults, 2,610-3,100
+against 2,178-2,525, and max RSS by 8.9 MiB.
 
 mu2 itself comes from one private kernel, ``_mu2``, in ``certified_mu2`` and
 in each chunk of ``mu2_batch``, so a single score and a batched one agree bit
@@ -133,6 +160,11 @@ _SERIAL_SIZES = range(65, 512)
 _DSYEVR_FROM = 24
 _ABSTOL = 2 * np.finfo(np.float64).tiny
 
+# One walk whose member pairs are at most this share of the dense product's
+# multiply-adds is built from its pairs; see transition_matrix (measured in
+# the module docstring).
+_SCATTER_SHARE = 1024
+
 # Scratch sets that each thread keeps for reuse; see _scratch.
 _KEPT_SETS = 8
 _KEPT_SIDE = 255
@@ -161,6 +193,16 @@ def _scratch(make: type, *shape: int):
     return found
 
 
+def _check_degrees(d_v: np.ndarray, d_e: np.ndarray) -> None:
+    """``DegreeError`` naming the first agent of degree 0, else the first such task.
+
+    The index is the agent's or task's within its own assignment of a stack.
+    """
+    for d, message in ((d_v, "agent {} belongs to no task"), (d_e, "task {} has no agents")):
+        if not d.all():
+            raise DegreeError(message.format(np.flatnonzero(d == 0)[0] % d.shape[-1]))
+
+
 def walk_blocks(energies: np.ndarray, assignment: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The walk's two steps ``(A, B) = (D_V^-1 W, D_E^-1 R^T)`` of an assignment.
 
@@ -176,9 +218,7 @@ def walk_blocks(energies: np.ndarray, assignment: np.ndarray) -> tuple[np.ndarra
     W = np.multiply(assignment > 0, energies[..., np.newaxis, :].astype(np.float64), order="C")
     R = assignment.astype(np.float64, order="C")
     d_v, d_e = W.sum(axis=-1), R.sum(axis=-2)
-    for d, message in ((d_v, "agent {} belongs to no task"), (d_e, "task {} has no agents")):
-        if not d.all():
-            raise DegreeError(message.format(np.flatnonzero(d == 0)[0] % d.shape[-1]))
+    _check_degrees(d_v, d_e)
     # in place: two fewer (N, K) temporaries, and at coauthor_large's size
     # half the page faults per call that fresh quotients cost
     W /= d_v[..., np.newaxis]
@@ -187,9 +227,75 @@ def walk_blocks(energies: np.ndarray, assignment: np.ndarray) -> tuple[np.ndarra
 
 
 def transition_matrix(energies: np.ndarray, assignment: np.ndarray) -> np.ndarray:
-    """Row-stochastic agent walk ``P = A B`` of one assignment or a stack; see ``walk_blocks``."""
+    """Row-stochastic agent walk ``P = A B`` of one assignment or a stack; see ``walk_blocks``.
+
+    One assignment (or a stack of one) whose member pairs, ``sum_k c_k^2``
+    over tasks of c_k members, number at most ``1 / _SCATTER_SHARE`` of the
+    dense product's N x N x K multiply-adds is built from its incidences
+    (see ``_scatter``), which moves only the last bits of P. Every other
+    input is the dense ``A @ B`` of ``walk_blocks``. Both routes raise the
+    same ``DegreeError``.
+    """
+    energies, assignment = np.asarray(energies), np.asarray(assignment)
+    # pairs >= N^2 / K (Cauchy-Schwarz over the task sizes), so under
+    # sqrt(_SCATTER_SHARE) tasks they are not counted
+    if assignment.ndim >= 2 and assignment.shape[:-2] in ((), (1,)) and energies.ndim < assignment.ndim:
+        n, k = assignment.shape[-2:]
+        if k * k >= _SCATTER_SHARE:
+            one = assignment.reshape(n, k)
+            tasks, members = np.divmod(np.flatnonzero(one.T > 0), n)  # task by task
+            counts = np.bincount(tasks, minlength=k)
+            if counts @ counts * _SCATTER_SHARE <= n * n * k:
+                P = _scatter(energies.reshape(-1), one, tasks, members, counts)
+                return P.reshape(assignment.shape[:-1] + (n,))
     A, B = walk_blocks(energies, assignment)
     return A @ B
+
+
+def _scatter(
+    energies: np.ndarray,
+    assignment: np.ndarray,
+    tasks: np.ndarray,
+    members: np.ndarray,
+    counts: np.ndarray,
+) -> np.ndarray:
+    """The walk ``A B`` of one (N, K) assignment, summed over its member pairs.
+
+    ``tasks`` and ``members`` list the incidences task by task, and
+    ``counts`` holds each task's member count. The degrees are summed over
+    the incidences and checked by ``_check_degrees``, as in ``walk_blocks``;
+    on integer energies and units, as instances hold, they and the steps
+    ``A[i, k]`` and ``B[k, i]`` are ``walk_blocks``' bit for bit. Each task adds
+    ``A[i, k] * B[k, j]`` for every pair of its members into a zeroed
+    N x N array, task by task. The pairs are taken in chunks of about
+    ``_BATCH_ENTRIES``, so the only large array is P: all at once they were
+    four more of 1.3 MB on coauthor_large, freshly faulted in on every call.
+    """
+    n, k = assignment.shape
+    w = energies[tasks].astype(np.float64)
+    r = assignment[members, tasks].astype(np.float64)
+    d_v, d_e = np.bincount(members, w, minlength=n), np.bincount(tasks, r, minlength=k)
+    _check_degrees(d_v, d_e)
+    a, b = w / d_v[members], r / d_e[tasks]
+    size = counts[tasks]  # the pairs in each incidence's row
+    firsts = (np.cumsum(counts) - counts)[tasks]  # the incidence of its task's first member
+    rows = members * n
+    ends = np.cumsum(size)
+    cuts = np.searchsorted(ends, np.arange(_BATCH_ENTRIES, ends[-1], _BATCH_ENTRIES)) + 1
+    P = np.zeros(n * n)
+    for lo, hi in itertools.pairwise([0, *cuts, len(tasks)]):
+        s = size[lo:hi]
+        # the incidence of each pair's second member: its task's first, plus
+        # the pair's place within its row
+        cols = np.repeat(firsts[lo:hi] - np.cumsum(s) + s, s)
+        cols += np.arange(len(cols))
+        flat = np.repeat(rows[lo:hi], s)
+        flat += members[cols]
+        products = np.repeat(a[lo:hi], s)
+        products *= b[cols]
+        # adds each entry's products in their order here: task by task
+        np.add.at(P, flat, products)
+    return P.reshape(n, n)
 
 
 def _irreducible(P: np.ndarray) -> bool:
@@ -515,18 +621,41 @@ class SpectralBundle:
 def spectral_bundle(inst: ProblemInstance) -> SpectralBundle:
     """Full spectral chain for a connected instance.
 
-    The walk's degree check and the checked stationary solve decide
-    connectivity. When either fails, an idle agent, an empty task or a split
-    team, the components are counted and ``DisconnectedError`` is raised.
+    The walk's degree check decides whether every agent and task takes part,
+    and the spectrum whether the walk is connected, by ``certified_mu2``'s
+    rule: a second eigenvalue above 5e-10 certifies it, and the support is
+    searched only when the solve fails or that value is smaller. One agent
+    has nothing to split and keeps its bundle. On an idle agent, an empty
+    task or a split team the components are counted and
+    ``DisconnectedError`` is raised.
     """
     try:
         P = transition_matrix(inst.energies, inst.assignment)
-        pi = stationary_distribution(P)
+        pi = _solve_or_split(P)
+        L = laplacian(P, pi)
+        eigenvalues = spectrum(L)
+        if len(eigenvalues) > 1:
+            _certify(P, eigenvalues[1])
     except (DegreeError, ReducibleChainError):
         count = bipartite_components(inst.incidence())[0]
         raise DisconnectedError(f"hypergraph has {count} components") from None
-    L = laplacian(P, pi)
-    return SpectralBundle(P=P, pi=pi, L=L, eigenvalues=spectrum(L))
+    return SpectralBundle(P=P, pi=pi, L=L, eigenvalues=eigenvalues)
+
+
+def _solve_or_split(P: np.ndarray) -> np.ndarray:
+    """``_solve_stationary(P)``; when it fails on a split chain, ``ReducibleChainError``."""
+    try:
+        return _solve_stationary(P)
+    except ConvergenceError:
+        if not _irreducible(P):
+            raise ReducibleChainError(_REDUCIBLE) from None
+        raise
+
+
+def _certify(P: np.ndarray, mu2: float) -> None:
+    """``ReducibleChainError`` when ``mu2`` is at most 5e-10 and the search splits ``P``."""
+    if mu2 <= _CERTIFIED_MU2 and not _irreducible(P):
+        raise ReducibleChainError(_REDUCIBLE)
 
 
 def certified_mu2(
@@ -549,16 +678,10 @@ def certified_mu2(
     holds for walk Laplacians such as these two, in which no weight crosses
     between closed classes.
     """
-    try:
-        pi = _solve_stationary(P)
-    except ConvergenceError:
-        if not _irreducible(P):
-            raise ReducibleChainError(_REDUCIBLE) from None
-        raise
+    pi = _solve_or_split(P)
     L = laplacian(P, pi) if laplacian_of is None else laplacian_of(pi)
     mu2 = float(_mu2(L))
-    if mu2 <= _CERTIFIED_MU2 and not _irreducible(P):
-        raise ReducibleChainError(_REDUCIBLE)
+    _certify(P, mu2)
     return mu2
 
 

@@ -136,6 +136,21 @@ def random_connected_instance(
     raise RuntimeError("could not draw a connected instance")
 
 
+def sparse_connected_instance(rng: np.random.Generator, n_agents: int, n_tasks: int) -> ProblemInstance:
+    """Random connected instance with about four members a task, for n_agents >= n_tasks.
+
+    Agent i works on task ``i % n_tasks`` and on one more: the next task for
+    the first ``n_tasks`` agents, which joins the tasks in a ring, a random
+    one for the rest. Weights are 1 to 3.
+    """
+    agents = np.arange(n_agents)
+    second = np.where(agents < n_tasks, agents + 1, rng.integers(n_tasks, size=n_agents)) % n_tasks
+    a = np.zeros((n_agents, n_tasks), dtype=np.int64)
+    a[agents, agents % n_tasks] += rng.integers(1, 4, size=n_agents)
+    a[agents, second] += rng.integers(1, 4, size=n_agents)
+    return make_instance(a)
+
+
 def random_active_assignment(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """(energies, assignment) in which every agent and every task holds a unit.
 
@@ -172,6 +187,27 @@ def eig_stationary(P: np.ndarray) -> np.ndarray:
     idx = int(np.argmin(np.abs(evals - 1.0)))
     assert abs(evals[idx] - 1.0) < 1e-9, "no eigenvalue at 1"
     pi = np.real(evecs[:, idx])
+    return pi / pi.sum()
+
+
+def gth_stationary(P: np.ndarray) -> np.ndarray:
+    """Stationary oracle by Grassmann-Taksar-Heyman elimination; shares no solver with the package.
+
+    Grassmann, Taksar and Heyman, Operations Research 33(5), 1985. States are
+    censored from the last down: each step divides the column into the
+    removed state by that state's mass to the kept ones, a sum rather than
+    ``1 - P[k, k]``, and adds the paths through it. Nothing is subtracted,
+    so every entry of pi is accurate to a few ulps per state however
+    ill-conditioned the chain. The chain must be irreducible.
+    """
+    A = np.array(P, dtype=np.float64)
+    n = len(A)
+    for k in range(n - 1, 0, -1):
+        A[:k, k] /= A[k, :k].sum()
+        A[:k, :k] += np.outer(A[:k, k], A[k, :k])
+    pi = np.ones(n)
+    for k in range(1, n):
+        pi[k] = pi[:k] @ A[:k, k]
     return pi / pi.sum()
 
 

@@ -950,6 +950,8 @@ def test_rerun_refuses_a_replay_whose_output_changed(workdir, tmp_path, capsys, 
         pytest.param('{"command": "stats", "params": [1]}', id="params"),
         pytest.param('{"command": "stats", "params": {}, "inputs": ["a.json"]}', id="inputs"),
         pytest.param('{"command": "stats", "params": {}, "outputs": "stats.csv"}', id="outputs"),
+        pytest.param('{"command": "stats", "params": {"input": 5}}', id="input-not-a-path"),
+        pytest.param('{"command": "stats", "params": {}}', id="no-input"),
     ],
 )
 def test_rerun_refuses_a_manifest_of_the_wrong_shape(tmp_path, capsys, monkeypatch, text):

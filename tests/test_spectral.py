@@ -18,9 +18,11 @@ from conftest import (
     eig_mu2,
     eig_stationary,
     full_lift_mu2,
+    gth_stationary,
     make_instance,
     random_active_assignment,
     random_connected_instance,
+    sparse_connected_instance,
     subprocess_env,
 )
 from hyperteam import bipartite, csa, greedy, spectral
@@ -59,6 +61,13 @@ def _walk(inst):
     return transition_matrix(inst.energies, inst.assignment)
 
 
+def _scatters(assignment) -> bool:
+    """Whether ``transition_matrix`` builds one (N, K) assignment's walk from its pairs."""
+    n, k = np.shape(assignment)
+    members = np.count_nonzero(assignment, axis=0)
+    return int((members * members).sum()) * spectral._SCATTER_SHARE <= n * n * k
+
+
 def test_walk_blocks_single_task():
     A, B = walk_blocks(_pair().energies, _pair().assignment)
     assert np.array_equal(A, [[1.0], [1.0]])
@@ -93,9 +102,24 @@ def test_degree_errors():
     stack[1, 1] = 0
     with pytest.raises(ValueError, match="agent 1 belongs to no task"):
         walk_blocks(np.array([1, 1]), stack)
+    # a walk built from its pairs checks its degrees as the dense product does,
+    # alone, as a stack of one and in a stack of two
+    sparse = sparse_connected_instance(np.random.default_rng(1), 200, 100)
+    assert _scatters(sparse.assignment)
+    pair = np.stack([sparse.energies] * 2)
+    for message, cut in (("agent 7 belongs to no task", np.s_[7]), ("task 9 has no agents", np.s_[:, 9])):
+        a = sparse.assignment.copy()
+        a[cut] = 0
+        for energies, assignment in (
+            (sparse.energies, a),
+            (sparse.energies[None], a[None]),
+            (pair, np.stack([sparse.assignment, a])),
+        ):
+            with pytest.raises(DegreeError, match=f"^{message}$"):
+                transition_matrix(energies, assignment)
 
 
-def test_a_stack_walks_as_its_assignments_do():
+def test_a_stack_walks_as_its_assignments_do(coauthor_large):
     rng = np.random.default_rng(2)
     insts = [random_connected_instance(rng, 6, 3) for _ in range(4)]
     energies = np.stack([inst.energies for inst in insts])
@@ -111,6 +135,20 @@ def test_a_stack_walks_as_its_assignments_do():
     floats = stack.astype(np.float64)
     walk_blocks(energies.astype(np.float64), floats)
     assert np.array_equal(floats, stack)
+    # one assignment above the crossover, alone or as a stack of one, scatters
+    # its pairs. Each entry sums at most t products, t the most tasks of one
+    # agent: both routes are within t * eps / 2 of the exact sum (plus one
+    # rounding of each product), so they differ by at most (t + 1) * eps of it.
+    eps = np.finfo(np.float64).eps
+    for inst in (coauthor_large, sparse_connected_instance(rng, 600, 300)):
+        assert _scatters(inst.assignment)
+        A, B = walk_blocks(inst.energies, inst.assignment)
+        dense = A @ B
+        P = transition_matrix(inst.energies, inst.assignment)
+        t = np.count_nonzero(inst.assignment, axis=1).max()
+        assert np.all(np.abs(P - dense) <= (t + 1) * eps * dense)
+        assert np.array_equal(P == 0, dense == 0)
+        assert np.array_equal(transition_matrix(inst.energies[None], inst.assignment[None]), P[None])
 
 
 def test_transition_hand_values():
@@ -250,6 +288,30 @@ def test_stationary_solve_matches_eig_oracle_on_coauthor_small(coauthor_small):
         assert np.abs(pi - eig_stationary(P)).max() <= 1e-12
         assert _residual(pi, P) <= 1e-12
     assert agent_chain.shape == (52, 52) and (B @ A).shape == (25, 25)
+
+
+def test_the_walk_from_its_pairs_solves_to_the_gth_oracle(coauthor_large):
+    # pi of the scattered walk against Grassmann-Taksar-Heyman elimination of
+    # the dense product, within 16 * n * eps * |pi|_inf (measured: up to 3.1
+    # on these three); mu2 against the oracle pi's Laplacian within Weyl's
+    # n * eps * |L|_2 (measured: 0.004 of it)
+    eps = np.finfo(np.float64).eps
+    sparse = sparse_connected_instance(np.random.default_rng(4), 600, 300)
+    cases = [
+        (coauthor_large.energies, coauthor_large.assignment),
+        (coauthor_large.energies, _csa_states(coauthor_large, 20)[-1]),
+        (sparse.energies, sparse.assignment),
+    ]
+    for energies, a in cases:
+        assert _scatters(a)
+        A, B = walk_blocks(energies, a)
+        n = len(A)
+        oracle = gth_stationary(A @ B)
+        pi = spectral._solve_stationary(transition_matrix(energies, a))
+        assert np.abs(pi - oracle).max() <= 16 * n * eps * oracle.max()
+        L = laplacian(A @ B, oracle)
+        mu2 = np.linalg.eigvalsh(L)[1]
+        assert abs(mu2_of_assignment(energies, a) - mu2) <= n * eps * np.linalg.norm(L, 2)
 
 
 def test_coauthor_large_mu2_matches_eig_oracle(coauthor_large):
@@ -620,11 +682,21 @@ def _greedy_first_round(inst):
     return inst.energies[cols], stack
 
 
-@pytest.mark.parametrize("case", ["own-assignment", "greedy-first-round", "515-agent-chunk"])
+@pytest.mark.parametrize(
+    "case", ["own-assignment", "greedy-first-round", "515-agent-chunk", "scattered-walks"]
+)
 def test_one_assignment_through_both_solvers(coauthor_small, monkeypatch, case):
     # the stacked solve of mu2_batch, the checked solve of mu2_of_assignment
     # and the dense eig oracle give one mu2
-    if case == "own-assignment":
+    if case == "scattered-walks":
+        # two walks above the crossover, scored one per chunk: both solvers
+        # take them from their pairs
+        rng = np.random.default_rng(2)
+        insts = [sparse_connected_instance(rng, 200, 100) for _ in range(2)]
+        energies = np.stack([inst.energies for inst in insts])
+        stack = np.stack([inst.assignment for inst in insts])
+        assert batch_rows(200, 100) == 1 and all(_scatters(a) for a in stack)
+    elif case == "own-assignment":
         energies, stack = coauthor_small.energies[np.newaxis], coauthor_small.assignment[np.newaxis]
     elif case == "greedy-first-round":
         energies, stack = _greedy_first_round(coauthor_small)
