@@ -11,7 +11,9 @@ has built them all, so a run that fails writes none.
 builds with the recorded digest before writing any; a file that differs, or
 a name missing or extra, fails the replay (exit 1) with nothing written. A
 manifest whose ``outputs`` is a list of names, as older versions wrote it,
-replays unchecked.
+replays unchecked. A manifest whose params the command's flags would not
+have parsed, by type, choices or presence, is refused as unreadable (exit 2)
+before any input is hashed.
 
 Exit codes: 0 on success, 1 on runtime failure, 2 on usage errors. Set
 ``HYPERTEAM_LOG=debug|info|warning|error`` to control stderr logging. With
@@ -400,26 +402,64 @@ def _cmd_optimize(args) -> int:
     return _cmd_run(args, seed=resolved["seed"], optimizer=resolved)
 
 
-# params without which a run cannot start: the flags that argparse requires
-_REQUIRED_PARAMS = {
-    "stats": ("input",),
-    "optimize": ("input", "method"),
-    "attack": ("input",),
-    "experiment": ("kind",),
-}
+# what each flag type parses into, as JSON hands it back
+_FLAG_TYPES = {int: (int, "an integer"), float: ((int, float), "a number"), None: (str, "a string")}
+
+
+def _flag_fault(action: argparse.Action, value) -> str | None:
+    """What ``value`` must be for ``action``'s flag to parse into it, or None if it is that."""
+    if action.nargs == 0:  # store_true and store_false
+        return None if isinstance(value, bool) else "true or false"
+    if value is None and action.default is None and not action.required:
+        return None
+    types, what = _FLAG_TYPES[action.type]
+    if action.choices is not None:
+        what = f"one of {', '.join(action.choices)}"
+
+    def parses(v) -> bool:
+        return isinstance(v, types) and not isinstance(v, bool) and (action.choices is None or v in action.choices)
+
+    if action.nargs == "+":
+        if isinstance(value, list) and value and all(map(parses, value)):
+            return None
+        return f"a non-empty list, each {what}"
+    return None if parses(value) else what
+
+
+# params that no flag names, derived by ``_cmd_stats`` and ``_cmd_optimize``
+_DERIVED = {"stats": ("name", str, "a string"), "optimize": ("optimizer", dict, "an object")}
 
 
 def _check_params(command: str, params: dict) -> None:
-    """``ValueError`` unless ``params`` holds the command's required keys and its paths are strings."""
-    required = _REQUIRED_PARAMS.get(command, ())
-    if command == "experiment" and params.get("kind") == "budget-sweep":
-        required += ("input",)
-    missing = [key for key in required if key not in params]
-    if missing:
-        raise ValueError(f"params lack {', '.join(missing)}")
-    for key in ("input", "assignment"):
-        if params.get(key) is not None and not isinstance(params[key], str):
-            raise ValueError(f"params {key} is not a path")
+    """``ValueError`` naming the first param that the command's flag would not have parsed.
+
+    Each flag's param must be present, of the type its flag parses and among
+    its choices; the derived ones must be present too, and the optimizer
+    params must build the method's parameters. Params of flags that this
+    version lacks are left alone, since older versions recorded them.
+    """
+    # a subcommand's action maps its names to their parsers in its choices
+    commands = next(action for action in _parser()._actions if isinstance(action.choices, dict))
+    actions = list(commands.choices[command]._actions)
+    while actions:
+        action = actions.pop(0)
+        if action.dest in _NOT_PARAMS or action.default == argparse.SUPPRESS:
+            continue
+        if action.dest not in params:
+            raise ValueError(f"params lack {action.dest}")
+        value = params[action.dest]
+        if (fault := _flag_fault(action, value)) is not None:
+            raise ValueError(f"params {action.dest} must be {fault}, not {value!r}")
+        if isinstance(action.choices, dict):  # the experiment kind, whose own flags come next
+            actions += action.choices[value]._actions
+    key, kind, what = _DERIVED.get(command, (None, object, None))
+    if key is not None and not isinstance(params.get(key), kind):
+        raise ValueError(f"params {key} must be {what}, not {params.get(key)!r}")
+    if command == "optimize":
+        try:
+            (GreedyParams if params["method"] == "greedy" else CsaParams)(**params["optimizer"])
+        except TypeError as exc:
+            raise ValueError(f"params optimizer: {exc}") from exc
 
 
 def _cmd_rerun(args) -> int:
@@ -438,6 +478,8 @@ def _cmd_rerun(args) -> int:
         ):
             if not isinstance(value, kind):
                 raise ValueError(f"{key} has the wrong type")
+        if command not in _DISPATCH:
+            raise UsageError(f"manifest names unknown command {command!r}")
         _check_params(command, params)
     except (KeyError, ValueError) as exc:
         raise UsageError(f"unreadable manifest {manifest_path}: {exc}") from exc
@@ -445,8 +487,6 @@ def _cmd_rerun(args) -> int:
     if isinstance(outputs, list):
         log.warning("manifest %s records no output digests, so the replay is not checked", manifest_path)
         outputs = None
-    if command not in _DISPATCH:
-        raise UsageError(f"manifest names unknown command {command!r}")
     if manifest.get("version") != __version__:
         log.warning(
             "manifest written by version %s, this is %s",

@@ -135,23 +135,14 @@ class ProblemInstance:
         )
 
     def to_json_obj(self, meta: dict | None = None) -> dict:
-        rows, cols = np.nonzero(self.assignment)
+        a = self.assignment
+        rows, cols = np.divmod(np.flatnonzero(a), a.shape[1])  # the entries in row-major order
         obj = {
-            "agents": [
-                {"id": a, "budget": int(b)}
-                for a, b in zip(self.agent_ids, self.budgets)
-            ],
-            "tasks": [
-                {"id": t, "energy": int(e)}
-                for t, e in zip(self.task_ids, self.energies)
-            ],
+            "agents": [{"id": i, "budget": b} for i, b in zip(self.agent_ids, self.budgets.tolist())],
+            "tasks": [{"id": t, "energy": e} for t, e in zip(self.task_ids, self.energies.tolist())],
             "assignment": [
-                {
-                    "agent": self.agent_ids[i],
-                    "task": self.task_ids[k],
-                    "weight": int(self.assignment[i, k]),
-                }
-                for i, k in zip(rows.tolist(), cols.tolist())
+                {"agent": self.agent_ids[i], "task": self.task_ids[k], "weight": w}
+                for i, k, w in zip(rows.tolist(), cols.tolist(), a[rows, cols].tolist())
             ],
         }
         if meta is not None:
@@ -244,15 +235,22 @@ def member_lists(assignment: np.ndarray) -> tuple[list[list[int]], list[list[int
     """Ascending members of each task and tasks of each agent, over the entries above 0.
 
     As lists of Python ints: ``np.flatnonzero`` of each column, then of each row.
+    Both come from one scan of the entries: it lists the incidences agent by
+    agent, and a stable sort of their tasks lists them task by task.
     """
     held = np.asarray(assignment) > 0
-    lists = []
-    for rows in (held.T, held):
-        keys, values = np.nonzero(rows)  # keys sorted, values ascending within a key
-        ends = np.cumsum(np.bincount(keys, minlength=len(rows))).tolist()
-        flat = values.tolist()
-        lists.append([flat[lo:hi] for lo, hi in zip([0, *ends[:-1]], ends)])
-    return lists[0], lists[1]
+    n, k = held.shape
+    # agents sorted, tasks ascending within an agent; a flat scan, which a 2-D np.nonzero is not
+    agents, tasks = np.divmod(np.flatnonzero(held), k)
+    by_task = np.argsort(tasks, kind="stable")  # agents stay ascending within a task
+    return _split(agents[by_task], tasks, k), _split(tasks, agents, n)
+
+
+def _split(values: np.ndarray, keys: np.ndarray, count: int) -> list[list[int]]:
+    """``values`` cut into ``count`` lists of Python ints, the i-th as long as ``keys`` holds i."""
+    ends = np.cumsum(np.bincount(keys, minlength=count)).tolist()
+    flat = values.tolist()
+    return [flat[lo:hi] for lo, hi in zip([0, *ends[:-1]], ends)]
 
 
 def factor_metrics(assignment: np.ndarray) -> tuple[float, float]:
@@ -282,12 +280,115 @@ def summary_stats(inst: ProblemInstance) -> StatsRecord:
 # file formats
 
 
+def _matrix(shape: tuple[int, int], cells, weights) -> np.ndarray:
+    """The int64 matrix of ``shape`` holding ``weights`` at the flat ``cells``, zero elsewhere."""
+    matrix = np.zeros(shape[0] * shape[1], dtype=np.int64)
+    matrix[cells] = np.asarray(weights, dtype=np.int64)
+    return matrix.reshape(shape)
+
+
+# the least value of an agent's budget and of a task's energy, and the fault below it
+_LEAST = {"agent": (0, "negative budget"), "task": (1, "energy must be >= 1")}
+
+
+def _ids_and_values(entries: list, kind: str, value_key: str) -> tuple[dict[str, int], list[int]]:
+    """The index of the ids and the values of the agents or tasks section, in one lean pass.
+
+    The pass stops at the first faulty entry, and ``_id_fault`` names its fault.
+    """
+    least = _LEAST[kind][0]
+    index: dict[str, int] = {}
+    values: list[int] = []
+    for entry in entries:
+        if not isinstance(entry, dict) or "id" not in entry or value_key not in entry:
+            break
+        key, value = str(entry["id"]), entry[value_key]
+        if type(value) is not int or not least <= value < 2**63 or key in index:
+            break
+        index[key] = len(values)
+        values.append(value)
+    else:
+        return index, values
+    raise _id_fault(entries[len(values)], kind, value_key)
+
+
+def _id_fault(entry, kind: str, value_key: str) -> FormatError:
+    """The fault of the agent or task ``entry`` at which the lean pass stopped, checked in order."""
+    if not isinstance(entry, dict) or "id" not in entry or value_key not in entry:
+        return FormatError(f"each {kind} needs 'id' and {value_key!r}")
+    value, key = entry[value_key], str(entry["id"])
+    if not isinstance(value, int) or isinstance(value, bool) or value >= 2**63:
+        return FormatError(f"{kind} {entry['id']!r}: {value_key} must be an integer below 2**63")
+    least, fault = _LEAST[kind]
+    if value < least:
+        return FormatError(f"{kind} {key!r}: {fault}")
+    return FormatError(f"duplicate id {key!r}")
+
+
+def _cells_and_weights(entries: list, a_index: dict[str, int], t_index: dict[str, int]) -> tuple[np.ndarray, list[int]]:
+    """The flat (agent, task) cells and the weights of the assignment section, in one lean pass.
+
+    The pass stops at the first faulty entry. A pair repeated before it, found
+    by one stable sort of the cells, is the first fault; otherwise
+    ``_assignment_fault`` names the entry's.
+    """
+    n_tasks = len(t_index)
+    cells: list[int] = []
+    weights: list[int] = []
+    for entry in entries:
+        if not isinstance(entry, dict):
+            break
+        try:
+            cell = a_index[str(entry["agent"])] * n_tasks + t_index[str(entry["task"])]
+            w = entry["weight"]
+        except KeyError:
+            break
+        if type(w) is not int or not 0 < w < 2**63:
+            break
+        cells.append(cell)
+        weights.append(w)
+    flat = np.asarray(cells, dtype=np.int64)
+    order = np.argsort(flat, kind="stable")
+    repeats = order[1:][flat[order[1:]] == flat[order[:-1]]]
+    if repeats.size:
+        entry = entries[int(repeats.min())]
+        raise FormatError(f"duplicate id pair in assignment: {entry['agent']!r}/{entry['task']!r}")
+    if len(cells) < len(entries):
+        raise _assignment_fault(entries[len(cells)], a_index, t_index)
+    return flat, weights
+
+
+def _assignment_fault(entry, a_index: dict[str, int], t_index: dict[str, int]) -> FormatError:
+    """The fault of the assignment ``entry`` at which the lean pass stopped, checked in order."""
+    if not isinstance(entry, dict):
+        return FormatError("assignment entries must be objects")
+    try:
+        a_index[str(entry["agent"])], t_index[str(entry["task"])]
+        w = entry["weight"]
+    except KeyError:
+        return FormatError(f"assignment entry refers to unknown id or misses a key: {entry}")
+    if not isinstance(w, int) or isinstance(w, bool) or w >= 2**63:
+        return FormatError(f"assignment weight must be an integer below 2**63: {entry}")
+    if w < 0:
+        return FormatError(f"negative weight: {entry}")
+    return FormatError(f"zero-weight assignment entry: {entry}")
+
+
 def parse_instance_json(text: str) -> ProblemInstance:
     """Parse the JSON instance format.
 
     Schema: {"agents": [{"id", "budget"}], "tasks": [{"id", "energy"}],
     "assignment": [{"agent", "task", "weight"}]}. Unknown top-level keys
     (for example a result "meta" block) are ignored.
+
+    A faulty file raises ``FormatError`` naming its first faulty entry in
+    file order: the agents, then the tasks, then the assignment. Within an
+    entry the checks run in this order: an object; its ids known and its
+    keys present; an integer value below 2**63; then the value's sign (an
+    assignment weight above 0, a budget at least 0, an energy at least 1);
+    and last a repeated agent or task id, or a repeated agent/task pair.
+    Each section is read in one lean pass that stops at the first faulty
+    entry; repeated pairs are found by one sort of the cells before it.
     """
     try:
         obj = json.loads(text)
@@ -300,62 +401,14 @@ def parse_instance_json(text: str) -> ProblemInstance:
             raise FormatError(f"missing required key {key!r}")
         if not isinstance(obj[key], list):
             raise FormatError(f"{key!r} must be a list")
-
-    def _id_and_value(entry, kind, value_key):
-        if not isinstance(entry, dict) or "id" not in entry or value_key not in entry:
-            raise FormatError(f"each {kind} needs 'id' and {value_key!r}")
-        value = entry[value_key]
-        if not isinstance(value, int) or isinstance(value, bool) or value >= 2**63:
-            raise FormatError(f"{kind} {entry['id']!r}: {value_key} must be an integer below 2**63")
-        return str(entry["id"]), value
-
-    a_index: dict[str, int] = {}
-    budgets = []
-    for entry in obj["agents"]:
-        aid, budget = _id_and_value(entry, "agent", "budget")
-        if budget < 0:
-            raise FormatError(f"agent {aid!r}: negative budget")
-        if aid in a_index:
-            raise FormatError(f"duplicate id {aid!r}")
-        a_index[aid] = len(budgets)
-        budgets.append(budget)
-    t_index: dict[str, int] = {}
-    energies = []
-    for entry in obj["tasks"]:
-        tid, energy = _id_and_value(entry, "task", "energy")
-        if energy < 1:
-            raise FormatError(f"task {tid!r}: energy must be >= 1")
-        if tid in t_index:
-            raise FormatError(f"duplicate id {tid!r}")
-        t_index[tid] = len(energies)
-        energies.append(energy)
+    a_index, budgets = _ids_and_values(obj["agents"], "agent", "budget")
+    t_index, energies = _ids_and_values(obj["tasks"], "task", "energy")
     if not a_index or not t_index:
         raise FormatError("instance needs at least one agent and one task")
     agent_ids, task_ids = tuple(a_index), tuple(t_index)
 
-    assignment = np.zeros((len(agent_ids), len(task_ids)), dtype=np.int64)
-    seen: set[tuple[int, int]] = set()
-    for entry in obj["assignment"]:
-        if not isinstance(entry, dict):
-            raise FormatError("assignment entries must be objects")
-        try:
-            i = a_index[str(entry["agent"])]
-            k = t_index[str(entry["task"])]
-            w = entry["weight"]
-        except KeyError as exc:
-            raise FormatError(f"assignment entry refers to unknown id or misses a key: {entry}") from exc
-        if not isinstance(w, int) or isinstance(w, bool) or w >= 2**63:
-            raise FormatError(f"assignment weight must be an integer below 2**63: {entry}")
-        if w < 0:
-            raise FormatError(f"negative weight: {entry}")
-        if w == 0:
-            raise FormatError(f"zero-weight assignment entry: {entry}")
-        if (i, k) in seen:
-            raise FormatError(
-                f"duplicate id pair in assignment: {entry['agent']!r}/{entry['task']!r}"
-            )
-        seen.add((i, k))
-        assignment[i, k] = w
+    cells, weights = _cells_and_weights(obj["assignment"], a_index, t_index)
+    assignment = _matrix((len(agent_ids), len(task_ids)), cells, weights)
     empty = np.flatnonzero(~assignment.any(axis=0))
     if empty.size:
         raise FormatError(f"empty hyperedge: task {task_ids[int(empty[0])]!r} has no agents")
@@ -424,10 +477,10 @@ def parse_edge_list(text: str) -> ProblemInstance:
         tasks.append((tid, energy, members))
     if not tasks:
         raise FormatError("no tasks found")
-    assignment = np.zeros((len(agent_ids), len(tasks)), dtype=np.int64)
-    for k, (_, _, members) in enumerate(tasks):
-        for i, w in members:
-            assignment[i, k] = w
+    n_tasks = len(tasks)
+    cells = [i * n_tasks + k for k, (_, _, members) in enumerate(tasks) for i, _ in members]
+    weights = [w for _, _, members in tasks for _, w in members]
+    assignment = _matrix((len(agent_ids), n_tasks), cells, weights)
     task_ids = tuple(tid for tid, _, _ in tasks)
     # budgets and default energies are row and column sums, so each must fit
     for ids, axis, kind in ((agent_ids, 1, "agent"), (task_ids, 0, "task")):

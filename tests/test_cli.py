@@ -942,30 +942,80 @@ def test_rerun_refuses_a_replay_whose_output_changed(workdir, tmp_path, capsys, 
     assert not replay.exists()
 
 
+# the params of a sound manifest for each command
+_SOUND_PARAMS = {
+    "stats": {"input": "x.json", "format": None, "name": "x"},
+    "optimize": {"input": "x.json", "format": None, "method": "csa", "seed": 0, "optimizer": {"seed": 0}},
+    "attack": {"input": "x.json", "format": None, "assignment": None, "m": 3, "n_exp": 1,
+               "strategy": "random", "seed": 0},
+}
+
+
+def _manifest(command, **changes):
+    """A sound manifest of ``command`` with ``changes`` to its params; ``...`` drops a param."""
+    params = {**_SOUND_PARAMS[command], **changes}
+    return json.dumps({"command": command, "params": {k: v for k, v in params.items() if v is not ...}})
+
+
 @pytest.mark.parametrize(
-    "text",
+    "text, named",
     [
-        pytest.param("[1, 2]", id="not-an-object"),
-        pytest.param('{"command": ["stats"], "params": {}}', id="command"),
-        pytest.param('{"command": "stats", "params": [1]}', id="params"),
-        pytest.param('{"command": "stats", "params": {}, "inputs": ["a.json"]}', id="inputs"),
-        pytest.param('{"command": "stats", "params": {}, "outputs": "stats.csv"}', id="outputs"),
-        pytest.param('{"command": "stats", "params": {"input": 5}}', id="input-not-a-path"),
-        pytest.param('{"command": "stats", "params": {}}', id="no-input"),
+        pytest.param("[1, 2]", "not a JSON object", id="not-an-object"),
+        pytest.param('{"command": ["stats"], "params": {}}', "command", id="command"),
+        pytest.param('{"command": "stats", "params": [1]}', "params", id="params"),
+        pytest.param('{"command": "stats", "params": {}, "inputs": ["a.json"]}', "inputs", id="inputs"),
+        pytest.param('{"command": "stats", "params": {}, "outputs": "stats.csv"}', "outputs", id="outputs"),
+        pytest.param('{"command": "stats", "params": {"input": 5}}', "params input", id="input-not-a-path"),
+        pytest.param('{"command": "stats", "params": {}}', "params lack input", id="no-input"),
+        # each param is what its flag parses: its type, its choices, and present
+        pytest.param(_manifest("optimize", optimizer="abc"), "params optimizer", id="optimizer-not-an-object"),
+        pytest.param(_manifest("optimize", optimizer={"seed": 0, "nope": 1}), "params optimizer",
+                     id="optimizer-unknown-key"),
+        pytest.param(_manifest("optimize", method="anneal"), "params method", id="method-not-a-choice"),
+        pytest.param(_manifest("attack", m="3"), "params m must be an integer, not '3'", id="m-a-string"),
+        pytest.param(_manifest("attack", seed=True), "params seed", id="seed-a-bool"),
+        pytest.param(_manifest("stats", format=5), "params format must be one of json, edgelist, not 5",
+                     id="format-not-a-choice"),
+        pytest.param(_manifest("stats", format=...), "params lack format", id="no-format"),
+        pytest.param(_manifest("stats", name=...), "params name", id="no-name"),
+        pytest.param('{"command": "experiment", "params": {"kind": "sweep"}}', "params kind", id="kind-not-a-choice"),
+        pytest.param('{"command": "experiment", "params": {"kind": "scaling", "schemes": [], "sizes": [2, 3],'
+                     ' "reps": 1, "seed": 0, "coupled": true}}', "params schemes", id="schemes-empty"),
+        pytest.param('{"command": "experiment", "params": {"kind": "enumerate", "nodes": 4, "edges": 2,'
+                     ' "dedup": 1}}', "params dedup", id="dedup-not-a-bool"),
     ],
 )
-def test_rerun_refuses_a_manifest_of_the_wrong_shape(tmp_path, capsys, monkeypatch, text):
+def test_rerun_refuses_a_manifest_of_the_wrong_shape(tmp_path, capsys, monkeypatch, text, named):
     def running(_):
         raise AssertionError("the manifest should be refused before any run")
 
+    def hashing(_):
+        raise AssertionError("the manifest should be refused before any input is hashed")
+
     for command in cli._DISPATCH:
         monkeypatch.setitem(cli._DISPATCH, command, running)
+    monkeypatch.setattr(cli, "_sha256", hashing)
     manifest = tmp_path / "manifest.json"
     manifest.write_text(text)
     out = tmp_path / "out"
     assert main(["rerun", str(manifest), "--out", str(out)]) == 2
-    assert capsys.readouterr().err.startswith(f"error: unreadable manifest {manifest}: ")
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: unreadable manifest {manifest}: ")
+    assert named in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", _SOUND_PARAMS)
+def test_rerun_checks_a_sound_manifest_no_further(tmp_path, capsys, monkeypatch, command):
+    # the hand-written manifests above differ from these in one param each
+    ran = []
+    monkeypatch.setitem(cli._DISPATCH, command, lambda params: ran.append(params) or {})
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "x.json").write_text("{}")
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(_manifest(command))
+    assert main(["rerun", str(manifest), "--out", str(tmp_path / "out")]) == 0
+    assert ran == [_SOUND_PARAMS[command]]
 
 
 def test_a_run_that_fails_after_building_part_of_its_output_writes_nothing(tmp_path, capsys, monkeypatch):

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -153,6 +155,25 @@ def _set(path, value):
             lambda obj: obj["tasks"].append({"id": "empty", "energy": 1}),
             "empty hyperedge: task 'empty' has no agents",
         ),
+        (_set(("assignment", 0), [1]), "assignment entries must be objects"),
+        (
+            _set(("assignment", 0, "weight"), -1),
+            "negative weight: {'agent': 'a', 'task': 't', 'weight': -1}",
+        ),
+        (
+            _set(("assignment", 0, "weight"), 2**63),
+            "assignment weight must be an integer below 2**63: "
+            "{'agent': 'a', 'task': 't', 'weight': 9223372036854775808}",
+        ),
+        (
+            _set(("assignment", 0, "weight"), 1.0),
+            "assignment weight must be an integer below 2**63: {'agent': 'a', 'task': 't', 'weight': 1.0}",
+        ),
+        (
+            lambda obj: obj["assignment"][1].pop("weight"),
+            "assignment entry refers to unknown id or misses a key: {'agent': 'b', 'task': 't'}",
+        ),
+        (_set(("agents", 1), "b"), "each agent needs 'id' and 'budget'"),
     ],
 )
 def test_json_rejects_with_its_message(mutate, message):
@@ -160,6 +181,169 @@ def test_json_rejects_with_its_message(mutate, message):
     mutate(obj)
     with pytest.raises(FormatError, match=re.escape(message)):
         parse_instance_json(json.dumps(obj))
+
+
+@pytest.mark.parametrize(
+    "faults, message",
+    [
+        # the first faulty entry in file order is reported, whatever its fault
+        (
+            [{"agent": "a", "task": "t", "weight": 1}, {"agent": "b", "task": "t", "weight": 0}],
+            "duplicate id pair in assignment: 'a'/'t'",
+        ),
+        (
+            [{"agent": "b", "task": "t", "weight": 0}, {"agent": "a", "task": "t", "weight": 1}],
+            "zero-weight assignment entry: {'agent': 'b', 'task': 't', 'weight': 0}",
+        ),
+    ],
+)
+def test_json_reports_the_first_faulty_entry(faults, message):
+    obj = _json_obj()
+    obj["assignment"][1:] = faults
+    with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+        parse_instance_json(json.dumps(obj))
+
+
+def _parse_oracle(text: str) -> ProblemInstance:
+    """The JSON parser as one loop per section, checking entry by entry; kept as an oracle."""
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"invalid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise FormatError("top-level JSON value must be an object")
+    for key in ("agents", "tasks", "assignment"):
+        if key not in obj:
+            raise FormatError(f"missing required key {key!r}")
+        if not isinstance(obj[key], list):
+            raise FormatError(f"{key!r} must be a list")
+
+    def _id_and_value(entry, kind, value_key):
+        if not isinstance(entry, dict) or "id" not in entry or value_key not in entry:
+            raise FormatError(f"each {kind} needs 'id' and {value_key!r}")
+        value = entry[value_key]
+        if not isinstance(value, int) or isinstance(value, bool) or value >= 2**63:
+            raise FormatError(f"{kind} {entry['id']!r}: {value_key} must be an integer below 2**63")
+        return str(entry["id"]), value
+
+    a_index: dict[str, int] = {}
+    budgets = []
+    for entry in obj["agents"]:
+        aid, budget = _id_and_value(entry, "agent", "budget")
+        if budget < 0:
+            raise FormatError(f"agent {aid!r}: negative budget")
+        if aid in a_index:
+            raise FormatError(f"duplicate id {aid!r}")
+        a_index[aid] = len(budgets)
+        budgets.append(budget)
+    t_index: dict[str, int] = {}
+    energies = []
+    for entry in obj["tasks"]:
+        tid, energy = _id_and_value(entry, "task", "energy")
+        if energy < 1:
+            raise FormatError(f"task {tid!r}: energy must be >= 1")
+        if tid in t_index:
+            raise FormatError(f"duplicate id {tid!r}")
+        t_index[tid] = len(energies)
+        energies.append(energy)
+    if not a_index or not t_index:
+        raise FormatError("instance needs at least one agent and one task")
+    agent_ids, task_ids = tuple(a_index), tuple(t_index)
+
+    assignment = np.zeros((len(agent_ids), len(task_ids)), dtype=np.int64)
+    seen: set[tuple[int, int]] = set()
+    for entry in obj["assignment"]:
+        if not isinstance(entry, dict):
+            raise FormatError("assignment entries must be objects")
+        try:
+            i = a_index[str(entry["agent"])]
+            k = t_index[str(entry["task"])]
+            w = entry["weight"]
+        except KeyError as exc:
+            raise FormatError(f"assignment entry refers to unknown id or misses a key: {entry}") from exc
+        if not isinstance(w, int) or isinstance(w, bool) or w >= 2**63:
+            raise FormatError(f"assignment weight must be an integer below 2**63: {entry}")
+        if w < 0:
+            raise FormatError(f"negative weight: {entry}")
+        if w == 0:
+            raise FormatError(f"zero-weight assignment entry: {entry}")
+        if (i, k) in seen:
+            raise FormatError(
+                f"duplicate id pair in assignment: {entry['agent']!r}/{entry['task']!r}"
+            )
+        seen.add((i, k))
+        assignment[i, k] = w
+    empty = np.flatnonzero(~assignment.any(axis=0))
+    if empty.size:
+        raise FormatError(f"empty hyperedge: task {task_ids[int(empty[0])]!r} has no agents")
+    return ProblemInstance(agent_ids, budgets, task_ids, energies, assignment)
+
+
+# ids that str() maps onto each other ("1" and 1), and values of every JSON type
+_IDS = st.sampled_from(["a", "0", "1", 0, 1, 2, True, None, 1.5])
+_VALUES = st.sampled_from([0, -1, 2, 2**63 - 1, 2**63, -(2**63) - 1, True, False, 1.0, "1", None, [1]])
+_NOT_OBJECTS = st.sampled_from([5, "x", None, [1], True])
+
+
+@st.composite
+def _json_instances(draw):
+    """A well-formed instance object, then zero, one or two faults injected into its entries."""
+    n, k = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    # an id is a string or a number, and an entry may name it either way: str() maps 1 to "1"
+    name = st.sampled_from([str, lambda i: i])
+    obj = {
+        "agents": [{"id": draw(name)(i), "budget": draw(st.integers(0, 5))} for i in range(n)],
+        "tasks": [{"id": draw(name)(t), "energy": draw(st.integers(1, 5))} for t in range(k)],
+        "assignment": [],
+    }
+    pairs = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, k - 1)), min_size=1))
+    # one member for every task, so a fault-free object usually parses
+    pairs |= {(draw(st.integers(0, n - 1)), t) for t in range(k)}
+    for i, t in draw(st.permutations(sorted(pairs))):
+        weight = draw(st.integers(1, 9))
+        obj["assignment"].append({"agent": draw(name)(i), "task": draw(name)(t), "weight": weight})
+    for _ in range(draw(st.sampled_from([0, 1, 2]))):
+        section = draw(st.sampled_from(["agents", "tasks", "assignment", "assignment"]))
+        entries = obj[section]
+        pos = draw(st.integers(0, len(entries) - 1))
+        fault = draw(st.sampled_from(["not-object", "drop-key", "set-id", "set-value", "repeat", "remove"]))
+        if fault == "remove":
+            del entries[pos]
+        elif fault == "not-object":
+            entries.insert(pos, draw(_NOT_OBJECTS))
+        elif fault == "repeat":
+            entries.insert(pos, copy.deepcopy(draw(st.sampled_from(entries))))
+        elif isinstance(entries[pos], dict):
+            value_key = {"agents": "budget", "tasks": "energy", "assignment": "weight"}[section]
+            keys = sorted(entries[pos])
+            if fault == "drop-key" and keys:
+                del entries[pos][draw(st.sampled_from(keys))]
+            elif fault == "set-value":
+                entries[pos][value_key] = draw(_VALUES)
+            elif [key for key in keys if key != value_key]:
+                entries[pos][draw(st.sampled_from([key for key in keys if key != value_key]))] = draw(_IDS)
+    return obj
+
+
+def _outcome(parse, text):
+    try:
+        inst = parse(text)
+    except (FormatError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+    return inst.agent_ids, inst.task_ids, inst.budgets.tolist(), inst.energies.tolist(), inst.assignment.tolist()
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(obj=_json_instances())
+def test_json_parser_matches_the_entry_by_entry_oracle(obj):
+    text = json.dumps(obj)
+    assert _outcome(parse_instance_json, text) == _outcome(_parse_oracle, text)
+
+
+def test_json_parser_matches_the_oracle_on_the_bundled_instances():
+    for name in ("coauthor_small", "coauthor_large"):
+        text = Path(toy_path(name)).read_text()
+        assert _outcome(parse_instance_json, text) == _outcome(_parse_oracle, text)
 
 
 @pytest.mark.parametrize("key", ["agents", "tasks", "assignment"])
@@ -243,7 +427,12 @@ def _member_lists_oracle(a):
     return members, [np.flatnonzero(row > 0).tolist() for row in a]
 
 
-def test_member_lists_match_flatnonzero():
+def test_member_lists_match_flatnonzero(coauthor_large):
+    a = np.asarray(coauthor_large.assignment)
+    for layout in (np.ascontiguousarray(a), np.asfortranarray(a)):
+        assert member_lists(layout) == _member_lists_oracle(a)
+    members, tasks_of = member_lists(np.zeros(a.shape, dtype=np.int64))
+    assert members == [[]] * a.shape[1] and tasks_of == [[]] * a.shape[0]
     rng = np.random.default_rng(11)
     shapes = [(1, 1), (1, 6), (6, 1)] + [tuple(rng.integers(1, 30, size=2)) for _ in range(40)]
     idle = empty = 0
